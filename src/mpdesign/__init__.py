@@ -10,6 +10,7 @@ Also performs the associated conjugate Bayesian posterior inference
 from .cost import (
     BudgetSpec,
     CostModel,
+    budget_rule,
     categorization_fraction,
     feasible_designs,
     normalized_cost,
@@ -22,6 +23,7 @@ from .design import (
     expected_total_loss,
     optimize_design,
     performance_curve,
+    predictive_l2,
     sensitivity_sweep,
 )
 from .distributions import (
@@ -32,9 +34,9 @@ from .distributions import (
     dirichlet_sample,
     gamma_sample,
     poisson_sample,
+    predictive_log_pmf,
     predictive_total_count,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .loss import (
     l1_expected,
     l1_realized,
@@ -68,10 +70,10 @@ __all__ = [
     "DirichletParams",
     "FieldObservations",
     "GammaParams",
-    "KERNEL_BACKEND",
     "PerformanceCurve",
     "PosteriorPair",
     "RandomStream",
+    "budget_rule",
     "categorization_fraction",
     "density_grid",
     "dirichlet_cov_trace",
@@ -92,6 +94,8 @@ __all__ = [
     "optimize_design",
     "performance_curve",
     "poisson_sample",
+    "predictive_l2",
+    "predictive_log_pmf",
     "predictive_total_count",
     "sensitivity_sweep",
     "synthesize_expected_data",

@@ -2,8 +2,8 @@
 
 Subcommands: design, curves, posterior, sensitivity, replicate. Inputs come
 from a JSON config (see ``mpdesign.config``); tabular results are written as
-CSV (default) or JSON. Re-running a command with identical inputs and seed
-produces byte-identical output files. If the ``MPDESIGN_OUT_DIR`` environment
+CSV (default) or JSON. Re-running a command with identical inputs produces
+byte-identical output files. If the ``MPDESIGN_OUT_DIR`` environment
 variable is set, relative output paths are resolved against it.
 """
 
@@ -76,9 +76,9 @@ def _emit(ctx, out_path, csv_text: str, json_obj):
 @click.group(invoke_without_command=True)
 @click.option("--config", type=click.Path(), default=None, help="JSON config file.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-              help="Override the config RNG seed.")
+              help="Override the config mc.seed (validated; the exact design ignores it).")
 @click.option("--draws", type=click.IntRange(1000), default=None,
-              help="Override the config Monte Carlo draw count.")
+              help="Override the config mc.draws (validated; the exact design ignores it).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output format.")
 @click.option("--out", type=click.Path(), default=None,
@@ -108,7 +108,10 @@ def design(ctx):
         raise click.ClickException(
             f"budget admits no field sampling (feasible quadrant counts: {list(feasible)})"
         )
-    result = optimize_design(cfg)
+    try:
+        result = optimize_design(cfg)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     row = result.optimal_row
     area = row.area
     n_med = row.median_count
@@ -245,7 +248,10 @@ def sensitivity(ctx, axis, values):
         raise click.ClickException(f"bad --values list: {exc}") from exc
     if not parsed:
         raise click.ClickException("--values must contain at least one number")
-    rows = sensitivity_sweep(loaded.design, axis, parsed)
+    try:
+        rows = sensitivity_sweep(loaded.design, axis, parsed)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     table = [(r.axis, r.value, r.m_star, r.typical_n_bar, r.budget_slack) for r in rows]
     csv_text = render_csv(SENSITIVITY_COLUMNS, table)
     json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in table]}

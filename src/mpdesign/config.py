@@ -17,6 +17,9 @@ Schema (all sections required unless noted):
 
 Unknown keys anywhere are rejected with an error naming the key; priors given
 as (shape, mode) require shape > 1 and convert via rate = (shape - 1)/mode.
+The ``mc`` section is still validated (draws >= 1000, a 64-bit seed) so that
+existing configs keep working, but the design curve is an exact sum over the
+predictive count and reads neither value.
 """
 
 from __future__ import annotations

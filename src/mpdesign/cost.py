@@ -20,13 +20,20 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CostModel",
     "BudgetSpec",
     "normalized_cost",
     "categorization_fraction",
+    "budget_rule",
     "feasible_designs",
 ]
+
+# Relative slack when counting whole affordable quadrants: c = 1/(B*A) is
+# rounded, so 1/(A*c) can land a few ulps below a whole budget B.
+_QUADRANT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class CostModel:
             raise ValueError("count_ratio must be nonnegative")
         if not self.categorize_ratio > 0:
             raise ValueError("categorize_ratio must be positive")
-        if 1.0 / self.budget_coefficient < self.quadrant_area:
+        if self.max_quadrants == 0:
             warnings.warn(
                 "budget does not cover even one quadrant; only m = 0 is feasible",
                 stacklevel=2,
@@ -70,6 +77,12 @@ class CostModel:
     def budget_area(self) -> float:
         """Budget in square-meter equivalents, 1/c."""
         return 1.0 / self.budget_coefficient
+
+    @property
+    def max_quadrants(self) -> int:
+        """Largest affordable quadrant count, floor(1/(A*c)) up to rounding of c."""
+        ratio = 1.0 / (self.quadrant_area * self.budget_coefficient)
+        return math.floor(ratio * (1.0 + _QUADRANT_RTOL))
 
     @classmethod
     def from_budget_quadrants(
@@ -132,7 +145,27 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
     return max(0.0, min(1.0, raw))
 
 
+def budget_rule(cost: CostModel, total_area: float, counts):
+    """Vectorized :func:`categorization_fraction` and categorized count.
+
+    Returns ``(q, n_bar)`` as float arrays over ``counts``, with
+    n_bar = floor(n*q). The floating-point steps for n >= 1 are exactly those
+    of the scalar rule, so both give identical q and n_bar.
+    """
+    n = np.asarray(counts, dtype=np.float64)
+    if total_area < 0 or np.any(n < 0):
+        raise ValueError("invalid design point")
+    raw = (cost.budget_area - (total_area + n * cost.count_ratio)) / (
+        cost.categorize_ratio * np.maximum(n, 1.0)
+    )
+    q = np.where(n > 0.0, np.minimum(np.maximum(raw, 0.0), 1.0), 1.0)
+    return q, np.floor(n * q)
+
+
 def feasible_designs(cost: CostModel) -> range:
-    """Quadrant counts affordable within the budget: 0 .. floor(1/(A*c))."""
-    m_max = math.floor(1.0 / (cost.quadrant_area * cost.budget_coefficient))
-    return range(0, m_max + 1)
+    """Quadrant counts affordable within the budget: 0 .. floor(1/(A*c)).
+
+    A budget of exactly B quadrant equivalents admits m = B even when the
+    rounded coefficient c = 1/(B*A) puts 1/(A*c) an ulp or two below B.
+    """
+    return range(0, cost.max_quadrants + 1)

@@ -11,24 +11,31 @@ deterministic rule q(m*A, n) applied once the count n is in hand. The weight
 w defaults to 1/2 (both components then keep L* in [0, 1]); other weights are
 experimental.
 
-Each m is evaluated on its own random substream (label m), so design points
-are independent and adding/removing one never perturbs the others; reruns
-with the same seed are bit-identical.
+N is negative binomial, so E_N[L2*] is an exact sum over n rather than a
+simulation. The sum stops once an analytic bound on the remaining upper tail
+mass falls below ``TAIL_MASS``; because 0 <= L2* <= 1, that bound also bounds
+the absolute error and is reported where a standard error would be. Beyond
+the count at which counting alone exhausts the budget, n_bar = 0 and L2* = 1,
+so that whole tail enters exactly. The curve involves no randomness: reruns
+are bit-identical and do not depend on the seed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
-from .cost import CostModel, categorization_fraction, feasible_designs, normalized_cost
-from .distributions import DirichletParams, GammaParams
+from .cost import (
+    CostModel,
+    budget_rule,
+    categorization_fraction,
+    feasible_designs,
+    normalized_cost,
+)
+from .distributions import DirichletParams, GammaParams, predictive_log_pmf
 from .loss import l1_expected, l2_expected
-from .rng import RandomStream
 
 __all__ = [
     "DesignConfig",
@@ -37,8 +44,10 @@ __all__ = [
     "DesignResult",
     "PerformanceRow",
     "PerformanceCurve",
+    "PredictiveL2",
     "SweepRow",
     "expected_total_loss",
+    "predictive_l2",
     "optimize_design",
     "performance_curve",
     "default_abundance_grid",
@@ -48,9 +57,19 @@ __all__ = [
 
 SWEEP_AXES = ("r2", "budget", "prior-mode")
 
+TAIL_MASS = 1e-13  # truncated upper tail of the predictive count, per design point
+_MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
+MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
+
 
 @dataclass(frozen=True)
 class DesignConfig:
+    """Design inputs.
+
+    ``mc_draws`` and ``seed`` are validated and kept for existing configs and
+    callers, but the exact design curve reads neither.
+    """
+
     abundance_prior: GammaParams
     composition_prior: DirichletParams
     cost: CostModel
@@ -61,13 +80,8 @@ class DesignConfig:
     def __post_init__(self):
         if self.mc_draws < 1000:
             raise ValueError("mc_draws must be at least 1000")
-        if self.mc_draws < 10_000:
-            warnings.warn("mc_draws below 10000 gives noisy design curves", stacklevel=2)
         if not 0.0 <= self.l1_weight <= 1.0:
             raise ValueError("l1_weight must be in [0, 1]")
-
-    def stream(self) -> RandomStream:
-        return RandomStream(self.seed)
 
 
 @dataclass(frozen=True)
@@ -76,9 +90,9 @@ class DesignCurveRow:
     area: float
     l1_star: float
     e_l2_star: float
-    e_l2_se: float
+    e_l2_se: float  # truncated tail mass: bounds |error| of e_l2_star
     l_star: float
-    l_star_se: float
+    l_star_se: float  # (1 - w) * e_l2_se
     median_count: int  # predictive-median total count, used for "typical" summaries
 
 
@@ -128,65 +142,113 @@ class SweepRow:
     budget_slack: float
 
 
-def _evaluate_m(m: int, config: DesignConfig, stream: RandomStream):
-    """One design point: (l1, e_l2, e_l2_se, median predictive count)."""
-    prior = config.abundance_prior
-    cost = config.cost
-    area = m * cost.quadrant_area
+@dataclass(frozen=True)
+class PredictiveL2:
+    """E[L2*] over the predictive total count at one design point."""
+
+    e_l2: float
+    tail: float  # bound on the upper tail mass left out of e_l2
+    median_count: int  # predictive median of N
+    terms: int  # pmf terms summed into e_l2
+
+
+def _tail_bound(pmf_top: float, top: int, shape: float, one_minus_p: float) -> float:
+    """Bound on P(N > top): past ``top`` the pmf ratio (n+a)/(n+1)*(1-p) never
+    exceeds its value at ``top`` (or 1-p when a < 1), so the tail is at most
+    geometric."""
+    ratio = one_minus_p * max(1.0, (top + shape) / (top + 1.0))
+    if ratio >= 1.0:
+        return math.inf
+    return pmf_top * ratio / (1.0 - ratio)
+
+
+def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
+    """Exact E[L2*(n_bar(N))] over the negative binomial predictive of N.
+
+    Sums P(N = n) * (1 - L2*(n)) in chunks of at most ``_MAX_CHUNK`` counts
+    until the tail bound falls below ``TAIL_MASS`` or counting alone exhausts
+    the budget (after which every term is zero), so memory stays bounded for
+    any prior. The median is read from the cumulative pmf; when it lies past
+    the summed range, the pmf walk continues to it, in time proportional to
+    the median. Priors whose predictive mean count exceeds ``MAX_MEAN_COUNT``
+    are rejected rather than walked.
+    """
     if m == 0:
-        return 1.0, 1.0, 0.0, 0
-    g = stream.generator()
-    lam = g.gamma(prior.shape, 1.0 / prior.rate, size=config.mc_draws)
-    counts = g.poisson(area * lam)
-    vals = kernels.l2_star_batch(
-        counts,
-        cost.budget_area,
-        area,
-        cost.count_ratio,
-        cost.categorize_ratio,
-        config.composition_prior.total,
-    )
-    e_l2 = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(config.mc_draws))
-    l1 = l1_expected(m, prior, cost.quadrant_area)
-    return l1, e_l2, se, int(np.median(counts))
+        return PredictiveL2(1.0, 0.0, 0, 0)
+    prior, cost = config.abundance_prior, config.cost
+    area = m * cost.quadrant_area
+    a, b = prior.shape, prior.rate
+    one_minus_p = area / (b + area)
+    mean = a * area / b
+    if not mean <= MAX_MEAN_COUNT:
+        raise ValueError(
+            f"abundance_prior predicts a mean total count of {mean:.3g} at m={m}; "
+            f"the exact design supports at most {MAX_MEAN_COUNT:.0e}"
+        )
+    size = int(mean + 20.0 * math.sqrt(mean * (b + area) / b)) + 32
+    if cost.count_ratio > 0:
+        exhausted_at = (cost.budget_area - area) / cost.count_ratio
+        size = min(size, int(max(0.0, exhausted_at)) + 2)
+    size = min(size, _MAX_CHUNK)
+
+    gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
+    tail = math.inf
+    terms = 0
+    mass = 0.0  # P(N < lo)
+    median = None
+    lo = 0
+    while True:
+        pmf = np.exp(predictive_log_pmf(prior, area, lo, lo + size))
+        top = lo + size - 1
+        if tail >= TAIL_MASS:
+            _, n_bar = budget_rule(cost, area, np.arange(lo, lo + size))
+            gain += float(np.dot(pmf, 1.0 - l2_expected(n_bar, config.composition_prior)))
+            terms += size
+            if cost.budget_area - (area + top * cost.count_ratio) <= 0.0:
+                tail = 0.0  # same test as the budget rule: q = 0 from here on
+            else:
+                tail = _tail_bound(float(pmf[-1]), top, a, one_minus_p)
+        if median is None:
+            cdf = mass + np.cumsum(pmf)
+            idx = int(np.searchsorted(cdf, 0.5))
+            if idx < size:
+                median = lo + idx
+            mass = float(cdf[-1])
+        if tail < TAIL_MASS and median is not None:
+            return PredictiveL2(1.0 - gain, tail, median, terms)
+        lo += size
+        size = min(lo, _MAX_CHUNK)
 
 
-def expected_total_loss(m: int, config: DesignConfig, stream: RandomStream | None = None):
-    """Composite expected loss (value, se) for sampling m quadrants.
+def expected_total_loss(m: int, config: DesignConfig):
+    """Composite expected loss (value, error bound) for sampling m quadrants.
 
-    The L1 component is exact; the Monte Carlo standard error of the L2
-    expectation propagates with its weight.
+    The L1 component is exact; the truncated tail mass of the L2 sum bounds
+    the error and propagates with its weight.
     """
     if m not in feasible_designs(config.cost):
         raise ValueError(f"m={m} outside the feasible set {feasible_designs(config.cost)}")
-    stream = config.stream().child(m) if stream is None else stream
-    l1, e_l2, se, _ = _evaluate_m(m, config, stream)
+    row = _curve_row(m, config)
+    return row.l_star, row.l_star_se
+
+
+def _curve_row(m: int, config: DesignConfig) -> DesignCurveRow:
     w = config.l1_weight
-    return w * l1 + (1.0 - w) * e_l2, (1.0 - w) * se
+    l1 = l1_expected(m, config.abundance_prior, config.cost.quadrant_area)
+    l2 = predictive_l2(m, config)
+    return DesignCurveRow(
+        m=m,
+        area=m * config.cost.quadrant_area,
+        l1_star=l1,
+        e_l2_star=l2.e_l2,
+        e_l2_se=l2.tail,
+        l_star=w * l1 + (1.0 - w) * l2.e_l2,
+        l_star_se=(1.0 - w) * l2.tail,
+        median_count=l2.median_count,
+    )
 
 
-def _build_curve(config: DesignConfig, base_stream: RandomStream) -> DesignCurve:
-    rows = []
-    w = config.l1_weight
-    for m in feasible_designs(config.cost):
-        l1, e_l2, se, med = _evaluate_m(m, config, base_stream.child(m))
-        rows.append(
-            DesignCurveRow(
-                m=m,
-                area=m * config.cost.quadrant_area,
-                l1_star=l1,
-                e_l2_star=e_l2,
-                e_l2_se=se,
-                l_star=w * l1 + (1.0 - w) * e_l2,
-                l_star_se=(1.0 - w) * se,
-                median_count=med,
-            )
-        )
-    return DesignCurve(tuple(rows))
-
-
-def optimize_design(config: DesignConfig, stream: RandomStream | None = None) -> DesignResult:
+def optimize_design(config: DesignConfig) -> DesignResult:
     """Minimize the composite expected loss over the feasible quadrant counts.
 
     Ties break toward smaller m (the cheaper field campaign).
@@ -194,7 +256,7 @@ def optimize_design(config: DesignConfig, stream: RandomStream | None = None) ->
     feasible = feasible_designs(config.cost)
     if len(feasible) == 0:
         raise ValueError("empty feasible design set")
-    curve = _build_curve(config, config.stream() if stream is None else stream)
+    curve = DesignCurve(tuple(_curve_row(m, config) for m in feasible))
     losses = curve.column("l_star")
     m_star = int(curve.rows[int(np.argmin(losses))].m)
     note = (
@@ -213,18 +275,18 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> Performan
     """
     if m not in feasible_designs(config.cost):
         raise ValueError(f"m={m} outside the feasible set")
+    grid = np.asarray(abundance_grid, dtype=float)
+    if np.any(grid < 0):
+        raise ValueError("abundance grid must be nonnegative")
     area = m * config.cost.quadrant_area
-    g0 = config.composition_prior.total
-    rows = []
-    for lam in np.asarray(abundance_grid, dtype=float):
-        if lam < 0:
-            raise ValueError("abundance grid must be nonnegative")
-        n = math.floor(area * lam)
-        q = categorization_fraction(config.cost, area, n)
-        n_bar = math.floor(n * q)
-        l2 = (g0 + 1.0 - n_bar / (g0 + n_bar)) / (g0 + 1.0 + n_bar) if n_bar else 1.0
-        rows.append(PerformanceRow(float(lam), n, q, n_bar, l2))
-    return PerformanceCurve(m=m, rows=tuple(rows))
+    counts = np.floor(area * grid)
+    q, n_bar = budget_rule(config.cost, area, counts)
+    l2 = l2_expected(n_bar, config.composition_prior)
+    rows = tuple(
+        PerformanceRow(float(lam), int(n), float(qn), int(nb), float(loss))
+        for lam, n, qn, nb, loss in zip(grid, counts, q, n_bar, l2)
+    )
+    return PerformanceCurve(m=m, rows=rows)
 
 
 def default_abundance_grid(config: DesignConfig, points: int = 200) -> np.ndarray:
@@ -250,8 +312,8 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
 
     Axes: ``r2`` (categorize-ratio multipliers), ``budget`` (quadrant
     equivalents), ``prior-mode`` (abundance prior modes, shape fixed). Each
-    value gets its own substream of the base seed, indexed by position, so
-    the sweep is reproducible and order-insensitive in distribution.
+    value is optimized independently, so a row does not depend on the others
+    or on their order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -259,9 +321,9 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     if not values:
         raise ValueError("values must be nonempty")
     rows = []
-    for idx, value in enumerate(values):
+    for value in values:
         cfg = _apply_axis(base, axis, float(value))
-        result = optimize_design(cfg, stream=base.stream().child(idx))
+        result = optimize_design(cfg)
         n_bar, slack = _typical_summary(result, cfg)
         rows.append(SweepRow(axis, float(value), result.m_star, n_bar, slack))
     return rows

@@ -8,6 +8,7 @@ rate and scale is the classic bug here, so every function that touches a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "gamma_sample",
     "poisson_sample",
     "predictive_total_count",
+    "predictive_log_pmf",
     "dirichlet_sample",
     "dirichlet_cov_trace",
     "dirichlet_multinomial_moments",
@@ -122,6 +124,34 @@ def predictive_total_count(prior: GammaParams, total_area: float, stream: Random
     g = stream.generator()
     lam = g.gamma(prior.shape, 1.0 / prior.rate, size=size)
     return g.poisson(total_area * lam)
+
+
+def predictive_log_pmf(prior: GammaParams, total_area: float, start: int, stop: int) -> np.ndarray:
+    """Log pmf of the predictive total count N for n = start .. stop - 1.
+
+    N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
+    a = shape and p = rate/(rate + total_area) (rate parametrization). The
+    value at ``start`` comes from log-gamma functions; the rest follow from
+    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
+    """
+    if total_area <= 0:
+        raise ValueError("total_area must be positive")
+    if not 0 <= start < stop:
+        raise ValueError("need 0 <= start < stop")
+    a, b = prior.shape, prior.rate
+    log_p = math.log(b) - math.log(b + total_area)
+    log_1mp = math.log(total_area) - math.log(b + total_area)
+    first = (
+        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
+        + a * log_p + start * log_1mp
+    )
+    n = np.arange(start + 1, stop, dtype=np.float64)
+    steps = np.log1p((a - 1.0) / n) + log_1mp
+    out = np.empty(stop - start)
+    out[0] = first
+    np.cumsum(steps, out=out[1:])
+    out[1:] += first
+    return out
 
 
 def dirichlet_sample(params: DirichletParams, stream: RandomStream, size=None):

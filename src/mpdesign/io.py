@@ -142,13 +142,17 @@ def atomic_write_text(path, text: str):
 
 
 def format_value(value) -> str:
-    """Stable text form: integers plainly, floats with shortest round-trip repr."""
+    """Stable text form: integers plainly, floats with shortest round-trip repr.
+
+    NumPy float scalars are written like Python floats (their own repr is
+    ``np.float64(...)`` under NumPy 2).
+    """
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -147,6 +147,12 @@ class TestDesignCommand:
         assert result.exit_code != 0
         assert "feasible" in result.output
 
+    def test_implausible_prior_named(self, runner, tmp_path):
+        path = write_config(tmp_path, lambda d: d["abundance_prior"].update(mode=1e12))
+        result = runner.invoke(main, ["--config", path, "design"])
+        assert result.exit_code == 1
+        assert "abundance_prior" in result.output
+
     def test_malformed_config_names_field(self, runner, tmp_path):
         path = write_config(tmp_path, lambda d: d["cost"].pop("count_ratio"))
         result = runner.invoke(main, ["--config", path, "design"])

@@ -1,17 +1,26 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from mpdesign import (
     CostModel,
     DesignConfig,
     DirichletParams,
     GammaParams,
+    RandomStream,
+    categorization_fraction,
     expected_total_loss,
+    l2_expected,
     optimize_design,
     performance_curve,
+    predictive_l2,
+    predictive_total_count,
     sensitivity_sweep,
 )
-from mpdesign.design import default_abundance_grid
+from mpdesign.design import MAX_MEAN_COUNT, TAIL_MASS, _MAX_CHUNK, default_abundance_grid
 from conftest import baseline_config
 
 
@@ -163,6 +172,97 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             baseline_config(draws=500)
 
-    def test_low_draw_warning(self):
-        with pytest.warns(UserWarning):
-            baseline_config(draws=2000)
+    def test_draws_and_seed_do_not_change_the_design(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            few = optimize_design(baseline_config(draws=2000, seed=1))
+        assert few == optimize_design(baseline_config(draws=100_000, seed=99))
+
+
+def mc_curve(config, draws, seed):
+    """Independent Monte Carlo estimate (mean, se) of E[L2*] at every m.
+
+    Draws the predictive total count by compound sampling and applies the
+    scalar budget rule and the closed-form L2*.
+    """
+    out = []
+    for m in range(config.cost.max_quadrants + 1):
+        area = m * config.cost.quadrant_area
+        counts = predictive_total_count(
+            config.abundance_prior, area, RandomStream(seed, (m,)), size=draws
+        )
+        values, index = np.unique(counts, return_inverse=True)
+        n_bar = [math.floor(n * categorization_fraction(config.cost, area, int(n))) for n in values]
+        vals = l2_expected(np.array(n_bar), config.composition_prior)[index]
+        out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))))
+    return out
+
+
+class TestExactQuadrature:
+    @pytest.mark.parametrize("beta", [0.01, 0.0025])
+    def test_within_three_se_of_monte_carlo(self, beta):
+        config = baseline_config(beta=beta)
+        curve = optimize_design(config).curve
+        reference = mc_curve(config, draws=40_000, seed=20_261_017)
+        assert len(reference) == len(curve.rows)
+        for row, (mean, se) in zip(curve.rows, reference):
+            assert abs(row.e_l2_star - mean) <= 3 * se + 1e-12, (row.m, row.e_l2_star, mean, se)
+
+    @pytest.mark.parametrize("beta", [0.01, 0.0025])
+    def test_matches_scipy_negative_binomial(self, beta):
+        config = baseline_config(beta=beta)
+        a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        for m in (1, 4, 7, 11):
+            area = m * config.cost.quadrant_area
+            dist = stats.nbinom(a, b / (b + area))
+            n = np.arange(int(dist.isf(1e-15)) + 1)
+            q = [categorization_fraction(config.cost, area, int(k)) for k in n]
+            n_bar = np.floor(n * np.array(q))
+            ref = float(np.dot(dist.pmf(n), l2_expected(n_bar, config.composition_prior)))
+            got = predictive_l2(m, config)
+            assert abs(got.e_l2 - ref) < 1e-12
+            assert got.median_count == int(dist.median())
+
+    def test_reported_tail_below_threshold(self, low_config, high_config):
+        for config in (low_config, high_config, baseline_config(budget=20.0)):
+            for row in optimize_design(config).curve.rows:
+                assert 0.0 <= row.e_l2_se <= TAIL_MASS
+                assert row.l_star_se == 0.5 * row.e_l2_se
+
+    def test_no_counting_cost_sums_to_tail_bound(self):
+        config = DesignConfig(
+            abundance_prior=GammaParams(3.0, 0.01),
+            composition_prior=DirichletParams.symmetric(10, 1.0),
+            cost=CostModel.from_budget_quadrants(0.0625, 12.0, 0.0, 3e-3),
+        )
+        for m in (1, 7, 11):
+            got = predictive_l2(m, config)
+            assert 0.0 < got.tail <= TAIL_MASS
+            assert 0.0 < got.e_l2 < 1.0
+
+    def test_huge_predicted_count_has_bounded_support(self):
+        # mean total count 1.9e6 at m = 1 and 7.5e6 at m = 4
+        config = DesignConfig(
+            abundance_prior=GammaParams.from_mode(3.0, 2e7),
+            composition_prior=DirichletParams.symmetric(10, 1.0),
+            cost=CostModel.from_budget_quadrants(0.0625, 4.0, 5e-5, 3e-3),
+        )
+        a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        for m in (1, 4):
+            area = m * config.cost.quadrant_area
+            assert a * area / b > 1e6
+            got = predictive_l2(m, config)
+            assert got.terms <= _MAX_CHUNK
+            assert got.tail == 0.0
+            assert 1.0 - 1e-6 < got.e_l2 <= 1.0
+            assert got.median_count == int(stats.nbinom(a, b / (b + area)).median())
+
+    def test_implausible_prior_rejected_by_name(self):
+        config = DesignConfig(
+            abundance_prior=GammaParams(3.0, 1e-12),
+            composition_prior=DirichletParams.symmetric(10, 1.0),
+            cost=CostModel.from_budget_quadrants(0.0625, 4.0, 5e-5, 3e-3),
+        )
+        assert 3.0 * 0.0625 / 1e-12 > MAX_MEAN_COUNT
+        with pytest.raises(ValueError, match="abundance_prior"):
+            optimize_design(config)
