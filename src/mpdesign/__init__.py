@@ -12,6 +12,7 @@ from .cost import (
     CostModel,
     budget_rule,
     categorization_fraction,
+    categorized_count,
     feasible_designs,
     normalized_cost,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "RandomStream",
     "budget_rule",
     "categorization_fraction",
+    "categorized_count",
     "density_grid",
     "dirichlet_cov_trace",
     "dirichlet_multinomial_moments",

@@ -9,7 +9,6 @@ variable is set, relative output paths are resolved against it.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 
@@ -17,7 +16,12 @@ import click
 import numpy as np
 
 from .config import ConfigError, LoadedConfig, config_to_json, load_config
-from .cost import categorization_fraction, feasible_designs, normalized_cost
+from .cost import (
+    categorization_fraction,
+    categorized_count,
+    feasible_designs,
+    normalized_cost,
+)
 from .design import (
     SWEEP_AXES,
     default_abundance_grid,
@@ -116,7 +120,7 @@ def design(ctx):
     area = row.area
     n_med = row.median_count
     q = categorization_fraction(cfg.cost, area, n_med)
-    n_bar = math.floor(n_med * q)
+    n_bar = categorized_count(n_med, q)
     split = {
         "sampling": cfg.cost.budget_coefficient * area,
         "counting": cfg.cost.budget_coefficient * cfg.cost.count_ratio * n_med,

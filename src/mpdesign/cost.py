@@ -27,6 +27,7 @@ __all__ = [
     "BudgetSpec",
     "normalized_cost",
     "categorization_fraction",
+    "categorized_count",
     "budget_rule",
     "feasible_designs",
 ]
@@ -122,7 +123,7 @@ def normalized_cost(cost: CostModel, total_area: float, n: int, q: float) -> flo
     """Fraction of the budget consumed: c * (mA + r1*n + r2*floor(n*q))."""
     if total_area < 0 or n < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("invalid design point")
-    n_bar = math.floor(n * q)
+    n_bar = categorized_count(n, q)
     return cost.budget_coefficient * (
         total_area + cost.count_ratio * n + cost.categorize_ratio * n_bar
     )
@@ -143,6 +144,15 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
         cost.categorize_ratio * n
     )
     return max(0.0, min(1.0, raw))
+
+
+def categorized_count(n: int, q: float) -> int:
+    """Particles sent for categorization when a fraction q of n is: floor(n*q).
+
+    The single scalar copy of the rounding rule; :func:`budget_rule` applies
+    the same floor elementwise.
+    """
+    return math.floor(n * q)
 
 
 def budget_rule(cost: CostModel, total_area: float, counts):

@@ -31,6 +31,7 @@ from .cost import (
     CostModel,
     budget_rule,
     categorization_fraction,
+    categorized_count,
     feasible_designs,
     normalized_cost,
 )
@@ -302,7 +303,7 @@ def _typical_summary(result: DesignResult, config: DesignConfig):
     area = result.m_star * config.cost.quadrant_area
     n_med = row.median_count
     q = categorization_fraction(config.cost, area, n_med)
-    n_bar = math.floor(n_med * q)
+    n_bar = categorized_count(n_med, q)
     slack = 1.0 - normalized_cost(config.cost, area, n_med, q)
     return n_bar, slack
 

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cost import CostModel, categorization_fraction
+from .cost import CostModel, categorization_fraction, categorized_count
 from .design import (
     DesignConfig,
     default_abundance_grid,
@@ -132,18 +132,14 @@ def _fig5():
         cases = []
         for m in (5, 7):
             n = math.floor(m * QUADRANT_AREA * lam)
-            base, extra = divmod(n, m)
-            obs = FieldObservations(
-                QUADRANT_AREA, tuple(base + 1 if j < extra else base for j in range(m))
-            )
+            obs = FieldObservations.evenly_spread(QUADRANT_AREA, m, n)
             cases.append((f"posterior_m{m}", update_abundance(LOW_PRIOR, obs)))
         files[f"fig5_lambda{int(lam)}.csv"] = _abundance_posterior_grid(LOW_PRIOR, cases, grid)
     return files
 
 
 def _expected_categorization(n: int, area: float, cost: CostModel) -> CategorizationCounts:
-    q = categorization_fraction(cost, area, n)
-    n_bar = math.floor(n * q)
+    n_bar = categorized_count(n, categorization_fraction(cost, area, n))
     props = [TOMASA_PROPORTIONS.get(name, 0.0) for name in CLASS_NAMES]
     # largest-remainder split over the classes actually present
     present = [i for i, p in enumerate(props) if p > 0]
@@ -172,10 +168,7 @@ def _fig6():
         comp_columns = [p_grid]
         for m, n in totals.items():
             area = m * QUADRANT_AREA
-            base, extra = divmod(n, m)
-            obs = FieldObservations(
-                QUADRANT_AREA, tuple(base + 1 if j < extra else base for j in range(m))
-            )
+            obs = FieldObservations.evenly_spread(QUADRANT_AREA, m, n)
             abundance_cases.append((f"posterior_m{m}", update_abundance(LOW_PRIOR, obs)))
             cats = _expected_categorization(n, area, cost)
             comp_post = update_composition(comp_prior, cats)

@@ -65,3 +65,15 @@ def low_config():
 @pytest.fixture
 def high_config():
     return baseline_config(beta=0.0025)
+
+
+# "ACCEPTANCE n ...: PASS|FAIL" lines from test_acceptance.report, printed in
+# the terminal summary so they appear whatever pytest's capture mode is.
+ACCEPTANCE_LINES = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)

@@ -1,12 +1,13 @@
 """End-to-end acceptance checks.
 
-Each test prints a single ``ACCEPTANCE n ...: PASS|FAIL`` line (bypassing
-pytest's capture, so the lines always appear in the run log) and then asserts.
+Each test records a single ``ACCEPTANCE n ...: PASS|FAIL`` line and then
+asserts. The lines are printed in an "acceptance" section of pytest's terminal
+summary (see ``conftest.py``), so they appear in the run log with or without
+output capture.
 Tolerances are pinned; see the numbers inline.
 """
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +37,17 @@ from mpdesign import (
 )
 from mpdesign.cli import main
 from mpdesign.design import default_abundance_grid
-from conftest import BASELINE_COST, baseline_config, dirichlet_multinomial_enumeration
+from conftest import (
+    ACCEPTANCE_LINES,
+    BASELINE_COST,
+    baseline_config,
+    dirichlet_multinomial_enumeration,
+)
 
 
 def report(number, title, passed):
     verdict = "PASS" if passed else "FAIL"
-    print(f"ACCEPTANCE {number:2d} {title}: {verdict}", file=sys.__stdout__, flush=True)
+    ACCEPTANCE_LINES.append(f"ACCEPTANCE {number:2d} {title}: {verdict}")
     assert passed, f"acceptance criterion {number} ({title}) failed"
 
 

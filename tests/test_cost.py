@@ -11,6 +11,7 @@ from mpdesign import (
     CostModel,
     budget_rule,
     categorization_fraction,
+    categorized_count,
     feasible_designs,
     normalized_cost,
 )
@@ -149,6 +150,20 @@ class TestBudgetRule:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             budget_rule(BASELINE_COST, 0.4375, [3, -1])
+
+    @given(
+        budget=st.floats(1.0, 40.0),
+        m=st.integers(0, 40),
+        counts=st.lists(st.integers(0, 50_000), min_size=1, max_size=50),
+    )
+    @settings(max_examples=100)
+    def test_scalar_categorized_count_matches(self, budget, m, counts):
+        cost = CostModel.from_budget_quadrants(0.0625, budget, 5e-5, 3e-3)
+        _, n_bar = budget_rule(cost, m * 0.0625, counts)
+        _, ref_n_bar = scalar_rule(cost, m * 0.0625, counts)
+        scalar = [categorized_count(n, categorization_fraction(cost, m * 0.0625, n)) for n in counts]
+        assert scalar == list(n_bar) == list(ref_n_bar)
+        assert all(isinstance(c, int) for c in scalar)
 
     @pytest.mark.xfail(
         strict=False,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,30 @@ from conftest import BASELINE_COST
 
 LOW_PRIOR = GammaParams(3.0, 0.01)
 A = 0.0625
+
+
+def brentq_hpd(shape, rate, mass, tol=1e-8):
+    """Reference HPD interval: the same bisection over the density level, with
+    each endpoint found by ``scipy.optimize.brentq`` on ``scipy.stats`` pdf
+    (to 1e-14 absolute and relative)."""
+    dist = stats.gamma(shape, scale=1.0 / rate)
+    mode = (shape - 1.0) / rate
+    cap = dist.isf(min(1e-15, (1.0 - mass) / 10))
+    lo_level, hi_level = 0.0, dist.pdf(mode)
+    for _ in range(200):
+        level = 0.5 * (lo_level + hi_level)
+        lower, upper = (
+            optimize.brentq(lambda x: dist.pdf(x) - level, a, b, xtol=1e-14, rtol=1e-14)
+            for a, b in ((0.0, mode), (mode, cap))
+        )
+        contained = dist.cdf(upper) - dist.cdf(lower)
+        if abs(contained - mass) < tol:
+            return lower, upper
+        if contained > mass:
+            lo_level = level
+        else:
+            hi_level = level
+    raise AssertionError("reference HPD search did not converge")
 
 
 class TestUpdateAbundance:
@@ -94,6 +118,20 @@ class TestNaiveEstimate:
         assert naive_abundance_estimate(FieldObservations(A, (0, 0))) == 0.0
 
 
+class TestEvenlySpread:
+    def test_remainder_goes_to_first_quadrants(self):
+        assert FieldObservations.evenly_spread(A, 7, 167).counts == (24, 24, 24, 24, 24, 24, 23)
+        assert FieldObservations.evenly_spread(A, 3, 2).counts == (1, 1, 0)
+
+    @given(m=st.integers(1, 40), total=st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_sums_and_differs_by_at_most_one(self, m, total):
+        obs = FieldObservations.evenly_spread(A, m, total)
+        assert obs.m == m and obs.total_count == total and obs.quadrant_area == A
+        assert max(obs.counts) - min(obs.counts) <= 1
+        assert list(obs.counts) == sorted(obs.counts, reverse=True)
+
+
 class TestHpdInterval:
     def test_exponential_left_anchored(self):
         lower, upper = hpd_interval(GammaParams(1.0, 2.0), 0.95)
@@ -133,6 +171,34 @@ class TestHpdInterval:
         with pytest.raises(ValueError):
             hpd_interval(GammaParams(2.0, 1.0), 1.5)
 
+    @given(
+        shape=st.floats(0.05, 1.0),
+        rate=st.floats(1e-4, 1e3),
+        mass=st.floats(0.01, 0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_left_anchored_upper_is_the_quantile(self, shape, rate, mass):
+        lower, upper = hpd_interval(GammaParams(shape, rate), mass)
+        assert lower == 0.0
+        assert upper == stats.gamma.ppf(mass, shape, scale=1.0 / rate)
+
+    @given(
+        shape=st.floats(1.5, 5000.0),
+        rate=st.floats(1e-3, 10.0),
+        mass=st.floats(0.05, 0.999),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brentq_reference(self, shape, rate, mass):
+        lower, upper = hpd_interval(GammaParams(shape, rate), mass)
+        dist = stats.gamma(shape, scale=1.0 / rate)
+        assert abs((dist.cdf(upper) - dist.cdf(lower)) - mass) < 1e-8
+        f_lower, f_upper = dist.pdf([lower, upper])
+        assert f_lower == pytest.approx(f_upper, rel=1e-9)
+        # the reference endpoints are only good to its absolute xtol of 1e-14
+        ref_lower, ref_upper = brentq_hpd(shape, rate, mass)
+        assert lower == pytest.approx(ref_lower, rel=1e-10, abs=1e-13)
+        assert upper == pytest.approx(ref_upper, rel=1e-10, abs=1e-13)
+
 
 class TestDensityGrid:
     def test_unit_exponential_at_zero(self):
@@ -158,6 +224,40 @@ class TestDensityGrid:
     def test_component_required_for_dirichlet(self):
         with pytest.raises(ValueError):
             density_grid(DirichletParams.symmetric(3), [0.5])
+
+    @given(
+        shape=st.floats(0.05, 1e4),
+        rate=st.floats(1e-4, 1e3),
+        grid=st.lists(st.floats(0.0, 1e7), min_size=1, max_size=50),
+        top=st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_equals_scipy_stats_exactly(self, shape, rate, grid, top):
+        grid = np.concatenate([grid, np.linspace(0.0, top * shape / rate, 101)])
+        np.testing.assert_array_equal(
+            density_grid(GammaParams(shape, rate), grid),
+            stats.gamma.pdf(grid, shape, scale=1.0 / rate),
+        )
+
+    @given(
+        concentration=st.lists(st.floats(0.05, 500.0), min_size=2, max_size=10),
+        grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_beta_marginal_equals_scipy_stats_exactly(self, concentration, grid, data):
+        params = DirichletParams(tuple(concentration))
+        i = data.draw(st.integers(0, params.k - 1))
+        grid = np.concatenate([grid, np.linspace(0.0, 1.0, 101)])
+        gi = params.concentration[i]
+        try:
+            expected = stats.beta.pdf(grid, gi, params.total - gi)
+        except OverflowError:
+            # scipy's Beta pdf overflows at some subnormal points; so must we
+            with pytest.raises(OverflowError):
+                density_grid(params, grid, component=i)
+            return
+        np.testing.assert_array_equal(density_grid(params, grid, component=i), expected)
 
 
 class TestSynthesizeExpectedData:
