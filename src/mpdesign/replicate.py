@@ -16,6 +16,8 @@ import numpy as np
 
 from .cost import CostModel, categorization_fraction, categorized_count
 from .design import (
+    CURVES_COLUMNS,
+    DESIGN_COLUMNS,
     DesignConfig,
     default_abundance_grid,
     optimize_design,
@@ -64,20 +66,13 @@ def _config(prior: GammaParams, budget: float = BASE_BUDGET, r2: float = CATEGOR
 
 def _design_csv(config: DesignConfig):
     result = optimize_design(config)
-    header = ["m", "area", "L1_star", "E_L2_star", "E_L2_se", "L_star", "L_star_se"]
-    rows = [
-        (r.m, r.area, r.l1_star, r.e_l2_star, r.e_l2_se, r.l_star, r.l_star_se)
-        for r in result.curve.rows
-    ]
-    text = f"# m_star: {result.m_star}\n" + render_csv(header, rows)
+    text = f"# m_star: {result.m_star}\n" + render_csv(DESIGN_COLUMNS, result.curve.table())
     return text, result
 
 
 def _performance_csv(config: DesignConfig, m: int):
     curve = performance_curve(m, default_abundance_grid(config), config)
-    header = ["lambda", "n", "q", "n_bar", "L2_star"]
-    rows = [(r.true_abundance, r.n, r.q, r.n_bar, r.l2_star) for r in curve.rows]
-    return f"# m: {m}\n" + render_csv(header, rows)
+    return f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.table())
 
 
 def _scenario_files(tag: str, config: DesignConfig):

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpdesign import (
     BudgetSpec,
     CostModel,
+    GammaParams,
     budget_rule,
     categorization_fraction,
     categorized_count,
     feasible_designs,
+    l1_expected,
     normalized_cost,
 )
 from conftest import BASELINE_COST
@@ -208,3 +210,68 @@ class TestFeasibleDesigns:
         for budget in range(1, 60):
             cost = CostModel.from_budget_quadrants(area, float(budget), 5e-5, 3e-3)
             assert max(feasible_designs(cost)) == budget, (area, budget)
+
+
+class TestCostModelInvariants:
+    """Properties of the normalized cost model over random (A, B, r1, r2, m, n)."""
+
+    @given(
+        area=st.floats(0.01, 1.0),
+        budget=st.floats(1.0, 40.0),
+        r1=st.floats(0.0, 1e-3),
+        r2=st.floats(1e-4, 1e-1),
+        m=st.integers(0, 40),
+        n=st.integers(0, 50_000),
+    )
+    @settings(max_examples=500)
+    def test_within_budget_whenever_counting_fits(self, area, budget, r1, r2, m, n):
+        cost = CostModel.from_budget_quadrants(area, budget, r1, r2)
+        m = min(m, cost.max_quadrants)
+        assume(m * area + n * r1 <= cost.budget_area)
+        q = categorization_fraction(cost, m * area, n)
+        # A budget spent exactly can round up by an ulp or two, e.g. area = r2,
+        # B = 13, r1 = 0, m = 1, n = 18 gives 1 + 2^-52; the five roundings of
+        # c * (mA + r1 n + r2 n_bar) bound that by 4 ulp.
+        assert normalized_cost(cost, m * area, n, q) <= 1.0 + 4 * math.ulp(1.0)
+
+    @given(
+        area=st.floats(0.01, 1.0),
+        budget=st.floats(1.0, 40.0),
+        shape=st.floats(0.1, 50.0),
+        rate=st.floats(1e-4, 10.0),
+    )
+    @settings(max_examples=300)
+    def test_l1_strictly_decreasing_in_m(self, area, budget, shape, rate):
+        cost = CostModel.from_budget_quadrants(area, budget, 5e-5, 3e-3)
+        prior = GammaParams(shape, rate)
+        l1 = [l1_expected(m, prior, area) for m in feasible_designs(cost)]
+        assert l1[0] == 1.0
+        assert all(a > b for a, b in zip(l1, l1[1:]))
+
+    @given(
+        area=st.floats(0.01, 1.0),
+        raw=st.tuples(
+            st.integers(1, 10**6),  # sampling one m^2
+            st.integers(0, 10**4),  # counting one particle
+            st.integers(1, 10**5),  # categorizing one particle
+            st.integers(1, 10**7),  # budget
+        ),
+        factor=st.integers(2, 10**6),
+        m=st.integers(0, 40),
+        counts=st.lists(st.integers(0, 50_000), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300)
+    def test_rescaling_raw_costs_changes_nothing(self, area, raw, factor, m, counts):
+        # integer costs times an integer factor stay exact, so every ratio is
+        # the same real number and rounds to the same double
+        sample, count, categorize, budget = raw
+        assume(sample * area <= budget)  # at least one quadrant affordable
+        base = CostModel.from_raw_costs(area, sample, count, categorize, budget)
+        scaled = CostModel.from_raw_costs(
+            area, factor * sample, factor * count, factor * categorize, factor * budget
+        )
+        assert scaled == base
+        assert feasible_designs(scaled) == feasible_designs(base)
+        m = min(m, base.max_quadrants)
+        for a, b in zip(budget_rule(base, m * area, counts), budget_rule(scaled, m * area, counts)):
+            assert np.array_equal(a, b)

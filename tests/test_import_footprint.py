@@ -1,10 +1,11 @@
 """Which SciPy modules each entry point loads, checked in fresh interpreters.
 
-Importing the package and running the design commands must not load SciPy
-at all: its import costs about a second, several times a design run. Only
-``posterior`` may load ``scipy.special`` (densities, HPD probabilities), and
-never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
-breaks this fails here by name.
+Importing the package, ``--help``, the design commands, ``replicate`` fig5
+and ``posterior`` on a posterior with shape > 1 must not load SciPy at all:
+its import costs several times a whole run. The one ``posterior`` case that
+still needs it, the left-anchored HPD quantile (shape <= 1), may load
+``scipy.special`` but never ``scipy.stats`` or ``scipy.optimize``. A new
+top-level import that breaks this fails here by name.
 """
 
 import json
@@ -65,10 +66,28 @@ def test_no_scipy_outside_posterior(args, workdir):
     assert scipy_modules(*args, cwd=workdir) == set()
 
 
+def test_posterior_loads_no_scipy(workdir):
+    loaded = scipy_modules(
+        "--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid",
+        cwd=workdir,
+    )
+    assert loaded == set()
+
+
 def test_posterior_loads_only_scipy_special(workdir):
+    # Gamma(0.5, .) prior and no particles: the posterior shape stays <= 1,
+    # so the HPD interval is left-anchored and its upper end is a quantile
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["abundance_prior"] = {"shape": 0.5, "rate": 0.01}
+    (workdir / "config.json").write_text(json.dumps(doc))
+    (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
     loaded = scipy_modules(
         "--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid",
         cwd=workdir,
     )
     assert "scipy.special" in loaded
     assert not {"scipy.stats", "scipy.optimize"} & loaded
+
+
+def test_replicate_fig5_loads_no_scipy(workdir):
+    assert scipy_modules("replicate", "--figure", "fig5", "--out-dir", "out", cwd=workdir) == set()

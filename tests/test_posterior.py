@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from mpdesign import (
     update_abundance,
     update_composition,
 )
-from mpdesign.posterior import apportion_counts
+from mpdesign.posterior import _gammainc, _lgamma, apportion_counts
 from conftest import BASELINE_COST
 
 LOW_PRIOR = GammaParams(3.0, 0.01)
@@ -198,6 +198,45 @@ class TestHpdInterval:
         ref_lower, ref_upper = brentq_hpd(shape, rate, mass)
         assert lower == pytest.approx(ref_lower, rel=1e-10, abs=1e-13)
         assert upper == pytest.approx(ref_upper, rel=1e-10, abs=1e-13)
+
+
+def neighbours(x, k=3):
+    """x and the k doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+class TestLogGamma:
+    @given(x=st.floats(0.0, 1e9, exclude_min=True))
+    @settings(max_examples=2000)
+    def test_equals_scipy_gammaln(self, x):
+        assert _lgamma(x) == special.gammaln(x)
+
+    @pytest.mark.parametrize("edge", [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8])
+    def test_equals_scipy_gammaln_at_branch_edges(self, edge):
+        xs = neighbours(edge)
+        assert [_lgamma(x) for x in xs] == special.gammaln(xs).tolist()
+
+
+class TestIncompleteGamma:
+    @given(a=st.floats(1.0, 1e5, exclude_min=True), z=st.floats(-8.0, 8.0))
+    @settings(max_examples=1000)
+    def test_matches_scipy_gammainc(self, a, z):
+        x = max(a + z * math.sqrt(a), 0.0)
+        assert abs(_gammainc(a, x) - special.gammainc(a, x)) <= 1e-13
+
+    @given(a=st.floats(0.05, 1e4), x=st.floats(0.0, 1e6))
+    @settings(max_examples=300)
+    def test_matches_scipy_gammainc_far_from_the_mean(self, a, x):
+        assert abs(_gammainc(a, x) - special.gammainc(a, x)) <= 1e-13
+
+    def test_endpoints(self):
+        assert _gammainc(3.0, 0.0) == 0.0
+        assert _gammainc(1.0, 2.0) == pytest.approx(-math.expm1(-2.0), rel=1e-15)
+        assert _gammainc(2.5, 1e6) == 1.0
 
 
 class TestDensityGrid:
