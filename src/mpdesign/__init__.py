@@ -5,59 +5,58 @@ what fraction to send for polymer categorization, by minimizing a composite
 prior-expected variance-reduction loss under a normalized cost constraint.
 Also performs the associated conjugate Bayesian posterior inference
 (Gamma-Poisson abundance, Dirichlet-Multinomial composition).
+
+Public names load on first access: ``import mpdesign`` runs no submodule,
+and ``mpdesign.GammaParams`` imports ``mpdesign.distributions`` then. Each
+command of the command line thus imports only the modules it runs.
 """
 
-from .cost import (
-    BudgetSpec,
-    CostModel,
-    budget_rule,
-    categorization_fraction,
-    categorized_count,
-    feasible_designs,
-    normalized_cost,
-)
-from .design import (
-    DesignConfig,
-    DesignCurve,
-    DesignResult,
-    PerformanceCurve,
-    expected_total_loss,
-    optimize_design,
-    performance_curve,
-    predictive_l2,
-    sensitivity_sweep,
-)
-from .distributions import (
-    DirichletParams,
-    GammaParams,
-    dirichlet_cov_trace,
-    dirichlet_multinomial_moments,
-    dirichlet_sample,
-    gamma_sample,
-    poisson_sample,
-    predictive_log_pmf,
-    predictive_total_count,
-)
-from .loss import (
-    l1_expected,
-    l1_realized,
-    l2_expected,
-    l2_realized,
-    mc_oracle_l1,
-    mc_oracle_l2,
-)
-from .posterior import (
-    CategorizationCounts,
-    FieldObservations,
-    PosteriorPair,
-    hpd_interval,
-    density_grid,
-    naive_abundance_estimate,
-    synthesize_expected_data,
-    update_abundance,
-    update_composition,
-)
-from .rng import RandomStream
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "BudgetSpec": "cost",
+    "CostModel": "cost",
+    "budget_rule": "cost",
+    "categorization_fraction": "cost",
+    "categorized_count": "cost",
+    "feasible_designs": "cost",
+    "normalized_cost": "cost",
+    "DesignConfig": "design",
+    "DesignCurve": "design",
+    "DesignResult": "design",
+    "PerformanceCurve": "design",
+    "expected_total_loss": "design",
+    "optimize_design": "design",
+    "performance_curve": "design",
+    "predictive_l2": "design",
+    "sensitivity_sweep": "design",
+    "DirichletParams": "distributions",
+    "GammaParams": "distributions",
+    "dirichlet_cov_trace": "distributions",
+    "dirichlet_multinomial_moments": "distributions",
+    "dirichlet_sample": "distributions",
+    "gamma_sample": "distributions",
+    "poisson_sample": "distributions",
+    "predictive_log_pmf": "distributions",
+    "predictive_total_count": "distributions",
+    "l1_expected": "loss",
+    "l1_realized": "loss",
+    "l2_expected": "loss",
+    "l2_realized": "loss",
+    "mc_oracle_l1": "loss",
+    "mc_oracle_l2": "loss",
+    "CategorizationCounts": "posterior",
+    "FieldObservations": "posterior",
+    "PosteriorPair": "posterior",
+    "hpd_interval": "posterior",
+    "density_grid": "posterior",
+    "naive_abundance_estimate": "posterior",
+    "synthesize_expected_data": "posterior",
+    "update_abundance": "posterior",
+    "update_composition": "posterior",
+    "RandomStream": "rng",
+}
 
 __version__ = "0.1.0"
 
@@ -104,3 +103,18 @@ __all__ = [
     "update_abundance",
     "update_composition",
 ]
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and keep the name here (PEP 562)."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

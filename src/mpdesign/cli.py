@@ -13,39 +13,12 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from .config import ConfigError, LoadedConfig, config_to_json, load_config
-from .cost import (
-    categorization_fraction,
-    categorized_count,
-    feasible_designs,
-    normalized_cost,
-)
-from .design import (
-    CURVES_COLUMNS,
-    DESIGN_COLUMNS,
-    SWEEP_AXES,
-    default_abundance_grid,
-    optimize_design,
-    performance_curve,
-    sensitivity_sweep,
-)
-from .io import (
-    CampaignDataError,
-    atomic_write_text,
-    parse_campaign_data,
-    render_csv,
-    render_json,
-)
-from .posterior import (
-    density_grid,
-    hpd_interval,
-    naive_abundance_estimate,
-    update_abundance,
-    update_composition,
-)
-from .replicate import FIGURE_IDS, replicate
+# The option choices are written here so that ``--help`` and usage errors
+# import nothing beyond Click; a test pins them to ``design.SWEEP_AXES`` and
+# ``replicate.FIGURE_IDS``. Each command imports what it runs when it runs.
+SWEEP_AXES = ("r2", "budget", "prior-mode")
+FIGURE_CHOICES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "all")
 
 SENSITIVITY_COLUMNS = ["axis", "value", "m_star", "typical_n_bar", "budget_slack"]
 
@@ -57,7 +30,9 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _load(ctx) -> LoadedConfig:
+def _load(ctx):
+    from .config import ConfigError, load_config
+
     opts = ctx.obj
     if opts["config"] is None:
         raise click.ClickException("--config is required for this command")
@@ -72,6 +47,8 @@ def _load(ctx) -> LoadedConfig:
 def _emit(ctx, csv_text, json_obj):
     """Write ``json_obj`` as JSON, or the text ``csv_text()`` returns, to
     ``--out`` or stdout. The CSV is built only when it is the format asked for."""
+    from .io import atomic_write_text, render_json
+
     text = csv_text() if ctx.obj["format"] == "csv" else render_json(json_obj)
     out_path = ctx.obj["out"]
     if out_path is None:
@@ -97,6 +74,8 @@ def main(ctx, config, seed, draws, fmt, out, print_config):
     """Two-stage sampling design and Bayesian inference for microplastic campaigns."""
     ctx.obj = {"config": config, "seed": seed, "draws": draws, "format": fmt, "out": out}
     if print_config:
+        from .config import config_to_json
+
         click.echo(config_to_json(_load(ctx)), nl=False)
         ctx.exit(0)
     if ctx.invoked_subcommand is None:
@@ -108,6 +87,10 @@ def main(ctx, config, seed, draws, fmt, out, print_config):
 @click.pass_context
 def design(ctx):
     """Optimize the number of quadrants and write the design curve."""
+    from .cost import categorization_fraction, categorized_count, feasible_designs, normalized_cost
+    from .design import DESIGN_COLUMNS, optimize_design
+    from .io import render_csv
+
     loaded = _load(ctx)
     cfg = loaded.design
     feasible = feasible_designs(cfg.cost)
@@ -160,6 +143,12 @@ def design(ctx):
 @click.pass_context
 def curves(ctx, m, lambda_min, lambda_max, lambda_points):
     """Second-stage performance across hypothetical true abundances."""
+    import numpy as np
+
+    from .cost import feasible_designs
+    from .design import CURVES_COLUMNS, default_abundance_grid, performance_curve
+    from .io import render_csv
+
     loaded = _load(ctx)
     cfg = loaded.design
     if m not in feasible_designs(cfg.cost):
@@ -188,6 +177,17 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
 @click.pass_context
 def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     """Posterior inference for abundance and polymer composition."""
+    import numpy as np
+
+    from .io import CampaignDataError, parse_campaign_data, render_csv
+    from .posterior import (
+        density_grid,
+        hpd_interval,
+        naive_abundance_estimate,
+        update_abundance,
+        update_composition,
+    )
+
     loaded = _load(ctx)
     cfg = loaded.design
     try:
@@ -242,6 +242,9 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
 @click.pass_context
 def sensitivity(ctx, axis, values):
     """Re-optimize the design along one input axis."""
+    from .design import sensitivity_sweep
+    from .io import render_csv
+
     loaded = _load(ctx)
     try:
         parsed = [float(v) for v in values.split(",") if v.strip()]
@@ -259,10 +262,12 @@ def sensitivity(ctx, axis, values):
 
 
 @main.command("replicate")
-@click.option("--figure", type=click.Choice(FIGURE_IDS + ("all",)), required=True)
+@click.option("--figure", type=click.Choice(FIGURE_CHOICES), required=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def replicate_cmd(figure, out_dir):
     """Regenerate the reference scenario data bundles."""
+    from .replicate import replicate
+
     written = replicate(figure, _resolve_out(out_dir))
     for name in written:
         click.echo(name)

@@ -25,8 +25,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
-from .posterior import CategorizationCounts, FieldObservations
+if TYPE_CHECKING:  # imported at run time by the parsing code only
+    from .posterior import CategorizationCounts, FieldObservations
 
 __all__ = [
     "CampaignDataError",
@@ -55,12 +57,16 @@ class CampaignData:
     def categorization(self, class_names: tuple[str, ...]) -> CategorizationCounts | None:
         if self.class_counts is None:
             return None
+        from .posterior import CategorizationCounts
+
         return CategorizationCounts(
             tuple(self.class_counts.get(name, 0) for name in class_names)
         )
 
 
 def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]) -> CampaignData:
+    from .posterior import FieldObservations
+
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = [

@@ -5,6 +5,8 @@ from click.testing import CliRunner
 
 from mpdesign.cli import main
 from mpdesign.config import ConfigError, parse_config
+from mpdesign.design import SWEEP_AXES
+from mpdesign.replicate import FIGURE_IDS
 
 BASE_DOC = {
     "abundance_prior": {"shape": 3, "mode": 200},
@@ -43,6 +45,11 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(BASE_DOC))
     return str(path)
+
+
+def option_choices(command, option):
+    param = next(p for p in main.commands[command].params if p.name == option)
+    return tuple(param.type.choices)
 
 
 def write_config(tmp_path, mutate):
@@ -258,6 +265,10 @@ class TestSensitivityCommand:
         )
         assert result.exit_code != 0
 
+    def test_axis_choices_are_the_sweep_axes(self):
+        # the CLI writes its own copy so that --help loads no design module
+        assert option_choices("sensitivity", "axis") == SWEEP_AXES
+
 
 class TestReplicateCommand:
     def test_fig1_bundle_and_manifest(self, runner, tmp_path):
@@ -282,6 +293,9 @@ class TestReplicateCommand:
             main, ["replicate", "--figure", "fig9", "--out-dir", str(tmp_path)]
         )
         assert result.exit_code != 0
+
+    def test_figure_choices_are_the_figure_ids(self):
+        assert option_choices("replicate", "figure") == FIGURE_IDS + ("all",)
 
 
 class TestOutDirEnvironment:

@@ -1,11 +1,18 @@
-"""Which SciPy modules each entry point loads, checked in fresh interpreters.
+"""Which modules each entry point loads, checked in fresh interpreters.
 
-Importing the package, ``--help``, the design commands, ``replicate`` fig5
-and ``posterior`` on a posterior with shape > 1 must not load SciPy at all:
-its import costs several times a whole run. The one ``posterior`` case that
-still needs it, the left-anchored HPD quantile (shape <= 1), may load
-``scipy.special`` but never ``scipy.stats`` or ``scipy.optimize``. A new
-top-level import that breaks this fails here by name.
+The package root and the command line import lazily: ``import mpdesign``,
+``--help`` and a command's ``--help`` load neither NumPy nor any
+``mpdesign`` submodule but ``mpdesign.cli``, and each command loads only
+the modules it runs. The design commands (``design``, ``curves``,
+``sensitivity``) never load ``mpdesign.posterior``, and no command but
+``replicate`` loads ``mpdesign.replicate``.
+
+SciPy's import costs several times a whole run. Importing the package,
+``--help``, the design commands, ``replicate`` fig5 and ``posterior`` on a
+posterior with shape > 1 must not load it at all. The left-anchored HPD
+quantile (shape <= 1) and fig6's Beta marginals may load ``scipy.special``
+but never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
+breaks this fails here by name.
 """
 
 import json
@@ -20,7 +27,8 @@ from test_cli import BASE_DOC, CAMPAIGN
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
-# then prints the loaded scipy modules as the last line of stderr.
+# then prints the loaded scipy and mpdesign modules, and numpy if loaded, as
+# the last line of stderr.
 CHILD = """
 import json, sys
 import mpdesign
@@ -31,19 +39,29 @@ if sys.argv[1:]:
     except SystemExit as exc:
         if exc.code:
             raise
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("scipy", "mpdesign") or m == "numpy"
+)), file=sys.stderr)
 """
 
 
-def scipy_modules(*args, cwd):
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def loaded_modules(*args, cwd):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+def scipy_modules(*args, cwd):
+    return {m for m in loaded_modules(*args, cwd=cwd) if m.split(".")[0] == "scipy"}
 
 
 @pytest.fixture
@@ -91,3 +109,76 @@ def test_posterior_loads_only_scipy_special(workdir):
 
 def test_replicate_fig5_loads_no_scipy(workdir):
     assert scipy_modules("replicate", "--figure", "fig5", "--out-dir", "out", cwd=workdir) == set()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("--help",),
+        ("design", "--help"),
+        ("replicate", "--help"),
+    ],
+    ids=["import", "help", "design-help", "replicate-help"],
+)
+def test_nothing_but_cli_before_a_command_runs(args, workdir):
+    loaded = loaded_modules(*args, cwd=workdir)
+    assert {m for m in loaded if m == "numpy" or m.startswith("mpdesign.")} == {"mpdesign.cli"}
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (("design",), {"mpdesign.posterior", "mpdesign.replicate"}),
+        (("curves", "--m", "3"), {"mpdesign.posterior", "mpdesign.replicate"}),
+        (("sensitivity", "--axis", "r2", "--values", "1,2"),
+         {"mpdesign.posterior", "mpdesign.replicate"}),
+        (("posterior", "--data", "campaign.csv"), {"mpdesign.replicate"}),
+    ],
+    ids=["design", "curves", "sensitivity", "posterior"],
+)
+def test_command_loads_only_what_it_runs(args, absent, workdir):
+    loaded = loaded_modules("--config", "config.json", *args, cwd=workdir)
+    assert "numpy" in loaded  # the command did run
+    assert not absent & loaded
+
+
+def test_replicate_fig6_loads_only_scipy_special(workdir):
+    ufuncs = pytest.importorskip("scipy.special._ufuncs")
+    if not hasattr(ufuncs, "_beta_pdf"):
+        pytest.skip("this SciPy has no scipy.special._ufuncs._beta_pdf")
+    loaded = scipy_modules("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
+    assert "scipy.special" in loaded
+    assert not {"scipy.stats", "scipy.optimize"} & loaded
+
+
+# The lazy package root, seen from a fresh interpreter: dir() before any
+# access, then every public name, the star import and an unknown name.
+PUBLIC_API_CHILD = """
+import sys
+import mpdesign
+assert set(mpdesign.__all__) <= set(dir(mpdesign)), set(mpdesign.__all__) - set(dir(mpdesign))
+assert "__all__" in dir(mpdesign)
+namespace = {}
+exec("from mpdesign import *", namespace)
+for name in mpdesign.__all__:
+    value = getattr(mpdesign, name)
+    module = value.__module__
+    assert module.startswith("mpdesign."), (name, module)
+    assert value is getattr(sys.modules[module], name), name
+    assert namespace[name] is value, name
+try:
+    mpdesign.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("mpdesign.no_such_name resolved")
+"""
+
+
+def test_lazy_root_public_api():
+    proc = subprocess.run(
+        [sys.executable, "-c", PUBLIC_API_CHILD],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

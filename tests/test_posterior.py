@@ -1,4 +1,6 @@
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -297,6 +299,16 @@ class TestDensityGrid:
                 density_grid(params, grid, component=i)
             return
         np.testing.assert_array_equal(density_grid(params, grid, component=i), expected)
+
+    def test_beta_marginal_falls_back_to_scipy_stats(self, monkeypatch):
+        # a SciPy whose private ufunc moved; scipy.stats, imported above,
+        # keeps its own reference to the real module
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", types.ModuleType("moved"))
+        params = DirichletParams((2.0, 3.0, 0.5))
+        grid = np.linspace(0.0, 1.0, 501)
+        np.testing.assert_array_equal(
+            density_grid(params, grid, component=2), stats.beta.pdf(grid, 0.5, 5.0)
+        )
 
 
 class TestSynthesizeExpectedData:
