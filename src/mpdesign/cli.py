@@ -227,8 +227,8 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
         records.append((f"class_{name}", "variance", var))
     if with_grids:
         grid = np.linspace(0.0, float(upper) * 2.0, grid_points)
-        for x, d in zip(grid, density_grid(abundance, grid)):
-            records.append(("abundance_density", repr(float(x)), d))
+        for x, d in zip(grid.tolist(), density_grid(abundance, grid).tolist()):
+            records.append(("abundance_density", repr(x), d))
     json_obj = {}
     for section, key, value in records:
         json_obj.setdefault(section, {})[key] = value

@@ -10,10 +10,12 @@ observations for a given design.
 
 The Gamma side runs on NumPy and ``math`` alone: a port of the cephes
 log-gamma that ``scipy.special.gammaln`` calls, the density in the
-floating-point steps of ``scipy.stats.gamma.pdf``, and a series/continued
-fraction incomplete gamma for HPD masses. SciPy is imported on first use in
-two places only, and only ``scipy.special`` in both: the left-anchored HPD
-quantile (shape <= 1) and the Beta marginals of a Dirichlet.
+floating-point steps of ``scipy.stats.gamma.pdf``, a series/continued
+fraction incomplete gamma for HPD masses, and its inverse for the
+left-anchored HPD (shape <= 1). Both HPD solves run to rounding: against
+mpmath the interval's mass is within 1e-13 of the one asked for (5e-15 when
+left-anchored). SciPy is imported in one place only, on first use: the Beta
+marginals of a Dirichlet, from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def naive_abundance_estimate(obs: FieldObservations) -> float:
     return obs.total_count / obs.total_area
 
 
-# Newton steps allowed per HPD endpoint. From the starting points used below
-# the iteration converges monotonically, in at most 5 steps for t between
-# 1e-14 and 1e6.
+# Steps allowed in each Newton or Halley loop below. From their starting
+# points they converge in a handful: an HPD endpoint monotonically, in at
+# most 5 steps for t between 1e-14 and 1e6.
 _MAX_NEWTON = 100
 
 _EPS = 2.0**-53  # unit roundoff of a double
@@ -160,6 +162,18 @@ _LGAM_C = (
 _LOG_SQRT_2PI = 0.91893853320467274178
 
 
+def _lgamma_2_3(x: float) -> float:
+    """log Gamma(2 + x) for 0 <= x <= 1: cephes' rational approximation
+    x * B(x) / C(x), in its order of operations."""
+    num = _LGAM_B[0]
+    for c in _LGAM_B[1:]:
+        num = num * x + c
+    den = x + _LGAM_C[0]
+    for c in _LGAM_C[1:]:
+        den = den * x + c
+    return x * num / den
+
+
 def _lgamma(x: float) -> float:
     """log Gamma(x) for finite x > 0, bit-identical to ``scipy.special.gammaln``.
 
@@ -185,13 +199,7 @@ def _lgamma(x: float) -> float:
             return math.log(z)
         p -= 2.0
         x = x + p
-        num = _LGAM_B[0]
-        for c in _LGAM_B[1:]:
-            num = num * x + c
-        den = x + _LGAM_C[0]
-        for c in _LGAM_C[1:]:
-            den = den * x + c
-        return math.log(z) + x * num / den
+        return math.log(z) + _lgamma_2_3(x)
     q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
     if x > 1.0e8:
         return q
@@ -303,6 +311,137 @@ def _gammainc(a: float, x: float) -> float:
         n *= 2
 
 
+def _lgamma1p(a: float) -> float:
+    """log Gamma(1 + a) for 0 <= a <= 1, within 2.5e-16.
+
+    Gamma(1 + a) = Gamma(2 + a) / (1 + a). Evaluated at a itself rather
+    than at (1 + a) - 1, nothing of a small a is rounded away: for a up to
+    0.1 the relative error stayed below 4e-16 against mpmath, where
+    ``_lgamma(1 + a)`` is off by up to 1e-4 at a = 1e-12.
+    """
+    return _lgamma_2_3(a) - math.log1p(a)
+
+
+def _lower_tail(a: float, x: float) -> tuple[float, float]:
+    """(log P(a, x), d log P / d log x) for 0 < a <= 1 and 0 < x < a + 1.
+
+    The series P = x^a e^-x / Gamma(a + 1) * S, S = sum_n x^n / ((a+1)...(a+n)),
+    summed term by term. Unlike ``_gammainc`` it does not round a: each a + n
+    is rounded on its own, which costs less than an ulp of the sum over the
+    few terms that x < 1 needs, while rounding a itself would move a quantile
+    with a near 0 by thousands of ulp. The slope is a / S.
+    """
+    term = total = 1.0
+    n = 1.0
+    while True:
+        term *= x / (a + n)
+        total += term
+        if term <= _EPS * total:
+            break
+        n += 1.0
+    return a * math.log(x) - x - _lgamma1p(a) + math.log(total), a / total
+
+
+def _upper_fraction(a: float, x: float) -> float:
+    """h with Q(a, x) = x^a e^-x / Gamma(a) * h, for 0 < a <= 1 and x >= 1.1.
+
+    The Legendre continued fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a -
+    2 (2 - a) / ...)), evaluated backward from depth n = 128 / x + 4. Its
+    truncation error falls like exp(-4 sqrt(n x)): quadrupling the depth
+    moved h by less than 3e-16 relative on 20,000 points with x from 1.1 to
+    700. Evaluated backward the rounding errors do not build up: for x from
+    1.1 to 3, Q from it stayed within 1e-15 relative of mpmath, where the
+    forward (Lentz) form that ``_gammainc`` uses far above the mean was off
+    by up to 8e-15 after its 50-100 steps.
+    """
+    n = int(128.0 / x) + 4
+    f = x + (2 * n + 1) - a
+    for k in range(n, 0, -1):
+        f = x + (2 * k - 1) - a - k * (k - a) / f
+    return 1.0 / f
+
+
+def _upper_tail(a: float, x: float) -> tuple[float, float]:
+    """(log Q(a, x), d log Q / d log x) for 0 < a <= 1 and x > 0.
+
+    Below x = 1.1 Q comes from cephes ``igamc_series`` (DLMF 8.7.3), which
+    forms 1 - x^a / Gamma(a + 1) with ``expm1`` so that nothing cancels as x
+    goes to 0; above it from the continued fraction. The slope is
+    -x^a e^-x / (Gamma(a) Q).
+    """
+    log_xa = a * math.log(x)
+    log_gamma = _lgamma(a)
+    log_weight = log_xa - x - log_gamma
+    if x >= 1.1:
+        h = _upper_fraction(a, x)
+        return log_weight + math.log(h), -1.0 / h
+    fac = 1.0
+    total = 0.0
+    n = 1.0
+    while True:
+        fac *= -x / n
+        term = fac / (a + n)
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            break
+        n += 1.0
+    q = -math.expm1(log_xa - _lgamma1p(a)) - math.exp(log_xa - log_gamma) * total
+    return math.log(q), -math.exp(log_weight) / q
+
+
+def _gamma_quantile(a: float, mass: float) -> float:
+    """x with P(a, x) = mass, for 0 < a <= 1 and 0 < mass < 1.
+
+    Halley's method in log x on the log of the tail that is at most 1/2: P
+    itself up to mass 1/2, Q = 1 - P (with 1 - mass exact) above. Both tails
+    have the same simple first and second derivatives in log x, so a step
+    costs one tail evaluation. It runs inside the bracket
+    (mass * Gamma(a + 1))^(1/a) <= x <= -log(1 - mass), since P(a, x) is
+    below x^a / Gamma(a + 1) and Gamma(a) lies stochastically below Exp(1);
+    a step that would leave the bracket bisects it in log x instead. The
+    lower tail starts from the bracket's lower end, which is the quantile's
+    limit as x goes to 0; the upper tail from near where its far-out form
+    x^(a - 1) e^-x / Gamma(a) equals 1 - mass. The loop ends after a step
+    below 2^-17 in log x, after which the cubic convergence leaves an error
+    far below an ulp. Two or three tail evaluations suffice for a from 0.05
+    to 1 and mass from 0.01 to 0.999, and P at the result is within 5e-15 of
+    ``mass``.
+    """
+    lo = math.exp((math.log(mass) + _lgamma1p(a)) / a)
+    hi = -math.log1p(-mass)
+    if lo == 0.0:  # the quantile underflows
+        return 0.0
+    lower = mass <= 0.5
+    if lower:
+        x, target, tail = lo, math.log(mass), _lower_tail
+    else:
+        # one fixed-point step from hi towards x^(a - 1) e^-x / Gamma(a) = 1 - mass
+        far = hi - _lgamma(a) + (a - 1.0) * math.log(hi)
+        x, target, tail = max(lo, min(far, hi)), math.log(1.0 - mass), _upper_tail
+    for _ in range(_MAX_NEWTON):
+        log_tail, slope = tail(a, x)
+        excess = log_tail - target
+        if excess == 0.0:
+            return x
+        if (excess < 0.0) == lower:
+            lo = x
+        else:
+            hi = x
+        step = excess / slope
+        # Halley: the second derivative of either log tail in log x is
+        # slope * (a - x - slope)
+        step /= 1.0 - 0.5 * step * (a - x - slope)
+        x_new = x * math.exp(-step)
+        if abs(step) <= 2.0**-17:
+            return x_new
+        if not lo < x_new < hi:
+            x_new = math.sqrt(lo) * math.sqrt(hi)
+        if x_new == x:
+            return x
+        x = x_new
+    raise RuntimeError(f"quantile search did not converge for shape {a} at mass {mass}")
+
+
 def _gamma_pdf(x, shape: float, rate: float):
     """Gamma(shape, rate) density at ``x`` >= 0.
 
@@ -346,61 +485,110 @@ def _mode_offset(t: float, w: float) -> float:
     raise RuntimeError(f"Newton search for expm1(w) - w = {t} did not converge")
 
 
-def hpd_interval(params: GammaParams, mass: float, *, tol: float = 1e-8, max_iter: int = 200):
+def _erfinv(y: float) -> float:
+    """erfinv(y) for 0 < y < 1.
+
+    Winitzki's closed form (relative error below 2e-3), then two Newton steps
+    on erf, or on erfc above 1/2 so that 1 - y does not cancel.
+    """
+    log_1m = math.log1p(-y) + math.log1p(y)  # log(1 - y^2)
+    c = 2.0 / (math.pi * 0.147) + 0.5 * log_1m
+    r = math.sqrt(math.sqrt(c * c - log_1m / 0.147) - c)
+    for _ in range(2):
+        slope = 2.0 / math.sqrt(math.pi) * math.exp(-r * r)
+        if y > 0.5:
+            r += (math.erfc(r) - (1.0 - y)) / slope
+        else:
+            r -= (math.erf(r) - y) / slope
+    return r
+
+
+def _level_offsets(t: float) -> tuple[float, float]:
+    """(w_lo, w_hi), the two roots of expm1(w) - w = t > 0."""
+    s = math.sqrt(2.0 * t)
+    # expm1(w) - w >= t at w = -(s + t), and at w = log1p(t + s) <= s
+    # because exp(s) >= 1 + s + t: both starts lie outside their root.
+    return _mode_offset(t, -(s + t)), _mode_offset(t, math.log1p(t + s))
+
+
+def hpd_interval(params: GammaParams, mass: float):
     """Highest-posterior-density interval of a Gamma distribution.
 
     Returns (lower, upper) with lower >= 0. For shape <= 1 the density is
     monotone decreasing, so the interval is left-anchored at 0 and its upper
-    end is the ``mass`` quantile. Otherwise the density level is found by
-    bisection, until the interval holds ``mass`` to within ``tol`` in
-    probability. At each level the endpoints come from the closed-form
-    log-density relative to the mode: with x = mode * exp(w), the density
-    equals ``level`` where (shape - 1) * (expm1(w) - w) = log(f(mode)/level).
-    Newton's method solves this on either side of w = 0 from a start that
-    makes it converge monotonically, and stops within a few ulp of the root
-    in w: at a given level each endpoint carries a relative error of a few
-    1e-15, against high-precision roots. The mass between the endpoints comes
-    from ``_gammainc``, so for shape > 1 no SciPy module is loaded. The
-    left-anchored quantile is ``scipy.special.gammaincinv``, imported on
-    first use.
+    end is the ``mass`` quantile, ``_gamma_quantile`` times the scale.
+    Otherwise the interval is {x : f(x) >= level}. With x = mode * exp(w)
+    and t = log(f(mode) / level) / (shape - 1), its ends are the two roots of
+    expm1(w) - w = t (``_mode_offset``). The mass M(t) between them, two calls
+    to ``_gammainc`` at rate 1, rises with t, and in closed form
+    dM/dt = exp(W - (shape - 1) t) * (1 / -expm1(-w_hi) + 1 / expm1(-w_lo))
+    with W = log(mode f(mode)) at rate 1. Newton's method solves M(t) = mass
+    from the normal approximation t = erfinv(mass)^2 / (shape - 1), inside a
+    bisection bracket, and ends after a step below 2^-26 of t or at the
+    rounding floor of the mass. It takes two or three masses for shape from
+    1.5 to 5000 and at most five from shape 1.0001 to 1e5. Both ends come
+    from the same t, so the log-density is equal at them to within the
+    rounding of each end to a double; against 50-digit mpmath the mass is
+    within 1e-13 of ``mass`` for shape from 1.05 to 1e5. No SciPy module is
+    loaded.
     """
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must be in (0, 1)")
     shape = params.shape
-    scale = 1.0 / params.rate
     if shape <= 1.0:
-        from scipy import special
-
-        return 0.0, float(special.gammaincinv(shape, mass) * scale)
+        return 0.0, _gamma_quantile(shape, mass) / params.rate
 
     mode = params.mode()
-    f_mode = float(_gamma_pdf(mode, shape, params.rate))
+    a1 = shape - 1.0  # the mode at rate 1
+    log_weight = _log_gamma_weight(shape, a1)
 
-    def interval_at_level(level):
-        t = math.log(f_mode / level) / (shape - 1.0)
-        s = math.sqrt(2.0 * t)
-        # expm1(w) - w >= t at w = -(s + t), and at w = log1p(t + s) <= s
-        # because exp(s) >= 1 + s + t: both starts lie outside their root.
-        lower = mode * math.exp(_mode_offset(t, -(s + t)))
-        upper = mode * math.exp(_mode_offset(t, math.log1p(t + s)))
-        return lower, upper
+    def mass_and_slope(t):
+        w_lo, w_hi = _level_offsets(t)
+        contained = _gammainc(shape, a1 * math.exp(w_hi)) - _gammainc(shape, a1 * math.exp(w_lo))
+        slope = math.exp(log_weight - a1 * t) * (
+            1.0 / -math.expm1(-w_hi) - math.exp(w_lo) / math.expm1(w_lo)
+        )
+        return contained, slope
 
-    lo_level, hi_level = 0.0, f_mode
-    for _ in range(max_iter):
-        level = 0.5 * (lo_level + hi_level)
-        lower, upper = interval_at_level(level)
-        contained = _gammainc(shape, upper / scale) - _gammainc(shape, lower / scale)
-        if abs(contained - mass) < tol:
-            return float(lower), float(upper)
-        if contained > mass:
-            lo_level = level
+    t_lo, t_hi = 0.0, math.inf
+    t = _erfinv(mass) ** 2 / a1
+    for _ in range(_MAX_NEWTON):
+        contained, slope = mass_and_slope(t)
+        excess = mass - contained
+        if excess > 0.0:
+            t_lo = t
         else:
-            hi_level = level
-    raise RuntimeError(
-        f"HPD search did not converge for Gamma(shape={params.shape}, "
-        f"rate={params.rate}) at mass {mass}: level bracket "
-        f"[{lo_level}, {hi_level}], last mass {contained}"
-    )
+            t_hi = t
+        # Newton's method on log M against log t up to mass 1/2, as M grows
+        # like sqrt(t) for small t, and on log(1 - M) against t above it, as
+        # 1 - M falls like the level, exp(-(shape - 1) t): both nearly lines
+        if mass <= 0.5 and contained > 0.0:
+            step = t * math.expm1(math.log(mass / contained) * contained / (t * slope))
+        elif mass > 0.5 and contained < 1.0:
+            step = math.log((1.0 - contained) / (1.0 - mass)) * (1.0 - contained) / slope
+        else:
+            step = excess / slope
+        # the second test ends the search at the rounding floor of the mass,
+        # a difference of two ``_gammainc`` values each within 2e-14; a mass
+        # that is small against them reaches it before the first
+        if abs(step) <= 2.0**-26 * t or abs(excess) <= 2.0**-44:
+            t += step
+            break
+        t_new = t + step
+        if not t_lo < t_new < t_hi:
+            # t_hi is finite: a step up passes only a finite t_hi, and a step
+            # down follows t_hi = t
+            t_new = 0.5 * (t_lo + t_hi)
+        if t_new == t:
+            break
+        t = t_new
+    else:
+        raise RuntimeError(
+            f"HPD search did not converge for Gamma(shape={params.shape}, "
+            f"rate={params.rate}) at mass {mass}: bracket [{t_lo}, {t_hi}] in t"
+        )
+    w_lo, w_hi = _level_offsets(t)
+    return mode * math.exp(w_lo), mode * math.exp(w_hi)
 
 
 def density_grid(params, grid, component: int | None = None) -> np.ndarray:

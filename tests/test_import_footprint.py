@@ -8,10 +8,10 @@ the modules it runs. The design commands (``design``, ``curves``,
 ``replicate`` loads ``mpdesign.replicate``.
 
 SciPy's import costs several times a whole run. Importing the package,
-``--help``, the design commands, ``replicate`` fig5 and ``posterior`` on a
-posterior with shape > 1 must not load it at all. The left-anchored HPD
-quantile (shape <= 1) and fig6's Beta marginals may load ``scipy.special``
-but never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
+``--help``, the design commands, ``replicate`` fig5 and ``posterior`` must
+not load it at all, whether the HPD interval is left-anchored (posterior
+shape <= 1) or not. Only fig6's Beta marginals may load ``scipy.special``,
+and never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
 breaks this fails here by name.
 """
 
@@ -92,19 +92,19 @@ def test_posterior_loads_no_scipy(workdir):
     assert loaded == set()
 
 
-def test_posterior_loads_only_scipy_special(workdir):
-    # Gamma(0.5, .) prior and no particles: the posterior shape stays <= 1,
-    # so the HPD interval is left-anchored and its upper end is a quantile
+@pytest.mark.parametrize("prior_shape", [0.5, 1.0])
+def test_left_anchored_posterior_loads_no_scipy(prior_shape, workdir):
+    # no particles: the posterior shape stays <= 1, so the HPD interval is
+    # left-anchored and its upper end is a quantile
     doc = json.loads(json.dumps(BASE_DOC))
-    doc["abundance_prior"] = {"shape": 0.5, "rate": 0.01}
+    doc["abundance_prior"] = {"shape": prior_shape, "rate": 0.01}
     (workdir / "config.json").write_text(json.dumps(doc))
     (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
     loaded = scipy_modules(
         "--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid",
         cwd=workdir,
     )
-    assert "scipy.special" in loaded
-    assert not {"scipy.stats", "scipy.optimize"} & loaded
+    assert loaded == set()
 
 
 def test_replicate_fig5_loads_no_scipy(workdir):

@@ -1,6 +1,9 @@
 import math
 import sys
 import types
+from unittest import mock
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from mpdesign import (
     update_abundance,
     update_composition,
 )
+from mpdesign import posterior
 from mpdesign.posterior import _gammainc, _lgamma, apportion_counts
 from conftest import BASELINE_COST
 
@@ -27,27 +31,44 @@ LOW_PRIOR = GammaParams(3.0, 0.01)
 A = 0.0625
 
 
-def brentq_hpd(shape, rate, mass, tol=1e-8):
-    """Reference HPD interval: the same bisection over the density level, with
-    each endpoint found by ``scipy.optimize.brentq`` on ``scipy.stats`` pdf
-    (to 1e-14 absolute and relative)."""
+def brentq_hpd(shape, rate, mass, tol=1e-14):
+    """Reference HPD interval by bisection over the log-density drop
+    d = log(f(mode) / level), with the mass from ``scipy.stats`` cdf.
+
+    At each drop both endpoints come from ``scipy.optimize.brentq`` on
+    (shape - 1) * (u - log1p(u)) = d with x = mode * (1 + u), to 4 ulp. SciPy's
+    own pdf is off by up to 1.4e-11 relative at shape 4000, which moves a
+    root found on it far enough to stop the mass near 1e-13; written relative
+    to the mode the drop has no such cancellation."""
     dist = stats.gamma(shape, scale=1.0 / rate)
     mode = (shape - 1.0) / rate
-    cap = dist.isf(min(1e-15, (1.0 - mass) / 10))
-    lo_level, hi_level = 0.0, dist.pdf(mode)
+    u_cap = dist.isf(min(1e-15, (1.0 - mass) / 10)) / mode - 1.0
+
+    def ends(drop):
+        def excess(u):
+            return (shape - 1.0) * (u - math.log1p(u)) - drop
+
+        rtol = 4 * np.finfo(float).eps
+        lower = optimize.brentq(excess, -1.0 + 1e-12, 0.0, xtol=1e-17, rtol=rtol)
+        upper = optimize.brentq(excess, 0.0, u_cap, xtol=1e-17, rtol=rtol)
+        return mode * (1.0 + lower), mode * (1.0 + upper)
+
+    lo_drop, hi_drop = 0.0, 1.0
+    while True:
+        lower, upper = ends(hi_drop)
+        if dist.cdf(upper) - dist.cdf(lower) >= mass:
+            break
+        lo_drop, hi_drop = hi_drop, 2.0 * hi_drop
     for _ in range(200):
-        level = 0.5 * (lo_level + hi_level)
-        lower, upper = (
-            optimize.brentq(lambda x: dist.pdf(x) - level, a, b, xtol=1e-14, rtol=1e-14)
-            for a, b in ((0.0, mode), (mode, cap))
-        )
+        drop = 0.5 * (lo_drop + hi_drop)
+        lower, upper = ends(drop)
         contained = dist.cdf(upper) - dist.cdf(lower)
         if abs(contained - mass) < tol:
             return lower, upper
-        if contained > mass:
-            lo_level = level
+        if contained < mass:
+            lo_drop = drop
         else:
-            hi_level = level
+            hi_drop = drop
     raise AssertionError("reference HPD search did not converge")
 
 
@@ -182,7 +203,12 @@ class TestHpdInterval:
     def test_left_anchored_upper_is_the_quantile(self, shape, rate, mass):
         lower, upper = hpd_interval(GammaParams(shape, rate), mass)
         assert lower == 0.0
-        assert upper == stats.gamma.ppf(mass, shape, scale=1.0 / rate)
+        with mpmath.workdps(50):
+            contained = mpmath.gammainc(shape, 0, mpmath.mpf(upper) * rate, regularized=True)
+            assert abs(contained - mass) <= 5e-15
+        # SciPy's own quantile is off by up to 85 ulp here, so it is only a
+        # cross-check
+        assert upper == pytest.approx(stats.gamma.ppf(mass, shape, scale=1.0 / rate), rel=1e-12)
 
     @given(
         shape=st.floats(1.5, 5000.0),
@@ -191,15 +217,59 @@ class TestHpdInterval:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_brentq_reference(self, shape, rate, mass):
+        self.check_against_brentq(shape, rate, mass)
+
+    def test_matches_brentq_reference_stored_example(self):
+        # the reference used to stop at a mass error of 1e-8, which moved
+        # its lower end 8.3e-7 from this one
+        self.check_against_brentq(3759.0, 1.0, 0.0546875)
+
+    @staticmethod
+    def check_against_brentq(shape, rate, mass):
         lower, upper = hpd_interval(GammaParams(shape, rate), mass)
         dist = stats.gamma(shape, scale=1.0 / rate)
-        assert abs((dist.cdf(upper) - dist.cdf(lower)) - mass) < 1e-8
+        assert abs((dist.cdf(upper) - dist.cdf(lower)) - mass) < 1e-12
         f_lower, f_upper = dist.pdf([lower, upper])
         assert f_lower == pytest.approx(f_upper, rel=1e-9)
-        # the reference endpoints are only good to its absolute xtol of 1e-14
         ref_lower, ref_upper = brentq_hpd(shape, rate, mass)
-        assert lower == pytest.approx(ref_lower, rel=1e-10, abs=1e-13)
-        assert upper == pytest.approx(ref_upper, rel=1e-10, abs=1e-13)
+        assert lower == pytest.approx(ref_lower, rel=1e-10)
+        assert upper == pytest.approx(ref_upper, rel=1e-10)
+
+    @given(
+        shape=st.floats(1.05, 1e5),
+        rate=st.floats(1e-3, 10.0),
+        mass=st.floats(0.01, 0.999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mpmath_oracle(self, shape, rate, mass):
+        lower, upper = hpd_interval(GammaParams(shape, rate), mass)
+        assert 0.0 < lower < upper
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(shape), mpmath.mpf(rate)
+            lo, up = mpmath.mpf(lower), mpmath.mpf(upper)
+            contained = mpmath.gammainc(a, b * lo, b * up, regularized=True)
+            assert abs(contained - mass) <= 1e-13
+            # equal log-density, up to what rounding each end to a double
+            # allows: the log-density's slope times an ulp, at either end
+            drop = (a - 1) * (mpmath.log(lo) - mpmath.log(up)) - b * (lo - up)
+            slack = sum(abs((a - 1) / x - b) * math.ulp(x) for x in (lower, upper))
+            assert abs(drop) <= 8 * slack
+
+    @given(
+        shape=st.floats(1.0001, 1e5),
+        mass=st.floats(1e-6, 1.0 - 1e-9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_few_mass_evaluations(self, shape, mass):
+        calls = []
+
+        def counted(a, x):
+            calls.append(x)
+            return _gammainc(a, x)
+
+        with mock.patch.object(posterior, "_gammainc", counted):
+            hpd_interval(GammaParams(shape, 1.0), mass)
+        assert len(calls) <= 16  # 8 masses, each the difference of two
 
 
 def neighbours(x, k=3):
