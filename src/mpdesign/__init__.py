@@ -15,11 +15,9 @@ import importlib
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "BudgetSpec": "cost",
     "CostModel": "cost",
     "budget_rule": "cost",
     "categorization_fraction": "cost",
-    "categorized_count": "cost",
     "feasible_designs": "cost",
     "normalized_cost": "cost",
     "DesignConfig": "design",
@@ -48,7 +46,6 @@ _EXPORTS = {
     "mc_oracle_l2": "loss",
     "CategorizationCounts": "posterior",
     "FieldObservations": "posterior",
-    "PosteriorPair": "posterior",
     "hpd_interval": "posterior",
     "density_grid": "posterior",
     "naive_abundance_estimate": "posterior",
@@ -60,49 +57,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetSpec",
-    "CategorizationCounts",
-    "CostModel",
-    "DesignConfig",
-    "DesignCurve",
-    "DesignResult",
-    "DirichletParams",
-    "FieldObservations",
-    "GammaParams",
-    "PerformanceCurve",
-    "PosteriorPair",
-    "RandomStream",
-    "budget_rule",
-    "categorization_fraction",
-    "categorized_count",
-    "density_grid",
-    "dirichlet_cov_trace",
-    "dirichlet_multinomial_moments",
-    "dirichlet_sample",
-    "expected_total_loss",
-    "feasible_designs",
-    "gamma_sample",
-    "hpd_interval",
-    "l1_expected",
-    "l1_realized",
-    "l2_expected",
-    "l2_realized",
-    "mc_oracle_l1",
-    "mc_oracle_l2",
-    "naive_abundance_estimate",
-    "normalized_cost",
-    "optimize_design",
-    "performance_curve",
-    "poisson_sample",
-    "predictive_l2",
-    "predictive_log_pmf",
-    "predictive_total_count",
-    "sensitivity_sweep",
-    "synthesize_expected_data",
-    "update_abundance",
-    "update_composition",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

@@ -9,6 +9,7 @@ variable is set, relative output paths are resolved against it.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -87,7 +88,7 @@ def main(ctx, config, seed, draws, fmt, out, print_config):
 @click.pass_context
 def design(ctx):
     """Optimize the number of quadrants and write the design curve."""
-    from .cost import categorization_fraction, categorized_count, feasible_designs, normalized_cost
+    from .cost import feasible_designs
     from .design import DESIGN_COLUMNS, optimize_design
     from .io import render_csv
 
@@ -102,43 +103,41 @@ def design(ctx):
         result = optimize_design(cfg)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    row = result.optimal_row
-    area = row.area
-    n_med = row.median_count
-    q = categorization_fraction(cfg.cost, area, n_med)
-    n_bar = categorized_count(n_med, q)
-    split = {
-        "sampling": cfg.cost.budget_coefficient * area,
-        "counting": cfg.cost.budget_coefficient * cfg.cost.count_ratio * n_med,
-        "categorization": cfg.cost.budget_coefficient * cfg.cost.categorize_ratio * n_bar,
-        "slack": 1.0 - normalized_cost(cfg.cost, area, n_med, q),
-    }
+    area = result.optimal_row.area
     rows = result.curve.table()
     summary_lines = (
         f"# m_star: {result.m_star}\n"
         f"# sampled_area: {area!r}\n"
-        f"# typical_n: {n_med}\n"
-        f"# typical_n_bar: {n_bar}\n"
+        f"# typical_n: {result.typical_n}\n"
+        f"# typical_n_bar: {result.typical_n_bar}\n"
         "# budget_split: "
-        + " ".join(f"{k}={v!r}" for k, v in split.items())
+        + " ".join(f"{k}={v!r}" for k, v in result.budget_split.items())
         + "\n"
     )
     json_obj = {
         "m_star": result.m_star,
         "sampled_area": area,
-        "typical_n": n_med,
-        "typical_n_bar": n_bar,
-        "budget_split": split,
+        "typical_n": result.typical_n,
+        "typical_n_bar": result.typical_n_bar,
+        "budget_split": result.budget_split,
         "q_policy": result.q_policy_note,
         "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in rows],
     }
     _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, rows), json_obj)
 
 
+def _abundance(ctx, param, value):
+    """Option callback: a true abundance must be a finite number >= 0."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"{value!r} is not a finite number >= 0")
+    return value
+
+
 @main.command()
 @click.option("--m", "m", type=int, required=True, help="Number of quadrants.")
-@click.option("--lambda-min", type=float, default=None, help="Grid start (exclusive of 0).")
-@click.option("--lambda-max", type=float, default=None, help="Grid end.")
+@click.option("--lambda-min", type=float, default=None, callback=_abundance,
+              help="Grid start (exclusive of 0).")
+@click.option("--lambda-max", type=float, default=None, callback=_abundance, help="Grid end.")
 @click.option("--lambda-points", type=click.IntRange(2), default=200, show_default=True)
 @click.pass_context
 def curves(ctx, m, lambda_min, lambda_max, lambda_points):
@@ -156,11 +155,20 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
             f"m={m} outside the feasible set {list(feasible_designs(cfg.cost))}"
         )
     if lambda_max is None:
+        if lambda_min is not None:
+            raise click.BadParameter("needs --lambda-max", param_hint="'--lambda-min'")
         grid = default_abundance_grid(cfg, lambda_points)
     else:
+        if lambda_min is not None and lambda_min > lambda_max:
+            raise click.BadParameter(
+                f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}", param_hint="'--lambda-min'"
+            )
         lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
         grid = np.linspace(lo, lambda_max, lambda_points)
-    curve = performance_curve(m, grid, cfg)
+    try:
+        curve = performance_curve(m, grid, cfg)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     rows = curve.table()
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
     _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)

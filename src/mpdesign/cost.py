@@ -24,10 +24,8 @@ import numpy as np
 
 __all__ = [
     "CostModel",
-    "BudgetSpec",
     "normalized_cost",
     "categorization_fraction",
-    "categorized_count",
     "budget_rule",
     "feasible_designs",
 ]
@@ -35,21 +33,6 @@ __all__ = [
 # Relative slack when counting whole affordable quadrants: c = 1/(B*A) is
 # rounded, so 1/(A*c) can land a few ulps below a whole budget B.
 _QUADRANT_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Total budget expressed in quadrant equivalents.
-
-    B quadrants are affordable if every unit of budget went to field sampling;
-    the implied budget coefficient is c = 1 / (B * A).
-    """
-
-    quadrant_equivalents: float
-
-    def __post_init__(self):
-        if not self.quadrant_equivalents > 0:
-            raise ValueError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,10 +70,10 @@ class CostModel:
 
     @classmethod
     def from_budget_quadrants(
-        cls, quadrant_area: float, budget: BudgetSpec | float, count_ratio: float, categorize_ratio: float
+        cls, quadrant_area: float, budget: float, count_ratio: float, categorize_ratio: float
     ) -> "CostModel":
         """Build from a budget given in quadrant equivalents (c = 1/(B*A))."""
-        b = budget.quadrant_equivalents if isinstance(budget, BudgetSpec) else float(budget)
+        b = float(budget)
         if b <= 0:
             raise ValueError("budget must be positive")
         return cls(quadrant_area, 1.0 / (b * quadrant_area), count_ratio, categorize_ratio)
@@ -123,7 +106,7 @@ def normalized_cost(cost: CostModel, total_area: float, n: int, q: float) -> flo
     """Fraction of the budget consumed: c * (mA + r1*n + r2*floor(n*q))."""
     if total_area < 0 or n < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("invalid design point")
-    n_bar = categorized_count(n, q)
+    n_bar = math.floor(n * q)
     return cost.budget_coefficient * (
         total_area + cost.count_ratio * n + cost.categorize_ratio * n_bar
     )
@@ -146,21 +129,13 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
     return max(0.0, min(1.0, raw))
 
 
-def categorized_count(n: int, q: float) -> int:
-    """Particles sent for categorization when a fraction q of n is: floor(n*q).
-
-    The single scalar copy of the rounding rule; :func:`budget_rule` applies
-    the same floor elementwise.
-    """
-    return math.floor(n * q)
-
-
 def budget_rule(cost: CostModel, total_area: float, counts):
-    """Vectorized :func:`categorization_fraction` and categorized count.
+    """Budget-implied fraction q and categorized count n_bar = floor(n*q).
 
-    Returns ``(q, n_bar)`` as float arrays over ``counts``, with
-    n_bar = floor(n*q). The floating-point steps for n >= 1 are exactly those
-    of the scalar rule, so both give identical q and n_bar.
+    The one source of n_bar. For an array of counts, returns ``(q, n_bar)``
+    as float arrays; for a single count, a Python ``(float, int)``. The
+    floating-point steps for n >= 1 are exactly those of
+    :func:`categorization_fraction`, so both give identical q.
     """
     n = np.asarray(counts, dtype=np.float64)
     if total_area < 0 or np.any(n < 0):
@@ -169,7 +144,10 @@ def budget_rule(cost: CostModel, total_area: float, counts):
         cost.categorize_ratio * np.maximum(n, 1.0)
     )
     q = np.where(n > 0.0, np.minimum(np.maximum(raw, 0.0), 1.0), 1.0)
-    return q, np.floor(n * q)
+    n_bar = np.floor(n * q)
+    if np.ndim(counts) == 0:
+        return float(q), int(n_bar)
+    return q, n_bar
 
 
 def feasible_designs(cost: CostModel) -> range:

@@ -8,8 +8,7 @@ expected loss
 where the expectation runs over the Poisson-Gamma predictive of the total
 count N and q is the budget-implied categorization fraction. Stage two is the
 deterministic rule q(m*A, n) applied once the count n is in hand. The weight
-w defaults to 1/2 (both components then keep L* in [0, 1]); other weights are
-experimental.
+w is fixed at ``L1_WEIGHT`` = 1/2, which keeps L* in [0, 1].
 
 N is negative binomial, so E_N[L2*] is an exact sum over n rather than a
 simulation. The sum stops once an analytic bound on the remaining upper tail
@@ -27,14 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cost import (
-    CostModel,
-    budget_rule,
-    categorization_fraction,
-    categorized_count,
-    feasible_designs,
-    normalized_cost,
-)
+from .cost import CostModel, budget_rule, feasible_designs
 from .distributions import DirichletParams, GammaParams, predictive_log_pmf
 from .loss import l1_expected, l2_expected
 
@@ -60,6 +52,7 @@ __all__ = [
 
 SWEEP_AXES = ("r2", "budget", "prior-mode")
 
+L1_WEIGHT = 0.5  # w in L* = w*L1* + (1 - w)*E[L2*]
 TAIL_MASS = 1e-13  # truncated upper tail of the predictive count, per design point
 _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
@@ -83,13 +76,10 @@ class DesignConfig:
     cost: CostModel
     mc_draws: int = 10_000
     seed: int = 0
-    l1_weight: float = 0.5  # experimental; 0.5 keeps L* in [0, 1]
 
     def __post_init__(self):
         if self.mc_draws < 1000:
             raise ValueError("mc_draws must be at least 1000")
-        if not 0.0 <= self.l1_weight <= 1.0:
-            raise ValueError("l1_weight must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -121,8 +111,19 @@ class DesignCurve:
 
 @dataclass(frozen=True)
 class DesignResult:
+    """The optimal design, its curve, and the budget at the typical count.
+
+    ``typical_n`` is the predictive median total count at m*,
+    ``typical_n_bar`` its categorized count from :func:`budget_rule`, and
+    ``budget_split`` the fractions of the budget that sampling, counting and
+    categorization take there, with the slack left over.
+    """
+
     m_star: int
     curve: DesignCurve
+    typical_n: int
+    typical_n_bar: int
+    budget_split: dict[str, float] = field(hash=False)  # a dict; keeps the result hashable
     q_policy_note: str = field(default="")
 
     @property
@@ -252,7 +253,7 @@ def expected_total_loss(m: int, config: DesignConfig):
 
 
 def _curve_row(m: int, config: DesignConfig) -> DesignCurveRow:
-    w = config.l1_weight
+    w = L1_WEIGHT
     l1 = l1_expected(m, config.abundance_prior, config.cost.quadrant_area)
     l2 = predictive_l2(m, config)
     return DesignCurveRow(
@@ -276,13 +277,25 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     if len(feasible) == 0:
         raise ValueError("empty feasible design set")
     curve = DesignCurve(tuple(_curve_row(m, config) for m in feasible))
-    losses = curve.column("l_star")
-    m_star = int(curve.rows[int(np.argmin(losses))].m)
+    optimal = curve.rows[int(np.argmin(curve.column("l_star")))]
+    m_star = int(optimal.m)
+    cost, area, n = config.cost, optimal.area, optimal.median_count
+    _, n_bar = budget_rule(cost, area, n)
+    c = cost.budget_coefficient
+    split = {
+        "sampling": c * area,
+        "counting": c * cost.count_ratio * n,
+        "categorization": c * cost.categorize_ratio * n_bar,
+        "slack": 1.0 - c * (area + cost.count_ratio * n + cost.categorize_ratio * n_bar),
+    }
     note = (
         f"after counting n particles over {m_star} quadrants, categorize "
         f"n_bar = floor(n * q) with q = q({m_star}*A, n) from the budget rule"
     )
-    return DesignResult(m_star=m_star, curve=curve, q_policy_note=note)
+    return DesignResult(
+        m_star=m_star, curve=curve, typical_n=n, typical_n_bar=n_bar, budget_split=split,
+        q_policy_note=note,
+    )
 
 
 def performance_curve(m: int, abundance_grid, config: DesignConfig) -> PerformanceCurve:
@@ -315,17 +328,6 @@ def default_abundance_grid(config: DesignConfig, points: int = 200) -> np.ndarra
     return np.linspace(top / points, top, points)
 
 
-def _typical_summary(result: DesignResult, config: DesignConfig):
-    """Categorized count and budget slack at the predictive-median total count."""
-    row = result.optimal_row
-    area = result.m_star * config.cost.quadrant_area
-    n_med = row.median_count
-    q = categorization_fraction(config.cost, area, n_med)
-    n_bar = categorized_count(n_med, q)
-    slack = 1.0 - normalized_cost(config.cost, area, n_med, q)
-    return n_bar, slack
-
-
 def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     """Re-optimize the design along one input axis.
 
@@ -343,8 +345,12 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     for value in values:
         cfg = _apply_axis(base, axis, float(value))
         result = optimize_design(cfg)
-        n_bar, slack = _typical_summary(result, cfg)
-        rows.append(SweepRow(axis, float(value), result.m_star, n_bar, slack))
+        rows.append(
+            SweepRow(
+                axis, float(value), result.m_star, result.typical_n_bar,
+                result.budget_split["slack"],
+            )
+        )
     return rows
 
 

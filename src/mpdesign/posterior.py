@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostModel, categorization_fraction, categorized_count
+from .cost import CostModel, budget_rule
 from .distributions import DirichletParams, GammaParams
 
 __all__ = [
     "FieldObservations",
     "CategorizationCounts",
-    "PosteriorPair",
     "update_abundance",
     "update_composition",
     "naive_abundance_estimate",
@@ -94,12 +93,6 @@ class CategorizationCounts:
     @property
     def categorized_total(self) -> int:
         return sum(self.class_counts)
-
-
-@dataclass(frozen=True)
-class PosteriorPair:
-    abundance: GammaParams
-    composition: DirichletParams
 
 
 def update_abundance(prior: GammaParams, obs: FieldObservations) -> GammaParams:
@@ -674,6 +667,6 @@ def synthesize_expected_data(
         raise ValueError("invalid scenario")
     n = math.floor(m * quadrant_area * true_abundance) if total_count is None else int(total_count)
     obs = FieldObservations.evenly_spread(quadrant_area, m, n)
-    n_bar = categorized_count(n, categorization_fraction(cost, m * quadrant_area, n))
+    _, n_bar = budget_rule(cost, m * quadrant_area, n)
     cats = CategorizationCounts(apportion_counts(n_bar, p))
     return obs, cats

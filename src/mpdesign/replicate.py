@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cost import CostModel, categorization_fraction, categorized_count
+from .cost import CostModel
 from .design import (
     CURVES_COLUMNS,
     DESIGN_COLUMNS,
@@ -27,11 +27,10 @@ from .distributions import DirichletParams, GammaParams
 from .io import atomic_write_text, render_csv, render_json
 from .posterior import (
     FieldObservations,
-    apportion_counts,
     density_grid,
+    synthesize_expected_data,
     update_abundance,
     update_composition,
-    CategorizationCounts,
 )
 
 __all__ = ["FIGURE_IDS", "replicate"]
@@ -52,9 +51,32 @@ HIGH_PRIOR = GammaParams.from_mode(3.0, 800.0)
 # T. Tomasa beach campaign: observed polymer split PE/PP/PS/PA, rest absent.
 TOMASA_PROPORTIONS = {"PE": 0.52, "PP": 0.34, "PS": 0.13, "PA": 0.01}
 CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
+TOMASA_SHARES = tuple(TOMASA_PROPORTIONS.get(name, 0.0) for name in CLASS_NAMES)
+
+# Design-curve figures: per figure, one (file tag, abundance prior, budget in
+# quadrant equivalents, r2) per scenario. Each scenario writes its design
+# curve and the performance curve at its m*.
+DESIGN_SCENARIOS = {
+    "fig1": (
+        ("fig1_low", LOW_PRIOR, BASE_BUDGET, CATEGORIZE_RATIO),
+        ("fig1_high", HIGH_PRIOR, BASE_BUDGET, CATEGORIZE_RATIO),
+    ),
+    "fig2": (
+        ("fig2_r2x2", LOW_PRIOR, BASE_BUDGET, 2 * CATEGORIZE_RATIO),
+        ("fig2_r2x1000", LOW_PRIOR, BASE_BUDGET, 1000 * CATEGORIZE_RATIO),
+    ),
+    "fig3": (
+        ("fig3_low_b8", LOW_PRIOR, 8.0, CATEGORIZE_RATIO),
+        ("fig3_high_b8", HIGH_PRIOR, 8.0, CATEGORIZE_RATIO),
+    ),
+    "fig4": (
+        ("fig4_low_b14", LOW_PRIOR, 14.0, CATEGORIZE_RATIO),
+        ("fig4_high_b14", HIGH_PRIOR, 14.0, CATEGORIZE_RATIO),
+    ),
+}
 
 
-def _config(prior: GammaParams, budget: float = BASE_BUDGET, r2: float = CATEGORIZE_RATIO) -> DesignConfig:
+def _config(prior: GammaParams, budget: float, r2: float) -> DesignConfig:
     return DesignConfig(
         abundance_prior=prior,
         composition_prior=DirichletParams.symmetric(CLASSES, 1.0),
@@ -64,48 +86,17 @@ def _config(prior: GammaParams, budget: float = BASE_BUDGET, r2: float = CATEGOR
     )
 
 
-def _design_csv(config: DesignConfig):
-    result = optimize_design(config)
-    text = f"# m_star: {result.m_star}\n" + render_csv(DESIGN_COLUMNS, result.curve.table())
-    return text, result
-
-
-def _performance_csv(config: DesignConfig, m: int):
-    curve = performance_curve(m, default_abundance_grid(config), config)
-    return f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.table())
-
-
-def _scenario_files(tag: str, config: DesignConfig):
-    design_text, result = _design_csv(config)
-    perf_text = _performance_csv(config, result.m_star)
-    return {f"{tag}_design.csv": design_text, f"{tag}_performance.csv": perf_text}
-
-
-def _fig1():
+def _design_figure(fid: str) -> dict[str, str]:
     files = {}
-    files.update(_scenario_files("fig1_low", _config(LOW_PRIOR)))
-    files.update(_scenario_files("fig1_high", _config(HIGH_PRIOR)))
-    return files
-
-
-def _fig2():
-    files = {}
-    files.update(_scenario_files("fig2_r2x2", _config(LOW_PRIOR, r2=2 * CATEGORIZE_RATIO)))
-    files.update(_scenario_files("fig2_r2x1000", _config(LOW_PRIOR, r2=1000 * CATEGORIZE_RATIO)))
-    return files
-
-
-def _fig3():
-    files = {}
-    files.update(_scenario_files("fig3_low_b8", _config(LOW_PRIOR, budget=8.0)))
-    files.update(_scenario_files("fig3_high_b8", _config(HIGH_PRIOR, budget=8.0)))
-    return files
-
-
-def _fig4():
-    files = {}
-    files.update(_scenario_files("fig4_low_b14", _config(LOW_PRIOR, budget=14.0)))
-    files.update(_scenario_files("fig4_high_b14", _config(HIGH_PRIOR, budget=14.0)))
+    for tag, prior, budget, r2 in DESIGN_SCENARIOS[fid]:
+        config = _config(prior, budget, r2)
+        result = optimize_design(config)
+        m = result.m_star
+        curve = performance_curve(m, default_abundance_grid(config), config)
+        files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + render_csv(
+            DESIGN_COLUMNS, result.curve.table()
+        )
+        files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.table())
     return files
 
 
@@ -121,7 +112,6 @@ def _abundance_posterior_grid(prior: GammaParams, cases, grid):
 
 def _fig5():
     grid = np.linspace(0.0, 1000.0, 1001)
-    cost = CostModel.from_budget_quadrants(QUADRANT_AREA, BASE_BUDGET, COUNT_RATIO, CATEGORIZE_RATIO)
     files = {}
     for lam in (5.0, 80.0):
         cases = []
@@ -131,18 +121,6 @@ def _fig5():
             cases.append((f"posterior_m{m}", update_abundance(LOW_PRIOR, obs)))
         files[f"fig5_lambda{int(lam)}.csv"] = _abundance_posterior_grid(LOW_PRIOR, cases, grid)
     return files
-
-
-def _expected_categorization(n: int, area: float, cost: CostModel) -> CategorizationCounts:
-    n_bar = categorized_count(n, categorization_fraction(cost, area, n))
-    props = [TOMASA_PROPORTIONS.get(name, 0.0) for name in CLASS_NAMES]
-    # largest-remainder split over the classes actually present
-    present = [i for i, p in enumerate(props) if p > 0]
-    split = apportion_counts(n_bar, [props[i] for i in present])
-    counts = [0] * len(CLASS_NAMES)
-    for i, c in zip(present, split):
-        counts[i] = c
-    return CategorizationCounts(tuple(counts))
 
 
 def _fig6():
@@ -162,10 +140,11 @@ def _fig6():
         comp_header = ["p"]
         comp_columns = [p_grid]
         for m, n in totals.items():
-            area = m * QUADRANT_AREA
-            obs = FieldObservations.evenly_spread(QUADRANT_AREA, m, n)
+            # total_count pins n; the abundance argument is then only validated
+            obs, cats = synthesize_expected_data(
+                n / (m * QUADRANT_AREA), TOMASA_SHARES, m, QUADRANT_AREA, cost, total_count=n
+            )
             abundance_cases.append((f"posterior_m{m}", update_abundance(LOW_PRIOR, obs)))
-            cats = _expected_categorization(n, area, cost)
             comp_post = update_composition(comp_prior, cats)
             for name in TOMASA_PROPORTIONS:
                 idx = CLASS_NAMES.index(name)
@@ -180,14 +159,7 @@ def _fig6():
     return files
 
 
-_BUILDERS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-}
+_BUILDERS = {"fig5": _fig5, "fig6": _fig6}
 
 
 def replicate(figure: str, out_dir) -> list[str]:
@@ -200,7 +172,7 @@ def replicate(figure: str, out_dir) -> list[str]:
     ids = FIGURE_IDS if figure == "all" else (figure,)
     files: dict[str, str] = {}
     for fid in ids:
-        files.update(_BUILDERS[fid]())
+        files.update(_design_figure(fid) if fid in DESIGN_SCENARIOS else _BUILDERS[fid]())
 
     written = []
     for name, text in sorted(files.items()):

@@ -193,6 +193,22 @@ class TestCurvesCommand:
         result = runner.invoke(main, ["--config", config_path, "curves", "--m", "40"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args,option",
+        [
+            (["--lambda-max", "-5"], "--lambda-max"),
+            (["--lambda-max", "nan"], "--lambda-max"),
+            (["--lambda-min", "5"], "--lambda-min"),
+            (["--lambda-min", "500", "--lambda-max", "100"], "--lambda-min"),
+        ],
+        ids=["negative-max", "nan-max", "min-without-max", "min-above-max"],
+    )
+    def test_bad_grid_rejected_by_name(self, runner, config_path, args, option):
+        result = runner.invoke(main, ["--config", config_path, "curves", "--m", "7"] + args)
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert f"'{option}'" in result.output
+
 
 class TestPosteriorCommand:
     def test_reference_posterior(self, runner, config_path, tmp_path):

@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpdesign import (
-    BudgetSpec,
     CostModel,
     GammaParams,
     budget_rule,
     categorization_fraction,
-    categorized_count,
     feasible_designs,
     l1_expected,
     normalized_cost,
@@ -24,10 +22,6 @@ class TestCostModel:
     def test_budget_quadrants(self):
         assert BASELINE_COST.budget_coefficient == pytest.approx(4.0 / 3.0)
         assert BASELINE_COST.budget_area == pytest.approx(0.75)
-
-    def test_budget_spec(self):
-        c = CostModel.from_budget_quadrants(0.0625, BudgetSpec(12.0), 5e-5, 3e-3)
-        assert c == BASELINE_COST
 
     def test_raw_costs_reduce_to_ratios(self):
         c = CostModel.from_raw_costs(0.0625, 80.0, 4e-3, 0.24, 60.0)
@@ -159,13 +153,14 @@ class TestBudgetRule:
         counts=st.lists(st.integers(0, 50_000), min_size=1, max_size=50),
     )
     @settings(max_examples=100)
-    def test_scalar_categorized_count_matches(self, budget, m, counts):
+    def test_scalar_form_matches_array_form(self, budget, m, counts):
         cost = CostModel.from_budget_quadrants(0.0625, budget, 5e-5, 3e-3)
-        _, n_bar = budget_rule(cost, m * 0.0625, counts)
-        _, ref_n_bar = scalar_rule(cost, m * 0.0625, counts)
-        scalar = [categorized_count(n, categorization_fraction(cost, m * 0.0625, n)) for n in counts]
-        assert scalar == list(n_bar) == list(ref_n_bar)
-        assert all(isinstance(c, int) for c in scalar)
+        q, n_bar = budget_rule(cost, m * 0.0625, counts)
+        ref_q, ref_n_bar = scalar_rule(cost, m * 0.0625, counts)
+        scalar = [budget_rule(cost, m * 0.0625, n) for n in counts]
+        assert all(type(qn) is float and type(nb) is int for qn, nb in scalar)
+        assert [qn for qn, _ in scalar] == list(q) == list(ref_q)
+        assert [nb for _, nb in scalar] == list(n_bar) == list(ref_n_bar)
 
     @pytest.mark.xfail(
         strict=False,

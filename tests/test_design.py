@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mpdesign import (
     categorization_fraction,
     expected_total_loss,
     l2_expected,
+    normalized_cost,
     optimize_design,
     performance_curve,
     predictive_l2,
@@ -54,6 +56,38 @@ class TestOptimizeDesign:
 
     def test_reduced_budget_low_prior(self):
         assert optimize_design(baseline_config(budget=8.0)).m_star == 5
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"beta": 0.0025}, {"budget": 8.0}, {"r2": 3.0}, {"budget": 20.0, "r2": 6e-3}],
+        ids=["low", "high", "b8", "r2x1000", "b20-r2x2"],
+    )
+    def test_typical_summary_recomputed(self, kwargs):
+        # independent of budget_rule: the scalar q, floor(n*q) and the
+        # normalized cost at the predictive-median count of m*
+        config = baseline_config(**kwargs)
+        result = optimize_design(config)
+        row = result.optimal_row
+        cost, n = config.cost, row.median_count
+        q = categorization_fraction(cost, row.area, n)
+        n_bar = math.floor(n * q)
+        c = cost.budget_coefficient
+        assert (result.typical_n, result.typical_n_bar) == (n, n_bar)
+        assert type(result.typical_n_bar) is int
+        assert result.budget_split == {
+            "sampling": c * row.area,
+            "counting": c * cost.count_ratio * n,
+            "categorization": c * cost.categorize_ratio * n_bar,
+            "slack": 1.0 - normalized_cost(cost, row.area, n, q),
+        }
+
+    def test_typical_summary_without_sampling(self):
+        with pytest.warns(UserWarning):
+            result = optimize_design(baseline_config(budget=0.5))
+        assert (result.m_star, result.typical_n, result.typical_n_bar) == (0, 0, 0)
+        assert result.budget_split == {
+            "sampling": 0.0, "counting": 0.0, "categorization": 0.0, "slack": 1.0,
+        }
 
     def test_rerun_bit_identical(self, low_config):
         a = optimize_design(low_config)
@@ -157,6 +191,26 @@ class TestSensitivitySweep:
         base = baseline_config(draws=50_000)
         rows = sensitivity_sweep(base, "prior-mode", [200.0, 800.0])
         assert [r.m_star for r in rows] == [7, 4]
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("r2", [0.5, 1.0, 1000.0]), ("budget", [4.0, 8.0, 13.0, 20.0]),
+         ("prior-mode", [50.0, 200.0, 3000.0])],
+    )
+    def test_rows_equal_direct_runs(self, axis, values):
+        base = baseline_config()
+        cost = base.cost
+        for value, row in zip(values, sensitivity_sweep(base, axis, values)):
+            if axis == "r2":
+                cfg = baseline_config(r2=cost.categorize_ratio * value)
+            elif axis == "budget":
+                cfg = baseline_config(budget=value)
+            else:
+                cfg = replace(base, abundance_prior=GammaParams.from_mode(3.0, value))
+            result = optimize_design(cfg)
+            assert (row.axis, row.value) == (axis, value)
+            assert (row.m_star, row.typical_n_bar) == (result.m_star, result.typical_n_bar)
+            assert row.budget_slack == result.budget_split["slack"]
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
