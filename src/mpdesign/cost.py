@@ -43,6 +43,10 @@ class CostModel:
     categorize_ratio: float
 
     def __post_init__(self):
+        for name in ("quadrant_area", "budget_coefficient", "count_ratio", "categorize_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.quadrant_area > 0:
             raise ValueError("quadrant_area must be positive")
         if not self.budget_coefficient > 0:

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cost import CostModel, budget_rule, feasible_designs
-from .distributions import DirichletParams, GammaParams, predictive_log_pmf
+from .distributions import (
+    DirichletParams,
+    GammaParams,
+    _log_pmf_from_steps,
+    _ratio_steps,
+    predictive_log_pmf,
+)
 from .loss import l1_expected, l2_expected
 
 __all__ = [
@@ -191,15 +197,24 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
     any prior. The median is read from the cumulative pmf; when it lies past
     the summed range, the pmf walk continues to it, in time proportional to
     the median. Priors whose predictive mean count exceeds ``MAX_MEAN_COUNT``
-    are rejected rather than walked.
+    are rejected rather than walked. Called alone, it builds the per-count
+    arrays for its own first chunk; :func:`optimize_design` shares one set
+    across the curve, with identical results.
     """
+    size = _first_chunk(m, config)
+    return _predictive_l2(m, config, size, _count_tables(config, size))
+
+
+def _first_chunk(m: int, config: DesignConfig) -> int:
+    """Counts in the first pmf chunk at m: the predictive mean plus 20
+    standard deviations, cut where counting alone exhausts the budget and at
+    ``_MAX_CHUNK``; 0 for m = 0, which sums nothing."""
     if m == 0:
-        return PredictiveL2(1.0, 0.0, 0, 0)
+        return 0
     prior, cost = config.abundance_prior, config.cost
     area = m * cost.quadrant_area
-    a, b = prior.shape, prior.rate
-    one_minus_p = area / (b + area)
-    mean = a * area / b
+    b = prior.rate
+    mean = prior.shape * area / b
     if not mean <= MAX_MEAN_COUNT:
         raise ValueError(
             f"abundance_prior predicts a mean total count of {mean:.3g} at m={m}; "
@@ -209,7 +224,35 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
     if cost.count_ratio > 0:
         exhausted_at = (cost.budget_area - area) / cost.count_ratio
         size = min(size, int(max(0.0, exhausted_at)) + 2)
-    size = min(size, _MAX_CHUNK)
+    return min(size, _MAX_CHUNK)
+
+
+def _count_tables(config: DesignConfig, size: int):
+    """The per-count arrays over n = 0 .. size - 1 that no design point changes.
+
+    Returns the counts as floats, the pmf's log ratio steps (index n - 1
+    holds the step into n) and the gain weights 1 - L2*(n). A design point
+    slices them for every chunk that ends below ``size``.
+    """
+    counts = np.arange(size, dtype=np.float64)
+    steps = _ratio_steps(config.abundance_prior.shape, 1, size)
+    gains = 1.0 - l2_expected(counts, config.composition_prior)
+    return counts, steps, gains
+
+
+def _predictive_l2(m: int, config: DesignConfig, size: int, tables) -> PredictiveL2:
+    """:func:`predictive_l2` with first chunk ``size`` (:func:`_first_chunk`),
+    reading every chunk below the tables' length from ``tables`` (see
+    :func:`_count_tables`); a chunk that reaches past them is computed on its
+    own."""
+    if m == 0:
+        return PredictiveL2(1.0, 0.0, 0, 0)
+    counts, steps, gains = tables
+    shared = len(counts)
+    prior, cost = config.abundance_prior, config.cost
+    area = m * cost.quadrant_area
+    a = prior.shape
+    one_minus_p = area / (prior.rate + area)
 
     gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
     tail = math.inf
@@ -218,11 +261,21 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
     median = None
     lo = 0
     while True:
-        pmf = np.exp(predictive_log_pmf(prior, area, lo, lo + size))
-        top = lo + size - 1
+        hi = lo + size
+        inside = hi <= shared
+        if inside:
+            pmf = np.exp(_log_pmf_from_steps(prior, area, lo, steps[lo:hi - 1]))
+        else:
+            pmf = np.exp(predictive_log_pmf(prior, area, lo, hi))
+        top = hi - 1
         if tail >= TAIL_MASS:
-            _, n_bar = budget_rule(cost, area, np.arange(lo, lo + size))
-            gain += float(np.dot(pmf, 1.0 - l2_expected(n_bar, config.composition_prior)))
+            if inside:  # n_bar <= n < shared, so the weights are a gather
+                n_bar = budget_rule(cost, area, counts[lo:hi])[1]
+                weights = gains[n_bar.astype(np.intp)]
+            else:
+                n_bar = budget_rule(cost, area, np.arange(lo, hi))[1]
+                weights = 1.0 - l2_expected(n_bar, config.composition_prior)
+            gain += float(np.dot(pmf, weights))
             terms += size
             if cost.budget_area - (area + top * cost.count_ratio) <= 0.0:
                 tail = 0.0  # same test as the budget rule: q = 0 from here on
@@ -236,7 +289,7 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
             mass = float(cdf[-1])
         if tail < TAIL_MASS and median is not None:
             return PredictiveL2(1.0 - gain, tail, median, terms)
-        lo += size
+        lo = hi
         size = min(lo, _MAX_CHUNK)
 
 
@@ -248,14 +301,13 @@ def expected_total_loss(m: int, config: DesignConfig):
     """
     if m not in feasible_designs(config.cost):
         raise ValueError(f"m={m} outside the feasible set {feasible_designs(config.cost)}")
-    row = _curve_row(m, config)
+    row = _curve_row(m, config, predictive_l2(m, config))
     return row.l_star, row.l_star_se
 
 
-def _curve_row(m: int, config: DesignConfig) -> DesignCurveRow:
+def _curve_row(m: int, config: DesignConfig, l2: PredictiveL2) -> DesignCurveRow:
     w = L1_WEIGHT
     l1 = l1_expected(m, config.abundance_prior, config.cost.quadrant_area)
-    l2 = predictive_l2(m, config)
     return DesignCurveRow(
         m=m,
         area=m * config.cost.quadrant_area,
@@ -271,12 +323,19 @@ def _curve_row(m: int, config: DesignConfig) -> DesignCurveRow:
 def optimize_design(config: DesignConfig) -> DesignResult:
     """Minimize the composite expected loss over the feasible quadrant counts.
 
-    Ties break toward smaller m (the cheaper field campaign).
+    Ties break toward smaller m (the cheaper field campaign). The per-count
+    arrays are built once, as long as the largest first chunk, and every
+    design point slices them.
     """
     feasible = feasible_designs(config.cost)
     if len(feasible) == 0:
         raise ValueError("empty feasible design set")
-    curve = DesignCurve(tuple(_curve_row(m, config) for m in feasible))
+    sizes = [_first_chunk(m, config) for m in feasible]
+    tables = _count_tables(config, max(sizes))
+    curve = DesignCurve(tuple(
+        _curve_row(m, config, _predictive_l2(m, config, size, tables))
+        for m, size in zip(feasible, sizes)
+    ))
     optimal = curve.rows[int(np.argmin(curve.column("l_star")))]
     m_star = int(optimal.m)
     cost, area, n = config.cost, optimal.area, optimal.median_count

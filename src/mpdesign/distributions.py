@@ -138,6 +138,25 @@ def predictive_log_pmf(prior: GammaParams, total_area: float, start: int, stop: 
         raise ValueError("total_area must be positive")
     if not 0 <= start < stop:
         raise ValueError("need 0 <= start < stop")
+    steps = _ratio_steps(prior.shape, start + 1, stop)
+    return _log_pmf_from_steps(prior, total_area, start, steps)
+
+
+def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
+    """log((n-1+a)/n) = log1p((a-1)/n) for n = start .. stop - 1 (start >= 1).
+
+    The log pmf ratio P(n)/P(n-1) less log(1-p): it depends only on the
+    prior shape, so one array serves every sampled area.
+    """
+    n = np.arange(start, stop, dtype=np.float64)
+    return np.log1p((shape - 1.0) / n)
+
+
+def _log_pmf_from_steps(
+    prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
+) -> np.ndarray:
+    """Log pmf for n = start .. start + len(ratio_steps), where
+    ``ratio_steps`` is :func:`_ratio_steps` over n = start + 1 onward."""
     a, b = prior.shape, prior.rate
     log_p = math.log(b) - math.log(b + total_area)
     log_1mp = math.log(total_area) - math.log(b + total_area)
@@ -145,11 +164,9 @@ def predictive_log_pmf(prior: GammaParams, total_area: float, start: int, stop: 
         math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
         + a * log_p + start * log_1mp
     )
-    n = np.arange(start + 1, stop, dtype=np.float64)
-    steps = np.log1p((a - 1.0) / n) + log_1mp
-    out = np.empty(stop - start)
+    out = np.empty(len(ratio_steps) + 1)
     out[0] = first
-    np.cumsum(steps, out=out[1:])
+    np.cumsum(ratio_steps + log_1mp, out=out[1:])
     out[1:] += first
     return out
 

@@ -8,7 +8,6 @@ plot *data*; rendering is left to external tools.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 
@@ -25,13 +24,16 @@ from .design import (
 )
 from .distributions import DirichletParams, GammaParams
 from .io import atomic_write_text, render_csv, render_json
-from .posterior import (
-    FieldObservations,
-    density_grid,
-    synthesize_expected_data,
-    update_abundance,
-    update_composition,
-)
+
+# The interpreter's own SHA-256, as random.py takes its sha512: hashlib would
+# load OpenSSL to hash a few small files.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = ["FIGURE_IDS", "replicate"]
 
@@ -102,6 +104,8 @@ def _design_figure(fid: str) -> dict[str, str]:
 
 def _abundance_posterior_grid(prior: GammaParams, cases, grid):
     """CSV of prior plus per-case posterior abundance densities."""
+    from .posterior import density_grid
+
     header = ["lambda", "prior"] + [tag for tag, _ in cases]
     columns = [grid, density_grid(prior, grid)]
     for _, posterior in cases:
@@ -111,6 +115,8 @@ def _abundance_posterior_grid(prior: GammaParams, cases, grid):
 
 
 def _fig5():
+    from .posterior import FieldObservations, update_abundance
+
     grid = np.linspace(0.0, 1000.0, 1001)
     files = {}
     for lam in (5.0, 80.0):
@@ -124,6 +130,13 @@ def _fig5():
 
 
 def _fig6():
+    from .posterior import (
+        density_grid,
+        synthesize_expected_data,
+        update_abundance,
+        update_composition,
+    )
+
     cost = CostModel.from_budget_quadrants(QUADRANT_AREA, BASE_BUDGET, COUNT_RATIO, CATEGORIZE_RATIO)
     comp_prior = DirichletParams.symmetric(CLASSES, 1.0)
     lambda_grid = np.linspace(0.0, 1000.0, 1001)
@@ -194,7 +207,7 @@ def replicate(figure: str, out_dir) -> list[str]:
         "files": [
             {
                 "name": name,
-                "sha256": hashlib.sha256(files[name].encode("utf-8")).hexdigest(),
+                "sha256": _sha256(files[name].encode("utf-8")).hexdigest(),
             }
             for name in written
         ],

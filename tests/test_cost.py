@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,14 @@ class TestCostModel:
     def test_tiny_budget_warns(self):
         with pytest.warns(UserWarning):
             CostModel.from_budget_quadrants(0.0625, 0.5, 5e-5, 3e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["quadrant_area", "budget_coefficient", "count_ratio", "categorize_ratio"]
+    )
+    def test_nonfinite_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            replace(BASELINE_COST, **{name: value})
 
 
 class TestNormalizedCost:

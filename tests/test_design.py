@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from mpdesign import (
     RandomStream,
     categorization_fraction,
     expected_total_loss,
+    l1_expected,
     l2_expected,
     normalized_cost,
     optimize_design,
@@ -22,7 +24,13 @@ from mpdesign import (
     predictive_total_count,
     sensitivity_sweep,
 )
-from mpdesign.design import MAX_MEAN_COUNT, TAIL_MASS, _MAX_CHUNK, default_abundance_grid
+from mpdesign.design import (
+    MAX_MEAN_COUNT,
+    TAIL_MASS,
+    _MAX_CHUNK,
+    _first_chunk,
+    default_abundance_grid,
+)
 from conftest import baseline_config
 
 
@@ -320,3 +328,60 @@ class TestExactQuadrature:
         assert 3.0 * 0.0625 / 1e-12 > MAX_MEAN_COUNT
         with pytest.raises(ValueError, match="abundance_prior"):
             optimize_design(config)
+
+
+def _config(prior, count_ratio=5e-5, budget=12.0):
+    return DesignConfig(
+        abundance_prior=prior,
+        composition_prior=DirichletParams.symmetric(10, 1.0),
+        cost=CostModel.from_budget_quadrants(0.0625, budget, count_ratio, 3e-3),
+    )
+
+
+class TestSharedCountArrays:
+    """``optimize_design`` builds the per-count arrays once and slices them;
+    each design point alone builds its own. Both must give the same bits."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # m = 12 exhausts the budget early and walks on to its median
+            _config(GammaParams.from_mode(3.0, 800.0)),
+            # first chunks capped at _MAX_CHUNK: later chunks pass the tables
+            _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0),
+            # shape < 1: the log ratio steps are negative
+            _config(GammaParams(0.8, 0.8 / 200.0)),
+            _config(GammaParams.from_mode(3.0, 200.0), count_ratio=0.0),
+        ],
+        ids=["baseline-high", "capped-chunk", "shape-below-one", "no-count-cost"],
+    )
+    def test_rows_equal_points_computed_alone(self, config):
+        rows = optimize_design(config).curve.rows
+        for row in rows:
+            alone = predictive_l2(row.m, config)
+            assert row.e_l2_star == alone.e_l2, row.m
+            assert row.e_l2_se == alone.tail, row.m
+            assert row.median_count == alone.median_count, row.m
+            l1 = l1_expected(row.m, config.abundance_prior, config.cost.quadrant_area)
+            assert row.l1_star == l1, row.m
+            assert (row.l_star, row.l_star_se) == expected_total_loss(row.m, config), row.m
+
+    def test_configs_reach_every_path(self):
+        baseline = _config(GammaParams.from_mode(3.0, 800.0))
+        assert predictive_l2(12, baseline).median_count > 8 * _first_chunk(12, baseline)
+        capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0)
+        assert _first_chunk(1, capped) == _MAX_CHUNK
+        assert predictive_l2(1, capped).terms > _MAX_CHUNK
+
+    def test_memory_does_not_grow_with_the_prior(self):
+        peaks = []
+        for mode in (2e4, 1e5):
+            config = _config(GammaParams.from_mode(3.0, mode), count_ratio=0.0)
+            tracemalloc.start()
+            try:
+                optimize_design(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8e6
+        assert abs(peaks[0] - peaks[1]) <= 0.1 * min(peaks)

@@ -13,6 +13,11 @@ not load it at all, whether the HPD interval is left-anchored (posterior
 shape <= 1) or not. Only fig6's Beta marginals may load ``scipy.special``,
 and never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
 breaks this fails here by name.
+
+OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
+replicate manifest hashes with the interpreter's built-in SHA-256, so no
+command loads it except fig6, through SciPy. ``replicate`` fig1-fig4 load
+only the design path, not ``mpdesign.posterior``.
 """
 
 import json
@@ -27,8 +32,8 @@ from test_cli import BASE_DOC, CAMPAIGN
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
-# then prints the loaded scipy and mpdesign modules, and numpy if loaded, as
-# the last line of stderr.
+# then prints the loaded scipy and mpdesign modules, and numpy and _hashlib
+# if loaded, as the last line of stderr.
 CHILD = """
 import json, sys
 import mpdesign
@@ -40,7 +45,8 @@ if sys.argv[1:]:
         if exc.code:
             raise
 print(json.dumps(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("scipy", "mpdesign") or m == "numpy"
+    m for m in sys.modules
+    if m.split(".")[0] in ("scipy", "mpdesign") or m in ("numpy", "_hashlib")
 )), file=sys.stderr)
 """
 
@@ -141,6 +147,30 @@ def test_command_loads_only_what_it_runs(args, absent, workdir):
     loaded = loaded_modules("--config", "config.json", *args, cwd=workdir)
     assert "numpy" in loaded  # the command did run
     assert not absent & loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--config", "config.json", "design"),
+        ("--config", "config.json", "curves", "--m", "3"),
+        ("--config", "config.json", "sensitivity", "--axis", "r2", "--values", "1,2"),
+        ("--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid"),
+        ("replicate", "--figure", "fig1", "--out-dir", "out"),
+        ("replicate", "--figure", "fig5", "--out-dir", "out"),
+    ],
+    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig5"],
+)
+def test_no_openssl(args, workdir):
+    loaded = loaded_modules(*args, cwd=workdir)
+    assert "numpy" in loaded  # the command did run
+    assert "_hashlib" not in loaded
+
+
+def test_replicate_design_figure_loads_no_posterior(workdir):
+    loaded = loaded_modules("replicate", "--figure", "fig1", "--out-dir", "out", cwd=workdir)
+    assert "mpdesign.replicate" in loaded
+    assert "mpdesign.posterior" not in loaded
 
 
 def test_replicate_fig6_loads_only_scipy_special(workdir):
