@@ -38,9 +38,7 @@ def _load(ctx):
     if opts["config"] is None:
         raise click.ClickException("--config is required for this command")
     try:
-        return load_config(
-            opts["config"], seed_override=opts["seed"], draws_override=opts["draws"]
-        )
+        return load_config(opts["config"])
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -60,10 +58,6 @@ def _emit(ctx, csv_text, json_obj):
 
 @click.group(invoke_without_command=True)
 @click.option("--config", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-              help="Override the config mc.seed (validated; the exact design ignores it).")
-@click.option("--draws", type=click.IntRange(1000), default=None,
-              help="Override the config mc.draws (validated; the exact design ignores it).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output format.")
 @click.option("--out", type=click.Path(), default=None,
@@ -71,9 +65,9 @@ def _emit(ctx, csv_text, json_obj):
 @click.option("--print-config", is_flag=True,
               help="Echo the parsed config as canonical JSON and exit.")
 @click.pass_context
-def main(ctx, config, seed, draws, fmt, out, print_config):
+def main(ctx, config, fmt, out, print_config):
     """Two-stage sampling design and Bayesian inference for microplastic campaigns."""
-    ctx.obj = {"config": config, "seed": seed, "draws": draws, "format": fmt, "out": out}
+    ctx.obj = {"config": config, "format": fmt, "out": out}
     if print_config:
         from .config import config_to_json
 

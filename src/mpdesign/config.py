@@ -11,15 +11,16 @@ Schema (all sections required unless noted):
         "count_ratio": 5e-5,
         "categorize_ratio": 3e-3
       },
-      "mc": {"draws": 100000, "seed": 20260825}            # optional, defaults below
+      "mc": {"draws": 100000, "seed": 20260825}            # legacy, optional; ignored
       "class_names": ["PE", ...]                           # optional, length k
     }
 
 Unknown keys anywhere are rejected with an error naming the key; priors given
 as (shape, mode) require shape > 1 and convert via rate = (shape - 1)/mode.
-The ``mc`` section is still validated (draws >= 1000, a 64-bit seed) so that
-existing configs keep working, but the design curve is an exact sum over the
-predictive count and reads neither value.
+The legacy ``mc`` section is checked (draws an integer >= 1000, seed an
+integer in [0, 2**64)) so that existing configs keep loading, and then
+dropped: the design curve is an exact sum over the predictive count and reads
+neither value.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .distributions import DirichletParams, GammaParams
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "parse_config", "config_to_json"]
 
 DEFAULT_CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
-DEFAULT_DRAWS = 10_000
-DEFAULT_SEED = 0
 
 
 class ConfigError(ValueError):
@@ -65,7 +64,6 @@ class LoadedConfig:
                 "count_ratio": cost.count_ratio,
                 "categorize_ratio": cost.categorize_ratio,
             },
-            "mc": {"draws": self.design.mc_draws, "seed": self.design.seed},
             "class_names": list(self.class_names),
         }
 
@@ -142,7 +140,18 @@ def _parse_cost(obj) -> tuple[CostModel, float]:
         raise ConfigError(f"cost: {exc}") from exc
 
 
-def parse_config(doc: dict, *, seed_override=None, draws_override=None) -> LoadedConfig:
+def _check_legacy_mc(obj) -> None:
+    """Check a legacy ``mc`` section; its values are then dropped."""
+    _require_keys(obj, "mc", {"draws", "seed"}, set())
+    draws = obj.get("draws", 1000)
+    if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1000:
+        raise ConfigError(f"mc.draws must be an integer >= 1000, got {draws!r}")
+    seed = obj.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def parse_config(doc: dict) -> LoadedConfig:
     _require_keys(
         doc,
         "<root>",
@@ -152,19 +161,8 @@ def parse_config(doc: dict, *, seed_override=None, draws_override=None) -> Loade
     abundance = _parse_abundance(doc["abundance_prior"])
     composition = _parse_composition(doc["composition_prior"])
     cost, budget = _parse_cost(doc["cost"])
-
-    mc = doc.get("mc", {})
-    _require_keys(mc, "mc", {"draws", "seed"}, set())
-    draws = mc.get("draws", DEFAULT_DRAWS)
-    seed = mc.get("seed", DEFAULT_SEED)
-    if not isinstance(draws, int) or draws < 1:
-        raise ConfigError("mc.draws must be a positive integer")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("mc.seed must be a 64-bit unsigned integer")
-    if draws_override is not None:
-        draws = int(draws_override)
-    if seed_override is not None:
-        seed = int(seed_override)
+    if "mc" in doc:
+        _check_legacy_mc(doc["mc"])
 
     names = doc.get("class_names")
     if names is None:
@@ -185,20 +183,11 @@ def parse_config(doc: dict, *, seed_override=None, draws_override=None) -> Loade
             )
         names = tuple(names)
 
-    try:
-        design = DesignConfig(
-            abundance_prior=abundance,
-            composition_prior=composition,
-            cost=cost,
-            mc_draws=draws,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    design = DesignConfig(abundance_prior=abundance, composition_prior=composition, cost=cost)
     return LoadedConfig(design=design, class_names=names, budget_quadrant_equivalents=budget)
 
 
-def load_config(path, *, seed_override=None, draws_override=None) -> LoadedConfig:
+def load_config(path) -> LoadedConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -208,7 +197,7 @@ def load_config(path, *, seed_override=None, draws_override=None) -> LoadedConfi
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return parse_config(doc, seed_override=seed_override, draws_override=draws_override)
+    return parse_config(doc)
 
 
 def config_to_json(config: LoadedConfig) -> str:

@@ -16,13 +16,13 @@ mass falls below ``TAIL_MASS``; because 0 <= L2* <= 1, that bound also bounds
 the absolute error and is reported where a standard error would be. Beyond
 the count at which counting alone exhausts the budget, n_bar = 0 and L2* = 1,
 so that whole tail enters exactly. The curve involves no randomness: reruns
-are bit-identical and do not depend on the seed.
+are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -71,21 +71,18 @@ CURVES_COLUMNS = ("lambda", "n", "q", "n_bar", "L2_star")
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Design inputs.
+    """Design inputs: the abundance prior, the composition prior and the cost
+    model. The design curve is an exact sum, so no seed or draw count enters.
 
-    ``mc_draws`` and ``seed`` are validated and kept for existing configs and
-    callers, but the exact design curve reads neither.
+    ``mc_draws`` and ``seed`` are init-only and ignored: callers written for
+    the Monte Carlo design may still pass them, but they are not fields.
     """
 
     abundance_prior: GammaParams
     composition_prior: DirichletParams
     cost: CostModel
-    mc_draws: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mc_draws < 1000:
-            raise ValueError("mc_draws must be at least 1000")
+    mc_draws: InitVar[int] = 0
+    seed: InitVar[int] = 0
 
 
 @dataclass(frozen=True)

@@ -644,7 +644,7 @@ def apportion_counts(total: int, proportions) -> tuple[int, ...]:
 
 
 def synthesize_expected_data(
-    true_abundance: float,
+    true_abundance: float | None,
     true_proportions,
     m: int,
     quadrant_area: float,
@@ -657,15 +657,25 @@ def synthesize_expected_data(
     the posterior), spread as evenly as possible across quadrants. The
     categorized count follows the budget rule n_bar = floor(n * q(m*A, n)),
     split across classes by largest-remainder rounding of the true
-    proportions. ``total_count`` overrides the derived n when a scenario
-    specifies the observed total directly.
+    proportions. ``total_count`` (>= 0) gives n directly when a scenario
+    specifies the observed total; ``true_abundance`` is then not read and
+    may be None.
     """
     p = np.asarray(true_proportions, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
         raise ValueError("true_proportions must be a probability vector")
-    if true_abundance <= 0 or m < 1:
-        raise ValueError("invalid scenario")
-    n = math.floor(m * quadrant_area * true_abundance) if total_count is None else int(total_count)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m!r}")
+    if total_count is not None:
+        if total_count < 0:
+            raise ValueError(f"total_count must be >= 0, got {total_count!r}")
+        n = int(total_count)
+    elif true_abundance is None or not true_abundance > 0:
+        raise ValueError(
+            f"true_abundance must be > 0 when total_count is not given, got {true_abundance!r}"
+        )
+    else:
+        n = math.floor(m * quadrant_area * true_abundance)
     obs = FieldObservations.evenly_spread(quadrant_area, m, n)
     _, n_bar = budget_rule(cost, m * quadrant_area, n)
     cats = CategorizationCounts(apportion_counts(n_bar, p))

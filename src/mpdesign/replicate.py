@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .config import DEFAULT_CLASS_NAMES
 from .cost import CostModel
 from .design import (
     CURVES_COLUMNS,
@@ -39,8 +40,6 @@ __all__ = ["FIGURE_IDS", "replicate"]
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
-SEED = 20260825
-DRAWS = 100_000
 QUADRANT_AREA = 0.0625
 BASE_BUDGET = 12.0
 COUNT_RATIO = 5e-5
@@ -52,8 +51,7 @@ HIGH_PRIOR = GammaParams.from_mode(3.0, 800.0)
 
 # T. Tomasa beach campaign: observed polymer split PE/PP/PS/PA, rest absent.
 TOMASA_PROPORTIONS = {"PE": 0.52, "PP": 0.34, "PS": 0.13, "PA": 0.01}
-CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
-TOMASA_SHARES = tuple(TOMASA_PROPORTIONS.get(name, 0.0) for name in CLASS_NAMES)
+TOMASA_SHARES = tuple(TOMASA_PROPORTIONS.get(name, 0.0) for name in DEFAULT_CLASS_NAMES)
 
 # Design-curve figures: per figure, one (file tag, abundance prior, budget in
 # quadrant equivalents, r2) per scenario. Each scenario writes its design
@@ -83,8 +81,6 @@ def _config(prior: GammaParams, budget: float, r2: float) -> DesignConfig:
         abundance_prior=prior,
         composition_prior=DirichletParams.symmetric(CLASSES, 1.0),
         cost=CostModel.from_budget_quadrants(QUADRANT_AREA, budget, COUNT_RATIO, r2),
-        mc_draws=DRAWS,
-        seed=SEED,
     )
 
 
@@ -153,14 +149,13 @@ def _fig6():
         comp_header = ["p"]
         comp_columns = [p_grid]
         for m, n in totals.items():
-            # total_count pins n; the abundance argument is then only validated
             obs, cats = synthesize_expected_data(
-                n / (m * QUADRANT_AREA), TOMASA_SHARES, m, QUADRANT_AREA, cost, total_count=n
+                None, TOMASA_SHARES, m, QUADRANT_AREA, cost, total_count=n
             )
             abundance_cases.append((f"posterior_m{m}", update_abundance(LOW_PRIOR, obs)))
             comp_post = update_composition(comp_prior, cats)
             for name in TOMASA_PROPORTIONS:
-                idx = CLASS_NAMES.index(name)
+                idx = DEFAULT_CLASS_NAMES.index(name)
                 comp_header.append(f"{name}_m{m}")
                 comp_columns.append(density_grid(comp_post, p_grid, component=idx))
         files[f"fig6_{tag}_abundance.csv"] = _abundance_posterior_grid(
@@ -193,8 +188,6 @@ def replicate(figure: str, out_dir) -> list[str]:
         written.append(name)
     manifest = {
         "figures": list(ids),
-        "seed": SEED,
-        "mc_draws": DRAWS,
         "parameters": {
             "quadrant_area": QUADRANT_AREA,
             "base_budget_quadrants": BASE_BUDGET,

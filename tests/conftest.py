@@ -47,13 +47,11 @@ def dirichlet_cov_matrix(gamma):
 BASELINE_COST = CostModel.from_budget_quadrants(0.0625, 12.0, 5e-5, 3e-3)
 
 
-def baseline_config(beta=0.01, budget=12.0, r2=3e-3, draws=100_000, seed=7):
+def baseline_config(beta=0.01, budget=12.0, r2=3e-3):
     return DesignConfig(
         abundance_prior=GammaParams(3.0, beta),
         composition_prior=DirichletParams.symmetric(10, 1.0),
         cost=CostModel.from_budget_quadrants(0.0625, budget, 5e-5, r2),
-        mc_draws=draws,
-        seed=seed,
     )
 
 

@@ -98,11 +98,6 @@ class TestConfigParsing:
     def test_default_class_names_for_ten(self):
         assert parse_config(BASE_DOC).class_names[0] == "PE"
 
-    def test_overrides(self):
-        cfg = parse_config(BASE_DOC, seed_override=7, draws_override=50_000)
-        assert cfg.design.seed == 7
-        assert cfg.design.mc_draws == 50_000
-
     def test_nonfinite_rejected(self):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["cost"]["categorize_ratio"] = "high"
@@ -110,12 +105,65 @@ class TestConfigParsing:
             parse_config(doc)
 
 
+class TestLegacyMcSection:
+    """``mc`` (a Monte Carlo draw count and seed) is checked, then dropped."""
+
+    def test_ignored(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["mc"]
+        assert parse_config(doc) == parse_config(BASE_DOC)
+
+    def test_draw_floor(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["mc"]["draws"] = 1000
+        assert parse_config(doc) == parse_config(BASE_DOC)
+        doc["mc"]["draws"] = 999
+        with pytest.raises(ConfigError, match=r"^mc\.draws "):
+            parse_config(doc)
+
+    def test_seed_range_and_empty_section_accepted(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        for mc in ({"seed": 0}, {"seed": 2**64 - 1}, {}):
+            doc["mc"] = mc
+            assert parse_config(doc) == parse_config(BASE_DOC)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("draws", 500), ("draws", "many"), ("draws", True), ("draws", 1e5),
+         ("seed", -1), ("seed", 2**64), ("seed", True), ("seed", "x")],
+    )
+    def test_bad_value_named(self, key, value):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["mc"][key] = value
+        with pytest.raises(ConfigError, match=rf"^mc\.{key} "):
+            parse_config(doc)
+
+    def test_unknown_key_named(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["mc"]["sampler"] = "sobol"
+        with pytest.raises(ConfigError, match="'sampler' in section 'mc'"):
+            parse_config(doc)
+
+    def test_bad_value_named_by_the_cli(self, runner, tmp_path):
+        path = write_config(tmp_path, lambda d: d["mc"].update(draws=500))
+        result = runner.invoke(main, ["--config", path, "design"])
+        assert result.exit_code == 1
+        assert "mc.draws" in result.output
+
+    @pytest.mark.parametrize("option", [("--seed", "1"), ("--draws", "5000")])
+    def test_removed_options_rejected(self, runner, config_path, option):
+        result = runner.invoke(main, ["--config", config_path, *option, "design"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and option[0] in result.output
+
+
 class TestPrintConfig:
     def test_round_trip(self, runner, config_path):
         out = runner.invoke(main, ["--config", config_path, "--print-config"])
         assert out.exit_code == 0
-        reparsed = parse_config(json.loads(out.output))
-        assert reparsed == parse_config(BASE_DOC)
+        printed = json.loads(out.output)
+        assert "mc" not in printed  # the legacy section is dropped
+        assert parse_config(printed) == parse_config(BASE_DOC)
 
 
 class TestDesignCommand:
@@ -305,6 +353,7 @@ class TestReplicateCommand:
         )
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not {"seed", "mc_draws"} & set(manifest)
         assert len(manifest["files"]) == 4
         for entry in manifest["files"]:
             blob = (tmp_path / entry["name"]).read_bytes()

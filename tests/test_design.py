@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -141,18 +141,9 @@ class TestOptimizeDesign:
                 abundance_prior=GammaParams(3.0, 0.01),
                 composition_prior=DirichletParams.symmetric(10, 1.0),
                 cost=cost,
-                mc_draws=20_000,
-                seed=11,
             )
 
         assert optimize_design(config(1.0)) == optimize_design(config(7.3))
-
-    def test_argmin_stability_across_seeds(self):
-        hits = sum(
-            optimize_design(baseline_config(draws=20_000, seed=s)).m_star == 7
-            for s in range(10)
-        )
-        assert hits >= 9
 
 
 class TestPerformanceCurve:
@@ -186,17 +177,17 @@ class TestPerformanceCurve:
 
 class TestSensitivitySweep:
     def test_prohibitive_categorization_cost(self):
-        base = baseline_config(draws=20_000)
+        base = baseline_config()
         rows = sensitivity_sweep(base, "r2", [1.0, 1000.0])
         assert rows[1].typical_n_bar == 0
 
     def test_budget_axis_matches_direct_runs(self):
-        base = baseline_config(draws=50_000)
+        base = baseline_config()
         rows = sensitivity_sweep(base, "budget", [8.0, 12.0, 14.0])
         assert [r.m_star for r in rows] == [5, 7, 8]
 
     def test_prior_mode_axis(self):
-        base = baseline_config(draws=50_000)
+        base = baseline_config()
         rows = sensitivity_sweep(base, "prior-mode", [200.0, 800.0])
         assert [r.m_star for r in rows] == [7, 4]
 
@@ -222,23 +213,26 @@ class TestSensitivitySweep:
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
-            sensitivity_sweep(baseline_config(draws=20_000), "area", [1.0])
+            sensitivity_sweep(baseline_config(), "area", [1.0])
 
     def test_empty_values(self):
         with pytest.raises(ValueError):
-            sensitivity_sweep(baseline_config(draws=20_000), "r2", [])
+            sensitivity_sweep(baseline_config(), "r2", [])
 
 
 class TestDesignConfig:
-    def test_draw_floor(self):
-        with pytest.raises(ValueError):
-            baseline_config(draws=500)
-
     def test_draws_and_seed_do_not_change_the_design(self):
+        base = baseline_config()
+        assert [f.name for f in fields(DesignConfig)] == [
+            "abundance_prior",
+            "composition_prior",
+            "cost",
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            few = optimize_design(baseline_config(draws=2000, seed=1))
-        assert few == optimize_design(baseline_config(draws=100_000, seed=99))
+            few = replace(base, mc_draws=500, seed=1)
+            assert few == base
+            assert optimize_design(few) == optimize_design(base)
 
 
 def mc_curve(config, draws, seed):

@@ -412,6 +412,22 @@ class TestSynthesizeExpectedData:
         assert obs.total_count == 280
         assert cats.categorized_total == 99
 
+    def test_zero_total_count_without_abundance(self):
+        obs, cats = synthesize_expected_data(
+            None, self.proportions, 7, A, BASELINE_COST, total_count=0
+        )
+        assert obs.counts == (0,) * 7
+        assert cats.categorized_total == 0
+        assert cats.class_counts == (0,) * 10
+
+    def test_negative_total_count_named(self):
+        with pytest.raises(ValueError, match="total_count"):
+            synthesize_expected_data(None, self.proportions, 7, A, BASELINE_COST, total_count=-1)
+
+    def test_missing_abundance_named(self):
+        with pytest.raises(ValueError, match="true_abundance"):
+            synthesize_expected_data(None, self.proportions, 7, A, BASELINE_COST)
+
     def test_invalid_proportions(self):
         with pytest.raises(ValueError):
             synthesize_expected_data(10.0, (0.5, 0.4), 3, A, BASELINE_COST)
