@@ -8,14 +8,10 @@ HPD intervals, density grids for plotting, and a synthetic-data generator
 that turns a hypothetical "true" abundance/composition into the expected
 observations for a given design.
 
-The Gamma side runs on NumPy and ``math`` alone: a port of the cephes
-log-gamma that ``scipy.special.gammaln`` calls, the density in the
-floating-point steps of ``scipy.stats.gamma.pdf``, a series/continued
-fraction incomplete gamma for HPD masses, and its inverse for the
-left-anchored HPD (shape <= 1). Both HPD solves run to rounding: against
-mpmath the interval's mass is within 1e-13 of the one asked for (5e-15 when
-left-anchored). SciPy is imported in one place only, on first use: the Beta
-marginals of a Dirichlet, from ``scipy.special``.
+The Gamma side (HPD intervals and densities) runs on NumPy and ``math``
+alone, on the special functions of ``mpdesign._special``. SciPy is imported
+in one place only, on first use: the Beta marginals of a Dirichlet, from
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -25,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import (
+    _MAX_NEWTON, _erfinv, _gamma_pdf, _gamma_quantile, _gammainc, _log_gamma_weight,
+)
 from .cost import CostModel, budget_rule
 from .distributions import DirichletParams, GammaParams
 
@@ -119,346 +118,6 @@ def naive_abundance_estimate(obs: FieldObservations) -> float:
     return obs.total_count / obs.total_area
 
 
-# Steps allowed in each Newton or Halley loop below. From their starting
-# points they converge in a handful: an HPD endpoint monotonically, in at
-# most 5 steps for t between 1e-14 and 1e6.
-_MAX_NEWTON = 100
-
-_EPS = 2.0**-53  # unit roundoff of a double
-
-# Coefficients of cephes ``lgam``, the log-gamma behind ``scipy.special.gammaln``:
-# a rational approximation on [2, 3] (B over monic C) and the Stirling
-# correction series in 1/x^2 (A).
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LGAM_B = (
-    -1.37825152569120859100e3,
-    -3.88016315134637840924e4,
-    -3.31612992738871184744e5,
-    -1.16237097492762307383e6,
-    -1.72173700820839662146e6,
-    -8.53555664245765465627e5,
-)
-_LGAM_C = (
-    -3.51815701436523470549e2,
-    -1.70642106651881159223e4,
-    -2.20528590553854454839e5,
-    -1.13933444367982507207e6,
-    -2.53252307177582951285e6,
-    -2.01889141433532773231e6,
-)
-_LOG_SQRT_2PI = 0.91893853320467274178
-
-
-def _lgamma_2_3(x: float) -> float:
-    """log Gamma(2 + x) for 0 <= x <= 1: cephes' rational approximation
-    x * B(x) / C(x), in its order of operations."""
-    num = _LGAM_B[0]
-    for c in _LGAM_B[1:]:
-        num = num * x + c
-    den = x + _LGAM_C[0]
-    for c in _LGAM_C[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _lgamma(x: float) -> float:
-    """log Gamma(x) for finite x > 0, bit-identical to ``scipy.special.gammaln``.
-
-    A line-by-line port of cephes ``lgam`` with the same branches and the same
-    order of floating-point operations: below 13, shift x into [2, 3) by the
-    recurrence and apply the rational approximation; above, Stirling's form
-    with the correction series (two terms from 1000 on, none above 1e8).
-    ``math.log`` is the C library ``log`` that cephes calls.
-    """
-    if x < 13.0:
-        z = 1.0
-        p = 0.0
-        u = x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        return math.log(z) + _lgamma_2_3(x)
-    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    s = _LGAM_A[0]
-    for c in _LGAM_A[1:]:
-        s = s * p + c
-    return q + s / x
-
-
-def _log1pmx(t: float) -> float:
-    """log(1 + t) - t for t > -1, to a few ulp also where it is tiny.
-
-    For |t| < 1/2 it uses log(1 + t) = 2 atanh(s) with s = t / (2 + t), so the
-    leading -t^2 / (2 + t) is formed directly instead of by cancellation.
-    """
-    if not -0.5 < t < 0.5:
-        return math.log1p(t) - t
-    s = t / (2.0 + t)
-    s2 = s * s
-    power, total, k = s2, 0.0, 3.0
-    while True:
-        term = power / k
-        total += term
-        if term <= _EPS * total:
-            return 2.0 * s * total - t * t / (2.0 + t)
-        power *= s2
-        k += 2.0
-
-
-def _log_gamma_weight(a: float, x: float) -> float:
-    """log(x^a e^-x / Gamma(a)) for a > 0 and x > 0.
-
-    For a >= 20 and x >= a / 2, this is a * log1pmx((x - a) / a) + log(a) / 2
-    - log(sqrt(2 pi)) minus the Stirling correction of lgamma(a); the direct
-    a * log(x) - x - lgamma(a) would lose about a * 1e-16 to cancellation.
-    Below a / 2 the weight is below exp(-a / 7), so that loss does not show.
-    """
-    if a < 20.0 or x < 0.5 * a:
-        return a * math.log(x) - x - _lgamma(a)
-    r = 1.0 / (a * a)
-    correction = (
-        ((((-691.0 / 360360.0 * r + 1.0 / 1188.0) * r - 1.0 / 1680.0) * r + 1.0 / 1260.0) * r
-         - 1.0 / 360.0) * r + 1.0 / 12.0
-    ) / a
-    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a) - _LOG_SQRT_2PI - correction
-
-
-def _gammainc(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0 and finite x >= 0.
-
-    Up to 8 standard deviations above the mean, x < a + 1 + 8 sqrt(a), it
-    sums the series P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a+1)...(a+n))
-    in one NumPy pass, to a tail below 1e-16 of the sum. Near the mean the
-    continued fraction would take O(sqrt(a)) Python-level steps instead, and
-    with the weight from ``_log_gamma_weight`` the series stays accurate
-    above the mean too. a is first rounded to the spacing of the doubles
-    near a + n, so that every a + k is exact: rounding a + k would bias all n
-    factors the same way, by up to n * 1e-16 in all. The rounding moves P by
-    at most about sqrt(a) * 5e-17. Further out, Q = 1 - P comes from the
-    Legendre continued fraction (modified Lentz), which converges there in a
-    few dozen steps. Against ``scipy.special.gammainc`` the absolute difference
-    stayed below 2e-14 on 20,000 random points with a up to 1e5 and x
-    within 8 standard deviations of a.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= a + 1.0 + 8.0 * math.sqrt(a):
-        tiny = 1e-300
-        b = x + 1.0 - a
-        c = 1.0 / tiny
-        d = 1.0 / b
-        h = d
-        i = 0
-        while True:
-            i += 1
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) <= _EPS:
-                return 1.0 - math.exp(_log_gamma_weight(a, x)) * h
-    # the terms peak near k = x - a and then fall by about e^-39 within
-    # sqrt(78 x + (x - a)^2) more
-    above = max(x - a, 0.0)
-    n = int(above + math.sqrt(78.0 * x + above * above)) + 16
-    while True:
-        step = math.ulp(a + n)
-        a_n = round(a / step) * step
-        # a_n + 1, ..., a_n + n, each exact
-        terms = np.multiply.accumulate(x / np.arange(a_n + 1.0, a_n + n + 0.5))
-        total = 1.0 + float(np.add.reduce(terms))
-        # past n the factors x / (a + k) keep falling, so the tail is geometric
-        r = x / (a_n + n + 1.0)
-        if terms[-1] * r <= _EPS * total * (1.0 - r):
-            return math.exp(_log_gamma_weight(a_n, x)) / a_n * total
-        n *= 2
-
-
-def _lgamma1p(a: float) -> float:
-    """log Gamma(1 + a) for 0 <= a <= 1, within 2.5e-16.
-
-    Gamma(1 + a) = Gamma(2 + a) / (1 + a). Evaluated at a itself rather
-    than at (1 + a) - 1, nothing of a small a is rounded away: for a up to
-    0.1 the relative error stayed below 4e-16 against mpmath, where
-    ``_lgamma(1 + a)`` is off by up to 1e-4 at a = 1e-12.
-    """
-    return _lgamma_2_3(a) - math.log1p(a)
-
-
-def _lower_tail(a: float, x: float) -> tuple[float, float]:
-    """(log P(a, x), d log P / d log x) for 0 < a <= 1 and 0 < x < a + 1.
-
-    The series P = x^a e^-x / Gamma(a + 1) * S, S = sum_n x^n / ((a+1)...(a+n)),
-    summed term by term. Unlike ``_gammainc`` it does not round a: each a + n
-    is rounded on its own, which costs less than an ulp of the sum over the
-    few terms that x < 1 needs, while rounding a itself would move a quantile
-    with a near 0 by thousands of ulp. The slope is a / S.
-    """
-    term = total = 1.0
-    n = 1.0
-    while True:
-        term *= x / (a + n)
-        total += term
-        if term <= _EPS * total:
-            break
-        n += 1.0
-    return a * math.log(x) - x - _lgamma1p(a) + math.log(total), a / total
-
-
-def _upper_fraction(a: float, x: float) -> float:
-    """h with Q(a, x) = x^a e^-x / Gamma(a) * h, for 0 < a <= 1 and x >= 1.1.
-
-    The Legendre continued fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a -
-    2 (2 - a) / ...)), evaluated backward from depth n = 128 / x + 4. Its
-    truncation error falls like exp(-4 sqrt(n x)): quadrupling the depth
-    moved h by less than 3e-16 relative on 20,000 points with x from 1.1 to
-    700. Evaluated backward the rounding errors do not build up: for x from
-    1.1 to 3, Q from it stayed within 1e-15 relative of mpmath, where the
-    forward (Lentz) form that ``_gammainc`` uses far above the mean was off
-    by up to 8e-15 after its 50-100 steps.
-    """
-    n = int(128.0 / x) + 4
-    f = x + (2 * n + 1) - a
-    for k in range(n, 0, -1):
-        f = x + (2 * k - 1) - a - k * (k - a) / f
-    return 1.0 / f
-
-
-def _upper_tail(a: float, x: float) -> tuple[float, float]:
-    """(log Q(a, x), d log Q / d log x) for 0 < a <= 1 and x > 0.
-
-    Below x = 1.1 Q comes from cephes ``igamc_series`` (DLMF 8.7.3), which
-    forms 1 - x^a / Gamma(a + 1) with ``expm1`` so that nothing cancels as x
-    goes to 0; above it from the continued fraction. The slope is
-    -x^a e^-x / (Gamma(a) Q).
-    """
-    log_xa = a * math.log(x)
-    log_gamma = _lgamma(a)
-    log_weight = log_xa - x - log_gamma
-    if x >= 1.1:
-        h = _upper_fraction(a, x)
-        return log_weight + math.log(h), -1.0 / h
-    fac = 1.0
-    total = 0.0
-    n = 1.0
-    while True:
-        fac *= -x / n
-        term = fac / (a + n)
-        total += term
-        if abs(term) <= _EPS * abs(total):
-            break
-        n += 1.0
-    q = -math.expm1(log_xa - _lgamma1p(a)) - math.exp(log_xa - log_gamma) * total
-    return math.log(q), -math.exp(log_weight) / q
-
-
-def _gamma_quantile(a: float, mass: float) -> float:
-    """x with P(a, x) = mass, for 0 < a <= 1 and 0 < mass < 1.
-
-    Halley's method in log x on the log of the tail that is at most 1/2: P
-    itself up to mass 1/2, Q = 1 - P (with 1 - mass exact) above. Both tails
-    have the same simple first and second derivatives in log x, so a step
-    costs one tail evaluation. It runs inside the bracket
-    (mass * Gamma(a + 1))^(1/a) <= x <= -log(1 - mass), since P(a, x) is
-    below x^a / Gamma(a + 1) and Gamma(a) lies stochastically below Exp(1);
-    a step that would leave the bracket bisects it in log x instead. The
-    lower tail starts from the bracket's lower end, which is the quantile's
-    limit as x goes to 0; the upper tail from near where its far-out form
-    x^(a - 1) e^-x / Gamma(a) equals 1 - mass. The loop ends after a step
-    below 2^-17 in log x, after which the cubic convergence leaves an error
-    far below an ulp. Two or three tail evaluations suffice for a from 0.05
-    to 1 and mass from 0.01 to 0.999, and P at the result is within 5e-15 of
-    ``mass``.
-    """
-    lo = math.exp((math.log(mass) + _lgamma1p(a)) / a)
-    hi = -math.log1p(-mass)
-    if lo == 0.0:  # the quantile underflows
-        return 0.0
-    lower = mass <= 0.5
-    if lower:
-        x, target, tail = lo, math.log(mass), _lower_tail
-    else:
-        # one fixed-point step from hi towards x^(a - 1) e^-x / Gamma(a) = 1 - mass
-        far = hi - _lgamma(a) + (a - 1.0) * math.log(hi)
-        x, target, tail = max(lo, min(far, hi)), math.log(1.0 - mass), _upper_tail
-    for _ in range(_MAX_NEWTON):
-        log_tail, slope = tail(a, x)
-        excess = log_tail - target
-        if excess == 0.0:
-            return x
-        if (excess < 0.0) == lower:
-            lo = x
-        else:
-            hi = x
-        step = excess / slope
-        # Halley: the second derivative of either log tail in log x is
-        # slope * (a - x - slope)
-        step /= 1.0 - 0.5 * step * (a - x - slope)
-        x_new = x * math.exp(-step)
-        if abs(step) <= 2.0**-17:
-            return x_new
-        if not lo < x_new < hi:
-            x_new = math.sqrt(lo) * math.sqrt(hi)
-        if x_new == x:
-            return x
-        x = x_new
-    raise RuntimeError(f"quantile search did not converge for shape {a} at mass {mass}")
-
-
-def _gamma_pdf(x, shape: float, rate: float):
-    """Gamma(shape, rate) density at ``x`` >= 0.
-
-    Takes the floating-point steps of ``scipy.stats.gamma.pdf``, so the values
-    are bit-identical to it without SciPy: exp(xlogy(shape - 1, y) - y -
-    gammaln(shape)) / scale with y = x / scale. ``xlogy`` is (shape - 1) times
-    the C library ``log`` of each point, called through ``math.log``
-    (NumPy's SIMD ``log`` differs from it in the last bit at some points),
-    and 0 when shape = 1; at y = 0 it is -inf for shape > 1 and +inf for
-    shape < 1. ``gammaln`` is ``_lgamma``.
-    """
-    scale = 1.0 / rate
-    y = np.asarray(x, dtype=float) / scale
-    if shape == 1.0:
-        xlogy = np.zeros(y.shape)
-    else:
-        flat = y.ravel()
-        logs = np.full(flat.shape, -math.inf)
-        nonzero = flat != 0.0
-        logs[nonzero] = list(map(math.log, flat[nonzero].tolist()))
-        xlogy = (shape - 1.0) * logs.reshape(y.shape)
-    return np.exp(xlogy - y - _lgamma(shape)) / scale
-
-
 def _mode_offset(t: float, w: float) -> float:
     """Solve expm1(w) - w = t (t > 0) by Newton's method from ``w``.
 
@@ -476,24 +135,6 @@ def _mode_offset(t: float, w: float) -> float:
         if abs(step) <= 4.0 * math.ulp(1.0 + abs(w)):
             return w
     raise RuntimeError(f"Newton search for expm1(w) - w = {t} did not converge")
-
-
-def _erfinv(y: float) -> float:
-    """erfinv(y) for 0 < y < 1.
-
-    Winitzki's closed form (relative error below 2e-3), then two Newton steps
-    on erf, or on erfc above 1/2 so that 1 - y does not cancel.
-    """
-    log_1m = math.log1p(-y) + math.log1p(y)  # log(1 - y^2)
-    c = 2.0 / (math.pi * 0.147) + 0.5 * log_1m
-    r = math.sqrt(math.sqrt(c * c - log_1m / 0.147) - c)
-    for _ in range(2):
-        slope = 2.0 / math.sqrt(math.pi) * math.exp(-r * r)
-        if y > 0.5:
-            r += (math.erfc(r) - (1.0 - y)) / slope
-        else:
-            r -= (math.erf(r) - y) / slope
-    return r
 
 
 def _level_offsets(t: float) -> tuple[float, float]:
@@ -602,7 +243,7 @@ def density_grid(params, grid, component: int | None = None) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(params, GammaParams):
-        bad = grid[grid < 0]
+        bad = grid[~(grid >= 0)]
         if bad.size:
             raise ValueError(f"grid point {bad[0]} outside support [0, inf)")
         return _gamma_pdf(grid, params.shape, params.rate)
@@ -611,7 +252,7 @@ def density_grid(params, grid, component: int | None = None) -> np.ndarray:
             raise ValueError("component index required for Dirichlet marginals")
         if not 0 <= component < params.k:
             raise ValueError(f"component {component} out of range for k={params.k}")
-        bad = grid[(grid < 0) | (grid > 1)]
+        bad = grid[~((grid >= 0) & (grid <= 1))]
         if bad.size:
             raise ValueError(f"grid point {bad[0]} outside support [0, 1]")
         gi = params.concentration[component]

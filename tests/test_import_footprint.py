@@ -17,7 +17,8 @@ breaks this fails here by name.
 OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
 command loads it except fig6, through SciPy. ``replicate`` fig1-fig4 load
-only the design path, not ``mpdesign.posterior``.
+only the design path, not ``mpdesign.posterior``. ``mpdesign._special`` loads
+no other ``mpdesign`` module and no SciPy.
 """
 
 import json
@@ -180,6 +181,17 @@ def test_replicate_fig6_loads_only_scipy_special(workdir):
     loaded = scipy_modules("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
     assert "scipy.special" in loaded
     assert not {"scipy.stats", "scipy.optimize"} & loaded
+
+
+def test_special_functions_are_a_leaf():
+    # the design path and fig6 can use them without loading mpdesign.posterior
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, mpdesign._special; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpdesign'))))"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["mpdesign", "mpdesign._special"]
 
 
 # The lazy package root, seen from a fresh interpreter: dir() before any

@@ -1,0 +1,110 @@
+"""The incomplete gamma pair of ``mpdesign._special`` against mpmath.
+
+``_gamma_tail`` computes one tail of P(a, x) + Q(a, x) = 1 and takes the
+other as 1 minus it; which one depends on where (a, x) lies relative to the
+branch points x = 1.1, a + 1 and a + 1 + 8 sqrt(a). The grid puts x on both
+sides of each, for a from 0.05 to 1e5.
+"""
+
+import math
+
+import mpmath
+import pytest
+
+from mpdesign._special import _fraction_depth, _gamma_tail
+
+A_GRID = (0.05, 0.3, 0.999, 1.0, 1.001, 2.5, 19.5, 20.0, 300.0, 2500.25, 1e4, 1e5)
+
+# Relative error of the log of a computed tail, of its size or of 1 when
+# that is smaller. Below a = 20 the log weight loses about a * 1e-16 to
+# cancellation, and above a = 1 the series rounds a, which moves P by up to
+# about sqrt(a) * 5e-17; both stay below 2.5e-14 on the grid.
+TOL = 5e-14
+
+
+def branch_neighbours(a):
+    xs = set()
+    for point in (1.1, a + 1.0, a + 1.0 + 8.0 * math.sqrt(a)):
+        for factor in (0.5, 0.9, 1.0 - 2.0**-20, 1.0, 1.0 + 2.0**-20, 1.1):
+            xs.add(point * factor)
+    return sorted(xs)
+
+
+def computed_directly(a, x, upper):
+    """Whether ``_gamma_tail`` computes the tail asked for, by its docstring."""
+    q_computed = x >= a + 1.0 + 8.0 * math.sqrt(a) or a <= 1.0 and (x >= 1.1 or upper)
+    return q_computed == upper
+
+
+def exact_tails(a, x):
+    """(P, Q, log(x^a e^-x / Gamma(a))) at the working precision. mpmath's
+    own series fails to converge on one side of the mean for large a, so
+    each tail comes from the side where it converges and the other is 1
+    minus it."""
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    log_weight = a * mpmath.log(x) - x - mpmath.loggamma(a)
+    if x > a:
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        return 1 - q, q, log_weight
+    p = mpmath.gammainc(a, 0, x, regularized=True)
+    return p, 1 - p, log_weight
+
+
+@pytest.mark.parametrize("a", A_GRID)
+def test_pair_matches_mpmath(a):
+    for x in branch_neighbours(a):
+        with mpmath.workdps(80):
+            p_exact, q_exact, log_weight = exact_tails(a, x)
+            for upper, tail_exact in ((False, p_exact), (True, q_exact)):
+                tail, log_tail, slope = _gamma_tail(a, x, upper)
+                log_exact = mpmath.log(tail_exact)
+                where = (a, x, "Q" if upper else "P")
+                if not (computed_directly(a, x, upper) or tail_exact >= 1 / 16):
+                    # 1 minus a tail near 1: accurate to what that tail is
+                    assert abs(tail - tail_exact) <= TOL, where
+                    continue
+                assert abs(log_tail - log_exact) <= TOL * max(1, abs(log_exact)), where
+                # the slope is +-exp(log weight - log tail), where it is normal
+                log_slope = log_weight - log_exact
+                if log_slope > math.log(1e-300):
+                    assert (slope < 0) == upper, where
+                    assert abs(math.log(abs(slope)) - log_slope) <= TOL * max(1, abs(log_slope)), where
+        p, q = _gamma_tail(a, x)[0], _gamma_tail(a, x, upper=True)[0]
+        assert abs(p + q - 1.0) <= 4 * math.ulp(1.0), (a, x)
+
+
+def test_upper_tail_is_zero_where_p_rounds_to_one():
+    # just below a + 1 + 8 sqrt(a) the series' rounding of a takes P to 1
+    a, x = 18777.52560158384, 19871.993968492938
+    tail, log_tail, _ = _gamma_tail(a, x)
+    assert (tail, log_tail) == (1.0, 0.0)
+    assert _gamma_tail(a, x, upper=True) == (0.0, -math.inf, -math.inf)
+
+
+def truncated_fraction(a, x, depth):
+    """h of the Legendre continued fraction for Q, cut at ``depth`` levels, in mpmath."""
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    f = x + (2 * depth + 1) - a
+    for k in range(depth, 0, -1):
+        f = x + (2 * k - 1) - a - k * (k - a) / f
+    return 1 / f
+
+
+def fraction_domain():
+    """Points where ``_gamma_tail`` evaluates the fraction, nearest its edges."""
+    for a in (1e-3, 0.05, 0.3, 0.7, 1.0):
+        for x in (1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 6.3, 6.5, 10.0, 30.0, 700.0, 1e5):
+            yield a, x
+    for a in (1.0 + 1e-7, 1.001, 1.5, 5.0, 19.9, 20.0, 1e3, 1e5, 1e8, 1e12):
+        edge = a + 1.0 + 8.0 * math.sqrt(a)
+        for factor in (1.0, 1.0 + 1e-9, 1.01, 1.5, 3.0):
+            yield a, edge * factor
+
+
+def test_fraction_depth_is_enough():
+    with mpmath.workdps(40):
+        for a, x in fraction_domain():
+            depth = _fraction_depth(x)
+            h = truncated_fraction(a, x, depth)
+            doubled = truncated_fraction(a, x, 2 * depth)
+            assert abs(doubled / h - 1) < 4e-16, (a, x, depth)
