@@ -33,17 +33,11 @@ _EXPORTS = {
     "GammaParams": "distributions",
     "dirichlet_cov_trace": "distributions",
     "dirichlet_multinomial_moments": "distributions",
-    "dirichlet_sample": "distributions",
-    "gamma_sample": "distributions",
-    "poisson_sample": "distributions",
     "predictive_log_pmf": "distributions",
-    "predictive_total_count": "distributions",
     "l1_expected": "loss",
     "l1_realized": "loss",
     "l2_expected": "loss",
     "l2_realized": "loss",
-    "mc_oracle_l1": "loss",
-    "mc_oracle_l2": "loss",
     "CategorizationCounts": "posterior",
     "FieldObservations": "posterior",
     "hpd_interval": "posterior",
@@ -52,7 +46,6 @@ _EXPORTS = {
     "synthesize_expected_data": "posterior",
     "update_abundance": "posterior",
     "update_composition": "posterior",
-    "RandomStream": "rng",
 }
 
 __version__ = "0.1.0"

@@ -78,8 +78,8 @@ class CostModel:
     ) -> "CostModel":
         """Build from a budget given in quadrant equivalents (c = 1/(B*A))."""
         b = float(budget)
-        if b <= 0:
-            raise ValueError("budget must be positive")
+        if not (b > 0 and math.isfinite(b)):
+            raise ValueError(f"budget must be positive and finite, got {b}")
         return cls(quadrant_area, 1.0 / (b * quadrant_area), count_ratio, categorize_ratio)
 
     @classmethod

@@ -364,8 +364,9 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> Performan
     if m not in feasible_designs(config.cost):
         raise ValueError(f"m={m} outside the feasible set")
     grid = np.asarray(abundance_grid, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("abundance grid must be nonnegative")
+    bad = grid[~(np.isfinite(grid) & (grid >= 0))]
+    if bad.size:
+        raise ValueError(f"abundance grid point {bad[0]} is not a finite number >= 0")
     area = m * config.cost.quadrant_area
     counts = np.floor(area * grid)
     q, n_bar = budget_rule(config.cost, area, counts)
@@ -390,20 +391,27 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     Axes: ``r2`` (categorize-ratio multipliers), ``budget`` (quadrant
     equivalents), ``prior-mode`` (abundance prior modes, shape fixed). Each
     value is optimized independently, so a row does not depend on the others
-    or on their order.
+    or on their order. Every value is checked before any is optimized; a
+    value that gives no valid configuration raises a ``ValueError`` that
+    names the axis and the value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(values)
+    values = [float(value) for value in values]
     if not values:
         raise ValueError("values must be nonempty")
-    rows = []
+    configs = []
     for value in values:
-        cfg = _apply_axis(base, axis, float(value))
+        try:
+            configs.append(_apply_axis(base, axis, value))
+        except ValueError as exc:
+            raise ValueError(f"{axis} value {value}: {exc}") from exc
+    rows = []
+    for value, cfg in zip(values, configs):
         result = optimize_design(cfg)
         rows.append(
             SweepRow(
-                axis, float(value), result.m_star, result.typical_n_bar,
+                axis, value, result.m_star, result.typical_n_bar,
                 result.budget_split["slack"],
             )
         )

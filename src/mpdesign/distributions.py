@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RandomStream
-
 __all__ = [
     "GammaParams",
     "DirichletParams",
-    "gamma_sample",
-    "poisson_sample",
-    "predictive_total_count",
     "predictive_log_pmf",
-    "dirichlet_sample",
     "dirichlet_cov_trace",
     "dirichlet_multinomial_moments",
 ]
@@ -61,8 +55,8 @@ class GammaParams:
         """Build from (shape, mode); requires shape > 1, rate = (shape-1)/mode."""
         if shape <= 1:
             raise ValueError("mode parametrization requires shape > 1")
-        if mode <= 0:
-            raise ValueError("mode must be positive")
+        if not (mode > 0 and math.isfinite(mode)):
+            raise ValueError(f"mode must be positive and finite, got {mode}")
         return cls(shape, (shape - 1.0) / mode)
 
 
@@ -97,33 +91,6 @@ class DirichletParams:
     @classmethod
     def symmetric(cls, k: int, value: float = 1.0) -> "DirichletParams":
         return cls((float(value),) * int(k))
-
-
-def gamma_sample(params: GammaParams, stream: RandomStream, size=None):
-    """Draw from Gamma(shape, rate) (rate parametrization)."""
-    g = stream.generator()
-    return g.gamma(params.shape, 1.0 / params.rate, size=size)
-
-
-def poisson_sample(mean, stream: RandomStream, size=None):
-    """Draw from Poisson(mean); mean = 0 yields 0."""
-    if np.any(np.asarray(mean) < 0):
-        raise ValueError("Poisson mean must be nonnegative")
-    g = stream.generator()
-    return g.poisson(mean, size=size)
-
-
-def predictive_total_count(prior: GammaParams, total_area: float, stream: RandomStream, size=None):
-    """Total-count draw(s) from the Poisson-Gamma (negative binomial) predictive.
-
-    Compound sampling: lambda ~ Gamma(prior), then N ~ Poisson(total_area * lambda).
-    ``total_area`` is the whole sampled area m*A in m^2.
-    """
-    if total_area < 0:
-        raise ValueError("total_area must be nonnegative")
-    g = stream.generator()
-    lam = g.gamma(prior.shape, 1.0 / prior.rate, size=size)
-    return g.poisson(total_area * lam)
 
 
 def predictive_log_pmf(prior: GammaParams, total_area: float, start: int, stop: int) -> np.ndarray:
@@ -169,12 +136,6 @@ def _log_pmf_from_steps(
     np.cumsum(ratio_steps + log_1mp, out=out[1:])
     out[1:] += first
     return out
-
-
-def dirichlet_sample(params: DirichletParams, stream: RandomStream, size=None):
-    """Draw proportion vector(s) from the Dirichlet; rows sum to 1."""
-    g = stream.generator()
-    return g.dirichlet(params.as_array(), size=size)
 
 
 def dirichlet_cov_trace(params: DirichletParams) -> float:

@@ -3,8 +3,7 @@
 Each loss is the ratio of posterior to prior variance (trace of the
 covariance for the composition vector), so smaller means more informative.
 The ``*_expected`` forms are closed-form prior expectations over the not yet
-observed data; the ``mc_oracle_*`` routines verify them by brute-force
-simulation and are kept deliberately independent of the closed forms.
+observed data.
 
 Expected losses always lie in (0, 1]; realized losses can exceed 1 for
 extreme data and are not clamped.
@@ -14,16 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import DirichletParams, GammaParams, predictive_total_count
-from .rng import RandomStream
+from .distributions import DirichletParams, GammaParams
 
 __all__ = [
     "l1_realized",
     "l1_expected",
     "l2_realized",
     "l2_expected",
-    "mc_oracle_l1",
-    "mc_oracle_l2",
 ]
 
 
@@ -82,42 +78,3 @@ def l2_expected(n_bar, prior: DirichletParams):
     g0 = prior.total
     out = (g0 + 1.0 - nb / (g0 + nb)) / (g0 + 1.0 + nb)
     return float(out) if np.ndim(n_bar) == 0 else out
-
-
-def mc_oracle_l1(m: int, prior: GammaParams, quadrant_area: float, draws: int, stream: RandomStream):
-    """Monte Carlo estimate (value, se) of the expected abundance loss.
-
-    Averages the realized loss over predictive total-count draws; independent
-    check of the closed form in :func:`l1_expected`.
-    """
-    if draws < 1000:
-        raise ValueError("draws must be at least 1000")
-    if m == 0:
-        return 1.0, 0.0
-    counts = predictive_total_count(prior, m * quadrant_area, stream, size=draws)
-    a, b = prior.shape, prior.rate
-    vals = (b**2 / a) * (a + counts) / (b + m * quadrant_area) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
-
-
-def mc_oracle_l2(n_bar: int, prior: DirichletParams, draws: int, stream: RandomStream):
-    """Monte Carlo estimate (value, se) of the expected composition loss.
-
-    Simulates p ~ Dirichlet(prior), s ~ Multinomial(n_bar, p) and averages the
-    realized trace ratio; independent check of :func:`l2_expected`.
-    """
-    if draws < 1000:
-        raise ValueError("draws must be at least 1000")
-    if n_bar < 0:
-        raise ValueError("n_bar must be nonnegative")
-    if n_bar == 0:
-        return 1.0, 0.0
-    g = stream.generator()
-    probs = g.dirichlet(prior.as_array(), size=draws)
-    counts = g.multinomial(n_bar, probs)
-    gamma = prior.as_array()
-    g0 = prior.total
-    d = 1.0 - np.sum((gamma / g0) ** 2)
-    post = (gamma + counts) / (g0 + n_bar)
-    vals = (1.0 + g0) / (d * (1.0 + g0 + n_bar)) * (1.0 - np.sum(post**2, axis=1))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))

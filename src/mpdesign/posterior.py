@@ -61,6 +61,8 @@ class FieldObservations:
     def evenly_spread(cls, quadrant_area: float, m: int, total: int) -> "FieldObservations":
         """``total`` particles over ``m`` quadrants, as evenly as possible
         (the first total mod m quadrants get one more)."""
+        if m < 1:
+            raise ValueError(f"m must be at least 1 quadrant, got {m}")
         base, extra = divmod(total, m)
         return cls(quadrant_area, tuple(base + 1 if j < extra else base for j in range(m)))
 

@@ -21,14 +21,11 @@ from mpdesign import (
     DirichletParams,
     FieldObservations,
     GammaParams,
-    RandomStream,
     categorization_fraction,
     dirichlet_multinomial_moments,
     hpd_interval,
     l1_expected,
     l2_expected,
-    mc_oracle_l1,
-    mc_oracle_l2,
     optimize_design,
     performance_curve,
     sensitivity_sweep,
@@ -37,6 +34,7 @@ from mpdesign import (
 )
 from mpdesign.cli import main
 from mpdesign.design import default_abundance_grid
+from oracles import RandomStream, mc_oracle_l1, mc_oracle_l2
 from conftest import (
     ACCEPTANCE_LINES,
     BASELINE_COST,

@@ -339,6 +339,16 @@ class TestSensitivityCommand:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_nonfinite_prior_mode_rejected_by_name(self, runner, config_path):
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "sensitivity", "--axis", "prior-mode", "--values", "inf"],
+        )
+        assert result.exit_code == 1
+        assert "prior-mode value inf: mode must be positive and finite" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_axis_choices_are_the_sweep_axes(self):
         # the CLI writes its own copy so that --help loads no design module
         assert option_choices("sensitivity", "axis") == SWEEP_AXES

@@ -12,7 +12,6 @@ from mpdesign import (
     DesignConfig,
     DirichletParams,
     GammaParams,
-    RandomStream,
     categorization_fraction,
     expected_total_loss,
     l1_expected,
@@ -21,7 +20,6 @@ from mpdesign import (
     optimize_design,
     performance_curve,
     predictive_l2,
-    predictive_total_count,
     sensitivity_sweep,
 )
 from mpdesign.design import (
@@ -31,6 +29,7 @@ from mpdesign.design import (
     _first_chunk,
     default_abundance_grid,
 )
+from oracles import RandomStream, predictive_total_count
 from conftest import baseline_config
 
 
@@ -174,6 +173,11 @@ class TestPerformanceCurve:
         with pytest.raises(ValueError):
             performance_curve(13, [100.0], low_config)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_grid_point_named(self, low_config, bad):
+        with pytest.raises(ValueError, match=f"grid point {bad} is not a finite number >= 0"):
+            performance_curve(7, [1.0, bad], low_config)
+
 
 class TestSensitivitySweep:
     def test_prohibitive_categorization_cost(self):
@@ -218,6 +222,15 @@ class TestSensitivitySweep:
     def test_empty_values(self):
         with pytest.raises(ValueError):
             sensitivity_sweep(baseline_config(), "r2", [])
+
+    @pytest.mark.parametrize(
+        "axis,value",
+        [("budget", math.inf), ("prior-mode", math.nan), ("prior-mode", math.inf),
+         ("r2", math.inf)],
+    )
+    def test_bad_value_named(self, axis, value):
+        with pytest.raises(ValueError, match=f"^{axis} value {value}: "):
+            sensitivity_sweep(baseline_config(), axis, [8.0, value])
 
 
 class TestDesignConfig:

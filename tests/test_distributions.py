@@ -7,13 +7,15 @@ from scipy import stats
 from mpdesign import (
     DirichletParams,
     GammaParams,
-    RandomStream,
     dirichlet_cov_trace,
     dirichlet_multinomial_moments,
+    predictive_log_pmf,
+)
+from oracles import (
+    RandomStream,
     dirichlet_sample,
     gamma_sample,
     poisson_sample,
-    predictive_log_pmf,
     predictive_total_count,
 )
 from conftest import dirichlet_cov_matrix, dirichlet_multinomial_enumeration

@@ -2,10 +2,13 @@
 
 The package root and the command line import lazily: ``import mpdesign``,
 ``--help`` and a command's ``--help`` load neither NumPy nor any
-``mpdesign`` submodule but ``mpdesign.cli``, and each command loads only
+``mpdesign`` submodule but ``mpdesign.cli``, and each command loads exactly
 the modules it runs. The design commands (``design``, ``curves``,
-``sensitivity``) never load ``mpdesign.posterior``, and no command but
-``replicate`` loads ``mpdesign.replicate``.
+``sensitivity``) load the CLI, ``config``, ``io`` and the design path
+(``design``, ``cost``, ``loss``, ``distributions``); ``posterior`` adds
+``posterior`` and ``_special``, and ``replicate`` fig1 adds ``replicate``.
+No command loads a random number generator of the package's own: it has
+none, and the Monte Carlo oracles live in ``tests/oracles.py``.
 
 SciPy's import costs several times a whole run. Importing the package,
 ``--help``, the design commands, ``replicate`` fig5 and ``posterior`` must
@@ -133,21 +136,36 @@ def test_nothing_but_cli_before_a_command_runs(args, workdir):
     assert {m for m in loaded if m == "numpy" or m.startswith("mpdesign.")} == {"mpdesign.cli"}
 
 
+# the modules every command loads: the CLI, its config and output layers and
+# the design path that they import
+COMMAND_MODULES = {
+    "mpdesign",
+    "mpdesign.cli",
+    "mpdesign.config",
+    "mpdesign.cost",
+    "mpdesign.design",
+    "mpdesign.distributions",
+    "mpdesign.io",
+    "mpdesign.loss",
+}
+
+
 @pytest.mark.parametrize(
-    "args, absent",
+    "args, extra",
     [
-        (("design",), {"mpdesign.posterior", "mpdesign.replicate"}),
-        (("curves", "--m", "3"), {"mpdesign.posterior", "mpdesign.replicate"}),
-        (("sensitivity", "--axis", "r2", "--values", "1,2"),
-         {"mpdesign.posterior", "mpdesign.replicate"}),
-        (("posterior", "--data", "campaign.csv"), {"mpdesign.replicate"}),
+        (("--config", "config.json", "design"), set()),
+        (("--config", "config.json", "curves", "--m", "3"), set()),
+        (("--config", "config.json", "sensitivity", "--axis", "r2", "--values", "1,2"), set()),
+        (("--config", "config.json", "posterior", "--data", "campaign.csv"),
+         {"mpdesign._special", "mpdesign.posterior"}),
+        (("replicate", "--figure", "fig1", "--out-dir", "out"), {"mpdesign.replicate"}),
     ],
-    ids=["design", "curves", "sensitivity", "posterior"],
+    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1"],
 )
-def test_command_loads_only_what_it_runs(args, absent, workdir):
-    loaded = loaded_modules("--config", "config.json", *args, cwd=workdir)
+def test_command_loads_only_what_it_runs(args, extra, workdir):
+    loaded = loaded_modules(*args, cwd=workdir)
     assert "numpy" in loaded  # the command did run
-    assert not absent & loaded
+    assert {m for m in loaded if m.split(".")[0] == "mpdesign"} == COMMAND_MODULES | extra
 
 
 @pytest.mark.parametrize(
@@ -195,10 +213,12 @@ def test_special_functions_are_a_leaf():
 
 
 # The lazy package root, seen from a fresh interpreter: dir() before any
-# access, then every public name, the star import and an unknown name.
+# access, then every public name, the star import, an unknown name and the
+# Monte Carlo names that moved to tests/oracles.py.
 PUBLIC_API_CHILD = """
 import sys
 import mpdesign
+assert len(mpdesign.__all__) == 31, len(mpdesign.__all__)
 assert set(mpdesign.__all__) <= set(dir(mpdesign)), set(mpdesign.__all__) - set(dir(mpdesign))
 assert "__all__" in dir(mpdesign)
 namespace = {}
@@ -215,6 +235,14 @@ except AttributeError as exc:
     assert "no_such_name" in str(exc), exc
 else:
     raise AssertionError("mpdesign.no_such_name resolved")
+for name in ("RandomStream", "gamma_sample", "poisson_sample", "predictive_total_count",
+             "dirichlet_sample", "mc_oracle_l1", "mc_oracle_l2"):
+    try:
+        getattr(mpdesign, name)
+    except AttributeError as exc:
+        assert name in str(exc), exc
+    else:
+        raise AssertionError(f"mpdesign.{name} resolved")
 """
 
 

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from mpdesign import (
     DirichletParams,
     GammaParams,
-    RandomStream,
     l1_expected,
     l1_realized,
     l2_expected,
     l2_realized,
-    mc_oracle_l1,
-    mc_oracle_l2,
 )
+from oracles import RandomStream, mc_oracle_l1, mc_oracle_l2
 from conftest import dirichlet_cov_matrix
 
 LOW_PRIOR = GammaParams(3.0, 0.01)

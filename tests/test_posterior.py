@@ -155,6 +155,11 @@ class TestEvenlySpread:
         assert max(obs.counts) - min(obs.counts) <= 1
         assert list(obs.counts) == sorted(obs.counts, reverse=True)
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_no_quadrants_named(self, m):
+        with pytest.raises(ValueError, match=f"m must be at least 1 quadrant, got {m}"):
+            FieldObservations.evenly_spread(A, m, 5)
+
 
 class TestHpdInterval:
     def test_exponential_left_anchored(self):

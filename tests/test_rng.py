@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mpdesign import GammaParams, RandomStream, gamma_sample
+from mpdesign import GammaParams
+from oracles import RandomStream, gamma_sample
 
 
 def test_same_seed_and_label_bit_identical():
