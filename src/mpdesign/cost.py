@@ -144,14 +144,36 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     n = np.asarray(counts, dtype=np.float64)
     if total_area < 0 or np.any(n < 0):
         raise ValueError("invalid design point")
-    raw = (cost.budget_area - (total_area + n * cost.count_ratio)) / (
-        cost.categorize_ratio * np.maximum(n, 1.0)
+    q = np.multiply(n, cost.count_ratio, out=np.empty_like(n))  # n*r1, then q over it
+    n_bar = _categorized(
+        cost, total_area, n, q, cost.categorize_ratio * np.maximum(n, 1.0), q, np.empty_like(n)
     )
-    q = np.where(n > 0.0, np.minimum(np.maximum(raw, 0.0), 1.0), 1.0)
-    n_bar = np.floor(n * q)
+    q = np.where(n > 0.0, q, 1.0)
     if np.ndim(counts) == 0:
         return float(q), int(n_bar)
     return q, n_bar
+
+
+def _categorized(
+    cost: CostModel, total_area: float, n, count_cost, categorize_cost, q, n_bar=None
+):
+    """The budget rule in place, from the products that no design changes.
+
+    ``count_cost`` is n*r1 and ``categorize_cost`` is r2*max(n, 1). Writes
+    q = min(max((1/c - (mA + n*r1)) / (r2*max(n, 1)), 0), 1) into ``q``,
+    then n_bar = floor(n*q) into ``n_bar`` (by default over ``q``), and
+    returns ``n_bar``. At n = 0 this q is not the rule's 1, but n_bar = 0
+    either way.
+    """
+    if n_bar is None:
+        n_bar = q
+    np.add(count_cost, total_area, out=q)
+    np.subtract(cost.budget_area, q, out=q)
+    np.divide(q, categorize_cost, out=q)
+    np.maximum(q, 0.0, out=q)
+    np.minimum(q, 1.0, out=q)
+    np.multiply(n, q, out=n_bar)
+    return np.floor(n_bar, out=n_bar)
 
 
 def feasible_designs(cost: CostModel) -> range:

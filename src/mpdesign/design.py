@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .cost import CostModel, budget_rule, feasible_designs
+from .cost import CostModel, _categorized, budget_rule, feasible_designs
 from .distributions import (
     DirichletParams,
     GammaParams,
@@ -94,7 +94,6 @@ class DesignCurveRow:
     e_l2_se: float  # truncated tail mass: bounds |error| of e_l2_star
     l_star: float
     l_star_se: float  # (1 - w) * e_l2_se
-    median_count: int  # predictive-median total count, used for "typical" summaries
 
 
 @dataclass(frozen=True)
@@ -191,15 +190,18 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
     Sums P(N = n) * (1 - L2*(n)) in chunks of at most ``_MAX_CHUNK`` counts
     until the tail bound falls below ``TAIL_MASS`` or counting alone exhausts
     the budget (after which every term is zero), so memory stays bounded for
-    any prior. The median is read from the cumulative pmf; when it lies past
-    the summed range, the pmf walk continues to it, in time proportional to
-    the median. Priors whose predictive mean count exceeds ``MAX_MEAN_COUNT``
-    are rejected rather than walked. Called alone, it builds the per-count
-    arrays for its own first chunk; :func:`optimize_design` shares one set
-    across the curve, with identical results.
+    any prior. The median is read from the cumulative pmf over the same
+    chunks; when it lies past the summed range, that walk continues to it, in
+    time proportional to the median. Priors whose predictive mean count
+    exceeds ``MAX_MEAN_COUNT`` are rejected rather than walked. Called alone,
+    it builds the per-count arrays for its own first chunk;
+    :func:`optimize_design` shares one set across the curve, and reads the
+    median at m* alone, with identical results.
     """
     size = _first_chunk(m, config)
-    return _predictive_l2(m, config, size, _count_tables(config, size))
+    tables = _count_tables(config, size)
+    e_l2, tail, terms = _expected_l2(m, config, size, tables)
+    return PredictiveL2(e_l2, tail, _predictive_median(m, config, size, tables), terms)
 
 
 def _first_chunk(m: int, config: DesignConfig) -> int:
@@ -228,66 +230,93 @@ def _count_tables(config: DesignConfig, size: int):
     """The per-count arrays over n = 0 .. size - 1 that no design point changes.
 
     Returns the counts as floats, the pmf's log ratio steps (index n - 1
-    holds the step into n) and the gain weights 1 - L2*(n). A design point
-    slices them for every chunk that ends below ``size``.
+    holds the step into n), the gain weights 1 - L2*(n), and the budget
+    rule's products n*r1 and r2*max(n, 1). A design point slices them for
+    every chunk that ends below ``size``.
     """
+    cost = config.cost
     counts = np.arange(size, dtype=np.float64)
     steps = _ratio_steps(config.abundance_prior.shape, 1, size)
     gains = 1.0 - l2_expected(counts, config.composition_prior)
-    return counts, steps, gains
+    count_cost = counts * cost.count_ratio
+    categorize_cost = np.maximum(counts, 1.0)
+    categorize_cost *= cost.categorize_ratio
+    return counts, steps, gains, count_cost, categorize_cost
 
 
-def _predictive_l2(m: int, config: DesignConfig, size: int, tables) -> PredictiveL2:
-    """:func:`predictive_l2` with first chunk ``size`` (:func:`_first_chunk`),
-    reading every chunk below the tables' length from ``tables`` (see
-    :func:`_count_tables`); a chunk that reaches past them is computed on its
-    own."""
-    if m == 0:
-        return PredictiveL2(1.0, 0.0, 0, 0)
-    counts, steps, gains = tables
-    shared = len(counts)
-    prior, cost = config.abundance_prior, config.cost
-    area = m * cost.quadrant_area
-    a = prior.shape
-    one_minus_p = area / (prior.rate + area)
+def _table_n_bar(cost: CostModel, area: float, tables, lo: int, hi: int):
+    """n_bar of :func:`budget_rule` for n = lo .. hi - 1, as indices, from the
+    budget rule's products in ``tables`` (hi <= their length)."""
+    counts, _, _, count_cost, categorize_cost = tables
+    return _categorized(
+        cost, area, counts[lo:hi], count_cost[lo:hi], categorize_cost[lo:hi],
+        np.empty(hi - lo),
+    ).astype(np.intp)
 
-    gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
-    tail = math.inf
-    terms = 0
-    mass = 0.0  # P(N < lo)
-    median = None
+
+def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
+    """The predictive pmf of N at m > 0, chunk by chunk: yields ``(lo, pmf)``
+    with pmf[i] = P(N = lo + i). The first chunk holds ``size`` counts
+    (:func:`_first_chunk`), each later one as many as all before it, up to
+    ``_MAX_CHUNK``. A chunk inside ``tables`` slices its ratio steps; one that
+    reaches past them is computed on its own."""
+    counts, steps = tables[:2]
+    prior = config.abundance_prior
+    area = m * config.cost.quadrant_area
     lo = 0
     while True:
         hi = lo + size
-        inside = hi <= shared
-        if inside:
-            pmf = np.exp(_log_pmf_from_steps(prior, area, lo, steps[lo:hi - 1]))
+        if hi <= len(counts):
+            log_pmf = _log_pmf_from_steps(prior, area, lo, steps[lo:hi - 1])
         else:
-            pmf = np.exp(predictive_log_pmf(prior, area, lo, hi))
-        top = hi - 1
-        if tail >= TAIL_MASS:
-            if inside:  # n_bar <= n < shared, so the weights are a gather
-                n_bar = budget_rule(cost, area, counts[lo:hi])[1]
-                weights = gains[n_bar.astype(np.intp)]
-            else:
-                n_bar = budget_rule(cost, area, np.arange(lo, hi))[1]
-                weights = 1.0 - l2_expected(n_bar, config.composition_prior)
-            gain += float(np.dot(pmf, weights))
-            terms += size
-            if cost.budget_area - (area + top * cost.count_ratio) <= 0.0:
-                tail = 0.0  # same test as the budget rule: q = 0 from here on
-            else:
-                tail = _tail_bound(float(pmf[-1]), top, a, one_minus_p)
-        if median is None:
-            cdf = mass + np.cumsum(pmf)
-            idx = int(np.searchsorted(cdf, 0.5))
-            if idx < size:
-                median = lo + idx
-            mass = float(cdf[-1])
-        if tail < TAIL_MASS and median is not None:
-            return PredictiveL2(1.0 - gain, tail, median, terms)
+            log_pmf = predictive_log_pmf(prior, area, lo, hi)
+        yield lo, np.exp(log_pmf, out=log_pmf)
         lo = hi
         size = min(lo, _MAX_CHUNK)
+
+
+def _expected_l2(m: int, config: DesignConfig, size: int, tables):
+    """``(e_l2, tail, terms)`` of :func:`predictive_l2`, without the median:
+    the sum stops at the tail bound."""
+    if m == 0:
+        return 1.0, 0.0, 0
+    counts, _, gains = tables[:3]
+    prior, cost = config.abundance_prior, config.cost
+    area = m * cost.quadrant_area
+    one_minus_p = area / (prior.rate + area)
+
+    gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
+    terms = 0
+    for lo, pmf in _pmf_chunks(m, config, size, tables):
+        hi = lo + len(pmf)
+        if hi <= len(counts):  # n_bar <= n < len(counts), so the weights are a gather
+            weights = gains[_table_n_bar(cost, area, tables, lo, hi)]
+        else:
+            n_bar = budget_rule(cost, area, np.arange(lo, hi, dtype=np.float64))[1]
+            weights = 1.0 - l2_expected(n_bar, config.composition_prior)
+        gain += float(np.dot(pmf, weights))
+        terms += hi - lo
+        top = hi - 1
+        if cost.budget_area - (area + top * cost.count_ratio) <= 0.0:
+            return 1.0 - gain, 0.0, terms  # same test as the budget rule: q = 0 from here on
+        tail = _tail_bound(float(pmf[-1]), top, prior.shape, one_minus_p)
+        if tail < TAIL_MASS:
+            return 1.0 - gain, tail, terms
+
+
+def _predictive_median(m: int, config: DesignConfig, size: int, tables) -> int:
+    """Predictive median of N at m, the first n with P(N <= n) >= 1/2, read
+    from the cumulative pmf over the chunks of :func:`_expected_l2`. It walks
+    on past the budget-exhaustion count when the median lies there."""
+    if m == 0:
+        return 0
+    mass = 0.0  # P(N < lo)
+    for lo, pmf in _pmf_chunks(m, config, size, tables):
+        cdf = mass + np.cumsum(pmf)
+        idx = int(np.searchsorted(cdf, 0.5))
+        if idx < len(pmf):
+            return lo + idx
+        mass = float(cdf[-1])
 
 
 def expected_total_loss(m: int, config: DesignConfig):
@@ -298,22 +327,23 @@ def expected_total_loss(m: int, config: DesignConfig):
     """
     if m not in feasible_designs(config.cost):
         raise ValueError(f"m={m} outside the feasible set {feasible_designs(config.cost)}")
-    row = _curve_row(m, config, predictive_l2(m, config))
+    size = _first_chunk(m, config)
+    e_l2, tail, _ = _expected_l2(m, config, size, _count_tables(config, size))
+    row = _curve_row(m, config, e_l2, tail)
     return row.l_star, row.l_star_se
 
 
-def _curve_row(m: int, config: DesignConfig, l2: PredictiveL2) -> DesignCurveRow:
+def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> DesignCurveRow:
     w = L1_WEIGHT
     l1 = l1_expected(m, config.abundance_prior, config.cost.quadrant_area)
     return DesignCurveRow(
         m=m,
         area=m * config.cost.quadrant_area,
         l1_star=l1,
-        e_l2_star=l2.e_l2,
-        e_l2_se=l2.tail,
-        l_star=w * l1 + (1.0 - w) * l2.e_l2,
-        l_star_se=(1.0 - w) * l2.tail,
-        median_count=l2.median_count,
+        e_l2_star=e_l2,
+        e_l2_se=tail,
+        l_star=w * l1 + (1.0 - w) * e_l2,
+        l_star_se=(1.0 - w) * tail,
     )
 
 
@@ -322,7 +352,8 @@ def optimize_design(config: DesignConfig) -> DesignResult:
 
     Ties break toward smaller m (the cheaper field campaign). The per-count
     arrays are built once, as long as the largest first chunk, and every
-    design point slices them.
+    design point slices them. Only m* reads the predictive median, for the
+    typical-count summary.
     """
     feasible = feasible_designs(config.cost)
     if len(feasible) == 0:
@@ -330,12 +361,14 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     sizes = [_first_chunk(m, config) for m in feasible]
     tables = _count_tables(config, max(sizes))
     curve = DesignCurve(tuple(
-        _curve_row(m, config, _predictive_l2(m, config, size, tables))
+        _curve_row(m, config, *_expected_l2(m, config, size, tables)[:2])
         for m, size in zip(feasible, sizes)
     ))
-    optimal = curve.rows[int(np.argmin(curve.column("l_star")))]
+    best = int(np.argmin(curve.column("l_star")))
+    optimal = curve.rows[best]
     m_star = int(optimal.m)
-    cost, area, n = config.cost, optimal.area, optimal.median_count
+    cost, area = config.cost, optimal.area
+    n = _predictive_median(m_star, config, sizes[best], tables)
     _, n_bar = budget_rule(cost, area, n)
     c = cost.budget_coefficient
     split = {

@@ -11,6 +11,8 @@ extreme data and are not clamped.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .distributions import DirichletParams, GammaParams
@@ -23,12 +25,18 @@ __all__ = [
 ]
 
 
+def _check_area(quadrant_area: float) -> None:
+    if not (quadrant_area > 0 and math.isfinite(quadrant_area)):
+        raise ValueError(f"quadrant_area must be positive and finite, got {quadrant_area!r}")
+
+
 def l1_realized(m: int, total_count: int, prior: GammaParams, quadrant_area: float) -> float:
     """Posterior/prior variance ratio for the abundance rate given n counts.
 
     (rate^2/shape) * (shape + n) / (rate + m*A)^2.
     """
-    if m < 0 or total_count < 0 or quadrant_area <= 0:
+    _check_area(quadrant_area)
+    if m < 0 or total_count < 0:
         raise ValueError("invalid inputs")
     a, b = prior.shape, prior.rate
     return (b**2 / a) * (a + total_count) / (b + m * quadrant_area) ** 2
@@ -36,7 +44,8 @@ def l1_realized(m: int, total_count: int, prior: GammaParams, quadrant_area: flo
 
 def l1_expected(m: int, prior: GammaParams, quadrant_area: float) -> float:
     """Prior-expected abundance variance reduction: 1 / (1 + m*A/rate)."""
-    if m < 0 or quadrant_area <= 0:
+    _check_area(quadrant_area)
+    if m < 0:
         raise ValueError("invalid inputs")
     return 1.0 / (1.0 + m * quadrant_area / prior.rate)
 

@@ -48,8 +48,10 @@ class FieldObservations:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.quadrant_area <= 0:
-            raise ValueError("quadrant_area must be positive")
+        if not (self.quadrant_area > 0 and math.isfinite(self.quadrant_area)):
+            raise ValueError(
+                f"quadrant_area must be positive and finite, got {self.quadrant_area!r}"
+            )
         counts = tuple(int(c) for c in self.counts)
         if len(counts) < 1:
             raise ValueError("need at least one quadrant")

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mpdesign import (
@@ -12,6 +14,7 @@ from mpdesign import (
     DesignConfig,
     DirichletParams,
     GammaParams,
+    budget_rule,
     categorization_fraction,
     expected_total_loss,
     l1_expected,
@@ -22,11 +25,14 @@ from mpdesign import (
     predictive_l2,
     sensitivity_sweep,
 )
+from mpdesign import design
 from mpdesign.design import (
     MAX_MEAN_COUNT,
     TAIL_MASS,
     _MAX_CHUNK,
+    _count_tables,
     _first_chunk,
+    _table_n_bar,
     default_abundance_grid,
 )
 from oracles import RandomStream, predictive_total_count
@@ -75,7 +81,7 @@ class TestOptimizeDesign:
         config = baseline_config(**kwargs)
         result = optimize_design(config)
         row = result.optimal_row
-        cost, n = config.cost, row.median_count
+        cost, n = config.cost, predictive_l2(result.m_star, config).median_count
         q = categorization_fraction(cost, row.area, n)
         n_bar = math.floor(n * q)
         c = cost.budget_coefficient
@@ -363,12 +369,12 @@ class TestSharedCountArrays:
         ids=["baseline-high", "capped-chunk", "shape-below-one", "no-count-cost"],
     )
     def test_rows_equal_points_computed_alone(self, config):
-        rows = optimize_design(config).curve.rows
-        for row in rows:
+        result = optimize_design(config)
+        assert result.typical_n == predictive_l2(result.m_star, config).median_count
+        for row in result.curve.rows:
             alone = predictive_l2(row.m, config)
             assert row.e_l2_star == alone.e_l2, row.m
             assert row.e_l2_se == alone.tail, row.m
-            assert row.median_count == alone.median_count, row.m
             l1 = l1_expected(row.m, config.abundance_prior, config.cost.quadrant_area)
             assert row.l1_star == l1, row.m
             assert (row.l_star, row.l_star_se) == expected_total_loss(row.m, config), row.m
@@ -379,6 +385,68 @@ class TestSharedCountArrays:
         capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0)
         assert _first_chunk(1, capped) == _MAX_CHUNK
         assert predictive_l2(1, capped).terms > _MAX_CHUNK
+
+    @given(
+        budget=st.floats(1.0, 40.0),
+        r1=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+        r2=st.floats(1e-4, 1.0),
+        size=st.integers(1, 3000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_path_is_the_budget_rule(self, budget, r1, r2, size, data):
+        cost = CostModel.from_budget_quadrants(0.0625, budget, r1, r2)
+        config = DesignConfig(GammaParams(3.0, 0.01), DirichletParams.symmetric(10, 1.0), cost)
+        lo = data.draw(st.one_of(st.just(0), st.integers(0, size - 1)), label="lo")
+        hi = data.draw(st.integers(lo + 1, size), label="hi")
+        # a sampled area, or one at which counting alone exhausts the budget
+        # exactly at a count inside the chunk or at the chunk's last count
+        edge = data.draw(st.one_of(st.integers(lo, hi - 1), st.just(hi - 1)), label="edge")
+        area = data.draw(
+            st.one_of(
+                st.integers(0, cost.max_quadrants).map(lambda m: m * cost.quadrant_area),
+                st.just(cost.budget_area - edge * r1),
+                st.just(cost.budget_area),
+            ),
+            label="area",
+        )
+        assume(area >= 0.0)
+        got = _table_n_bar(cost, area, _count_tables(config, size), lo, hi)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, budget_rule(cost, area, np.arange(lo, hi))[1])
+
+    @pytest.mark.parametrize(
+        "config,walks_past_first_chunk",
+        [
+            (_config(GammaParams.from_mode(3.0, 800.0)), False),
+            (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0), False),
+            (_config(GammaParams(0.8, 0.8 / 200.0)), False),
+            (_config(GammaParams.from_mode(3.0, 200.0), count_ratio=0.0), False),
+            # m* = 12 spends the whole budget on sampling: the first chunk
+            # holds 2 counts and the median lies chunks beyond it
+            (baseline_config(r2=3.0), True),
+        ],
+        ids=["baseline-high", "capped-chunk", "shape-below-one", "no-count-cost", "r2x1000"],
+    )
+    def test_typical_n_is_the_predictive_median(self, config, walks_past_first_chunk):
+        result = optimize_design(config)
+        a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        area = result.m_star * config.cost.quadrant_area
+        assert result.typical_n == int(stats.nbinom(a, b / (b + area)).median())
+        past = result.typical_n >= _first_chunk(result.m_star, config)
+        assert past == walks_past_first_chunk
+
+    def test_median_walked_once_at_m_star(self, monkeypatch):
+        calls = []
+        walk = design._predictive_median
+
+        def counted(m, *args):
+            calls.append(m)
+            return walk(m, *args)
+
+        monkeypatch.setattr(design, "_predictive_median", counted)
+        result = optimize_design(_config(GammaParams.from_mode(3.0, 800.0)))
+        assert calls == [result.m_star]
 
     def test_memory_does_not_grow_with_the_prior(self):
         peaks = []

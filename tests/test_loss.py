@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,15 @@ class TestL1Expected:
         for m in (1, 4, 9):
             expected = 1.0 / (1.0 + m * A * LOW_PRIOR.variance() / LOW_PRIOR.mean())
             assert l1_expected(m, LOW_PRIOR, A) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_quadrant_area_named(area):
+    message = f"quadrant_area must be positive and finite, got {area!r}"
+    with pytest.raises(ValueError, match=message):
+        l1_expected(3, LOW_PRIOR, area)
+    with pytest.raises(ValueError, match=message):
+        l1_realized(3, 10, LOW_PRIOR, area)
 
 
 class TestL2Realized:

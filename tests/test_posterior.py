@@ -96,6 +96,13 @@ class TestUpdateAbundance:
         b = update_abundance(LOW_PRIOR, FieldObservations(A, (4, 9, 0)))
         assert a == b
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf, -1.0])
+    def test_bad_quadrant_area_named(self, area):
+        with pytest.raises(
+            ValueError, match=f"quadrant_area must be positive and finite, got {area!r}"
+        ):
+            FieldObservations(area, (1, 2))
+
     @given(counts=st.lists(st.integers(0, 300), min_size=1, max_size=15))
     @settings(max_examples=100)
     def test_posterior_mean_shrinks_toward_data(self, counts):
