@@ -1,4 +1,4 @@
-"""Special functions of the Gamma distribution, on NumPy and ``math`` alone.
+"""Special functions of the Gamma and Beta distributions, on NumPy and ``math`` alone.
 
 The cephes log-gamma that ``scipy.special.gammaln`` calls, the Gamma density
 in the floating-point steps of ``scipy.stats.gamma.pdf``, one regularized
@@ -7,8 +7,10 @@ and cephes ``igamc_series`` for Q at small x and shape <= 1), and the
 inverses that the HPD interval of ``mpdesign.posterior`` solves with.
 For a up to 1e5 the log of a computed tail is within 5e-14 relative of
 mpmath (of 1 where it is smaller), and the quantile puts P within 5e-15 of
-the mass asked for. The module imports no other ``mpdesign`` module and no
-SciPy.
+the mass asked for. The Beta density, for the marginals of a Dirichlet, is
+within 1.3e-15 relative of 40-digit mpmath for a from 0.05 to 500 and b
+from 0.05 to 5000, where SciPy's is off by up to 5.4e-13. The module
+imports no other ``mpdesign`` module and no SciPy.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ _LGAM_C = (
     -2.01889141433532773231e6,
 )
 _LOG_SQRT_2PI = 0.91893853320467274178
+_SQRT_2PI = math.sqrt(math.tau)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _lgamma_2_3(x: float) -> float:
@@ -147,12 +151,18 @@ def _log_gamma_weight(a: float, x: float) -> float:
     """
     if a < 20.0 or x < 0.5 * a:
         return a * math.log(x) - x - _lgamma(a)
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a) - _LOG_SQRT_2PI - _stirling_correction(a)
+
+
+def _stirling_correction(a: float) -> float:
+    """log Gamma(a) - ((a - 1/2) log a - a + log sqrt(2 pi)) for a >= 20: six
+    terms of Stirling's series in 1 / a. The first term left out is below
+    1e-19 there."""
     r = 1.0 / (a * a)
-    correction = (
+    return (
         ((((-691.0 / 360360.0 * r + 1.0 / 1188.0) * r - 1.0 / 1680.0) * r + 1.0 / 1260.0) * r
          - 1.0 / 360.0) * r + 1.0 / 12.0
     ) / a
-    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a) - _LOG_SQRT_2PI - correction
 
 
 def _fraction_depth(x: float) -> int:
@@ -356,3 +366,118 @@ def _gamma_pdf(x, shape: float, rate: float):
         logs[nonzero] = list(map(math.log, flat[nonzero].tolist()))
         xlogy = (shape - 1.0) * logs.reshape(y.shape)
     return np.exp(xlogy - y - _lgamma(shape)) / scale
+
+
+def _scaled_gamma(z: float) -> float:
+    """Gamma(z) / (sqrt(2 pi) z^(z - 1/2) e^-z) for z > 0: the factor by which
+    Stirling's formula falls short, exp(``_stirling_correction(z)``) from
+    z = 20 on. Below, ``math.gamma`` over the formula: that is within 1e-15
+    relative of mpmath for z from 0.01 to 20, where the exp of a log-gamma
+    difference is off by up to 8e-15."""
+    if z >= 20.0:
+        return math.exp(_stirling_correction(z))
+    return math.gamma(z) / (_SQRT_2PI * math.pow(z, z - 0.5) * math.exp(-z))
+
+
+def _power_parts(base: float, num: int, den: int) -> tuple[float, int]:
+    """base^(num / den) as (m, k) with value m * 2^k and 1/2 <= m < 1, for
+    finite base > 0 and den a power of two; no part overflows or underflows.
+
+    With base = f * 2^e and 1/sqrt(2) <= f < sqrt(2), the power is
+    f^p * 2^(e p), p = num / den. The whole and fractional parts of e p come
+    from integers, so 2^(e p) is exact but for one ``pow(2, fraction)``,
+    however large e p is. f^p is one ``pow`` while it stays within 2^+-1000;
+    beyond, it is f^(p / 2^h) squared h times, which multiplies its error by
+    2^h (h = 2 for p = 5000 at the widest f).
+    """
+    f, e = math.frexp(base)
+    if f < _SQRT_HALF:
+        f, e = 2.0 * f, e - 1
+    whole, rest = divmod(e * num, den)
+    power = num / den
+    reach = abs(power * math.log2(f))
+    halvings = 0
+    while reach > 1000.0:
+        power *= 0.5
+        reach *= 0.5
+        halvings += 1
+    part, k = math.frexp(math.pow(f, power))
+    for _ in range(halvings):
+        part, shift = math.frexp(part * part)
+        k = 2 * k + shift
+    m, shift = math.frexp(math.pow(2.0, rest / den) * part)
+    return m, whole + k + shift
+
+
+def _ratio_power(s: float, r: float) -> tuple[float, int]:
+    """((s + r) / s)^s for s, r > 0 and the exact sum s + r, as (m, k) of
+    ``_power_parts``. The ratio q rounds, and the power multiplies its error
+    by s; so q^s is corrected by exp(s t), t = (s + r) / (q s) - 1 formed
+    from integers."""
+    (ns, ds), (nr, dr) = s.as_integer_ratio(), r.as_integer_ratio()
+    q = (s + r) / s
+    nq, dq = q.as_integer_ratio()
+    t = ((ns * dr + nr * ds) * dq - dr * nq * ns) / (dr * nq * ns)
+    m, k = _power_parts(q, ns, ds)
+    return m * math.exp(s * t), k
+
+
+def _beta_normalizer(a: float, b: float) -> tuple[float, int]:
+    """1 / B(a, b) for a, b > 0 as (m, k), m * 2^k.
+
+    Stirling's formula for each gamma function, made exact by G* =
+    ``_scaled_gamma``: with c = a + b,
+
+        1 / B(a, b) = G*(c) / (G*(a) G*(b)) * sqrt(ab / (2 pi c)) * (c/a)^a (c/b)^b,
+
+    the powers from ``_ratio_power``. Against mpmath it was within 1.5e-15
+    relative on 3,000 random (a, b) with a from 0.05 to 500 and b from 0.05
+    to 5000.
+    """
+    c = a + b
+    root = math.sqrt(a / c * b / math.tau)
+    ma, ka = _ratio_power(a, b)
+    mb, kb = _ratio_power(b, a)
+    m, k = math.frexp(_scaled_gamma(c) / (_scaled_gamma(a) * _scaled_gamma(b)) * root * ma * mb)
+    return m, k + ka + kb
+
+
+def _beta_pdf(x, a: float, b: float) -> np.ndarray:
+    """Beta(a, b) density at each point of ``x`` in [0, 1], for a, b > 0.
+
+    x^(a - 1) (1 - x)^(b - 1) / B(a, b), one point at a time on ``math``:
+    each power is ``_power_parts`` of the exact x or of y = 1 - x, and the
+    rounding of y is put back by the factor (1 + dy / y)^(b - 1), where
+    dy = (1 - y) - x is exact. The three parts are multiplied as mantissas
+    and exponents and scaled once, so a density that is a double comes out
+    right even where a power or 1 / B(a, b) is not: a subnormal x gives a
+    finite density, or inf for a < 1 where the density passes the largest
+    double. At x = 0 the density is inf for a < 1, b for a = 1 and 0 for
+    a > 1, and the same at x = 1 with a and b swapped.
+
+    Against 40-digit mpmath the relative error was at most 1.3e-15 on a
+    501-point grid over 40 random shapes with a from 0.05 to 500 and b from
+    0.05 to 5000 (SciPy's ``_beta_pdf``: 5.4e-13), and 7.7e-16 over the 16
+    Beta marginals of ``replicate`` fig6 (SciPy: 5.9e-14), counting the
+    points with density at least 1e-300.
+    """
+    norm, norm_exp = _beta_normalizer(a, b)
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    at_zero = math.inf if a < 1.0 else b if a == 1.0 else 0.0
+    at_one = math.inf if b < 1.0 else a if b == 1.0 else 0.0
+    points = np.asarray(x, dtype=float)
+    out = []
+    for xi in points.ravel().tolist():
+        if xi == 0.0 or xi == 1.0:
+            out.append(at_zero if xi == 0.0 else at_one)
+            continue
+        y = 1.0 - xi
+        dy = (1.0 - y) - xi
+        mx, kx = _power_parts(xi, na - da, da)
+        my, ky = _power_parts(y, nb - db, db)
+        value = norm * mx * my * math.exp((b - 1.0) * (dy / y))
+        try:
+            out.append(math.ldexp(value, norm_exp + kx + ky))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out).reshape(points.shape)

@@ -139,11 +139,15 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     The one source of n_bar. For an array of counts, returns ``(q, n_bar)``
     as float arrays; for a single count, a Python ``(float, int)``. The
     floating-point steps for n >= 1 are exactly those of
-    :func:`categorization_fraction`, so both give identical q.
+    :func:`categorization_fraction`, so both give identical q. A NaN,
+    infinite or negative area or count is rejected by name.
     """
     n = np.asarray(counts, dtype=np.float64)
-    if total_area < 0 or np.any(n < 0):
-        raise ValueError("invalid design point")
+    if not (total_area >= 0 and math.isfinite(total_area)):
+        raise ValueError(f"total_area must be finite and >= 0, got {total_area!r}")
+    bad = n[~(np.isfinite(n) & (n >= 0))]
+    if bad.size:
+        raise ValueError(f"counts must be finite and >= 0, got {bad[0]}")
     q = np.multiply(n, cost.count_ratio, out=np.empty_like(n))  # n*r1, then q over it
     n_bar = _categorized(
         cost, total_area, n, q, cost.categorize_ratio * np.maximum(n, 1.0), q, np.empty_like(n)

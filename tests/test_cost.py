@@ -156,6 +156,16 @@ class TestBudgetRule:
         with pytest.raises(ValueError):
             budget_rule(BASELINE_COST, 0.4375, [3, -1])
 
+    @pytest.mark.parametrize("counts", [[3.0, math.nan], [math.inf, 2.0], math.nan, -math.inf])
+    def test_rejects_non_finite_counts(self, counts):
+        with pytest.raises(ValueError, match=r"counts .*(nan|inf)"):
+            budget_rule(BASELINE_COST, 0.4375, counts)
+
+    @pytest.mark.parametrize("area", [math.nan, math.inf])
+    def test_rejects_non_finite_area(self, area):
+        with pytest.raises(ValueError, match=r"total_area .*(nan|inf)"):
+            budget_rule(BASELINE_COST, area, [3, 4])
+
     @given(
         budget=st.floats(1.0, 40.0),
         m=st.integers(0, 40),

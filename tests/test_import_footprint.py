@@ -10,18 +10,18 @@ the modules it runs. The design commands (``design``, ``curves``,
 No command loads a random number generator of the package's own: it has
 none, and the Monte Carlo oracles live in ``tests/oracles.py``.
 
-SciPy's import costs several times a whole run. Importing the package,
-``--help``, the design commands, ``replicate`` fig5 and ``posterior`` must
-not load it at all, whether the HPD interval is left-anchored (posterior
-shape <= 1) or not. Only fig6's Beta marginals may load ``scipy.special``,
-and never ``scipy.stats`` or ``scipy.optimize``. A new top-level import that
-breaks this fails here by name.
+SciPy's import costs several times a whole run, and no command needs it:
+importing the package, ``--help``, the design commands, ``posterior``
+(whether the HPD interval is left-anchored, posterior shape <= 1, or not)
+and every ``replicate`` figure load no SciPy module, and fig6, whose Beta
+marginals were the last SciPy user, runs with SciPy made unimportable. A new
+top-level import that breaks this fails here by name.
 
 OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
-command loads it except fig6, through SciPy. ``replicate`` fig1-fig4 load
-only the design path, not ``mpdesign.posterior``. ``mpdesign._special`` loads
-no other ``mpdesign`` module and no SciPy.
+command loads it. ``replicate`` fig1-fig4 load only the design path, not
+``mpdesign.posterior``; fig5 and fig6 add ``posterior`` and ``_special``.
+``mpdesign._special`` loads no other ``mpdesign`` module and no SciPy.
 """
 
 import json
@@ -159,8 +159,10 @@ COMMAND_MODULES = {
         (("--config", "config.json", "posterior", "--data", "campaign.csv"),
          {"mpdesign._special", "mpdesign.posterior"}),
         (("replicate", "--figure", "fig1", "--out-dir", "out"), {"mpdesign.replicate"}),
+        (("replicate", "--figure", "fig6", "--out-dir", "out"),
+         {"mpdesign._special", "mpdesign.posterior", "mpdesign.replicate"}),
     ],
-    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1"],
+    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig6"],
 )
 def test_command_loads_only_what_it_runs(args, extra, workdir):
     loaded = loaded_modules(*args, cwd=workdir)
@@ -192,13 +194,26 @@ def test_replicate_design_figure_loads_no_posterior(workdir):
     assert "mpdesign.posterior" not in loaded
 
 
-def test_replicate_fig6_loads_only_scipy_special(workdir):
-    ufuncs = pytest.importorskip("scipy.special._ufuncs")
-    if not hasattr(ufuncs, "_beta_pdf"):
-        pytest.skip("this SciPy has no scipy.special._ufuncs._beta_pdf")
-    loaded = scipy_modules("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
-    assert "scipy.special" in loaded
-    assert not {"scipy.stats", "scipy.optimize"} & loaded
+def test_replicate_fig6_loads_no_scipy_and_no_openssl(workdir):
+    loaded = loaded_modules("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
+    assert "numpy" in loaded  # the command did run
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()
+    assert "_hashlib" not in loaded
+
+
+def test_replicate_fig6_runs_without_scipy(workdir):
+    # None in sys.modules makes every ``import scipy...`` raise ImportError
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['scipy'] = None\n" + CHILD,
+         "replicate", "--figure", "fig6", "--out-dir", "out"],
+        cwd=workdir, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in (workdir / "out").iterdir())
+    assert written == [
+        "fig6_lambda382_abundance.csv", "fig6_lambda382_composition.csv",
+        "fig6_n200_280_abundance.csv", "fig6_n200_280_composition.csv", "manifest.json",
+    ]
 
 
 def test_special_functions_are_a_leaf():

@@ -1,6 +1,6 @@
 import math
+import random
 import sys
-import types
 from unittest import mock
 
 import mpmath
@@ -30,6 +30,45 @@ from conftest import BASELINE_COST
 
 LOW_PRIOR = GammaParams(3.0, 0.01)
 A = 0.0625
+
+
+def beta_density_mpmath(x, a, b):
+    """The Beta(a, b) density at each point of ``x``, to 40 digits."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        norm = 1 / mpmath.beta(a, b)
+        exact = []
+        for xi in map(mpmath.mpf, x):
+            if xi in (0, 1):
+                edge, other = (a, b) if xi == 0 else (b, a)
+                exact.append(mpmath.inf if edge < 1 else other if edge == 1 else mpmath.mpf(0))
+            else:
+                exact.append(norm * xi ** (a - 1) * (1 - xi) ** (b - 1))
+        return exact
+
+
+def assert_beta_density(values, x, a, b, rel):
+    """``values`` are the Beta(a, b) density at ``x`` to ``rel`` against
+    40-digit mpmath, up to half the smallest subnormal; inf where the
+    density passes the largest double."""
+    half_subnormal = mpmath.mpf(2) ** -1075
+    for xi, value, exact in zip(x, values, beta_density_mpmath(x, a, b)):
+        if exact > sys.float_info.max:
+            assert value == math.inf, (xi, a, b, value)
+        else:
+            assert abs(value - exact) <= rel * exact + half_subnormal, (
+                xi, a, b, value, float(exact)
+            )
+
+
+# (a, b) of the 16 Beta marginals that ``replicate`` fig6 plots: PE, PP, PS
+# and PA at m = 5 and 7 in its two scenarios
+FIG6_BETA_SHAPES = [
+    (63.0, 66.0), (41.0, 88.0), (17.0, 112.0), (2.0, 127.0),
+    (54.0, 57.0), (35.0, 76.0), (14.0, 97.0), (2.0, 109.0),
+    (75.0, 77.0), (49.0, 103.0), (20.0, 132.0), (2.0, 150.0),
+    (52.0, 57.0), (35.0, 74.0), (14.0, 95.0), (2.0, 107.0),
+]
 
 
 def brentq_hpd(shape, rate, mass, tol=1e-14):
@@ -373,29 +412,84 @@ class TestDensityGrid:
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_beta_marginal_equals_scipy_stats_exactly(self, concentration, grid, data):
+    def test_beta_marginal_matches_mpmath(self, concentration, grid, data):
+        # SciPy's Beta density is off by up to 5.4e-13 on such shapes
+        # (test_beta_marginal_no_worse_than_scipy); this bound is 135 times
+        # stricter
         params = DirichletParams(tuple(concentration))
         i = data.draw(st.integers(0, params.k - 1))
         grid = np.concatenate([grid, np.linspace(0.0, 1.0, 101)])
-        gi = params.concentration[i]
-        try:
-            expected = stats.beta.pdf(grid, gi, params.total - gi)
-        except OverflowError:
-            # scipy's Beta pdf overflows at some subnormal points; so must we
-            with pytest.raises(OverflowError):
-                density_grid(params, grid, component=i)
-            return
-        np.testing.assert_array_equal(density_grid(params, grid, component=i), expected)
+        a = params.concentration[i]
+        b = math.fsum(params.concentration[:i] + params.concentration[i + 1:])
+        got = density_grid(params, grid, component=i)
+        assert_beta_density(got.tolist(), grid.tolist(), a, b, rel=4e-15)
 
-    def test_beta_marginal_falls_back_to_scipy_stats(self, monkeypatch):
-        # a SciPy whose private ufunc moved; scipy.stats, imported above,
-        # keeps its own reference to the real module
-        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", types.ModuleType("moved"))
-        params = DirichletParams((2.0, 3.0, 0.5))
-        grid = np.linspace(0.0, 1.0, 501)
-        np.testing.assert_array_equal(
-            density_grid(params, grid, component=2), stats.beta.pdf(grid, 0.5, 5.0)
+    def test_beta_marginal_no_worse_than_scipy(self):
+        # fig6's 16 marginals, 40 seeded shapes over the concentrations
+        # above (b up to the sum of nine of them) and, for each shape, the
+        # grid's neighbours of 0 and 1 down to the subnormals: against
+        # mpmath, the worst relative error of each set is at most SciPy's
+        rng = random.Random(1)
+        sets = {
+            "fig6": FIG6_BETA_SHAPES,
+            "random": [
+                (math.exp(rng.uniform(math.log(0.05), math.log(500.0))),
+                 math.exp(rng.uniform(math.log(0.05), math.log(5000.0))))
+                for _ in range(40)
+            ],
+        }
+        ends = [5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-100, 1e-20, 2.0**-53, 1e-10, 1e-3]
+        grid = np.concatenate(
+            [np.linspace(0.0, 1.0, 501), ends, [1.0 - x for x in ends[6:]], [1.0 - 2.0**-53]]
         )
+        # SciPy's raises OverflowError at and below the smallest normal double
+        normal = (grid == 0.0) | (grid >= 1e-300)
+        for name, shapes in sets.items():
+            ours = theirs = 0.0
+            for a, b in shapes:
+                got = density_grid(DirichletParams((a, b)), grid, component=0)
+                scipy_values = np.full(len(grid), math.nan)
+                scipy_values[normal] = stats.beta.pdf(grid[normal], a, b)
+                exact = beta_density_mpmath(grid.tolist(), a, b)
+                with mpmath.workdps(40):
+                    for value, scipy_value, e in zip(got.tolist(), scipy_values.tolist(), exact):
+                        if 1e-300 <= e <= sys.float_info.max:
+                            ours = max(ours, float(abs(value / e - 1)))
+                            if not math.isnan(scipy_value):
+                                theirs = max(theirs, float(abs(scipy_value / e - 1)))
+            assert ours <= theirs, (name, ours, theirs)
+            assert ours <= 1.3e-15, (name, ours)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_beta_marginal_at_the_ends_equals_scipy(self, a, b):
+        # inf below 1, the other shape at 1 (1 / B(1, b) = b) and 0 above
+        got = density_grid(DirichletParams((a, b)), [0.0, 1.0], component=0)
+        np.testing.assert_array_equal(got, stats.beta.pdf([0.0, 1.0], a, b))
+        assert got[0] == (math.inf if a < 1 else b if a == 1 else 0.0)
+
+    def test_beta_marginal_at_a_subnormal_point(self):
+        # SciPy raises OverflowError here
+        got = density_grid(DirichletParams((1.0, 4.0)), [1.1125e-308], component=0)
+        assert got[0] == pytest.approx(4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("b", [0.5, 3.0, 400.0])
+    def test_beta_marginal_below_one_at_subnormal_points(self, a, b):
+        # the density passes the largest double near 0 for some shapes: inf
+        # then, else the density, but never an exception
+        grid = [5e-324, 1e-320, 1e-310, 1.1125e-308, 2.0**-1022]
+        got = density_grid(DirichletParams((a, b)), grid, component=0)
+        assert_beta_density(got.tolist(), grid, a, b, rel=4e-15)
+
+    def test_beta_second_shape_is_the_sum_of_the_others(self):
+        # 1000.001 - 1000 would give b = 0.0009999999999763531, 2.4e-11
+        # off, which moves the density by 2.4e-11 relative
+        params = DirichletParams((1000.0, 1e-3))
+        grid = np.linspace(0.98, 1.0, 21)
+        for i, (a, b, x) in enumerate([(1000.0, 1e-3, grid), (1e-3, 1000.0, 1.0 - grid)]):
+            got = density_grid(params, x, component=i)
+            assert_beta_density(got.tolist(), x.tolist(), a, b, rel=4e-15)
 
 
 class TestSynthesizeExpectedData:
