@@ -460,8 +460,19 @@ def _beta_pdf(x, a: float, b: float) -> np.ndarray:
     0.05 to 5000 (SciPy's ``_beta_pdf``: 5.4e-13), and 7.7e-16 over the 16
     Beta marginals of ``replicate`` fig6 (SciPy: 5.9e-14), counting the
     points with density at least 1e-300.
+
+    Shapes whose 1 / B(a, b) cannot be formed, such as a ratio (a + b) / a
+    past the largest double or a shape below 1 / that double, raise a
+    ``ValueError`` that names both.
     """
-    norm, norm_exp = _beta_normalizer(a, b)
+    try:
+        norm, norm_exp = _beta_normalizer(a, b)
+    except OverflowError:
+        norm = math.nan
+    if not 0.5 <= norm < 1.0:  # the mantissa over- or underflowed on the way
+        raise ValueError(
+            f"Beta shapes a={a!r}, b={b!r} are out of range: 1/B(a, b) cannot be formed"
+        )
     (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
     at_zero = math.inf if a < 1.0 else b if a == 1.0 else 0.0
     at_one = math.inf if b < 1.0 else a if b == 1.0 else 0.0

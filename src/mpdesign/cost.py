@@ -136,10 +136,11 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
 def budget_rule(cost: CostModel, total_area: float, counts):
     """Budget-implied fraction q and categorized count n_bar = floor(n*q).
 
-    The one source of n_bar. For an array of counts, returns ``(q, n_bar)``
-    as float arrays; for a single count, a Python ``(float, int)``. The
-    floating-point steps for n >= 1 are exactly those of
-    :func:`categorization_fraction`, so both give identical q. A NaN,
+    The one source of n_bar; the design curve calls its in-place core
+    :func:`_categorized` directly. For an array of counts, returns
+    ``(q, n_bar)`` as float arrays; for a single count, a Python
+    ``(float, int)``. The floating-point steps for n >= 1 are exactly those
+    of :func:`categorization_fraction`, so both give identical q. A NaN,
     infinite or negative area or count is rejected by name.
     """
     n = np.asarray(counts, dtype=np.float64)
@@ -148,32 +149,29 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     bad = n[~(np.isfinite(n) & (n >= 0))]
     if bad.size:
         raise ValueError(f"counts must be finite and >= 0, got {bad[0]}")
-    q = np.multiply(n, cost.count_ratio, out=np.empty_like(n))  # n*r1, then q over it
-    n_bar = _categorized(
-        cost, total_area, n, q, cost.categorize_ratio * np.maximum(n, 1.0), q, np.empty_like(n)
-    )
+    q = np.empty_like(n)
+    n_bar = _categorized(cost, total_area, n, q, np.empty_like(n))
     q = np.where(n > 0.0, q, 1.0)
     if np.ndim(counts) == 0:
         return float(q), int(n_bar)
     return q, n_bar
 
 
-def _categorized(
-    cost: CostModel, total_area: float, n, count_cost, categorize_cost, q, n_bar=None
-):
-    """The budget rule in place, from the products that no design changes.
+def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
+    """The budget rule in place for float counts ``n``, unchecked.
 
-    ``count_cost`` is n*r1 and ``categorize_cost`` is r2*max(n, 1). Writes
-    q = min(max((1/c - (mA + n*r1)) / (r2*max(n, 1)), 0), 1) into ``q``,
-    then n_bar = floor(n*q) into ``n_bar`` (by default over ``q``), and
-    returns ``n_bar``. At n = 0 this q is not the rule's 1, but n_bar = 0
-    either way.
+    Writes q = min(max((1/c - (mA + n*r1)) / (r2*max(n, 1)), 0), 1) into
+    ``q``, then n_bar = floor(n*q) into ``n_bar`` (which first holds
+    r2*max(n, 1)), and returns ``n_bar``. The two buffers must be distinct
+    and shaped like ``n``. At n = 0 this q is not the rule's 1, but
+    n_bar = 0 either way.
     """
-    if n_bar is None:
-        n_bar = q
-    np.add(count_cost, total_area, out=q)
+    np.multiply(n, cost.count_ratio, out=q)
+    np.add(q, total_area, out=q)
     np.subtract(cost.budget_area, q, out=q)
-    np.divide(q, categorize_cost, out=q)
+    np.maximum(n, 1.0, out=n_bar)
+    np.multiply(n_bar, cost.categorize_ratio, out=n_bar)
+    np.divide(q, n_bar, out=q)
     np.maximum(q, 0.0, out=q)
     np.minimum(q, 1.0, out=q)
     np.multiply(n, q, out=n_bar)

@@ -27,13 +27,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .cost import CostModel, _categorized, budget_rule, feasible_designs
-from .distributions import (
-    DirichletParams,
-    GammaParams,
-    _log_pmf_from_steps,
-    _ratio_steps,
-    predictive_log_pmf,
-)
+from .distributions import DirichletParams, GammaParams, _log_pmf_from_steps, _ratio_steps
 from .loss import l1_expected, l2_expected
 
 __all__ = [
@@ -230,28 +224,15 @@ def _count_tables(config: DesignConfig, size: int):
     """The per-count arrays over n = 0 .. size - 1 that no design point changes.
 
     Returns the counts as floats, the pmf's log ratio steps (index n - 1
-    holds the step into n), the gain weights 1 - L2*(n), and the budget
-    rule's products n*r1 and r2*max(n, 1). A design point slices them for
-    every chunk that ends below ``size``.
+    holds the step into n) and the gain weights 1 - L2*(n), all read-only.
+    A design point slices them for every chunk that ends below ``size``.
     """
-    cost = config.cost
     counts = np.arange(size, dtype=np.float64)
     steps = _ratio_steps(config.abundance_prior.shape, 1, size)
     gains = 1.0 - l2_expected(counts, config.composition_prior)
-    count_cost = counts * cost.count_ratio
-    categorize_cost = np.maximum(counts, 1.0)
-    categorize_cost *= cost.categorize_ratio
-    return counts, steps, gains, count_cost, categorize_cost
-
-
-def _table_n_bar(cost: CostModel, area: float, tables, lo: int, hi: int):
-    """n_bar of :func:`budget_rule` for n = lo .. hi - 1, as indices, from the
-    budget rule's products in ``tables`` (hi <= their length)."""
-    counts, _, _, count_cost, categorize_cost = tables
-    return _categorized(
-        cost, area, counts[lo:hi], count_cost[lo:hi], categorize_cost[lo:hi],
-        np.empty(hi - lo),
-    ).astype(np.intp)
+    for table in (counts, steps, gains):
+        table.flags.writeable = False
+    return counts, steps, gains
 
 
 def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
@@ -259,17 +240,18 @@ def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
     with pmf[i] = P(N = lo + i). The first chunk holds ``size`` counts
     (:func:`_first_chunk`), each later one as many as all before it, up to
     ``_MAX_CHUNK``. A chunk inside ``tables`` slices its ratio steps; one that
-    reaches past them is computed on its own."""
-    counts, steps = tables[:2]
+    reaches past them computes its own."""
+    counts, steps, _ = tables
     prior = config.abundance_prior
     area = m * config.cost.quadrant_area
     lo = 0
     while True:
         hi = lo + size
         if hi <= len(counts):
-            log_pmf = _log_pmf_from_steps(prior, area, lo, steps[lo:hi - 1])
+            chunk_steps = steps[lo:hi - 1]
         else:
-            log_pmf = predictive_log_pmf(prior, area, lo, hi)
+            chunk_steps = _ratio_steps(prior.shape, lo + 1, hi)
+        log_pmf = _log_pmf_from_steps(prior, area, lo, chunk_steps)
         yield lo, np.exp(log_pmf, out=log_pmf)
         lo = hi
         size = min(lo, _MAX_CHUNK)
@@ -280,7 +262,7 @@ def _expected_l2(m: int, config: DesignConfig, size: int, tables):
     the sum stops at the tail bound."""
     if m == 0:
         return 1.0, 0.0, 0
-    counts, _, gains = tables[:3]
+    counts, _, gains = tables
     prior, cost = config.abundance_prior, config.cost
     area = m * cost.quadrant_area
     one_minus_p = area / (prior.rate + area)
@@ -289,10 +271,12 @@ def _expected_l2(m: int, config: DesignConfig, size: int, tables):
     terms = 0
     for lo, pmf in _pmf_chunks(m, config, size, tables):
         hi = lo + len(pmf)
-        if hi <= len(counts):  # n_bar <= n < len(counts), so the weights are a gather
-            weights = gains[_table_n_bar(cost, area, tables, lo, hi)]
+        inside = hi <= len(counts)
+        n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
+        n_bar = _categorized(cost, area, n, np.empty(hi - lo), np.empty(hi - lo))
+        if inside:  # n_bar <= n < len(counts), so the weights are a gather
+            weights = gains[n_bar.astype(np.intp)]
         else:
-            n_bar = budget_rule(cost, area, np.arange(lo, hi, dtype=np.float64))[1]
             weights = 1.0 - l2_expected(n_bar, config.composition_prior)
         gain += float(np.dot(pmf, weights))
         terms += hi - lo

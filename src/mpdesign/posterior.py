@@ -257,7 +257,11 @@ def density_grid(params, grid, component: int | None = None) -> np.ndarray:
         if bad.size:
             raise ValueError(f"grid point {bad[0]} outside support [0, 1]")
         conc = params.concentration
-        return _beta_pdf(grid, conc[component], math.fsum(conc[:component] + conc[component + 1:]))
+        b = math.fsum(conc[:component] + conc[component + 1:])
+        try:
+            return _beta_pdf(grid, conc[component], b)
+        except ValueError as exc:
+            raise ValueError(f"component {component}: {exc}") from None
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 

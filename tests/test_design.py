@@ -26,13 +26,13 @@ from mpdesign import (
     sensitivity_sweep,
 )
 from mpdesign import design
+from mpdesign.cost import _categorized
 from mpdesign.design import (
     MAX_MEAN_COUNT,
     TAIL_MASS,
     _MAX_CHUNK,
     _count_tables,
     _first_chunk,
-    _table_n_bar,
     default_abundance_grid,
 )
 from oracles import RandomStream, predictive_total_count
@@ -395,13 +395,16 @@ class TestSharedCountArrays:
     )
     @settings(max_examples=300, deadline=None)
     def test_table_path_is_the_budget_rule(self, budget, r1, r2, size, data):
+        # the curve's two n_bar paths: a slice of the shared counts, and a
+        # float arange for a chunk that starts past them
         cost = CostModel.from_budget_quadrants(0.0625, budget, r1, r2)
         config = DesignConfig(GammaParams(3.0, 0.01), DirichletParams.symmetric(10, 1.0), cost)
         lo = data.draw(st.one_of(st.just(0), st.integers(0, size - 1)), label="lo")
         hi = data.draw(st.integers(lo + 1, size), label="hi")
         # a sampled area, or one at which counting alone exhausts the budget
-        # exactly at a count inside the chunk or at the chunk's last count
-        edge = data.draw(st.one_of(st.integers(lo, hi - 1), st.just(hi - 1)), label="edge")
+        # exactly at a count inside either chunk or at its last count
+        shift = data.draw(st.sampled_from([0, size]), label="shift")
+        edge = shift + data.draw(st.one_of(st.integers(lo, hi - 1), st.just(hi - 1)), label="edge")
         area = data.draw(
             st.one_of(
                 st.integers(0, cost.max_quadrants).map(lambda m: m * cost.quadrant_area),
@@ -411,9 +414,21 @@ class TestSharedCountArrays:
             label="area",
         )
         assume(area >= 0.0)
-        got = _table_n_bar(cost, area, _count_tables(config, size), lo, hi)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, budget_rule(cost, area, np.arange(lo, hi))[1])
+        inside = _count_tables(config, size)[0][lo:hi]
+        past = np.arange(size + lo, size + hi, dtype=np.float64)
+        for n in (inside, past):
+            q_rule, n_bar_rule = budget_rule(cost, area, n)
+            q = np.empty(hi - lo)
+            got = _categorized(cost, area, n, q, np.empty(hi - lo))
+            assert np.array_equal(got, n_bar_rule)
+            assert np.array_equal(q[n > 0], q_rule[n > 0])
+
+    def test_count_tables_are_read_only(self):
+        config = _config(GammaParams.from_mode(3.0, 800.0))
+        for table in _count_tables(config, 100):
+            with pytest.raises(ValueError, match="read-only"):
+                table[:1] = 0.0
+        assert 1 <= optimize_design(config).m_star <= config.cost.max_quadrants
 
     @pytest.mark.parametrize(
         "config,walks_past_first_chunk",

@@ -491,6 +491,23 @@ class TestDensityGrid:
             got = density_grid(params, x, component=i)
             assert_beta_density(got.tolist(), x.tolist(), a, b, rel=4e-15)
 
+    @pytest.mark.parametrize(
+        "concentration,a,b",
+        [
+            ((1e-310, 1.0), 1e-310, 1.0),  # below 1 / the largest double
+            ((1e-300, 1e10), 1e-300, 1e10),  # (a + b) / a overflows
+            ((1.0, 1e-310), 1.0, 1e-310),  # (a + b) / b overflows
+            ((1e300, 1e290), 1e300, 1e290),  # the ratio powers' correction underflows
+        ],
+    )
+    def test_beta_marginal_names_shapes_out_of_range(self, concentration, a, b):
+        with pytest.raises(ValueError) as info:
+            density_grid(DirichletParams(concentration), [0.5], component=0)
+        assert str(info.value) == (
+            f"component 0: Beta shapes a={a!r}, b={b!r} are out of range: "
+            "1/B(a, b) cannot be formed"
+        )
+
 
 class TestSynthesizeExpectedData:
     proportions = (0.52, 0.34, 0.0, 0.13, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0)
