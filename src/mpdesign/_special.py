@@ -442,6 +442,11 @@ def _beta_normalizer(a: float, b: float) -> tuple[float, int]:
     return m, k + ka + kb
 
 
+# Largest |b - 1| for which the factor (1 + dy / y)^(b - 1) of ``_beta_pdf``,
+# with |dy / y| <= 2^-53, stays within e^+-700.
+_MAX_BETA_B1 = 700.0 * 2.0**53
+
+
 def _beta_pdf(x, a: float, b: float) -> np.ndarray:
     """Beta(a, b) density at each point of ``x`` in [0, 1], for a, b > 0.
 
@@ -463,7 +468,10 @@ def _beta_pdf(x, a: float, b: float) -> np.ndarray:
 
     Shapes whose 1 / B(a, b) cannot be formed, such as a ratio (a + b) / a
     past the largest double or a shape below 1 / that double, raise a
-    ``ValueError`` that names both.
+    ``ValueError`` that names both. So does |b - 1| past 700 * 2^53 (about
+    6.3e18): |dy / y| is at most 2^-53, so below that bound the correction
+    factor lies within e^+-700, and above it the factor can overflow (or
+    underflow where the density is still a double).
     """
     try:
         norm, norm_exp = _beta_normalizer(a, b)
@@ -472,6 +480,11 @@ def _beta_pdf(x, a: float, b: float) -> np.ndarray:
     if not 0.5 <= norm < 1.0:  # the mantissa over- or underflowed on the way
         raise ValueError(
             f"Beta shapes a={a!r}, b={b!r} are out of range: 1/B(a, b) cannot be formed"
+        )
+    if abs(b - 1.0) > _MAX_BETA_B1:
+        raise ValueError(
+            f"Beta shapes a={a!r}, b={b!r} are out of range: (1 - x)^(b - 1) cannot "
+            f"be formed for b past {_MAX_BETA_B1:.3g}"
         )
     (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
     at_zero = math.inf if a < 1.0 else b if a == 1.0 else 0.0

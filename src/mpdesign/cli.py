@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from itertools import repeat
 
 import click
 
@@ -227,14 +228,23 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
         records.append((f"class_{name}", "concentration", gi))
         records.append((f"class_{name}", "mean", mean))
         records.append((f"class_{name}", "variance", var))
-    if with_grids:
-        grid = np.linspace(0.0, float(upper) * 2.0, grid_points)
-        for x, d in zip(grid.tolist(), density_grid(abundance, grid).tolist()):
-            records.append(("abundance_density", repr(x), d))
     json_obj = {}
     for section, key, value in records:
         json_obj.setdefault(section, {})[key] = value
-    _emit(ctx, lambda: render_csv(["section", "key", "value"], records), json_obj)
+    keys, densities = [], []
+    if with_grids:
+        grid = np.linspace(0.0, float(upper) * 2.0, grid_points)
+        keys = list(map(repr, grid.tolist()))
+        densities = density_grid(abundance, grid).tolist()
+        json_obj["abundance_density"] = dict(zip(keys, densities))
+    _emit(
+        ctx,
+        lambda: render_csv(
+            ["section", "key", "value"],
+            records + list(zip(repeat("abundance_density"), keys, densities)),
+        ),
+        json_obj,
+    )
 
 
 @main.command()

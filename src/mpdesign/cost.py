@@ -77,10 +77,18 @@ class CostModel:
         cls, quadrant_area: float, budget: float, count_ratio: float, categorize_ratio: float
     ) -> "CostModel":
         """Build from a budget given in quadrant equivalents (c = 1/(B*A))."""
-        b = float(budget)
+        b, area = float(budget), float(quadrant_area)
         if not (b > 0 and math.isfinite(b)):
             raise ValueError(f"budget must be positive and finite, got {b}")
-        return cls(quadrant_area, 1.0 / (b * quadrant_area), count_ratio, categorize_ratio)
+        if not (area > 0 and math.isfinite(area)):
+            raise ValueError(f"quadrant_area must be positive and finite, got {area!r}")
+        product = b * area
+        if not (0.0 < product < math.inf and 1.0 / product < math.inf):
+            raise ValueError(
+                f"quadrant_area {area!r} times budget {b!r} is {product!r}, so the budget "
+                "coefficient 1/(budget * quadrant_area) is not a positive finite number"
+            )
+        return cls(quadrant_area, 1.0 / product, count_ratio, categorize_ratio)
 
     @classmethod
     def from_raw_costs(

@@ -348,7 +348,12 @@ def optimize_design(config: DesignConfig) -> DesignResult:
         _curve_row(m, config, *_expected_l2(m, config, size, tables)[:2])
         for m, size in zip(feasible, sizes)
     ))
-    best = int(np.argmin(curve.column("l_star")))
+    l_star = curve.column("l_star")
+    nan = np.flatnonzero(np.isnan(l_star))
+    if nan.size:
+        m = curve.rows[nan[0]].m
+        raise ValueError(f"the expected loss L* is NaN at m={m}; no design can be chosen")
+    best = int(np.argmin(l_star))
     optimal = curve.rows[best]
     m_star = int(optimal.m)
     cost, area = config.cost, optimal.area

@@ -72,6 +72,8 @@ class DirichletParams:
             raise ValueError("need at least two classes")
         if not all(g > 0 and np.isfinite(g) for g in conc):
             raise ValueError("all concentration parameters must be positive and finite")
+        if not math.isfinite(sum(conc)):
+            raise ValueError("total concentration (the sum of the parameters) must be finite")
         object.__setattr__(self, "concentration", conc)
 
     @property

@@ -103,9 +103,9 @@ def _abundance_posterior_grid(prior: GammaParams, cases, grid):
     from .posterior import density_grid
 
     header = ["lambda", "prior"] + [tag for tag, _ in cases]
-    columns = [grid, density_grid(prior, grid)]
+    columns = [grid.tolist(), density_grid(prior, grid).tolist()]
     for _, posterior in cases:
-        columns.append(density_grid(posterior, grid))
+        columns.append(density_grid(posterior, grid).tolist())
     rows = list(zip(*columns))
     return render_csv(header, rows)
 
@@ -147,7 +147,7 @@ def _fig6():
     for tag, totals in scenarios.items():
         abundance_cases = []
         comp_header = ["p"]
-        comp_columns = [p_grid]
+        comp_columns = [p_grid.tolist()]
         for m, n in totals.items():
             obs, cats = synthesize_expected_data(
                 None, TOMASA_SHARES, m, QUADRANT_AREA, cost, total_count=n
@@ -157,7 +157,7 @@ def _fig6():
             for name in TOMASA_PROPORTIONS:
                 idx = DEFAULT_CLASS_NAMES.index(name)
                 comp_header.append(f"{name}_m{m}")
-                comp_columns.append(density_grid(comp_post, p_grid, component=idx))
+                comp_columns.append(density_grid(comp_post, p_grid, component=idx).tolist())
         files[f"fig6_{tag}_abundance.csv"] = _abundance_posterior_grid(
             LOW_PRIOR, abundance_cases, lambda_grid
         )

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -6,6 +8,7 @@ from click.testing import CliRunner
 from mpdesign.cli import main
 from mpdesign.config import ConfigError, parse_config
 from mpdesign.design import SWEEP_AXES
+from mpdesign.io import format_value
 from mpdesign.replicate import FIGURE_IDS
 
 BASE_DOC = {
@@ -214,6 +217,35 @@ class TestDesignCommand:
         assert result.exit_code != 0
         assert "count_ratio" in result.output
 
+    # 0 must not reach the division by budget * area, and 1e-320 and 1e308,
+    # which put the derived budget_coefficient at inf or 0, must be reported
+    # as the config field
+    @pytest.mark.parametrize("area", [0, 1e-320, 1e308])
+    @pytest.mark.parametrize("command", [["design"], ["curves", "--m", "1"]], ids=["design", "curves"])
+    def test_bad_quadrant_area_named(self, runner, tmp_path, area, command):
+        path = write_config(tmp_path, lambda d: d["cost"].update(quadrant_area=area))
+        result = runner.invoke(main, ["--config", path, *command])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert result.output.startswith("Error: cost: quadrant_area ")
+        assert repr(float(area)) in result.output
+
+    # 10 classes of 1e308 sum to inf, which would make every L* NaN (and
+    # NumPy warn on the way); the total is rejected before any of that
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["design"], ["curves", "--m", "1"]], ids=["design", "curves"])
+    def test_overflowing_concentration_named(self, runner, tmp_path, command):
+        path = write_config(
+            tmp_path, lambda d: d["composition_prior"].update(symmetric_gamma=1e308)
+        )
+        result = runner.invoke(main, ["--config", path, *command])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "Error: composition_prior: total concentration (the sum of the parameters) "
+            "must be finite\n"
+        )
+
 
 class TestCurvesCommand:
     def test_reference_row(self, runner, config_path):
@@ -274,6 +306,30 @@ class TestPosteriorCommand:
         assert doc["abundance"]["hpd_lower"] > 0.0
         assert doc["naive"]["estimate"] == 80.0
         assert doc["class_PE"]["concentration"] == 14.0
+
+    def test_density_grid_same_in_json_and_csv(self, runner, config_path, tmp_path):
+        data = tmp_path / "campaign.csv"
+        data.write_text(CAMPAIGN)
+        outputs = {}
+        for fmt in ("json", "csv"):
+            result = runner.invoke(
+                main,
+                ["--config", config_path, "--format", fmt, "posterior",
+                 "--data", str(data), "--density-grid", "--grid-points", "300"],
+            )
+            assert result.exit_code == 0, result.output
+            outputs[fmt] = result.output
+        doc = json.loads(outputs["json"])
+        assert outputs["json"] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        from_json = sorted(
+            (section, key, format_value(value))
+            for section, entries in doc.items()
+            for key, value in entries.items()
+        )
+        rows = list(csv.reader(io.StringIO(outputs["csv"])))
+        assert rows[0] == ["section", "key", "value"]
+        assert sorted(map(tuple, rows[1:])) == from_json
+        assert len(doc["abundance_density"]) == 300
 
     def test_without_categorization_prior_kept(self, runner, config_path, tmp_path):
         data = tmp_path / "campaign.csv"

@@ -70,6 +70,15 @@ class TestOptimizeDesign:
     def test_reduced_budget_low_prior(self):
         assert optimize_design(baseline_config(budget=8.0)).m_star == 5
 
+    def test_nan_loss_named_by_m(self, low_config, monkeypatch):
+        # argmin would pick the first NaN as m*
+        l1 = design.l1_expected
+        monkeypatch.setattr(
+            design, "l1_expected", lambda m, *args: math.nan if m == 3 else l1(m, *args)
+        )
+        with pytest.raises(ValueError, match=r"^the expected loss L\* is NaN at m=3;"):
+            optimize_design(low_config)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"beta": 0.0025}, {"budget": 8.0}, {"r2": 3.0}, {"budget": 20.0, "r2": 6e-3}],

@@ -58,6 +58,10 @@ class TestDirichletParams:
         with pytest.raises(ValueError):
             DirichletParams((1.0, 0.0))
 
+    def test_total_must_be_finite(self):
+        with pytest.raises(ValueError, match="^total concentration"):
+            DirichletParams((1e308, 1e308))
+
 
 class TestGammaSample:
     def test_mean(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -43,7 +45,35 @@ JSON_VALUES = st.recursive(
 )
 
 
-@given(obj=JSON_VALUES)
+# Flat containers of up to 50 scalars, alone or one or two levels down: the
+# C encoder's path when every scalar is an exact type, the Python walk when
+# one is a NumPy scalar.
+EXACT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.sampled_from('"\\\n\x00 aé𝄞')),
+)
+FLAT = st.one_of(
+    st.lists(EXACT_SCALARS, max_size=50),
+    st.lists(EXACT_SCALARS, max_size=50).map(tuple),
+    st.dictionaries(st.text(max_size=6), EXACT_SCALARS, max_size=50),
+    st.lists(JSON_SCALARS, max_size=50),
+)
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    )
+
+
+WIDE_VALUES = st.one_of(FLAT, _nested(FLAT), _nested(_nested(FLAT)))
+
+
+@given(obj=st.one_of(JSON_VALUES, WIDE_VALUES))
 @settings(max_examples=500)
 def test_render_json_equals_json_dumps(obj):
     assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -51,8 +81,8 @@ def test_render_json_equals_json_dumps(obj):
 
 @pytest.mark.parametrize(
     "obj",
-    [{2: "int", 1.5: "float", True: "bool"}, {None: 0}],
-    ids=["number-keys", "null-key"],
+    [{2: "int", 1.5: "float", True: "bool"}, {None: 0}, {2: [1], 1.5: {"a": []}, False: None}],
+    ids=["number-keys", "null-key", "number-keys-of-containers"],
 )
 def test_render_json_non_string_keys(obj):
     assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -68,3 +98,42 @@ def test_render_json_raises_what_json_dumps_raises(obj):
         json.dumps(obj, indent=2, sort_keys=True)
     with pytest.raises(TypeError, match=re.escape(str(expected.value))):
         render_json(obj)
+
+
+def reference_csv(header, rows):
+    """``render_csv`` as one ``format_value`` call per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+    return buf.getvalue()
+
+
+# Cells that ``writerows`` takes as they are, and cells (NumPy scalars, None)
+# that send a table through ``format_value``.
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-(2.0**-1022), 2.0**-1022),  # subnormals
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.text(st.sampled_from(',"\'\n\r ;aé')),
+)
+OTHER_CELLS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@given(
+    rows=st.one_of(
+        st.lists(st.lists(CSV_CELLS, max_size=5).map(tuple), max_size=8),
+        st.lists(st.lists(st.one_of(CSV_CELLS, OTHER_CELLS), max_size=5), max_size=8),
+    )
+)
+@settings(max_examples=500)
+def test_render_csv_equals_per_cell_format_value(rows):
+    header = ["a", "b,c", 'd"e']
+    assert render_csv(header, rows) == reference_csv(header, rows)

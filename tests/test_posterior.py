@@ -508,6 +508,25 @@ class TestDensityGrid:
             "1/B(a, b) cannot be formed"
         )
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 50.0])
+    def test_beta_marginal_with_b_near_its_bound(self, a):
+        # b = 6e18: the factor that corrects the rounding of 1 - x reaches
+        # e^+-330 at these points, where the density is still a double
+        grid = [k * 2.0**-55 for k in range(1, 40, 3)] + [1e-19, 1e-17, 0.3]
+        got = density_grid(DirichletParams((a, 6e18)), grid, component=0)
+        assert_beta_density(got.tolist(), grid, a, 6e18, rel=4e-15)
+
+    @pytest.mark.parametrize("b", [1e300, 6.4e18])
+    def test_beta_marginal_names_shapes_past_the_b_bound(self, b):
+        # past 700 * 2^53 the rounding correction can leave the double range
+        # (at x = 0.3 for b = 1e300), so such a b is refused at every point
+        with pytest.raises(ValueError) as info:
+            density_grid(DirichletParams((1.0, b)), [0.3], component=0)
+        assert str(info.value) == (
+            f"component 0: Beta shapes a=1.0, b={b!r} are out of range: "
+            "(1 - x)^(b - 1) cannot be formed for b past 6.31e+18"
+        )
+
 
 class TestSynthesizeExpectedData:
     proportions = (0.52, 0.34, 0.0, 0.13, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0)
