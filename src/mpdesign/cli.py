@@ -22,8 +22,6 @@ import click
 SWEEP_AXES = ("r2", "budget", "prior-mode")
 FIGURE_CHOICES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "all")
 
-SENSITIVITY_COLUMNS = ["axis", "value", "m_star", "typical_n_bar", "budget_slack"]
-
 
 def _resolve_out(path: str) -> str:
     base = os.environ.get("MPDESIGN_OUT_DIR")
@@ -99,7 +97,6 @@ def design(ctx):
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     area = result.optimal_row.area
-    rows = result.curve.table()
     summary_lines = (
         f"# m_star: {result.m_star}\n"
         f"# sampled_area: {area!r}\n"
@@ -116,9 +113,9 @@ def design(ctx):
         "typical_n_bar": result.typical_n_bar,
         "budget_split": result.budget_split,
         "q_policy": result.q_policy_note,
-        "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in rows],
+        "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in result.curve.rows],
     }
-    _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, rows), json_obj)
+    _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, result.curve.rows), json_obj)
 
 
 def _abundance(ctx, param, value):
@@ -149,22 +146,21 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
         raise click.ClickException(
             f"m={m} outside the feasible set {list(feasible_designs(cfg.cost))}"
         )
-    if lambda_max is None:
-        if lambda_min is not None:
-            raise click.BadParameter("needs --lambda-max", param_hint="'--lambda-min'")
-        grid = default_abundance_grid(cfg, lambda_points)
-    else:
-        if lambda_min is not None and lambda_min > lambda_max:
-            raise click.BadParameter(
-                f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}", param_hint="'--lambda-min'"
-            )
-        lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
-        grid = np.linspace(lo, lambda_max, lambda_points)
+    if lambda_max is None and lambda_min is not None:
+        raise click.BadParameter("needs --lambda-max", param_hint="'--lambda-min'")
+    if lambda_min is not None and lambda_min > lambda_max:
+        raise click.BadParameter(
+            f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}", param_hint="'--lambda-min'"
+        )
     try:
-        curve = performance_curve(m, grid, cfg)
+        if lambda_max is None:
+            grid = default_abundance_grid(cfg, lambda_points)
+        else:
+            lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
+            grid = np.linspace(lo, lambda_max, lambda_points)
+        rows = performance_curve(m, grid, cfg).rows
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    rows = curve.table()
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
     _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
@@ -254,7 +250,7 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
 @click.pass_context
 def sensitivity(ctx, axis, values):
     """Re-optimize the design along one input axis."""
-    from .design import sensitivity_sweep
+    from .design import SENSITIVITY_COLUMNS, sensitivity_sweep
     from .io import render_csv
 
     loaded = _load(ctx)
@@ -268,9 +264,8 @@ def sensitivity(ctx, axis, values):
         rows = sensitivity_sweep(loaded.design, axis, parsed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    table = [(r.axis, r.value, r.m_star, r.typical_n_bar, r.budget_slack) for r in rows]
-    json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in table]}
-    _emit(ctx, lambda: render_csv(SENSITIVITY_COLUMNS, table), json_obj)
+    json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
+    _emit(ctx, lambda: render_csv(SENSITIVITY_COLUMNS, rows), json_obj)
 
 
 @main.command("replicate")

@@ -91,10 +91,10 @@ def _parse_abundance(obj) -> GammaParams:
     if has_rate == has_mode:
         raise ConfigError("abundance_prior needs exactly one of 'rate' or 'mode'")
     shape = _finite_number(obj["shape"], "abundance_prior.shape")
+    key = "rate" if has_rate else "mode"
+    value = _finite_number(obj[key], f"abundance_prior.{key}")
     try:
-        if has_rate:
-            return GammaParams(shape, _finite_number(obj["rate"], "abundance_prior.rate"))
-        return GammaParams.from_mode(shape, _finite_number(obj["mode"], "abundance_prior.mode"))
+        return (GammaParams if has_rate else GammaParams.from_mode)(shape, value)
     except ValueError as exc:
         raise ConfigError(f"abundance_prior: {exc}") from exc
 
@@ -107,22 +107,23 @@ def _parse_composition(obj) -> DirichletParams:
         raise ConfigError(
             "composition_prior needs either 'gamma' or ('classes', 'symmetric_gamma')"
         )
-    try:
-        if has_vector:
-            gamma = obj["gamma"]
-            if not isinstance(gamma, list) or len(gamma) < 2:
-                raise ConfigError("composition_prior.gamma must be a list of k >= 2 numbers")
-            return DirichletParams(
-                tuple(_finite_number(g, "composition_prior.gamma[i]") for g in gamma)
-            )
+    if has_vector:
+        gamma = obj["gamma"]
+        if not isinstance(gamma, list) or len(gamma) < 2:
+            raise ConfigError("composition_prior.gamma must be a list of k >= 2 numbers")
+        concentration = tuple(
+            _finite_number(g, f"composition_prior.gamma[{i}]") for i, g in enumerate(gamma)
+        )
+    else:
         _require_keys(obj, "composition_prior", {"classes", "symmetric_gamma"},
                       {"classes", "symmetric_gamma"})
         k = obj["classes"]
         if not isinstance(k, int) or k < 2:
             raise ConfigError("composition_prior.classes must be an integer >= 2")
-        return DirichletParams.symmetric(
-            k, _finite_number(obj["symmetric_gamma"], "composition_prior.symmetric_gamma")
-        )
+        value = _finite_number(obj["symmetric_gamma"], "composition_prior.symmetric_gamma")
+        concentration = (value,) * k
+    try:
+        return DirichletParams(concentration)
     except ValueError as exc:
         raise ConfigError(f"composition_prior: {exc}") from exc
 
@@ -134,6 +135,14 @@ def _parse_cost(obj) -> tuple[CostModel, float]:
     budget = _finite_number(obj["budget_quadrant_equivalents"], "cost.budget_quadrant_equivalents")
     r1 = _finite_number(obj["count_ratio"], "cost.count_ratio")
     r2 = _finite_number(obj["categorize_ratio"], "cost.categorize_ratio")
+    if not budget > 0:
+        raise ConfigError(f"cost.budget_quadrant_equivalents must be positive, got {budget!r}")
+    product = area * budget
+    if area > 0 and not (0.0 < product < math.inf and 1.0 / product < math.inf):
+        raise ConfigError(
+            f"cost: quadrant_area {area!r} times budget_quadrant_equivalents {budget!r} is "
+            f"{product!r}, whose reciprocal, the budget coefficient, is not positive and finite"
+        )
     try:
         return CostModel.from_budget_quadrants(area, budget, r1, r2), budget
     except ValueError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "SWEEP_AXES",
     "DESIGN_COLUMNS",
     "CURVES_COLUMNS",
+    "SENSITIVITY_COLUMNS",
 ]
 
 SWEEP_AXES = ("r2", "budget", "prior-mode")
@@ -57,10 +59,12 @@ TAIL_MASS = 1e-13  # truncated upper tail of the predictive count, per design po
 _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
 
-# Output columns of a design curve and of a performance curve, in file order;
-# ``DesignCurve.table`` and ``PerformanceCurve.table`` give the rows.
+# Output columns of a design curve, a performance curve and a sensitivity
+# sweep, in file order. The rows are named tuples with their fields in this
+# order, so each row is a line of its table as it stands.
 DESIGN_COLUMNS = ("m", "area", "L1_star", "E_L2_star", "E_L2_se", "L_star", "L_star_se")
 CURVES_COLUMNS = ("lambda", "n", "q", "n_bar", "L2_star")
+SENSITIVITY_COLUMNS = ("axis", "value", "m_star", "typical_n_bar", "budget_slack")
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,7 @@ class DesignConfig:
     seed: InitVar[int] = 0
 
 
-@dataclass(frozen=True)
-class DesignCurveRow:
+class DesignCurveRow(NamedTuple):
     m: int
     area: float
     l1_star: float
@@ -96,13 +99,6 @@ class DesignCurve:
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.rows])
-
-    def table(self) -> list[tuple]:
-        """One tuple per row, in ``DESIGN_COLUMNS`` order."""
-        return [
-            (r.m, r.area, r.l1_star, r.e_l2_star, r.e_l2_se, r.l_star, r.l_star_se)
-            for r in self.rows
-        ]
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,7 @@ class DesignResult:
         return next(r for r in self.curve.rows if r.m == self.m_star)
 
 
-@dataclass(frozen=True)
-class PerformanceRow:
+class PerformanceRow(NamedTuple):
     true_abundance: float
     n: int
     q: float
@@ -144,13 +139,8 @@ class PerformanceCurve:
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.rows])
 
-    def table(self) -> list[tuple]:
-        """One tuple per row, in ``CURVES_COLUMNS`` order."""
-        return [(r.true_abundance, r.n, r.q, r.n_bar, r.l2_star) for r in self.rows]
 
-
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis: str
     value: float
     m_star: int
@@ -216,7 +206,8 @@ def _first_chunk(m: int, config: DesignConfig) -> int:
     size = int(mean + 20.0 * math.sqrt(mean * (b + area) / b)) + 32
     if cost.count_ratio > 0:
         exhausted_at = (cost.budget_area - area) / cost.count_ratio
-        size = min(size, int(max(0.0, exhausted_at)) + 2)
+        if exhausted_at < math.inf:  # a subnormal count_ratio never exhausts it
+            size = min(size, int(max(0.0, exhausted_at)) + 2)
     return min(size, _MAX_CHUNK)
 
 
@@ -393,17 +384,20 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> Performan
     counts = np.floor(area * grid)
     q, n_bar = budget_rule(config.cost, area, counts)
     l2 = l2_expected(n_bar, config.composition_prior)
-    rows = tuple(
-        PerformanceRow(float(lam), int(n), float(qn), int(nb), float(loss))
-        for lam, n, qn, nb, loss in zip(grid, counts, q, n_bar, l2)
-    )
+    # int of the floats, not int64, which would wrap counts past 2**63
+    columns = grid.tolist(), map(int, counts.tolist()), q.tolist(), map(int, n_bar.tolist())
+    rows = tuple(map(PerformanceRow._make, zip(*columns, l2.tolist())))
     return PerformanceCurve(m=m, rows=rows)
 
 
 def default_abundance_grid(config: DesignConfig, points: int = 200) -> np.ndarray:
-    """Evenly spaced true-abundance grid over (0, 4 * prior mode]."""
+    """Evenly spaced true-abundance grid over (0, 4 * prior mode], or up to
+    4 * prior mean when the shape is at most 1."""
     prior = config.abundance_prior
-    top = 4.0 * (prior.mode() if prior.shape > 1 else prior.mean())
+    center, value = ("mode", prior.mode()) if prior.shape > 1 else ("mean", prior.mean())
+    top = 4.0 * value
+    if not top < math.inf:
+        raise ValueError(f"abundance_prior {center} {value!r} is too large: 4 times it overflows")
     return np.linspace(top / points, top, points)
 
 
@@ -431,12 +425,8 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     rows = []
     for value, cfg in zip(values, configs):
         result = optimize_design(cfg)
-        rows.append(
-            SweepRow(
-                axis, value, result.m_star, result.typical_n_bar,
-                result.budget_split["slack"],
-            )
-        )
+        slack = result.budget_split["slack"]
+        rows.append(SweepRow(axis, value, result.m_star, result.typical_n_bar, slack))
     return rows
 
 

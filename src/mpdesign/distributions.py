@@ -57,7 +57,10 @@ class GammaParams:
             raise ValueError("mode parametrization requires shape > 1")
         if not (mode > 0 and math.isfinite(mode)):
             raise ValueError(f"mode must be positive and finite, got {mode}")
-        return cls(shape, (shape - 1.0) / mode)
+        rate = (shape - 1.0) / mode
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"mode {mode!r} with shape {shape!r} gives no finite rate > 0")
+        return cls(shape, rate)
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,13 @@ def _log_pmf_from_steps(
     a, b = prior.shape, prior.rate
     log_p = math.log(b) - math.log(b + total_area)
     log_1mp = math.log(total_area) - math.log(b + total_area)
-    first = (
-        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
-        + a * log_p + start * log_1mp
-    )
+    try:  # log-gamma passes the largest float past a shape of about 2.5e305
+        first = (
+            math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
+            + a * log_p + start * log_1mp
+        )
+    except OverflowError:
+        raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
     out = np.empty(len(ratio_steps) + 1)
     out[0] = first
     np.cumsum(ratio_steps + log_1mp, out=out[1:])

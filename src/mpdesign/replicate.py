@@ -92,9 +92,9 @@ def _design_figure(fid: str) -> dict[str, str]:
         m = result.m_star
         curve = performance_curve(m, default_abundance_grid(config), config)
         files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + render_csv(
-            DESIGN_COLUMNS, result.curve.table()
+            DESIGN_COLUMNS, result.curve.rows
         )
-        files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.table())
+        files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.rows)
     return files
 
 
@@ -106,8 +106,7 @@ def _abundance_posterior_grid(prior: GammaParams, cases, grid):
     columns = [grid.tolist(), density_grid(prior, grid).tolist()]
     for _, posterior in cases:
         columns.append(density_grid(posterior, grid).tolist())
-    rows = list(zip(*columns))
-    return render_csv(header, rows)
+    return render_csv(header, zip(*columns))
 
 
 def _fig5():
@@ -161,9 +160,7 @@ def _fig6():
         files[f"fig6_{tag}_abundance.csv"] = _abundance_posterior_grid(
             LOW_PRIOR, abundance_cases, lambda_grid
         )
-        files[f"fig6_{tag}_composition.csv"] = render_csv(
-            comp_header, list(zip(*comp_columns))
-        )
+        files[f"fig6_{tag}_composition.csv"] = render_csv(comp_header, zip(*comp_columns))
     return files
 
 

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from mpdesign.cli import main
-from mpdesign.config import ConfigError, parse_config
-from mpdesign.design import SWEEP_AXES
+from mpdesign.config import ConfigError, load_config, parse_config
+from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
 from mpdesign.io import format_value
 from mpdesign.replicate import FIGURE_IDS
 
@@ -449,3 +450,137 @@ class TestOutDirEnvironment:
         )
         assert result.exit_code == 0
         assert (tmp_path / "from_env.csv").exists()
+
+
+# Each output column and the row attribute it is read from, written out by
+# hand: a row's field order is its table's column order, so a field moved in
+# a row type would put a value under the wrong header
+COLUMN_ATTRIBUTES = {
+    "design": {
+        "m": "m", "area": "area", "L1_star": "l1_star", "E_L2_star": "e_l2_star",
+        "E_L2_se": "e_l2_se", "L_star": "l_star", "L_star_se": "l_star_se",
+    },
+    "curves": {
+        "lambda": "true_abundance", "n": "n", "q": "q", "n_bar": "n_bar", "L2_star": "l2_star",
+    },
+    "sensitivity": {
+        "axis": "axis", "value": "value", "m_star": "m_star",
+        "typical_n_bar": "typical_n_bar", "budget_slack": "budget_slack",
+    },
+}
+
+
+class TestTableColumns:
+    @staticmethod
+    def expected_row(command, config):
+        if command == "design":
+            return optimize_design(config).optimal_row
+        if command == "curves":
+            return performance_curve(7, [382.0, 400.0], config).rows[0]
+        return sensitivity_sweep(config, "budget", [12.0])[0]
+
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("design", []),
+            ("curves", ["--m", "7", "--lambda-min", "382", "--lambda-max", "400",
+                        "--lambda-points", "2"]),
+            ("sensitivity", ["--axis", "budget", "--values", "12"]),
+        ],
+    )
+    def test_header_names_the_row_attribute(self, runner, config_path, command, args):
+        attributes = COLUMN_ATTRIBUTES[command]
+        row = self.expected_row(command, load_config(config_path).design)
+        # every cell differs from the others, so no swap can pass unseen
+        assert len({format_value(v) for v in row}) == len(row)
+        csv_out = runner.invoke(main, ["--config", config_path, command, *args])
+        json_out = runner.invoke(
+            main, ["--config", config_path, "--format", "json", command, *args]
+        )
+        assert csv_out.exit_code == 0 and json_out.exit_code == 0
+        lines = [line for line in csv_out.output.splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        assert header == list(attributes)
+        line = next(dict(zip(header, l.split(","))) for l in lines[1:]
+                    if l.split(",")[0] == format_value(row[0]))
+        doc = json.loads(json_out.output)
+        json_rows = doc["curve"] if command == "design" else doc["rows"]
+        json_row = next(r for r in json_rows if r[header[0]] == row[0])
+        for name, attribute in attributes.items():
+            assert line[name] == format_value(getattr(row, attribute)), name
+            assert json_row[name] == getattr(row, attribute), name
+
+
+def _all_finite(value):
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _set_field(doc, field, value):
+    section, _, key = field.partition(".")
+    if key:
+        doc[section][key] = value
+    else:
+        doc[section] = value
+
+
+DESIGN, CURVES = ["design"], ["curves", "--m", "1"]
+
+
+class TestBadValuesNamed:
+    """Values that ended in a traceback, a stray warning, a message naming a
+    derived quantity, or the section's name twice."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field,value,command,message",
+        [
+            ("cost.budget_quadrant_equivalents", -1, DESIGN,
+             "cost.budget_quadrant_equivalents must be positive, got -1.0"),
+            ("cost.budget_quadrant_equivalents", 0, CURVES,
+             "cost.budget_quadrant_equivalents must be positive, got 0.0"),
+            ("cost.budget_quadrant_equivalents", 1e-320, DESIGN,
+             "cost: quadrant_area 0.0625 times budget_quadrant_equivalents 1e-320 is "),
+            ("abundance_prior.mode", 1e-320, DESIGN,
+             "abundance_prior: mode 1e-320 with shape 3.0 gives no finite rate > 0"),
+            ("abundance_prior.shape", 1e308, DESIGN,
+             "abundance_prior shape 1e+308 is too large for log-gamma"),
+            ("abundance_prior.mode", 1e308, CURVES,
+             "abundance_prior mode 1e+308 is too large: 4 times it overflows"),
+            ("composition_prior", {"gamma": [1]}, DESIGN,
+             "composition_prior.gamma must be a list of k >= 2 numbers"),
+            ("composition_prior", {"classes": 1, "symmetric_gamma": 1.0}, DESIGN,
+             "composition_prior.classes must be an integer >= 2"),
+            ("composition_prior", {"gamma": [1, "x"]}, DESIGN,
+             "composition_prior.gamma[1] must be a finite number, got 'x'"),
+            ("abundance_prior", {"shape": 3, "rate": "x"}, DESIGN,
+             "abundance_prior.rate must be a finite number, got 'x'"),
+        ],
+        ids=["budget-negative", "budget-zero", "budget-tiny", "mode-tiny", "shape-huge",
+             "mode-huge", "gamma-short", "classes-one", "gamma-string", "rate-string"],
+    )
+    def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
+        path = write_config(tmp_path, lambda d: _set_field(d, field, value))
+        result = runner.invoke(main, ["--config", path, *command])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert result.output.startswith("Error: " + message)
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field,value,command",
+        [
+            ("cost.count_ratio", 1e-320, DESIGN),
+            ("abundance_prior.shape", 1e308, CURVES),
+        ],
+        ids=["count-ratio-tiny-design", "shape-huge-curves"],
+    )
+    def test_accepted_with_finite_output(self, runner, tmp_path, field, value, command):
+        path = write_config(tmp_path, lambda d: _set_field(d, field, value))
+        result = runner.invoke(main, ["--config", path, "--format", "json", *command])
+        assert result.exit_code == 0, result.output
+        assert _all_finite(json.loads(result.output))
