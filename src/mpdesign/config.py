@@ -36,6 +36,7 @@ from .distributions import DirichletParams, GammaParams
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "parse_config", "config_to_json"]
 
 DEFAULT_CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
+_MAX_CLASSES = 10_000  # largest number of polymer classes k, in either form
 
 
 class ConfigError(ValueError):
@@ -109,8 +110,10 @@ def _parse_composition(obj) -> DirichletParams:
         )
     if has_vector:
         gamma = obj["gamma"]
-        if not isinstance(gamma, list) or len(gamma) < 2:
-            raise ConfigError("composition_prior.gamma must be a list of k >= 2 numbers")
+        if not isinstance(gamma, list) or not 2 <= len(gamma) <= _MAX_CLASSES:
+            raise ConfigError(
+                f"composition_prior.gamma must be a list of k >= 2 numbers, at most {_MAX_CLASSES}"
+            )
         concentration = tuple(
             _finite_number(g, f"composition_prior.gamma[{i}]") for i, g in enumerate(gamma)
         )
@@ -118,8 +121,10 @@ def _parse_composition(obj) -> DirichletParams:
         _require_keys(obj, "composition_prior", {"classes", "symmetric_gamma"},
                       {"classes", "symmetric_gamma"})
         k = obj["classes"]
-        if not isinstance(k, int) or k < 2:
-            raise ConfigError("composition_prior.classes must be an integer >= 2")
+        if not isinstance(k, int) or not 2 <= k <= _MAX_CLASSES:
+            raise ConfigError(
+                f"composition_prior.classes must be an integer >= 2 and at most {_MAX_CLASSES}"
+            )
         value = _finite_number(obj["symmetric_gamma"], "composition_prior.symmetric_gamma")
         concentration = (value,) * k
     try:

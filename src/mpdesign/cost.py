@@ -125,20 +125,13 @@ def normalized_cost(cost: CostModel, total_area: float, n: int, q: float) -> flo
 
 
 def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float:
-    """Budget-implied categorization fraction q in [0, 1].
+    """Budget-implied categorization fraction q in [0, 1], the q of :func:`budget_rule`.
 
     Residual budget after sampling ``total_area`` and counting ``n`` particles
     is spent on categorization. For n = 0 the fraction is 1 by convention
     (nothing to categorize, constraint vacuously satisfied).
     """
-    if total_area < 0 or n < 0:
-        raise ValueError("invalid design point")
-    if n == 0:
-        return 1.0
-    raw = (cost.budget_area - (total_area + n * cost.count_ratio)) / (
-        cost.categorize_ratio * n
-    )
-    return max(0.0, min(1.0, raw))
+    return budget_rule(cost, total_area, n)[0]
 
 
 def budget_rule(cost: CostModel, total_area: float, counts):
@@ -147,9 +140,8 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     The one source of n_bar; the design curve calls its in-place core
     :func:`_categorized` directly. For an array of counts, returns
     ``(q, n_bar)`` as float arrays; for a single count, a Python
-    ``(float, int)``. The floating-point steps for n >= 1 are exactly those
-    of :func:`categorization_fraction`, so both give identical q. A NaN,
-    infinite or negative area or count is rejected by name.
+    ``(float, int)``. A NaN, infinite or negative area or count is rejected
+    by name.
     """
     n = np.asarray(counts, dtype=np.float64)
     if not (total_area >= 0 and math.isfinite(total_area)):
@@ -193,3 +185,23 @@ def feasible_designs(cost: CostModel) -> range:
     rounded coefficient c = 1/(B*A) puts 1/(A*c) an ulp or two below B.
     """
     return range(0, cost.max_quadrants + 1)
+
+
+def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:
+    """n_bar at count ``n``, and the budget fractions that sampling, counting and
+    categorization take there, with the slack 1 - :func:`normalized_cost`."""
+    q, n_bar = budget_rule(cost, total_area, n)
+    c = cost.budget_coefficient
+    return n_bar, {
+        "sampling": c * total_area,
+        "counting": c * cost.count_ratio * n,
+        "categorization": c * cost.categorize_ratio * n_bar,
+        "slack": 1.0 - normalized_cost(cost, total_area, n, q),
+    }
+
+
+def _exhausted_at(cost: CostModel, total_area: float) -> float:
+    """The count (1/c - mA)/r1 past which counting alone overspends, so q = 0;
+    infinite when r1 = 0, or when a subnormal r1 overflows the quotient."""
+    r1 = cost.count_ratio
+    return (cost.budget_area - total_area) / r1 if r1 > 0 else math.inf

@@ -13,10 +13,10 @@ w is fixed at ``L1_WEIGHT`` = 1/2, which keeps L* in [0, 1].
 N is negative binomial, so E_N[L2*] is an exact sum over n rather than a
 simulation. The sum stops once an analytic bound on the remaining upper tail
 mass falls below ``TAIL_MASS``; because 0 <= L2* <= 1, that bound also bounds
-the absolute error and is reported where a standard error would be. Beyond
-the count at which counting alone exhausts the budget, n_bar = 0 and L2* = 1,
-so that whole tail enters exactly. The curve involves no randomness: reruns
-are bit-identical.
+the absolute error and is reported where a standard error would be. Once the
+budget rule's q reaches 0, which it does for good since q is nonincreasing in
+n, n_bar = 0 and L2* = 1, so that whole tail enters exactly. The curve
+involves no randomness: reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostModel, _categorized, budget_rule, feasible_designs
+from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule, feasible_designs
 from .distributions import DirichletParams, GammaParams, _log_pmf_from_steps, _ratio_steps
 from .loss import l1_expected, l2_expected
 
@@ -172,8 +172,8 @@ def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
     """Exact E[L2*(n_bar(N))] over the negative binomial predictive of N.
 
     Sums P(N = n) * (1 - L2*(n)) in chunks of at most ``_MAX_CHUNK`` counts
-    until the tail bound falls below ``TAIL_MASS`` or counting alone exhausts
-    the budget (after which every term is zero), so memory stays bounded for
+    until the tail bound falls below ``TAIL_MASS`` or the budget rule's q
+    reaches 0 (after which every term is zero), so memory stays bounded for
     any prior. The median is read from the cumulative pmf over the same
     chunks; when it lies past the summed range, that walk continues to it, in
     time proportional to the median. Priors whose predictive mean count
@@ -204,10 +204,9 @@ def _first_chunk(m: int, config: DesignConfig) -> int:
             f"the exact design supports at most {MAX_MEAN_COUNT:.0e}"
         )
     size = int(mean + 20.0 * math.sqrt(mean * (b + area) / b)) + 32
-    if cost.count_ratio > 0:
-        exhausted_at = (cost.budget_area - area) / cost.count_ratio
-        if exhausted_at < math.inf:  # a subnormal count_ratio never exhausts it
-            size = min(size, int(max(0.0, exhausted_at)) + 2)
+    exhausted_at = _exhausted_at(cost, area)
+    if exhausted_at < math.inf:
+        size = min(size, int(max(0.0, exhausted_at)) + 2)
     return min(size, _MAX_CHUNK)
 
 
@@ -250,7 +249,7 @@ def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
 
 def _expected_l2(m: int, config: DesignConfig, size: int, tables):
     """``(e_l2, tail, terms)`` of :func:`predictive_l2`, without the median:
-    the sum stops at the tail bound."""
+    the sum stops at the tail bound or where the budget rule's q reaches 0."""
     if m == 0:
         return 1.0, 0.0, 0
     counts, _, gains = tables
@@ -264,17 +263,17 @@ def _expected_l2(m: int, config: DesignConfig, size: int, tables):
         hi = lo + len(pmf)
         inside = hi <= len(counts)
         n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
-        n_bar = _categorized(cost, area, n, np.empty(hi - lo), np.empty(hi - lo))
+        q = np.empty(hi - lo)
+        n_bar = _categorized(cost, area, n, q, np.empty(hi - lo))
         if inside:  # n_bar <= n < len(counts), so the weights are a gather
             weights = gains[n_bar.astype(np.intp)]
         else:
             weights = 1.0 - l2_expected(n_bar, config.composition_prior)
         gain += float(np.dot(pmf, weights))
         terms += hi - lo
-        top = hi - 1
-        if cost.budget_area - (area + top * cost.count_ratio) <= 0.0:
-            return 1.0 - gain, 0.0, terms  # same test as the budget rule: q = 0 from here on
-        tail = _tail_bound(float(pmf[-1]), top, prior.shape, one_minus_p)
+        if not q[-1] > 0.0:  # q is nonincreasing in n: no later count is categorized
+            return 1.0 - gain, 0.0, terms
+        tail = _tail_bound(float(pmf[-1]), hi - 1, prior.shape, one_minus_p)
         if tail < TAIL_MASS:
             return 1.0 - gain, tail, terms
 
@@ -331,8 +330,6 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     typical-count summary.
     """
     feasible = feasible_designs(config.cost)
-    if len(feasible) == 0:
-        raise ValueError("empty feasible design set")
     sizes = [_first_chunk(m, config) for m in feasible]
     tables = _count_tables(config, max(sizes))
     curve = DesignCurve(tuple(
@@ -347,16 +344,8 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     best = int(np.argmin(l_star))
     optimal = curve.rows[best]
     m_star = int(optimal.m)
-    cost, area = config.cost, optimal.area
     n = _predictive_median(m_star, config, sizes[best], tables)
-    _, n_bar = budget_rule(cost, area, n)
-    c = cost.budget_coefficient
-    split = {
-        "sampling": c * area,
-        "counting": c * cost.count_ratio * n,
-        "categorization": c * cost.categorize_ratio * n_bar,
-        "slack": 1.0 - c * (area + cost.count_ratio * n + cost.categorize_ratio * n_bar),
-    }
+    n_bar, split = _budget_split(config.cost, optimal.area, n)
     note = (
         f"after counting n particles over {m_star} quadrants, categorize "
         f"n_bar = floor(n * q) with q = q({m_star}*A, n) from the budget rule"

@@ -21,6 +21,10 @@ __all__ = [
     "dirichlet_multinomial_moments",
 ]
 
+# Largest error that rounding log(b) and log(b + mA), an ulp each, may put
+# into the log pmf through a * log(p); past it every loss is silently wrong.
+_LOG_PMF_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -130,8 +134,9 @@ def _log_pmf_from_steps(
     """Log pmf for n = start .. start + len(ratio_steps), where
     ``ratio_steps`` is :func:`_ratio_steps` over n = start + 1 onward."""
     a, b = prior.shape, prior.rate
-    log_p = math.log(b) - math.log(b + total_area)
-    log_1mp = math.log(total_area) - math.log(b + total_area)
+    log_b, log_b_area = math.log(b), math.log(b + total_area)
+    log_p = log_b - log_b_area
+    log_1mp = math.log(total_area) - log_b_area
     try:  # log-gamma passes the largest float past a shape of about 2.5e305
         first = (
             math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
@@ -139,6 +144,12 @@ def _log_pmf_from_steps(
         )
     except OverflowError:
         raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
+    error = a * (math.ulp(log_b) + math.ulp(log_b_area))
+    if error > _LOG_PMF_TOLERANCE:
+        raise ValueError(
+            f"abundance_prior shape {a!r} is too large: rounding log(rate) moves the log pmf "
+            f"by up to {error:.2g}, past {_LOG_PMF_TOLERANCE:.0e}"
+        )
     out = np.empty(len(ratio_steps) + 1)
     out[0] = first
     np.cumsum(ratio_steps + log_1mp, out=out[1:])

@@ -17,8 +17,8 @@ stable column order, so identical inputs produce byte-identical files.
 Floats are written as their shortest round-trip ``repr``, and JSON output is
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline. Both renderers
 leave the per-item work to the standard library's C loops: ``_csv``'s
-``writerows`` for tables of plain Python cells, and the C JSON encoder for
-every dict or list of scalars.
+``writerows`` for tables, whose cells must be plain str, int, float or bool,
+and the C JSON encoder for every dict or list of scalars.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "CampaignData",
     "parse_campaign_data",
     "atomic_write_text",
-    "format_value",
     "render_csv",
     "render_json",
 ]
@@ -155,43 +154,26 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def format_value(value) -> str:
-    """Stable text form: integers plainly, floats with shortest round-trip repr.
-
-    NumPy float scalars are written like Python floats (their own repr is
-    ``np.float64(...)`` under NumPy 2).
-    """
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-# Cell types that the ``_csv`` writer already writes as ``format_value`` does:
-# a float with ``repr``, anything else with ``str``.
+# The cells that ``_csv`` writes in the stable text form: floats by repr, the rest by str.
 _CSV_CELLS = frozenset((str, int, float, bool))
 
 
 def render_csv(header, rows) -> str:
-    """CSV text of ``header`` and ``rows``, each cell as ``format_value`` writes it.
+    """CSV text of ``header`` and ``rows``, written by one C ``writerows`` call.
 
-    ``rows`` is an iterable of sequences. When every cell's type is exactly
-    str, int, float or bool, the rows go to the C ``writerows`` loop as they
-    are. Any other cell type, such as a NumPy scalar (whose ``repr`` is
-    ``np.float64(...)``) or None (which ``_csv`` writes as an empty field),
-    sends the whole table through ``format_value`` cell by cell.
+    ``rows`` is an iterable of sequences whose cells are each exactly a str,
+    int, float or bool. Any other cell raises a ``TypeError`` that names its
+    type: a NumPy scalar would print as ``np.float64(...)`` under NumPy 2,
+    and None as an empty field.
     """
     rows = list(rows)
+    if not _CSV_CELLS.issuperset(map(type, chain.from_iterable(rows))):
+        cell = next(v for v in chain.from_iterable(rows) if type(v) not in _CSV_CELLS)
+        raise TypeError(f"CSV cells must be str, int, float or bool, not {type(cell).__name__}")
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if _CSV_CELLS.issuperset(map(type, chain.from_iterable(rows))):
-        writer.writerows(rows)
-    else:
-        writer.writerows([format_value(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

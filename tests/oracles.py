@@ -1,4 +1,4 @@
-"""Monte Carlo oracles for the package's closed forms.
+"""Monte Carlo oracles for the package's closed forms, and a scalar budget rule.
 
 The package computes every expectation exactly and draws no random number.
 The tests check those closed forms against brute-force simulation, kept
@@ -11,10 +11,15 @@ values, so they can be shared across threads freely.
 
 Gamma parameters use the shape/RATE convention, as in
 :mod:`mpdesign.distributions`.
+
+:func:`budget_fraction` transcribes the budget rule's q one count at a time
+in plain Python floats, with the same floating-point steps as the package's
+array rule, so that tests can compare the two bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +34,8 @@ __all__ = [
     "dirichlet_sample",
     "mc_oracle_l1",
     "mc_oracle_l2",
+    "budget_fraction",
+    "categorized_count",
 ]
 
 
@@ -127,3 +134,17 @@ def mc_oracle_l2(n_bar: int, prior: DirichletParams, draws: int, stream: RandomS
     post = (gamma + counts) / (g0 + n_bar)
     vals = (1.0 + g0) / (d * (1.0 + g0 + n_bar)) * (1.0 - np.sum(post**2, axis=1))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
+
+
+def budget_fraction(cost, total_area: float, n: int) -> float:
+    """Budget-implied q = min(max((1/c - (mA + n*r1)) / (r2*n), 0), 1) at one
+    count n, and 1 at n = 0 (nothing to categorize)."""
+    if n == 0:
+        return 1.0
+    raw = (cost.budget_area - (total_area + n * cost.count_ratio)) / (cost.categorize_ratio * n)
+    return max(0.0, min(1.0, raw))
+
+
+def categorized_count(cost, total_area: float, n: int) -> int:
+    """n_bar = floor(n * q) at one count n, with q from :func:`budget_fraction`."""
+    return math.floor(n * budget_fraction(cost, total_area, n))

@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from mpdesign.cli import main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
-from mpdesign.io import format_value
 from mpdesign.replicate import FIGURE_IDS
 
 BASE_DOC = {
@@ -54,6 +53,11 @@ def config_path(tmp_path):
 def option_choices(command, option):
     param = next(p for p in main.commands[command].params if p.name == option)
     return tuple(param.type.choices)
+
+
+def cell_text(value):
+    """A CSV cell as the program writes it: a float by its repr, else by str."""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_config(tmp_path, mutate):
@@ -323,7 +327,7 @@ class TestPosteriorCommand:
         doc = json.loads(outputs["json"])
         assert outputs["json"] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         from_json = sorted(
-            (section, key, format_value(value))
+            (section, key, cell_text(value))
             for section, entries in doc.items()
             for key, value in entries.items()
         )
@@ -492,7 +496,7 @@ class TestTableColumns:
         attributes = COLUMN_ATTRIBUTES[command]
         row = self.expected_row(command, load_config(config_path).design)
         # every cell differs from the others, so no swap can pass unseen
-        assert len({format_value(v) for v in row}) == len(row)
+        assert len({cell_text(v) for v in row}) == len(row)
         csv_out = runner.invoke(main, ["--config", config_path, command, *args])
         json_out = runner.invoke(
             main, ["--config", config_path, "--format", "json", command, *args]
@@ -502,12 +506,12 @@ class TestTableColumns:
         header = lines[0].split(",")
         assert header == list(attributes)
         line = next(dict(zip(header, l.split(","))) for l in lines[1:]
-                    if l.split(",")[0] == format_value(row[0]))
+                    if l.split(",")[0] == cell_text(row[0]))
         doc = json.loads(json_out.output)
         json_rows = doc["curve"] if command == "design" else doc["rows"]
         json_row = next(r for r in json_rows if r[header[0]] == row[0])
         for name, attribute in attributes.items():
-            assert line[name] == format_value(getattr(row, attribute)), name
+            assert line[name] == cell_text(getattr(row, attribute)), name
             assert json_row[name] == getattr(row, attribute), name
 
 
@@ -554,13 +558,28 @@ class TestBadValuesNamed:
              "composition_prior.gamma must be a list of k >= 2 numbers"),
             ("composition_prior", {"classes": 1, "symmetric_gamma": 1.0}, DESIGN,
              "composition_prior.classes must be an integer >= 2"),
+            ("composition_prior", {"classes": 10**20, "symmetric_gamma": 1.0}, DESIGN,
+             "composition_prior.classes must be an integer >= 2 and at most 10000\n"),
+            ("composition_prior", {"classes": 10**9, "symmetric_gamma": 1.0}, DESIGN,
+             "composition_prior.classes must be an integer >= 2 and at most 10000\n"),
+            ("composition_prior", {"classes": 10_001, "symmetric_gamma": 1.0}, DESIGN,
+             "composition_prior.classes must be an integer >= 2 and at most 10000\n"),
+            ("composition_prior", {"gamma": [1.0] * 10_001}, DESIGN,
+             "composition_prior.gamma must be a list of k >= 2 numbers, at most 10000\n"),
+            ("abundance_prior.shape", 1e14, DESIGN,
+             "abundance_prior shape 100000000000000.0 is too large: rounding log(rate) "
+             "moves the log pmf by up to 0.71, past 1e-08\n"),
+            ("abundance_prior.shape", 1e16, DESIGN,
+             "abundance_prior shape 1e+16 is too large: rounding log(rate) "),
             ("composition_prior", {"gamma": [1, "x"]}, DESIGN,
              "composition_prior.gamma[1] must be a finite number, got 'x'"),
             ("abundance_prior", {"shape": 3, "rate": "x"}, DESIGN,
              "abundance_prior.rate must be a finite number, got 'x'"),
         ],
         ids=["budget-negative", "budget-zero", "budget-tiny", "mode-tiny", "shape-huge",
-             "mode-huge", "gamma-short", "classes-one", "gamma-string", "rate-string"],
+             "mode-huge", "gamma-short", "classes-one", "classes-1e20", "classes-1e9",
+             "classes-above-bound", "gamma-above-bound", "shape-1e14", "shape-1e16",
+             "gamma-string", "rate-string"],
     )
     def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
         path = write_config(tmp_path, lambda d: _set_field(d, field, value))
@@ -576,8 +595,11 @@ class TestBadValuesNamed:
         [
             ("cost.count_ratio", 1e-320, DESIGN),
             ("abundance_prior.shape", 1e308, CURVES),
+            ("abundance_prior.shape", 1e6, DESIGN),
+            ("composition_prior", {"classes": 10_000, "symmetric_gamma": 1.0}, DESIGN),
         ],
-        ids=["count-ratio-tiny-design", "shape-huge-curves"],
+        ids=["count-ratio-tiny-design", "shape-huge-curves", "shape-1e6-design",
+             "classes-at-bound-design"],
     )
     def test_accepted_with_finite_output(self, runner, tmp_path, field, value, command):
         path = write_config(tmp_path, lambda d: _set_field(d, field, value))

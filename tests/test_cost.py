@@ -17,6 +17,7 @@ from mpdesign import (
     normalized_cost,
 )
 from conftest import BASELINE_COST
+from oracles import budget_fraction
 
 
 class TestCostModel:
@@ -122,8 +123,9 @@ class TestCategorizationFraction:
 
 
 def scalar_rule(cost, area, counts):
-    """Scalar-path reference: budget q and floored n_bar, one count at a time."""
-    q = [categorization_fraction(cost, area, int(n)) for n in counts]
+    """Scalar reference, independent of the package: budget q and floored
+    n_bar, one count at a time in Python floats."""
+    q = [budget_fraction(cost, area, int(n)) for n in counts]
     return np.array(q), np.array([math.floor(int(n) * qn) for n, qn in zip(counts, q)])
 
 
@@ -151,6 +153,7 @@ class TestBudgetRule:
         assert np.array_equal(q, ref_q)
         assert np.array_equal(n_bar, ref_n_bar)
         assert np.all(n_bar <= np.asarray(counts))
+        assert [categorization_fraction(cost, m * area, n) for n in counts] == list(ref_q)
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,6 @@ from mpdesign import (
     DesignConfig,
     DirichletParams,
     GammaParams,
-    budget_rule,
-    categorization_fraction,
     expected_total_loss,
     l1_expected,
     l2_expected,
@@ -35,7 +33,7 @@ from mpdesign.design import (
     _first_chunk,
     default_abundance_grid,
 )
-from oracles import RandomStream, predictive_total_count
+from oracles import RandomStream, budget_fraction, categorized_count, predictive_total_count
 from conftest import baseline_config
 
 
@@ -91,7 +89,7 @@ class TestOptimizeDesign:
         result = optimize_design(config)
         row = result.optimal_row
         cost, n = config.cost, predictive_l2(result.m_star, config).median_count
-        q = categorization_fraction(cost, row.area, n)
+        q = budget_fraction(cost, row.area, n)
         n_bar = math.floor(n * q)
         c = cost.budget_coefficient
         assert (result.typical_n, result.typical_n_bar) == (n, n_bar)
@@ -276,7 +274,7 @@ def mc_curve(config, draws, seed):
             config.abundance_prior, area, RandomStream(seed, (m,)), size=draws
         )
         values, index = np.unique(counts, return_inverse=True)
-        n_bar = [math.floor(n * categorization_fraction(config.cost, area, int(n))) for n in values]
+        n_bar = [categorized_count(config.cost, area, int(n)) for n in values]
         vals = l2_expected(np.array(n_bar), config.composition_prior)[index]
         out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))))
     return out
@@ -300,8 +298,7 @@ class TestExactQuadrature:
             area = m * config.cost.quadrant_area
             dist = stats.nbinom(a, b / (b + area))
             n = np.arange(int(dist.isf(1e-15)) + 1)
-            q = [categorization_fraction(config.cost, area, int(k)) for k in n]
-            n_bar = np.floor(n * np.array(q))
+            n_bar = np.array([categorized_count(config.cost, area, int(k)) for k in n])
             ref = float(np.dot(dist.pmf(n), l2_expected(n_bar, config.composition_prior)))
             got = predictive_l2(m, config)
             assert abs(got.e_l2 - ref) < 1e-12
@@ -404,8 +401,8 @@ class TestSharedCountArrays:
     )
     @settings(max_examples=300, deadline=None)
     def test_table_path_is_the_budget_rule(self, budget, r1, r2, size, data):
-        # the curve's two n_bar paths: a slice of the shared counts, and a
-        # float arange for a chunk that starts past them
+        # the curve's two n_bar paths, a slice of the shared counts and a float
+        # arange for a chunk that starts past them, against the scalar oracle
         cost = CostModel.from_budget_quadrants(0.0625, budget, r1, r2)
         config = DesignConfig(GammaParams(3.0, 0.01), DirichletParams.symmetric(10, 1.0), cost)
         lo = data.draw(st.one_of(st.just(0), st.integers(0, size - 1)), label="lo")
@@ -426,7 +423,8 @@ class TestSharedCountArrays:
         inside = _count_tables(config, size)[0][lo:hi]
         past = np.arange(size + lo, size + hi, dtype=np.float64)
         for n in (inside, past):
-            q_rule, n_bar_rule = budget_rule(cost, area, n)
+            q_rule = np.array([budget_fraction(cost, area, int(k)) for k in n])
+            n_bar_rule = [categorized_count(cost, area, int(k)) for k in n]
             q = np.empty(hi - lo)
             got = _categorized(cost, area, n, q, np.empty(hi - lo))
             assert np.array_equal(got, n_bar_rule)

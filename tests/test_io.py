@@ -8,21 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdesign.io import format_value, render_csv, render_json
+from mpdesign.io import render_csv, render_json
 
 
-def test_numpy_scalars_render_as_plain_numbers():
-    text = render_csv(
-        ["x", "density", "count"],
-        [(np.float64(0.1), np.float64(2.5e-300), np.int64(7)), (np.float64(1.0), 0.0, 3)],
-    )
-    assert text == "x,density,count\n0.1,2.5e-300,7\n1.0,0.0,3\n"
+@pytest.mark.parametrize(
+    "cell,name",
+    [(np.float64(0.1), "float64"), (np.int64(7), "int64"), (np.bool_(True), np.bool_.__name__),
+     (None, "NoneType"), (b"x", "bytes")],
+    ids=["np.float64", "np.int64", "np.bool_", "None", "bytes"],
+)
+def test_other_cells_raise_type_error_naming_the_type(cell, name):
+    # a NumPy scalar would print as np.float64(...) under NumPy 2, None as ""
+    with pytest.raises(TypeError, match=rf"^CSV cells must be str, int, float or bool, not {name}$"):
+        render_csv(["x", "y"], [(0.5, 1), (2.0, cell)])
 
 
 def test_float_text_round_trips():
-    for value in (0.1, 1 / 3, 1e-17, np.float64(2) / 3):
-        assert float(format_value(value)) == value
-    assert format_value(True) == "True"
+    values = [0.1, 1 / 3, 1e-17, 2.5e-300, 5e-324, 1e300]
+    text = render_csv(["x", "flag"], [(value, True) for value in values])
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [float(x) for x, _ in rows] == values
+    assert {flag for _, flag in rows} == {"True"}
 
 
 JSON_SCALARS = st.one_of(
@@ -101,17 +107,16 @@ def test_render_json_raises_what_json_dumps_raises(obj):
 
 
 def reference_csv(header, rows):
-    """``render_csv`` as one ``format_value`` call per cell."""
+    """``render_csv`` as one ``writerow`` per row of cells already made text:
+    a float by its shortest round-trip ``repr``, anything else by ``str``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_value(v) for v in row])
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
 
 
-# Cells that ``writerows`` takes as they are, and cells (NumPy scalars, None)
-# that send a table through ``format_value``.
 CSV_CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-(2.0**-1022), 2.0**-1022),  # subnormals
@@ -119,21 +124,10 @@ CSV_CELLS = st.one_of(
     st.booleans(),
     st.text(st.sampled_from(',"\'\n\r ;aé')),
 )
-OTHER_CELLS = st.one_of(
-    st.none(),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-)
 
 
-@given(
-    rows=st.one_of(
-        st.lists(st.lists(CSV_CELLS, max_size=5).map(tuple), max_size=8),
-        st.lists(st.lists(st.one_of(CSV_CELLS, OTHER_CELLS), max_size=5), max_size=8),
-    )
-)
+@given(rows=st.lists(st.lists(CSV_CELLS, max_size=5).map(tuple), max_size=8))
 @settings(max_examples=500)
-def test_render_csv_equals_per_cell_format_value(rows):
+def test_render_csv_equals_per_cell_text(rows):
     header = ["a", "b,c", 'd"e']
     assert render_csv(header, rows) == reference_csv(header, rows)
