@@ -23,7 +23,6 @@ _EXPORTS = {
     "DesignConfig": "design",
     "DesignCurve": "design",
     "DesignResult": "design",
-    "PerformanceCurve": "design",
     "expected_total_loss": "design",
     "optimize_design": "design",
     "performance_curve": "design",

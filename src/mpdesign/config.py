@@ -33,7 +33,7 @@ from .cost import CostModel
 from .design import DesignConfig
 from .distributions import DirichletParams, GammaParams
 
-__all__ = ["ConfigError", "LoadedConfig", "load_config", "parse_config", "config_to_json"]
+__all__ = ["ConfigError", "LoadedConfig", "load_config", "parse_config"]
 
 DEFAULT_CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
 _MAX_CLASSES = 10_000  # largest number of polymer classes k, in either form
@@ -86,6 +86,13 @@ def _finite_number(value, where: str) -> float:
     return float(value)
 
 
+def _positive_number(value, where: str) -> float:
+    value = _finite_number(value, where)
+    if not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return value
+
+
 def _parse_abundance(obj) -> GammaParams:
     _require_keys(obj, "abundance_prior", {"shape", "rate", "mode"}, {"shape"})
     has_rate, has_mode = "rate" in obj, "mode" in obj
@@ -115,7 +122,7 @@ def _parse_composition(obj) -> DirichletParams:
                 f"composition_prior.gamma must be a list of k >= 2 numbers, at most {_MAX_CLASSES}"
             )
         concentration = tuple(
-            _finite_number(g, f"composition_prior.gamma[{i}]") for i, g in enumerate(gamma)
+            _positive_number(g, f"composition_prior.gamma[{i}]") for i, g in enumerate(gamma)
         )
     else:
         _require_keys(obj, "composition_prior", {"classes", "symmetric_gamma"},
@@ -125,7 +132,7 @@ def _parse_composition(obj) -> DirichletParams:
             raise ConfigError(
                 f"composition_prior.classes must be an integer >= 2 and at most {_MAX_CLASSES}"
             )
-        value = _finite_number(obj["symmetric_gamma"], "composition_prior.symmetric_gamma")
+        value = _positive_number(obj["symmetric_gamma"], "composition_prior.symmetric_gamma")
         concentration = (value,) * k
     try:
         return DirichletParams(concentration)
@@ -137,11 +144,11 @@ def _parse_cost(obj) -> tuple[CostModel, float]:
     fields = {"quadrant_area", "budget_quadrant_equivalents", "count_ratio", "categorize_ratio"}
     _require_keys(obj, "cost", fields, fields)
     area = _finite_number(obj["quadrant_area"], "cost.quadrant_area")
-    budget = _finite_number(obj["budget_quadrant_equivalents"], "cost.budget_quadrant_equivalents")
+    budget = _positive_number(
+        obj["budget_quadrant_equivalents"], "cost.budget_quadrant_equivalents"
+    )
     r1 = _finite_number(obj["count_ratio"], "cost.count_ratio")
     r2 = _finite_number(obj["categorize_ratio"], "cost.categorize_ratio")
-    if not budget > 0:
-        raise ConfigError(f"cost.budget_quadrant_equivalents must be positive, got {budget!r}")
     product = area * budget
     if area > 0 and not (0.0 < product < math.inf and 1.0 / product < math.inf):
         raise ConfigError(
@@ -212,7 +219,3 @@ def load_config(path) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_config(doc)
-
-
-def config_to_json(config: LoadedConfig) -> str:
-    return json.dumps(config.to_mapping(), indent=2, sort_keys=True) + "\n"

@@ -118,7 +118,11 @@ def normalized_cost(cost: CostModel, total_area: float, n: int, q: float) -> flo
     """Fraction of the budget consumed: c * (mA + r1*n + r2*floor(n*q))."""
     if total_area < 0 or n < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("invalid design point")
-    n_bar = math.floor(n * q)
+    return _spent(cost, total_area, n, math.floor(n * q))
+
+
+def _spent(cost: CostModel, total_area: float, n: int, n_bar: int) -> float:
+    """c * (mA + r1*n + r2*n_bar): the share of the budget a design spends."""
     return cost.budget_coefficient * (
         total_area + cost.count_ratio * n + cost.categorize_ratio * n_bar
     )
@@ -189,14 +193,14 @@ def feasible_designs(cost: CostModel) -> range:
 
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:
     """n_bar at count ``n``, and the budget fractions that sampling, counting and
-    categorization take there, with the slack 1 - :func:`normalized_cost`."""
-    q, n_bar = budget_rule(cost, total_area, n)
+    categorization take there, with the slack 1 minus what that n_bar spends."""
+    _, n_bar = budget_rule(cost, total_area, n)
     c = cost.budget_coefficient
     return n_bar, {
         "sampling": c * total_area,
         "counting": c * cost.count_ratio * n,
         "categorization": c * cost.categorize_ratio * n_bar,
-        "slack": 1.0 - normalized_cost(cost, total_area, n, q),
+        "slack": 1.0 - _spent(cost, total_area, n, n_bar),
     }
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "DesignCurve",
     "DesignResult",
     "PerformanceRow",
-    "PerformanceCurve",
     "PredictiveL2",
     "SweepRow",
     "expected_total_loss",
@@ -58,6 +57,8 @@ L1_WEIGHT = 0.5  # w in L* = w*L1* + (1 - w)*E[L2*]
 TAIL_MASS = 1e-13  # truncated upper tail of the predictive count, per design point
 _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
+MAX_QUADRANTS = 10_000  # largest affordable quadrant count the design curve walks
+MAX_CURVE_TERMS = 1e8  # largest total of the design points' first pmf chunks
 
 # Output columns of a design curve, a performance curve and a sensitivity
 # sweep, in file order. The rows are named tuples with their fields in this
@@ -129,15 +130,6 @@ class PerformanceRow(NamedTuple):
     q: float
     n_bar: int
     l2_star: float
-
-
-@dataclass(frozen=True)
-class PerformanceCurve:
-    m: int
-    rows: tuple[PerformanceRow, ...]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.rows])
 
 
 class SweepRow(NamedTuple):
@@ -299,12 +291,18 @@ def expected_total_loss(m: int, config: DesignConfig):
     The L1 component is exact; the truncated tail mass of the L2 sum bounds
     the error and propagates with its weight.
     """
-    if m not in feasible_designs(config.cost):
-        raise ValueError(f"m={m} outside the feasible set {feasible_designs(config.cost)}")
+    _check_feasible(m, config.cost)
     size = _first_chunk(m, config)
     e_l2, tail, _ = _expected_l2(m, config, size, _count_tables(config, size))
     row = _curve_row(m, config, e_l2, tail)
     return row.l_star, row.l_star_se
+
+
+def _check_feasible(m: int, cost: CostModel) -> None:
+    """Reject a quadrant count outside 0 .. ``cost.max_quadrants``, in time
+    independent of the budget."""
+    if not (0 <= m <= cost.max_quadrants and int(m) == m):
+        raise ValueError(f"m={m} outside the feasible set 0..{cost.max_quadrants}")
 
 
 def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> DesignCurveRow:
@@ -327,10 +325,26 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     Ties break toward smaller m (the cheaper field campaign). The per-count
     arrays are built once, as long as the largest first chunk, and every
     design point slices them. Only m* reads the predictive median, for the
-    typical-count summary.
+    typical-count summary. A budget that affords more than ``MAX_QUADRANTS``
+    quadrants, or whose design points' first chunks total more than
+    ``MAX_CURVE_TERMS`` counts, is rejected before any table is built.
     """
-    feasible = feasible_designs(config.cost)
+    cost = config.cost
+    budget = cost.budget_area / cost.quadrant_area
+    if cost.max_quadrants > MAX_QUADRANTS:
+        raise ValueError(
+            f"a budget of {budget:.3g} quadrant equivalents affords {cost.max_quadrants:.3g} "
+            f"quadrants; the exact design supports at most {MAX_QUADRANTS}"
+        )
+    feasible = feasible_designs(cost)
     sizes = [_first_chunk(m, config) for m in feasible]
+    terms = sum(sizes)
+    if terms > MAX_CURVE_TERMS:
+        raise ValueError(
+            f"a budget of {budget:.3g} quadrant equivalents with this abundance_prior "
+            f"puts {terms:.3g} pmf terms in the design points' first chunks; "
+            f"the exact design supports at most {MAX_CURVE_TERMS:.0e}"
+        )
     tables = _count_tables(config, max(sizes))
     curve = DesignCurve(tuple(
         _curve_row(m, config, *_expected_l2(m, config, size, tables)[:2])
@@ -356,15 +370,14 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     )
 
 
-def performance_curve(m: int, abundance_grid, config: DesignConfig) -> PerformanceCurve:
+def performance_curve(m: int, abundance_grid, config: DesignConfig) -> tuple[PerformanceRow, ...]:
     """Deterministic second-stage behavior across hypothetical true abundances.
 
-    For each grid abundance: expected count n = floor(m*A*abundance), the
+    One row per grid abundance: expected count n = floor(m*A*abundance), the
     budget-implied q, the categorized count n_bar, and the resulting expected
     composition loss.
     """
-    if m not in feasible_designs(config.cost):
-        raise ValueError(f"m={m} outside the feasible set")
+    _check_feasible(m, config.cost)
     grid = np.asarray(abundance_grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]
     if bad.size:
@@ -375,8 +388,7 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> Performan
     l2 = l2_expected(n_bar, config.composition_prior)
     # int of the floats, not int64, which would wrap counts past 2**63
     columns = grid.tolist(), map(int, counts.tolist()), q.tolist(), map(int, n_bar.tolist())
-    rows = tuple(map(PerformanceRow._make, zip(*columns, l2.tolist())))
-    return PerformanceCurve(m=m, rows=rows)
+    return tuple(map(PerformanceRow._make, zip(*columns, l2.tolist())))
 
 
 def default_abundance_grid(config: DesignConfig, points: int = 200) -> np.ndarray:

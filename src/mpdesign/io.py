@@ -46,7 +46,6 @@ __all__ = [
     "render_json",
 ]
 
-SCHEMA_VERSION = 1
 FIELD_HEADER = ["quadrant_id", "suspected_count"]
 CLASS_HEADER = ["class_name", "categorized_count"]
 

@@ -90,11 +90,11 @@ def _design_figure(fid: str) -> dict[str, str]:
         config = _config(prior, budget, r2)
         result = optimize_design(config)
         m = result.m_star
-        curve = performance_curve(m, default_abundance_grid(config), config)
+        rows = performance_curve(m, default_abundance_grid(config), config)
         files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + render_csv(
             DESIGN_COLUMNS, result.curve.rows
         )
-        files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, curve.rows)
+        files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows)
     return files
 
 

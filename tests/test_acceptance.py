@@ -165,7 +165,7 @@ def test_07_performance_curve_shape():
     parts, ok = [], True
     for m, config in ((7, baseline_config()), (4, baseline_config(beta=0.0025))):
         n_full, peak = budget_plateau(budget, area, r1, r2, m)
-        rows = performance_curve(m, default_abundance_grid(config, points=400), config).rows
+        rows = performance_curve(m, default_abundance_grid(config, points=400), config)
         got = max(r.n_bar for r in rows)
         q_shape = all((r.q == 1.0) == (r.n <= n_full) for r in rows)
         reaches = max(r.n for r in rows) >= n_full

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -172,6 +173,15 @@ class TestPrintConfig:
         printed = json.loads(out.output)
         assert "mc" not in printed  # the legacy section is dropped
         assert parse_config(printed) == parse_config(BASE_DOC)
+
+    def test_canonical_json_bytes(self, runner, tmp_path):
+        names = ["PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "Poliéster", "聚丙烯"]
+        path = write_config(tmp_path, lambda d: d.update(class_names=names))
+        out = runner.invoke(main, ["--config", path, "--print-config"])
+        assert out.exit_code == 0
+        doc = json.loads(out.output)
+        assert doc["class_names"] == names
+        assert out.output == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestDesignCommand:
@@ -480,7 +490,7 @@ class TestTableColumns:
         if command == "design":
             return optimize_design(config).optimal_row
         if command == "curves":
-            return performance_curve(7, [382.0, 400.0], config).rows[0]
+            return performance_curve(7, [382.0, 400.0], config)[0]
         return sensitivity_sweep(config, "budget", [12.0])[0]
 
     @pytest.mark.parametrize(
@@ -575,11 +585,30 @@ class TestBadValuesNamed:
              "composition_prior.gamma[1] must be a finite number, got 'x'"),
             ("abundance_prior", {"shape": 3, "rate": "x"}, DESIGN,
              "abundance_prior.rate must be a finite number, got 'x'"),
+            ("composition_prior.symmetric_gamma", -1, DESIGN,
+             "composition_prior.symmetric_gamma must be positive, got -1.0\n"),
+            ("composition_prior.symmetric_gamma", 0, CURVES,
+             "composition_prior.symmetric_gamma must be positive, got 0.0\n"),
+            ("composition_prior", {"gamma": [1, -1]}, DESIGN,
+             "composition_prior.gamma[1] must be positive, got -1.0\n"),
+            # the feasible set is named by its ends: listing it, or taking its
+            # length, printed a 10-million-entry line at 1e7 and ended in an
+            # OverflowError at 1e308
+            ("cost.budget_quadrant_equivalents", 12, ["curves", "--m", "-1"],
+             "m=-1 outside the feasible set 0..12\n"),
+            ("cost.budget_quadrant_equivalents", 12, ["curves", "--m", "13"],
+             "m=13 outside the feasible set 0..12\n"),
+            ("cost.budget_quadrant_equivalents", 1e7, ["curves", "--m", "-1"],
+             "m=-1 outside the feasible set 0..10000000\n"),
+            ("cost.budget_quadrant_equivalents", 1e308, ["curves", "--m", "-1"],
+             "m=-1 outside the feasible set 0..1000000000000100"),
         ],
         ids=["budget-negative", "budget-zero", "budget-tiny", "mode-tiny", "shape-huge",
              "mode-huge", "gamma-short", "classes-one", "classes-1e20", "classes-1e9",
              "classes-above-bound", "gamma-above-bound", "shape-1e14", "shape-1e16",
-             "gamma-string", "rate-string"],
+             "gamma-string", "rate-string", "symmetric-gamma-negative", "symmetric-gamma-zero",
+             "gamma-negative", "m-negative-b12", "m-above-b12", "m-negative-b1e7",
+             "m-negative-b1e308"],
     )
     def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
         path = write_config(tmp_path, lambda d: _set_field(d, field, value))
@@ -587,6 +616,23 @@ class TestBadValuesNamed:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
         assert result.output.startswith("Error: " + message)
+        assert result.output.count("\n") == 1
+        assert len(result.output) < 1000
+
+    # taking the feasible set's length ended in an OverflowError; a list of
+    # per-m work would not end at all
+    def test_unbounded_budget_rejected_at_once(self, runner, tmp_path):
+        path = write_config(
+            tmp_path, lambda d: d["cost"].update(budget_quadrant_equivalents=1e308)
+        )
+        start = time.perf_counter()
+        result = runner.invoke(main, ["--config", path, "design"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            "Error: a budget of 1e+308 quadrant equivalents affords 1e+308 quadrants; "
+        )
         assert result.output.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

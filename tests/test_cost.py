@@ -16,6 +16,7 @@ from mpdesign import (
     l1_expected,
     normalized_cost,
 )
+from mpdesign.cost import _budget_split
 from conftest import BASELINE_COST
 from oracles import budget_fraction
 
@@ -67,6 +68,29 @@ class TestNormalizedCost:
         a = CostModel.from_raw_costs(0.0625, 80.0, 4e-3, 0.24, 60.0)
         b = CostModel.from_raw_costs(0.0625, 160.0, 8e-3, 0.48, 120.0)
         assert normalized_cost(a, 0.4375, 167, 0.5) == normalized_cost(b, 0.4375, 167, 0.5)
+
+    @given(
+        area=st.floats(0.01, 1.0),
+        budget=st.floats(1.0, 40.0),
+        r1=st.floats(0.0, 1e-3),
+        r2=st.floats(1e-4, 1e-1),
+        m=st.integers(0, 40),
+        n=st.integers(0, 50_000),
+    )
+    @settings(max_examples=300)
+    def test_budget_split_charges_the_rule_count(self, area, budget, r1, r2, m, n):
+        # the summary charges the rule's n_bar; normalized_cost re-forms
+        # floor(n*q) from the rule's q, and the two must agree to the bit
+        cost = CostModel.from_budget_quadrants(area, budget, r1, r2)
+        total_area = min(m, cost.max_quadrants) * area
+        q, n_bar = budget_rule(cost, total_area, n)
+        c = cost.budget_coefficient
+        assert _budget_split(cost, total_area, n) == (n_bar, {
+            "sampling": c * total_area,
+            "counting": c * r1 * n,
+            "categorization": c * r2 * n_bar,
+            "slack": 1.0 - normalized_cost(cost, total_area, n, q),
+        })
 
 
 class TestCategorizationFraction:

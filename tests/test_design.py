@@ -26,7 +26,9 @@ from mpdesign import (
 from mpdesign import design
 from mpdesign.cost import _categorized
 from mpdesign.design import (
+    MAX_CURVE_TERMS,
     MAX_MEAN_COUNT,
+    MAX_QUADRANTS,
     TAIL_MASS,
     _MAX_CHUNK,
     _count_tables,
@@ -42,7 +44,7 @@ class TestExpectedTotalLoss:
         assert expected_total_loss(0, low_config) == (1.0, 0.0)
 
     def test_infeasible_m_rejected(self, low_config):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m=13 outside the feasible set 0\.\.12$"):
             expected_total_loss(13, low_config)
 
     def test_budget_exhaustion_pushes_loss_up(self, low_config):
@@ -160,31 +162,32 @@ class TestOptimizeDesign:
 
 class TestPerformanceCurve:
     def test_low_count_region_fully_categorized(self, low_config):
-        curve = performance_curve(7, np.linspace(4.0, 800.0, 200), low_config)
-        for row in curve.rows:
+        rows = performance_curve(7, np.linspace(4.0, 800.0, 200), low_config)
+        for row in rows:
             if row.n <= 100:
                 assert row.q == 1.0
                 assert row.n_bar == row.n
 
     def test_categorized_count_plateaus(self, low_config):
-        curve = performance_curve(7, default_abundance_grid(low_config), low_config)
-        n_bar = curve.column("n_bar")
+        rows = performance_curve(7, default_abundance_grid(low_config), low_config)
+        n_bar = np.array([r.n_bar for r in rows])
         # once the budget binds, n_bar stays within a few particles of its peak
         peak = n_bar.max()
-        binding = n_bar[curve.column("q") < 1.0]
+        binding = n_bar[np.array([r.q for r in rows]) < 1.0]
         assert np.all(binding > 0.9 * peak)
 
     def test_zero_abundance_row(self, low_config):
-        row = performance_curve(7, [0.0], low_config).rows[0]
+        (row,) = performance_curve(7, [0.0], low_config)
         assert (row.n, row.q, row.n_bar, row.l2_star) == (0, 1.0, 0, 1.0)
 
     def test_high_prior_peak_larger_with_smaller_area(self, high_config):
-        curve = performance_curve(4, default_abundance_grid(high_config), high_config)
-        assert curve.column("n_bar").max() > 150
+        rows = performance_curve(4, default_abundance_grid(high_config), high_config)
+        assert max(r.n_bar for r in rows) > 150
 
     def test_infeasible_m_rejected(self, low_config):
-        with pytest.raises(ValueError):
-            performance_curve(13, [100.0], low_config)
+        for m in (13, -1, 2.5):
+            with pytest.raises(ValueError, match=rf"^m={m} outside the feasible set 0\.\.12$"):
+                performance_curve(m, [100.0], low_config)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_grid_point_named(self, low_config, bad):
@@ -347,6 +350,39 @@ class TestExactQuadrature:
         assert 3.0 * 0.0625 / 1e-12 > MAX_MEAN_COUNT
         with pytest.raises(ValueError, match="abundance_prior"):
             optimize_design(config)
+
+
+class TestWalkBound:
+    @pytest.mark.parametrize("beta", [0.01, 0.0025], ids=["low", "high"])
+    def test_large_budget_experiments_within_bound(self, beta):
+        # the B = 800 tail runs of the baseline priors
+        config = baseline_config(beta=beta, budget=800.0)
+        assert config.cost.max_quadrants == 800 <= MAX_QUADRANTS
+        sizes = [_first_chunk(m, config) for m in range(801)]
+        assert sum(sizes) <= MAX_CURVE_TERMS
+
+    def test_quadrant_bound_checked_first(self, low_config, monkeypatch):
+        monkeypatch.setattr(design, "MAX_QUADRANTS", 11)
+        monkeypatch.setattr(design, "_first_chunk", None)  # no per-m work at all
+        with pytest.raises(
+            ValueError,
+            match=r"^a budget of 12 quadrant equivalents affords 12 quadrants; "
+            r"the exact design supports at most 11$",
+        ):
+            optimize_design(low_config)
+
+    def test_term_bound_names_budget_and_bound(self, low_config, monkeypatch):
+        terms = sum(_first_chunk(m, low_config) for m in range(13))
+        monkeypatch.setattr(design, "MAX_CURVE_TERMS", terms)
+        assert optimize_design(low_config).m_star == 7
+        monkeypatch.setattr(design, "MAX_CURVE_TERMS", terms - 1)
+        monkeypatch.setattr(design, "_count_tables", None)  # rejected before any table
+        with pytest.raises(ValueError) as info:
+            optimize_design(low_config)
+        message = str(info.value)
+        assert message.startswith("a budget of 12 quadrant equivalents ")
+        assert f" puts {terms:.3g} pmf terms " in message
+        assert message.endswith(f"; the exact design supports at most {terms - 1:.0e}")
 
 
 def _config(prior, count_ratio=5e-5, budget=12.0):

@@ -233,7 +233,7 @@ def test_special_functions_are_a_leaf():
 PUBLIC_API_CHILD = """
 import sys
 import mpdesign
-assert len(mpdesign.__all__) == 31, len(mpdesign.__all__)
+assert len(mpdesign.__all__) == 30, len(mpdesign.__all__)
 assert set(mpdesign.__all__) <= set(dir(mpdesign)), set(mpdesign.__all__) - set(dir(mpdesign))
 assert "__all__" in dir(mpdesign)
 namespace = {}
