@@ -18,21 +18,15 @@ _EXPORTS = {
     "CostModel": "cost",
     "budget_rule": "cost",
     "categorization_fraction": "cost",
-    "feasible_designs": "cost",
-    "normalized_cost": "cost",
     "DesignConfig": "design",
     "DesignCurve": "design",
     "DesignResult": "design",
-    "expected_total_loss": "design",
     "optimize_design": "design",
     "performance_curve": "design",
-    "predictive_l2": "design",
     "sensitivity_sweep": "design",
     "DirichletParams": "distributions",
     "GammaParams": "distributions",
-    "dirichlet_cov_trace": "distributions",
     "dirichlet_multinomial_moments": "distributions",
-    "predictive_log_pmf": "distributions",
     "l1_expected": "loss",
     "l1_realized": "loss",
     "l2_expected": "loss",

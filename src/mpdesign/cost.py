@@ -10,8 +10,8 @@ to rescaling raw costs and budget by a common factor:
 * ``categorize_ratio`` r2 -- effort to categorize one particle by
   spectroscopy, relative to sampling 1 m^2.
 
-The normalized cost of a design is c * (m*A + r1*n + r2*floor(n*q)) and must
-not exceed 1.
+The normalized cost of a design is c * (m*A + r1*n + r2*n_bar) and must not
+exceed 1, where n_bar is the categorized count that :func:`budget_rule` returns.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ import numpy as np
 
 __all__ = [
     "CostModel",
-    "normalized_cost",
     "categorization_fraction",
     "budget_rule",
-    "feasible_designs",
 ]
 
 # Relative slack when counting whole affordable quadrants: c = 1/(B*A) is
@@ -114,13 +112,6 @@ class CostModel:
         )
 
 
-def normalized_cost(cost: CostModel, total_area: float, n: int, q: float) -> float:
-    """Fraction of the budget consumed: c * (mA + r1*n + r2*floor(n*q))."""
-    if total_area < 0 or n < 0 or not 0.0 <= q <= 1.0:
-        raise ValueError("invalid design point")
-    return _spent(cost, total_area, n, math.floor(n * q))
-
-
 def _spent(cost: CostModel, total_area: float, n: int, n_bar: int) -> float:
     """c * (mA + r1*n + r2*n_bar): the share of the budget a design spends."""
     return cost.budget_coefficient * (
@@ -139,13 +130,13 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
 
 
 def budget_rule(cost: CostModel, total_area: float, counts):
-    """Budget-implied fraction q and categorized count n_bar = floor(n*q).
+    """Budget-implied fraction q and categorized count n_bar.
 
-    The one source of n_bar; the design curve calls its in-place core
-    :func:`_categorized` directly. For an array of counts, returns
-    ``(q, n_bar)`` as float arrays; for a single count, a Python
-    ``(float, int)``. A NaN, infinite or negative area or count is rejected
-    by name.
+    The one source of n_bar, which its in-place core :func:`_categorized`
+    forms; the design curve calls that core directly. For an array of
+    counts, returns ``(q, n_bar)`` as float arrays; for a single count, a
+    Python ``(float, int)``. A NaN, infinite or negative area or count is
+    rejected by name.
     """
     n = np.asarray(counts, dtype=np.float64)
     if not (total_area >= 0 and math.isfinite(total_area)):
@@ -180,15 +171,6 @@ def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
     np.minimum(q, 1.0, out=q)
     np.multiply(n, q, out=n_bar)
     return np.floor(n_bar, out=n_bar)
-
-
-def feasible_designs(cost: CostModel) -> range:
-    """Quadrant counts affordable within the budget: 0 .. floor(1/(A*c)).
-
-    A budget of exactly B quadrant equivalents admits m = B even when the
-    rounded coefficient c = 1/(B*A) puts 1/(A*c) an ulp or two below B.
-    """
-    return range(0, cost.max_quadrants + 1)
 
 
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule, feasible_designs
+from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
 from .distributions import DirichletParams, GammaParams, _log_pmf_from_steps, _ratio_steps
 from .loss import l1_expected, l2_expected
 
@@ -37,10 +37,7 @@ __all__ = [
     "DesignCurve",
     "DesignResult",
     "PerformanceRow",
-    "PredictiveL2",
     "SweepRow",
-    "expected_total_loss",
-    "predictive_l2",
     "optimize_design",
     "performance_curve",
     "default_abundance_grid",
@@ -140,16 +137,6 @@ class SweepRow(NamedTuple):
     budget_slack: float
 
 
-@dataclass(frozen=True)
-class PredictiveL2:
-    """E[L2*] over the predictive total count at one design point."""
-
-    e_l2: float
-    tail: float  # bound on the upper tail mass left out of e_l2
-    median_count: int  # predictive median of N
-    terms: int  # pmf terms summed into e_l2
-
-
 def _tail_bound(pmf_top: float, top: int, shape: float, one_minus_p: float) -> float:
     """Bound on P(N > top): past ``top`` the pmf ratio (n+a)/(n+1)*(1-p) never
     exceeds its value at ``top`` (or 1-p when a < 1), so the tail is at most
@@ -158,26 +145,6 @@ def _tail_bound(pmf_top: float, top: int, shape: float, one_minus_p: float) -> f
     if ratio >= 1.0:
         return math.inf
     return pmf_top * ratio / (1.0 - ratio)
-
-
-def predictive_l2(m: int, config: DesignConfig) -> PredictiveL2:
-    """Exact E[L2*(n_bar(N))] over the negative binomial predictive of N.
-
-    Sums P(N = n) * (1 - L2*(n)) in chunks of at most ``_MAX_CHUNK`` counts
-    until the tail bound falls below ``TAIL_MASS`` or the budget rule's q
-    reaches 0 (after which every term is zero), so memory stays bounded for
-    any prior. The median is read from the cumulative pmf over the same
-    chunks; when it lies past the summed range, that walk continues to it, in
-    time proportional to the median. Priors whose predictive mean count
-    exceeds ``MAX_MEAN_COUNT`` are rejected rather than walked. Called alone,
-    it builds the per-count arrays for its own first chunk;
-    :func:`optimize_design` shares one set across the curve, and reads the
-    median at m* alone, with identical results.
-    """
-    size = _first_chunk(m, config)
-    tables = _count_tables(config, size)
-    e_l2, tail, terms = _expected_l2(m, config, size, tables)
-    return PredictiveL2(e_l2, tail, _predictive_median(m, config, size, tables), terms)
 
 
 def _first_chunk(m: int, config: DesignConfig) -> int:
@@ -240,8 +207,14 @@ def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
 
 
 def _expected_l2(m: int, config: DesignConfig, size: int, tables):
-    """``(e_l2, tail, terms)`` of :func:`predictive_l2`, without the median:
-    the sum stops at the tail bound or where the budget rule's q reaches 0."""
+    """``(e_l2, tail, terms)``: the exact E[L2*(n_bar(N))] over the negative
+    binomial predictive of N at m, the bound on the upper tail mass it leaves
+    out, and the pmf terms it sums.
+
+    Sums P(N = n) * (1 - L2*(n)) chunk by chunk (:func:`_pmf_chunks`), so
+    memory stays bounded for any prior, until the tail bound falls below
+    ``TAIL_MASS`` or the budget rule's q reaches 0, after which every term is
+    zero. Any ``tables`` at least ``size`` long give the same bits."""
     if m == 0:
         return 1.0, 0.0, 0
     counts, _, gains = tables
@@ -285,19 +258,6 @@ def _predictive_median(m: int, config: DesignConfig, size: int, tables) -> int:
         mass = float(cdf[-1])
 
 
-def expected_total_loss(m: int, config: DesignConfig):
-    """Composite expected loss (value, error bound) for sampling m quadrants.
-
-    The L1 component is exact; the truncated tail mass of the L2 sum bounds
-    the error and propagates with its weight.
-    """
-    _check_feasible(m, config.cost)
-    size = _first_chunk(m, config)
-    e_l2, tail, _ = _expected_l2(m, config, size, _count_tables(config, size))
-    row = _curve_row(m, config, e_l2, tail)
-    return row.l_star, row.l_star_se
-
-
 def _check_feasible(m: int, cost: CostModel) -> None:
     """Reject a quadrant count outside 0 .. ``cost.max_quadrants``, in time
     independent of the budget."""
@@ -319,16 +279,11 @@ def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> Design
     )
 
 
-def optimize_design(config: DesignConfig) -> DesignResult:
-    """Minimize the composite expected loss over the feasible quadrant counts.
-
-    Ties break toward smaller m (the cheaper field campaign). The per-count
-    arrays are built once, as long as the largest first chunk, and every
-    design point slices them. Only m* reads the predictive median, for the
-    typical-count summary. A budget that affords more than ``MAX_QUADRANTS``
-    quadrants, or whose design points' first chunks total more than
-    ``MAX_CURVE_TERMS`` counts, is rejected before any table is built.
-    """
+def _first_chunks(config: DesignConfig) -> list[int]:
+    """The first-chunk size of every feasible m = 0 .. ``max_quadrants``, once
+    the walk is known to be bounded: a budget that affords more than
+    ``MAX_QUADRANTS`` quadrants, or whose design points' first chunks total
+    more than ``MAX_CURVE_TERMS`` counts, is rejected before any is summed."""
     cost = config.cost
     budget = cost.budget_area / cost.quadrant_area
     if cost.max_quadrants > MAX_QUADRANTS:
@@ -336,8 +291,7 @@ def optimize_design(config: DesignConfig) -> DesignResult:
             f"a budget of {budget:.3g} quadrant equivalents affords {cost.max_quadrants:.3g} "
             f"quadrants; the exact design supports at most {MAX_QUADRANTS}"
         )
-    feasible = feasible_designs(cost)
-    sizes = [_first_chunk(m, config) for m in feasible]
+    sizes = [_first_chunk(m, config) for m in range(cost.max_quadrants + 1)]
     terms = sum(sizes)
     if terms > MAX_CURVE_TERMS:
         raise ValueError(
@@ -345,10 +299,23 @@ def optimize_design(config: DesignConfig) -> DesignResult:
             f"puts {terms:.3g} pmf terms in the design points' first chunks; "
             f"the exact design supports at most {MAX_CURVE_TERMS:.0e}"
         )
+    return sizes
+
+
+def optimize_design(config: DesignConfig) -> DesignResult:
+    """Minimize the composite expected loss over the feasible quadrant counts.
+
+    Ties break toward smaller m (the cheaper field campaign). The walk's
+    bounds are checked first (:func:`_first_chunks`), before any table is
+    built. The per-count arrays are built once, as long as the largest first
+    chunk, and every design point slices them. Only m* reads the predictive
+    median, for the typical-count summary.
+    """
+    sizes = _first_chunks(config)
     tables = _count_tables(config, max(sizes))
     curve = DesignCurve(tuple(
         _curve_row(m, config, *_expected_l2(m, config, size, tables)[:2])
-        for m, size in zip(feasible, sizes)
+        for m, size in enumerate(sizes)
     ))
     l_star = curve.column("l_star")
     nan = np.flatnonzero(np.isnan(l_star))
@@ -408,9 +375,9 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     Axes: ``r2`` (categorize-ratio multipliers), ``budget`` (quadrant
     equivalents), ``prior-mode`` (abundance prior modes, shape fixed). Each
     value is optimized independently, so a row does not depend on the others
-    or on their order. Every value is checked before any is optimized; a
-    value that gives no valid configuration raises a ``ValueError`` that
-    names the axis and the value.
+    or on their order. Every value, and the bounds of its design walk, is
+    checked before any is optimized; a value that gives no valid
+    configuration raises a ``ValueError`` that names the axis and the value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -421,6 +388,7 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     for value in values:
         try:
             configs.append(_apply_axis(base, axis, value))
+            _first_chunks(configs[-1])
         except ValueError as exc:
             raise ValueError(f"{axis} value {value}: {exc}") from exc
     rows = []

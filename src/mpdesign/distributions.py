@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "GammaParams",
     "DirichletParams",
-    "predictive_log_pmf",
-    "dirichlet_cov_trace",
     "dirichlet_multinomial_moments",
 ]
 
@@ -102,22 +100,6 @@ class DirichletParams:
         return cls((float(value),) * int(k))
 
 
-def predictive_log_pmf(prior: GammaParams, total_area: float, start: int, stop: int) -> np.ndarray:
-    """Log pmf of the predictive total count N for n = start .. stop - 1.
-
-    N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
-    a = shape and p = rate/(rate + total_area) (rate parametrization). The
-    value at ``start`` comes from log-gamma functions; the rest follow from
-    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
-    """
-    if total_area <= 0:
-        raise ValueError("total_area must be positive")
-    if not 0 <= start < stop:
-        raise ValueError("need 0 <= start < stop")
-    steps = _ratio_steps(prior.shape, start + 1, stop)
-    return _log_pmf_from_steps(prior, total_area, start, steps)
-
-
 def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
     """log((n-1+a)/n) = log1p((a-1)/n) for n = start .. stop - 1 (start >= 1).
 
@@ -131,8 +113,15 @@ def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
 def _log_pmf_from_steps(
     prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
 ) -> np.ndarray:
-    """Log pmf for n = start .. start + len(ratio_steps), where
-    ``ratio_steps`` is :func:`_ratio_steps` over n = start + 1 onward."""
+    """Log pmf of the predictive total count N for n = start .. start +
+    len(ratio_steps), where ``ratio_steps`` is :func:`_ratio_steps` over
+    n = start + 1 onward and ``total_area`` > 0.
+
+    N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
+    a = shape and p = rate/(rate + total_area) (rate parametrization). The
+    value at ``start`` comes from log-gamma functions; the rest follow from
+    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
+    """
     a, b = prior.shape, prior.rate
     log_b, log_b_area = math.log(b), math.log(b + total_area)
     log_p = log_b - log_b_area
@@ -155,12 +144,6 @@ def _log_pmf_from_steps(
     np.cumsum(ratio_steps + log_1mp, out=out[1:])
     out[1:] += first
     return out
-
-
-def dirichlet_cov_trace(params: DirichletParams) -> float:
-    """Trace of the Dirichlet covariance matrix: (1 - sum theta_i^2)/(1 + gamma0)."""
-    theta = params.mean()
-    return float((1.0 - np.sum(theta**2)) / (1.0 + params.total))
 
 
 def dirichlet_multinomial_moments(params: DirichletParams, n: int):

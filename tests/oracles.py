@@ -12,7 +12,8 @@ values, so they can be shared across threads freely.
 Gamma parameters use the shape/RATE convention, as in
 :mod:`mpdesign.distributions`.
 
-:func:`budget_fraction` transcribes the budget rule's q one count at a time
+:func:`dirichlet_cov_trace` is the closed form that the Dirichlet draws are
+checked against. :func:`budget_fraction` transcribes the budget rule's q one count at a time
 in plain Python floats, with the same floating-point steps as the package's
 array rule, so that tests can compare the two bit for bit.
 """
@@ -95,6 +96,13 @@ def dirichlet_sample(params: DirichletParams, stream: RandomStream, size=None):
     """Draw proportion vector(s) from the Dirichlet; rows sum to 1."""
     g = stream.generator()
     return g.dirichlet(params.as_array(), size=size)
+
+
+def dirichlet_cov_trace(params: DirichletParams) -> float:
+    """Trace of the Dirichlet covariance matrix: (1 - sum theta_i^2)/(1 + gamma0),
+    the prior composition variance that the L2 losses divide by."""
+    theta = params.mean()
+    return float((1.0 - np.sum(theta**2)) / (1.0 + params.total))
 
 
 def mc_oracle_l1(m: int, prior: GammaParams, quadrant_area: float, draws: int, stream: RandomStream):

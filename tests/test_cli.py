@@ -7,6 +7,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from mpdesign import design
 from mpdesign.cli import main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
@@ -419,6 +420,32 @@ class TestSensitivityCommand:
         assert "prior-mode value inf: mode must be positive and finite" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "axis,values,message",
+        [
+            ("budget", "12,5000", "budget value 5000.0: a budget of 5e+03 quadrant equivalents "
+             "with this abundance_prior puts 3.17e+08 pmf terms"),
+            ("prior-mode", "200,1e8", "prior-mode value 100000000.0: abundance_prior predicts "
+             "a mean total count of 1.03e+08 at m=11"),
+        ],
+        ids=["budget-terms", "prior-mode-mean"],
+    )
+    def test_walk_bounds_checked_before_any_value_runs(
+        self, runner, config_path, monkeypatch, axis, values, message
+    ):
+        calls = []
+        optimize = design.optimize_design
+        monkeypatch.setattr(
+            design, "optimize_design", lambda config: calls.append(config) or optimize(config)
+        )
+        result = runner.invoke(
+            main, ["--config", config_path, "sensitivity", "--axis", axis, "--values", values]
+        )
+        assert result.exit_code == 1
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert calls == []
 
     def test_axis_choices_are_the_sweep_axes(self):
         # the CLI writes its own copy so that --help loads no design module

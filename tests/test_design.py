@@ -14,13 +14,10 @@ from mpdesign import (
     DesignConfig,
     DirichletParams,
     GammaParams,
-    expected_total_loss,
     l1_expected,
     l2_expected,
-    normalized_cost,
     optimize_design,
     performance_curve,
-    predictive_l2,
     sensitivity_sweep,
 )
 from mpdesign import design
@@ -32,32 +29,50 @@ from mpdesign.design import (
     TAIL_MASS,
     _MAX_CHUNK,
     _count_tables,
+    _expected_l2,
     _first_chunk,
+    _predictive_median,
     default_abundance_grid,
 )
 from oracles import RandomStream, budget_fraction, categorized_count, predictive_total_count
 from conftest import baseline_config
 
 
+def own_tables(m, config):
+    """The first-chunk size at m and per-count arrays built for that point alone."""
+    size = _first_chunk(m, config)
+    return size, _count_tables(config, size)
+
+
+def median_alone(m, config):
+    """The predictive median at m, read over that point's own arrays."""
+    return _predictive_median(m, config, *own_tables(m, config))
+
+
 class TestExpectedTotalLoss:
+    """The composite expected loss L*(m) and its error bound, the design curve's rows."""
+
     def test_zero_quadrants_is_total_loss(self, low_config):
-        assert expected_total_loss(0, low_config) == (1.0, 0.0)
+        row = optimize_design(low_config).curve.rows[0]
+        assert (row.m, row.l_star, row.l_star_se) == (0, 1.0, 0.0)
 
     def test_infeasible_m_rejected(self, low_config):
+        # the curve holds m = 0 .. 12 and nothing past it
+        assert [row.m for row in optimize_design(low_config).curve.rows] == list(range(13))
         with pytest.raises(ValueError, match=r"^m=13 outside the feasible set 0\.\.12$"):
-            expected_total_loss(13, low_config)
+            performance_curve(13, [100.0], low_config)
 
     def test_budget_exhaustion_pushes_loss_up(self, low_config):
         # at the feasibility boundary nothing is left for categorization
-        value, _ = expected_total_loss(12, low_config)
+        value = optimize_design(low_config).curve.rows[12].l_star
         l1 = 1.0 / (1.0 + 12 * 0.0625 / 0.01)
         assert value == pytest.approx((l1 + 1.0) / 2.0, abs=1e-12)
 
     def test_components_bounded(self, low_config):
+        rows = optimize_design(low_config).curve.rows
         for m in (1, 5, 9, 12):
-            value, se = expected_total_loss(m, low_config)
-            assert 0.0 < value <= 1.0
-            assert se >= 0.0
+            assert 0.0 < rows[m].l_star <= 1.0
+            assert rows[m].l_star_se >= 0.0
 
 
 class TestOptimizeDesign:
@@ -90,17 +105,19 @@ class TestOptimizeDesign:
         config = baseline_config(**kwargs)
         result = optimize_design(config)
         row = result.optimal_row
-        cost, n = config.cost, predictive_l2(result.m_star, config).median_count
+        cost, n = config.cost, result.typical_n
+        a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        assert n == int(stats.nbinom(a, b / (b + row.area)).median())
         q = budget_fraction(cost, row.area, n)
         n_bar = math.floor(n * q)
         c = cost.budget_coefficient
-        assert (result.typical_n, result.typical_n_bar) == (n, n_bar)
+        assert result.typical_n_bar == n_bar
         assert type(result.typical_n_bar) is int
         assert result.budget_split == {
             "sampling": c * row.area,
             "counting": c * cost.count_ratio * n,
             "categorization": c * cost.categorize_ratio * n_bar,
-            "slack": 1.0 - normalized_cost(cost, row.area, n, q),
+            "slack": 1.0 - c * (row.area + cost.count_ratio * n + cost.categorize_ratio * n_bar),
         }
 
     def test_typical_summary_without_sampling(self):
@@ -138,11 +155,9 @@ class TestOptimizeDesign:
         assert not signs[0] and signs[-1]
 
     def test_more_budget_never_hurts_fixed_m(self):
+        curves = [optimize_design(baseline_config(budget=b)).curve for b in (10.0, 12.0, 14.0)]
         for m in (3, 6, 8):
-            losses = [
-                expected_total_loss(m, baseline_config(budget=b))[0]
-                for b in (10.0, 12.0, 14.0)
-            ]
+            losses = [curve.rows[m].l_star for curve in curves]
             # weakly larger budget -> weakly larger q -> smaller L2 term
             assert losses[0] >= losses[1] - 3e-3 >= losses[2] - 6e-3
 
@@ -297,15 +312,15 @@ class TestExactQuadrature:
     def test_matches_scipy_negative_binomial(self, beta):
         config = baseline_config(beta=beta)
         a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        rows = optimize_design(config).curve.rows
         for m in (1, 4, 7, 11):
             area = m * config.cost.quadrant_area
             dist = stats.nbinom(a, b / (b + area))
             n = np.arange(int(dist.isf(1e-15)) + 1)
             n_bar = np.array([categorized_count(config.cost, area, int(k)) for k in n])
             ref = float(np.dot(dist.pmf(n), l2_expected(n_bar, config.composition_prior)))
-            got = predictive_l2(m, config)
-            assert abs(got.e_l2 - ref) < 1e-12
-            assert got.median_count == int(dist.median())
+            assert abs(rows[m].e_l2_star - ref) < 1e-12
+            assert median_alone(m, config) == int(dist.median())
 
     def test_reported_tail_below_threshold(self, low_config, high_config):
         for config in (low_config, high_config, baseline_config(budget=20.0)):
@@ -319,10 +334,10 @@ class TestExactQuadrature:
             composition_prior=DirichletParams.symmetric(10, 1.0),
             cost=CostModel.from_budget_quadrants(0.0625, 12.0, 0.0, 3e-3),
         )
+        rows = optimize_design(config).curve.rows
         for m in (1, 7, 11):
-            got = predictive_l2(m, config)
-            assert 0.0 < got.tail <= TAIL_MASS
-            assert 0.0 < got.e_l2 < 1.0
+            assert 0.0 < rows[m].e_l2_se <= TAIL_MASS
+            assert 0.0 < rows[m].e_l2_star < 1.0
 
     def test_huge_predicted_count_has_bounded_support(self):
         # mean total count 1.9e6 at m = 1 and 7.5e6 at m = 4
@@ -332,14 +347,14 @@ class TestExactQuadrature:
             cost=CostModel.from_budget_quadrants(0.0625, 4.0, 5e-5, 3e-3),
         )
         a, b = config.abundance_prior.shape, config.abundance_prior.rate
+        rows = optimize_design(config).curve.rows
         for m in (1, 4):
             area = m * config.cost.quadrant_area
             assert a * area / b > 1e6
-            got = predictive_l2(m, config)
-            assert got.terms <= _MAX_CHUNK
-            assert got.tail == 0.0
-            assert 1.0 - 1e-6 < got.e_l2 <= 1.0
-            assert got.median_count == int(stats.nbinom(a, b / (b + area)).median())
+            assert _expected_l2(m, config, *own_tables(m, config))[2] <= _MAX_CHUNK
+            assert rows[m].e_l2_se == 0.0
+            assert 1.0 - 1e-6 < rows[m].e_l2_star <= 1.0
+            assert median_alone(m, config) == int(stats.nbinom(a, b / (b + area)).median())
 
     def test_implausible_prior_rejected_by_name(self):
         config = DesignConfig(
@@ -395,7 +410,7 @@ def _config(prior, count_ratio=5e-5, budget=12.0):
 
 class TestSharedCountArrays:
     """``optimize_design`` builds the per-count arrays once and slices them;
-    each design point alone builds its own. Both must give the same bits."""
+    arrays built for one design point alone must give the same bits."""
 
     @pytest.mark.parametrize(
         "config",
@@ -412,21 +427,24 @@ class TestSharedCountArrays:
     )
     def test_rows_equal_points_computed_alone(self, config):
         result = optimize_design(config)
-        assert result.typical_n == predictive_l2(result.m_star, config).median_count
-        for row in result.curve.rows:
-            alone = predictive_l2(row.m, config)
-            assert row.e_l2_star == alone.e_l2, row.m
-            assert row.e_l2_se == alone.tail, row.m
+        assert result.typical_n == median_alone(result.m_star, config)
+        sizes = [_first_chunk(m, config) for m in range(config.cost.max_quadrants + 1)]
+        shared = _count_tables(config, max(sizes))
+        for row, size in zip(result.curve.rows, sizes):
+            alone = _expected_l2(row.m, config, *own_tables(row.m, config))
+            assert _expected_l2(row.m, config, size, shared) == alone, row.m
+            assert (row.e_l2_star, row.e_l2_se) == alone[:2], row.m
             l1 = l1_expected(row.m, config.abundance_prior, config.cost.quadrant_area)
             assert row.l1_star == l1, row.m
-            assert (row.l_star, row.l_star_se) == expected_total_loss(row.m, config), row.m
+            assert row.l_star == 0.5 * l1 + 0.5 * row.e_l2_star, row.m
+            assert row.l_star_se == 0.5 * row.e_l2_se, row.m
 
     def test_configs_reach_every_path(self):
         baseline = _config(GammaParams.from_mode(3.0, 800.0))
-        assert predictive_l2(12, baseline).median_count > 8 * _first_chunk(12, baseline)
+        assert median_alone(12, baseline) > 8 * _first_chunk(12, baseline)
         capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0)
         assert _first_chunk(1, capped) == _MAX_CHUNK
-        assert predictive_l2(1, capped).terms > _MAX_CHUNK
+        assert _expected_l2(1, capped, *own_tables(1, capped))[2] > _MAX_CHUNK
 
     @given(
         budget=st.floats(1.0, 40.0),

@@ -1,18 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mpdesign import (
-    DirichletParams,
-    GammaParams,
-    dirichlet_cov_trace,
-    dirichlet_multinomial_moments,
-    predictive_log_pmf,
-)
+from mpdesign import DirichletParams, GammaParams, dirichlet_multinomial_moments
+from mpdesign.distributions import _log_pmf_from_steps, _ratio_steps
 from oracles import (
     RandomStream,
+    dirichlet_cov_trace,
     dirichlet_sample,
     gamma_sample,
     poisson_sample,
@@ -121,6 +118,11 @@ def brute_log_pmf(prior, area, n):
     )
 
 
+def predictive_log_pmf(prior, area, start, stop):
+    """The design curve's log pmf of N for n = start .. stop - 1."""
+    return _log_pmf_from_steps(prior, area, start, _ratio_steps(prior.shape, start + 1, stop))
+
+
 class TestPredictiveLogPmf:
     @pytest.mark.parametrize(
         "prior,area",
@@ -155,10 +157,12 @@ class TestPredictiveLogPmf:
         assert abs(draws.mean() - mean) < 4 * draws.std(ddof=1) / np.sqrt(N)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            predictive_log_pmf(GammaParams(3.0, 0.01), 0.0, 0, 10)
-        with pytest.raises(ValueError):
-            predictive_log_pmf(GammaParams(3.0, 0.01), 0.5, 10, 10)
+        # a shape whose log pmf would be silently wrong is rejected by name
+        cases = [(1e308, "too large for log-gamma"), (1e16, "too large: rounding log(rate)")]
+        for shape, message in cases:
+            pattern = rf"^abundance_prior shape \S+ is {re.escape(message)}"
+            with pytest.raises(ValueError, match=pattern):
+                predictive_log_pmf(GammaParams(shape, 0.01), 0.5, 0, 10)
 
 
 class TestDirichletSample:

@@ -26,14 +26,18 @@ command loads it. ``replicate`` fig1-fig4 load only the design path, not
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import mpdesign
+
 from test_cli import BASE_DOC, CAMPAIGN
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
 # then prints the loaded scipy and mpdesign modules, and numpy and _hashlib
@@ -228,12 +232,13 @@ def test_special_functions_are_a_leaf():
 
 
 # The lazy package root, seen from a fresh interpreter: dir() before any
-# access, then every public name, the star import, an unknown name and the
-# Monte Carlo names that moved to tests/oracles.py.
+# access, then every public name, the star import, an unknown name, the
+# Monte Carlo names that moved to tests/oracles.py and the names that no
+# command called, which are gone.
 PUBLIC_API_CHILD = """
 import sys
 import mpdesign
-assert len(mpdesign.__all__) == 30, len(mpdesign.__all__)
+assert len(mpdesign.__all__) == 24, len(mpdesign.__all__)
 assert set(mpdesign.__all__) <= set(dir(mpdesign)), set(mpdesign.__all__) - set(dir(mpdesign))
 assert "__all__" in dir(mpdesign)
 namespace = {}
@@ -251,7 +256,9 @@ except AttributeError as exc:
 else:
     raise AssertionError("mpdesign.no_such_name resolved")
 for name in ("RandomStream", "gamma_sample", "poisson_sample", "predictive_total_count",
-             "dirichlet_sample", "mc_oracle_l1", "mc_oracle_l2"):
+             "dirichlet_sample", "mc_oracle_l1", "mc_oracle_l2",
+             "normalized_cost", "feasible_designs", "predictive_l2", "expected_total_loss",
+             "predictive_log_pmf", "dirichlet_cov_trace"):
     try:
         getattr(mpdesign, name)
     except AttributeError as exc:
@@ -267,3 +274,12 @@ def test_lazy_root_public_api():
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_lists_the_public_api():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)` — \S", section, flags=re.M)
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == set(mpdesign.__all__)
+    assert f"holds {len(mpdesign.__all__)} names" in section
