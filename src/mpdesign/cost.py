@@ -133,10 +133,10 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     """Budget-implied fraction q and categorized count n_bar.
 
     The one source of n_bar, which its in-place core :func:`_categorized`
-    forms; the design curve calls that core directly. For an array of
-    counts, returns ``(q, n_bar)`` as float arrays; for a single count, a
-    Python ``(float, int)``. A NaN, infinite or negative area or count is
-    rejected by name.
+    forms; the design curve and its budget split call that core directly.
+    For an array of counts, returns ``(q, n_bar)`` as float arrays; for a
+    single count, a Python ``(float, int)``. A NaN, infinite or negative area
+    or count is rejected by name.
     """
     n = np.asarray(counts, dtype=np.float64)
     if not (total_area >= 0 and math.isfinite(total_area)):
@@ -145,7 +145,8 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     if bad.size:
         raise ValueError(f"counts must be finite and >= 0, got {bad[0]}")
     q = np.empty_like(n)
-    n_bar = _categorized(cost, total_area, n, q, np.empty_like(n))
+    with np.errstate(over="ignore"):  # the rule saturates; see _categorized
+        n_bar = _categorized(cost, total_area, n, q, np.empty_like(n))
     q = np.where(n > 0.0, q, 1.0)
     if np.ndim(counts) == 0:
         return float(q), int(n_bar)
@@ -155,19 +156,23 @@ def budget_rule(cost: CostModel, total_area: float, counts):
 def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
     """The budget rule in place for float counts ``n``, unchecked.
 
-    Writes q = min(max((1/c - (mA + n*r1)) / (r2*max(n, 1)), 0), 1) into
-    ``q``, then n_bar = floor(n*q) into ``n_bar`` (which first holds
-    r2*max(n, 1)), and returns ``n_bar``. The two buffers must be distinct
-    and shaped like ``n``. At n = 0 this q is not the rule's 1, but
-    n_bar = 0 either way.
+    Writes q = min(max(1/c - (mA + n*r1), 0) / (r2*max(n, 1)), 1) into
+    ``q``, the same bits as clamping the quotient at 0, then
+    n_bar = floor(n*q) into ``n_bar`` (which first holds r2*max(n, 1)), and
+    returns ``n_bar``. The two buffers must be distinct and shaped like
+    ``n``. At n = 0 this q is not the rule's 1, but n_bar = 0 either way.
+
+    Past the largest float the rule saturates: n*r1 or r2*n overflows to
+    inf, which leaves q = 0, and a quotient that overflows leaves q = 1, the
+    limits of the exact rule. Callers turn NumPy's overflow warning off.
     """
     np.multiply(n, cost.count_ratio, out=q)
     np.add(q, total_area, out=q)
     np.subtract(cost.budget_area, q, out=q)
+    np.maximum(q, 0.0, out=q)  # before the quotient, so that -inf/inf is no NaN
     np.maximum(n, 1.0, out=n_bar)
     np.multiply(n_bar, cost.categorize_ratio, out=n_bar)
     np.divide(q, n_bar, out=q)
-    np.maximum(q, 0.0, out=q)
     np.minimum(q, 1.0, out=q)
     np.multiply(n, q, out=n_bar)
     return np.floor(n_bar, out=n_bar)
@@ -175,15 +180,29 @@ def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
 
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:
     """n_bar at count ``n``, and the budget fractions that sampling, counting and
-    categorization take there, with the slack 1 minus what that n_bar spends."""
-    _, n_bar = budget_rule(cost, total_area, n)
+    categorization take there, with the slack 1 minus what that n_bar spends.
+    A share past the largest float is rejected by the ``cost`` section.
+
+    ``total_area`` and ``n`` are a design point's, finite and >= 0, so the
+    rule's core runs unchecked, with NumPy's overflow warning left to the
+    caller (:func:`_categorized`)."""
+    counts = np.array([float(n)])
+    n_bar = int(_categorized(cost, total_area, counts, np.empty(1), np.empty(1))[0])
     c = cost.budget_coefficient
-    return n_bar, {
+    split = {
         "sampling": c * total_area,
         "counting": c * cost.count_ratio * n,
         "categorization": c * cost.categorize_ratio * n_bar,
         "slack": 1.0 - _spent(cost, total_area, n, n_bar),
     }
+    bad = [f"{key}={value!r}" for key, value in split.items() if not math.isfinite(value)]
+    if bad:
+        name = "count_ratio" if math.isfinite(split["categorization"]) else "categorize_ratio"
+        raise ValueError(
+            f"cost.{name} {getattr(cost, name)!r} is too large: the budget split at the "
+            f"typical count n = {n} is not finite ({' '.join(bad)})"
+        )
+    return n_bar, split
 
 
 def _exhausted_at(cost: CostModel, total_area: float) -> float:

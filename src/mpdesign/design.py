@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -184,39 +185,41 @@ def _count_tables(config: DesignConfig, size: int):
     return counts, steps, gains
 
 
-def _pmf_chunks(m: int, config: DesignConfig, size: int, tables):
-    """The predictive pmf of N at m > 0, chunk by chunk: yields ``(lo, pmf)``
-    with pmf[i] = P(N = lo + i). The first chunk holds ``size`` counts
-    (:func:`_first_chunk`), each later one as many as all before it, up to
-    ``_MAX_CHUNK``. A chunk inside ``tables`` slices its ratio steps; one that
-    reaches past them computes its own."""
+def _pmf_chunk(prior: GammaParams, area: float, lo: int, hi: int, tables) -> np.ndarray:
+    """P(N = n) for n = lo .. hi - 1 at a sampled area > 0. A chunk inside
+    ``tables`` slices their ratio steps; one that reaches past them computes
+    its own. A first chunk (lo = 0) must lie inside."""
     counts, steps, _ = tables
-    prior = config.abundance_prior
-    area = m * config.cost.quadrant_area
-    lo = 0
+    if hi <= len(counts):
+        chunk_steps = steps[lo:hi - 1]
+    else:
+        chunk_steps = _ratio_steps(prior.shape, lo + 1, hi)
+    log_pmf = _log_pmf_from_steps(prior, area, lo, chunk_steps)
+    return np.exp(log_pmf, out=log_pmf)
+
+
+def _pmf_chunks(prior: GammaParams, area: float, first: np.ndarray, tables):
+    """The predictive pmf of N at a sampled area > 0, chunk by chunk: yields
+    ``(lo, pmf)`` with pmf[i] = P(N = lo + i). The first chunk is ``first``,
+    the pmf over n < len(first) (:func:`_first_chunk` counts); each later one
+    holds as many counts as all before it, up to ``_MAX_CHUNK``."""
+    lo, pmf = 0, first
     while True:
-        hi = lo + size
-        if hi <= len(counts):
-            chunk_steps = steps[lo:hi - 1]
-        else:
-            chunk_steps = _ratio_steps(prior.shape, lo + 1, hi)
-        log_pmf = _log_pmf_from_steps(prior, area, lo, chunk_steps)
-        yield lo, np.exp(log_pmf, out=log_pmf)
-        lo = hi
-        size = min(lo, _MAX_CHUNK)
+        yield lo, pmf
+        lo += len(pmf)
+        pmf = _pmf_chunk(prior, area, lo, lo + min(lo, _MAX_CHUNK), tables)
 
 
-def _expected_l2(m: int, config: DesignConfig, size: int, tables):
+def _expected_l2(m: int, config: DesignConfig, first: np.ndarray, tables):
     """``(e_l2, tail, terms)``: the exact E[L2*(n_bar(N))] over the negative
-    binomial predictive of N at m, the bound on the upper tail mass it leaves
-    out, and the pmf terms it sums.
+    binomial predictive of N at m >= 1, the bound on the upper tail mass it
+    leaves out, and the pmf terms it sums. ``first`` is the first pmf chunk
+    (:func:`_pmf_chunk` over n < :func:`_first_chunk`).
 
     Sums P(N = n) * (1 - L2*(n)) chunk by chunk (:func:`_pmf_chunks`), so
     memory stays bounded for any prior, until the tail bound falls below
     ``TAIL_MASS`` or the budget rule's q reaches 0, after which every term is
-    zero. Any ``tables`` at least ``size`` long give the same bits."""
-    if m == 0:
-        return 1.0, 0.0, 0
+    zero. Any ``tables`` at least as long as ``first`` give the same bits."""
     counts, _, gains = tables
     prior, cost = config.abundance_prior, config.cost
     area = m * cost.quadrant_area
@@ -224,7 +227,7 @@ def _expected_l2(m: int, config: DesignConfig, size: int, tables):
 
     gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
     terms = 0
-    for lo, pmf in _pmf_chunks(m, config, size, tables):
+    for lo, pmf in _pmf_chunks(prior, area, first, tables):
         hi = lo + len(pmf)
         inside = hi <= len(counts)
         n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
@@ -245,12 +248,15 @@ def _expected_l2(m: int, config: DesignConfig, size: int, tables):
 
 def _predictive_median(m: int, config: DesignConfig, size: int, tables) -> int:
     """Predictive median of N at m, the first n with P(N <= n) >= 1/2, read
-    from the cumulative pmf over the chunks of :func:`_expected_l2`. It walks
-    on past the budget-exhaustion count when the median lies there."""
+    from the cumulative pmf over the chunks of :func:`_expected_l2`, the first
+    of them ``size`` long. It walks on past the budget-exhaustion count when
+    the median lies there."""
     if m == 0:
         return 0
+    prior = config.abundance_prior
+    area = m * config.cost.quadrant_area
     mass = 0.0  # P(N < lo)
-    for lo, pmf in _pmf_chunks(m, config, size, tables):
+    for lo, pmf in _pmf_chunks(prior, area, _pmf_chunk(prior, area, 0, size, tables), tables):
         cdf = mass + np.cumsum(pmf)
         idx = int(np.searchsorted(cdf, 0.5))
         if idx < len(pmf):
@@ -288,7 +294,7 @@ def _first_chunks(config: DesignConfig) -> list[int]:
     budget = cost.budget_area / cost.quadrant_area
     if cost.max_quadrants > MAX_QUADRANTS:
         raise ValueError(
-            f"a budget of {budget:.3g} quadrant equivalents affords {cost.max_quadrants:.3g} "
+            f"cost.budget_quadrant_equivalents {budget:.3g} affords {cost.max_quadrants:.3g} "
             f"quadrants; the exact design supports at most {MAX_QUADRANTS}"
         )
     sizes = [_first_chunk(m, config) for m in range(cost.max_quadrants + 1)]
@@ -311,12 +317,51 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     chunk, and every design point slices them. Only m* reads the predictive
     median, for the typical-count summary.
     """
-    sizes = _first_chunks(config)
-    tables = _count_tables(config, max(sizes))
-    curve = DesignCurve(tuple(
-        _curve_row(m, config, *_expected_l2(m, config, size, tables)[:2])
-        for m, size in enumerate(sizes)
-    ))
+    return _optimize_designs([config], [_first_chunks(config)])[0]
+
+
+def _optimize_designs(configs, sizes) -> list[DesignResult]:
+    """:func:`optimize_design` for each config, evaluated together;
+    ``sizes[i]`` is ``_first_chunks(configs[i])``.
+
+    Configs with the same abundance prior, quadrant area and composition
+    prior form a group. A group shares one set of per-count arrays, as long
+    as its longest first chunk, and at each m one first pmf chunk, as long as
+    the longest first chunk of its configs there. Each config sums over its
+    own prefix of that chunk, which holds the bits the config would compute
+    alone: the log pmf's cumulative sum runs in order and every other step
+    works element by element. Groups are walked one after another, so one
+    group's arrays and one shared chunk are held at a time.
+
+    The budget rule saturates where its products or quotients pass the
+    largest float (:func:`_categorized`), so NumPy's overflow warning is off
+    for the walk.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        key = (config.abundance_prior, config.cost.quadrant_area, config.composition_prior)
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(configs)
+    with np.errstate(over="ignore"):
+        for (prior, quadrant_area, _), members in groups.items():
+            tables = _count_tables(configs[members[0]], max(max(sizes[i]) for i in members))
+            rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] for i in members}
+            widths = list(map(max, zip_longest(*(sizes[i] for i in members), fillvalue=0)))
+            for m in range(1, len(widths)):
+                pmf = _pmf_chunk(prior, m * quadrant_area, 0, widths[m], tables)
+                for i in members:
+                    if m < len(sizes[i]):
+                        config = configs[i]
+                        e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables)
+                        rows[i].append(_curve_row(m, config, e_l2, tail))
+            for i in members:
+                curve = DesignCurve(tuple(rows[i]))
+                results[i] = _design_result(configs[i], curve, sizes[i], tables)
+    return results
+
+
+def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables) -> DesignResult:
+    """m* of ``curve``, with the predictive median and budget split there."""
     l_star = curve.column("l_star")
     nan = np.flatnonzero(np.isnan(l_star))
     if nan.size:
@@ -373,8 +418,9 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     """Re-optimize the design along one input axis.
 
     Axes: ``r2`` (categorize-ratio multipliers), ``budget`` (quadrant
-    equivalents), ``prior-mode`` (abundance prior modes, shape fixed). Each
-    value is optimized independently, so a row does not depend on the others
+    equivalents), ``prior-mode`` (abundance prior modes, shape fixed). The
+    values' designs are optimized together (:func:`_optimize_designs`), and
+    each holds the bits it has alone, so a row does not depend on the others
     or on their order. Every value, and the bounds of its design walk, is
     checked before any is optimized; a value that gives no valid
     configuration raises a ``ValueError`` that names the axis and the value.
@@ -384,19 +430,17 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     values = [float(value) for value in values]
     if not values:
         raise ValueError("values must be nonempty")
-    configs = []
+    configs, sizes = [], []
     for value in values:
         try:
             configs.append(_apply_axis(base, axis, value))
-            _first_chunks(configs[-1])
+            sizes.append(_first_chunks(configs[-1]))
         except ValueError as exc:
             raise ValueError(f"{axis} value {value}: {exc}") from exc
-    rows = []
-    for value, cfg in zip(values, configs):
-        result = optimize_design(cfg)
-        slack = result.budget_split["slack"]
-        rows.append(SweepRow(axis, value, result.m_star, result.typical_n_bar, slack))
-    return rows
+    return [
+        SweepRow(axis, value, result.m_star, result.typical_n_bar, result.budget_split["slack"])
+        for value, result in zip(values, _optimize_designs(configs, sizes))
+    ]
 
 
 def _apply_axis(base: DesignConfig, axis: str, value: float) -> DesignConfig:

@@ -141,7 +141,7 @@ def _log_pmf_from_steps(
         )
     out = np.empty(len(ratio_steps) + 1)
     out[0] = first
-    np.cumsum(ratio_steps + log_1mp, out=out[1:])
+    np.add.accumulate(ratio_steps + log_1mp, out=out[1:])  # np.cumsum, less its wrapper
     out[1:] += first
     return out
 

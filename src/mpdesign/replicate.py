@@ -19,8 +19,9 @@ from .design import (
     CURVES_COLUMNS,
     DESIGN_COLUMNS,
     DesignConfig,
+    _first_chunks,
+    _optimize_designs,
     default_abundance_grid,
-    optimize_design,
     performance_curve,
 )
 from .distributions import DirichletParams, GammaParams
@@ -84,11 +85,14 @@ def _config(prior: GammaParams, budget: float, r2: float) -> DesignConfig:
     )
 
 
-def _design_figure(fid: str) -> dict[str, str]:
+def _design_figures(ids) -> dict[str, str]:
+    """The design and performance curves of every scenario of the design
+    figures among ``ids``, whose designs are optimized together."""
+    scenarios = [s for fid in ids if fid in DESIGN_SCENARIOS for s in DESIGN_SCENARIOS[fid]]
+    configs = [_config(prior, budget, r2) for _, prior, budget, r2 in scenarios]
+    results = _optimize_designs(configs, [_first_chunks(config) for config in configs])
     files = {}
-    for tag, prior, budget, r2 in DESIGN_SCENARIOS[fid]:
-        config = _config(prior, budget, r2)
-        result = optimize_design(config)
+    for (tag, *_), config, result in zip(scenarios, configs, results):
         m = result.m_star
         rows = performance_curve(m, default_abundance_grid(config), config)
         files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + render_csv(
@@ -175,9 +179,10 @@ def replicate(figure: str, out_dir) -> list[str]:
     if figure != "all" and figure not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure!r}; expected {FIGURE_IDS + ('all',)}")
     ids = FIGURE_IDS if figure == "all" else (figure,)
-    files: dict[str, str] = {}
+    files = _design_figures(ids)
     for fid in ids:
-        files.update(_design_figure(fid) if fid in DESIGN_SCENARIOS else _BUILDERS[fid]())
+        if fid in _BUILDERS:
+            files.update(_BUILDERS[fid]())
 
     written = []
     for name, text in sorted(files.items()):

@@ -435,9 +435,10 @@ class TestSensitivityCommand:
         self, runner, config_path, monkeypatch, axis, values, message
     ):
         calls = []
-        optimize = design.optimize_design
+        optimize = design._optimize_designs
         monkeypatch.setattr(
-            design, "optimize_design", lambda config: calls.append(config) or optimize(config)
+            design, "_optimize_designs",
+            lambda configs, sizes: calls.append(configs) or optimize(configs, sizes),
         )
         result = runner.invoke(
             main, ["--config", config_path, "sensitivity", "--axis", axis, "--values", values]
@@ -658,7 +659,7 @@ class TestBadValuesNamed:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(
-            "Error: a budget of 1e+308 quadrant equivalents affords 1e+308 quadrants; "
+            "Error: cost.budget_quadrant_equivalents 1e+308 affords 1e+308 quadrants; "
         )
         assert result.output.count("\n") == 1
 
@@ -679,3 +680,64 @@ class TestBadValuesNamed:
         result = runner.invoke(main, ["--config", path, "--format", "json", *command])
         assert result.exit_code == 0, result.output
         assert _all_finite(json.loads(result.output))
+
+
+TABLE_FIELDS = (
+    "abundance_prior.shape",
+    "abundance_prior.mode",
+    "composition_prior.classes",
+    "composition_prior.symmetric_gamma",
+    "cost.quadrant_area",
+    "cost.budget_quadrant_equivalents",
+    "cost.count_ratio",
+    "cost.categorize_ratio",
+)
+TABLE_VALUES = ("x", None, True, -1, 0, 1e-320, 1e308, math.nan, [1], 1.5)
+
+
+class TestFieldValueTable:
+    """Each config field set to each value of the table: the command runs
+    clean with only finite numbers, or fails in one line that names the
+    field or its section."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [DESIGN, CURVES], ids=["design", "curves"])
+    @pytest.mark.parametrize(
+        "value", TABLE_VALUES,
+        ids=["str", "null", "true", "-1", "0", "1e-320", "1e308", "nan", "list", "1.5"],
+    )
+    @pytest.mark.parametrize("field", TABLE_FIELDS)
+    def test_runs_clean_or_names_the_field(self, runner, tmp_path, field, value, command):
+        path = write_config(tmp_path, lambda d: _set_field(d, field, value))
+        result = runner.invoke(main, ["--config", path, "--format", "json", *command])
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            assert _all_finite(json.loads(result.output))
+            return
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        (line,) = result.output.splitlines()
+        assert line.startswith("Error: ")
+        assert field.partition(".")[0] in line
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [DESIGN, CURVES], ids=["design", "curves"])
+    def test_both_ratios_at_the_largest_float(self, runner, tmp_path, command):
+        # the rule divided -inf by inf, and int(NaN) named no field
+        path = write_config(
+            tmp_path, lambda d: d["cost"].update(count_ratio=1e308, categorize_ratio=1e308)
+        )
+        result = runner.invoke(main, ["--config", path, "--format", "json", *command])
+        if command == DESIGN:
+            assert result.exit_code == 1
+            assert result.output == (
+                "Error: cost.count_ratio 1e+308 is too large: the budget split at the typical "
+                "count n = 200 is not finite (counting=inf slack=-inf)\n"
+            )
+        else:
+            assert result.exit_code == 0, result.output
+            # counting one particle overspends: q = 0 past the rule's q = 1 at n = 0
+            rows = json.loads(result.output)["rows"]
+            assert [(row["q"], row["n_bar"]) for row in rows] == [
+                (1.0 if row["n"] == 0 else 0.0, 0) for row in rows
+            ]

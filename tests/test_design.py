@@ -31,6 +31,7 @@ from mpdesign.design import (
     _count_tables,
     _expected_l2,
     _first_chunk,
+    _pmf_chunk,
     _predictive_median,
     default_abundance_grid,
 )
@@ -42,6 +43,13 @@ def own_tables(m, config):
     """The first-chunk size at m and per-count arrays built for that point alone."""
     size = _first_chunk(m, config)
     return size, _count_tables(config, size)
+
+
+def expected_l2(m, config, size, tables):
+    """``_expected_l2`` at m >= 1 over a first chunk of ``size`` counts read from ``tables``."""
+    area = m * config.cost.quadrant_area
+    first = _pmf_chunk(config.abundance_prior, area, 0, size, tables)
+    return _expected_l2(m, config, first, tables)
 
 
 def median_alone(m, config):
@@ -351,7 +359,7 @@ class TestExactQuadrature:
         for m in (1, 4):
             area = m * config.cost.quadrant_area
             assert a * area / b > 1e6
-            assert _expected_l2(m, config, *own_tables(m, config))[2] <= _MAX_CHUNK
+            assert expected_l2(m, config, *own_tables(m, config))[2] <= _MAX_CHUNK
             assert rows[m].e_l2_se == 0.0
             assert 1.0 - 1e-6 < rows[m].e_l2_star <= 1.0
             assert median_alone(m, config) == int(stats.nbinom(a, b / (b + area)).median())
@@ -381,7 +389,7 @@ class TestWalkBound:
         monkeypatch.setattr(design, "_first_chunk", None)  # no per-m work at all
         with pytest.raises(
             ValueError,
-            match=r"^a budget of 12 quadrant equivalents affords 12 quadrants; "
+            match=r"^cost\.budget_quadrant_equivalents 12 affords 12 quadrants; "
             r"the exact design supports at most 11$",
         ):
             optimize_design(low_config)
@@ -430,9 +438,10 @@ class TestSharedCountArrays:
         assert result.typical_n == median_alone(result.m_star, config)
         sizes = [_first_chunk(m, config) for m in range(config.cost.max_quadrants + 1)]
         shared = _count_tables(config, max(sizes))
-        for row, size in zip(result.curve.rows, sizes):
-            alone = _expected_l2(row.m, config, *own_tables(row.m, config))
-            assert _expected_l2(row.m, config, size, shared) == alone, row.m
+        assert result.curve.rows[0][2:] == (1.0, 1.0, 0.0, 1.0, 0.0)
+        for row, size in zip(result.curve.rows[1:], sizes[1:]):
+            alone = expected_l2(row.m, config, *own_tables(row.m, config))
+            assert expected_l2(row.m, config, size, shared) == alone, row.m
             assert (row.e_l2_star, row.e_l2_se) == alone[:2], row.m
             l1 = l1_expected(row.m, config.abundance_prior, config.cost.quadrant_area)
             assert row.l1_star == l1, row.m
@@ -444,7 +453,7 @@ class TestSharedCountArrays:
         assert median_alone(12, baseline) > 8 * _first_chunk(12, baseline)
         capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0)
         assert _first_chunk(1, capped) == _MAX_CHUNK
-        assert _expected_l2(1, capped, *own_tables(1, capped))[2] > _MAX_CHUNK
+        assert expected_l2(1, capped, *own_tables(1, capped))[2] > _MAX_CHUNK
 
     @given(
         budget=st.floats(1.0, 40.0),
@@ -536,3 +545,131 @@ class TestSharedCountArrays:
                 tracemalloc.stop()
         assert max(peaks) < 8e6
         assert abs(peaks[0] - peaks[1]) <= 0.1 * min(peaks)
+
+
+def result_bits(result):
+    """Everything a design result writes, by the repr of each value."""
+    rows = [tuple(map(repr, row)) for row in result.curve.rows]
+    return rows, result.m_star, result.typical_n, result.typical_n_bar, repr(result.budget_split)
+
+
+def optimized_together(configs):
+    return design._optimize_designs(configs, [design._first_chunks(c) for c in configs])
+
+
+class TestDesignsTogether:
+    """Designs optimized together share one pmf chunk per group at each m and
+    one set of per-count arrays per group; each must hold the bits it has
+    when optimized alone."""
+
+    @pytest.mark.parametrize(
+        "base,axis,values",
+        [
+            (baseline_config(beta=0.0025), "r2", [1.0, 2.0, 1000.0]),
+            # the exhaustion count cuts the first chunks at different sizes
+            (baseline_config(r2=6e-3), "budget", [8.0, 12.0, 14.0, 20.0]),
+            # a repeated mode shares, the others do not
+            (baseline_config(), "prior-mode", [200.0, 800.0, 200.0]),
+            # first chunks capped at _MAX_CHUNK: later chunks pass the tables
+            (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0), "r2",
+             [1.0, 2.0, 1000.0]),
+            (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0), "budget",
+             [2.0, 4.0]),
+        ],
+        ids=["r2", "budget", "prior-mode", "capped-r2", "capped-budget"],
+    )
+    def test_sweep_points_equal_designs_alone(self, base, axis, values):
+        configs = [design._apply_axis(base, axis, value) for value in values]
+        together = optimized_together(configs)
+        for config, result in zip(configs, together):
+            assert result_bits(result) == result_bits(optimize_design(config))
+        rows = sensitivity_sweep(base, axis, values)
+        assert [(r.m_star, r.typical_n_bar, repr(r.budget_slack)) for r in rows] == [
+            (r.m_star, r.typical_n_bar, repr(r.budget_split["slack"])) for r in together
+        ]
+
+    def test_sweeps_reach_every_path(self):
+        sizes = [
+            design._first_chunks(design._apply_axis(baseline_config(r2=6e-3), "budget", b))
+            for b in (8.0, 12.0)
+        ]
+        assert sizes[0][8] == 2 < sizes[1][8]  # exhausted at m = 8 by the smaller budget
+        capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0)
+        assert set(design._first_chunks(capped)[1:]) == {_MAX_CHUNK}
+
+    def test_composition_prior_is_not_shared(self):
+        configs = [baseline_config(), replace(baseline_config(), composition_prior=DirichletParams(
+            (0.5,) * 10))]
+        together = optimized_together(configs)
+        assert result_bits(together[0]) != result_bits(together[1])
+        for config, result in zip(configs, together):
+            assert result_bits(result) == result_bits(optimize_design(config))
+
+    def test_replicate_figures_equal_designs_alone(self):
+        from mpdesign import replicate
+
+        configs = [
+            replicate._config(prior, budget, r2)
+            for fid in ("fig1", "fig2", "fig3", "fig4")
+            for _, prior, budget, r2 in replicate.DESIGN_SCENARIOS[fid]
+        ]
+        assert len({(c.abundance_prior, c.cost.quadrant_area) for c in configs}) == 2
+        for config, result in zip(configs, optimized_together(configs)):
+            assert result_bits(result) == result_bits(optimize_design(config))
+
+    def test_memory_does_not_grow_with_the_values(self):
+        base = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0)
+        peaks = []
+        for values in ([1.0], [1.0, 2.0, 4.0, 1000.0]):
+            tracemalloc.start()
+            try:
+                sensitivity_sweep(base, "r2", values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+def grid_config(shape, mode, budget, r1, r2, area=0.0625):
+    """A design on the invariance grid; a shape <= 1 prior takes ``mode`` as its mean."""
+    rate = (shape - 1.0) / mode if shape > 1 else shape / mode
+    return DesignConfig(
+        GammaParams(shape, rate),
+        DirichletParams.symmetric(10, 1.0),
+        CostModel.from_budget_quadrants(area, budget, r1, r2),
+    )
+
+
+GRID = {
+    "shape": st.sampled_from((0.7, 1.5, 3.0, 8.0)),
+    "mode": st.sampled_from((5.0, 200.0, 800.0, 3000.0)),
+    "r1": st.sampled_from((0.0, 5e-5, 2e-4)),
+    "r2": st.sampled_from((3e-3, 3.0)),
+}
+
+
+class TestInvariances:
+    """The model sees the sampled area only through m*A, and more budget can
+    only help: checks that need no oracle."""
+
+    @given(budget=st.sampled_from((4.0, 12.0, 20.0, 40.0)), **GRID)
+    @settings(max_examples=40, deadline=None)
+    def test_splitting_quadrants(self, shape, mode, budget, r1, r2):
+        # m quadrants of area A with budget B are m/2 quadrants of area 2A
+        # with B/2: every point of the coarse curve holds the bits of the
+        # fine curve's point of the same sampled area
+        fine = optimize_design(grid_config(shape, mode, budget, r1, r2)).curve.rows
+        split = grid_config(shape, mode, budget / 2, r1, r2, area=0.125)
+        coarse = optimize_design(split).curve.rows
+        assert len(fine) == 2 * len(coarse) - 1
+        for row in coarse:
+            assert tuple(map(repr, row[1:])) == tuple(map(repr, fine[2 * row.m][1:])), row.m
+
+    @given(budgets=st.lists(st.integers(1, 40), min_size=2, max_size=2, unique=True), **GRID)
+    @settings(max_examples=40, deadline=None)
+    def test_more_budget_never_raises_the_optimal_loss(self, shape, mode, budgets, r1, r2):
+        low, high = (
+            optimize_design(grid_config(shape, mode, float(b), r1, r2)).optimal_row
+            for b in sorted(budgets)
+        )
+        assert high.l_star <= low.l_star + low.l_star_se + high.l_star_se
