@@ -15,10 +15,10 @@ import importlib
 
 # public name -> the submodule that defines it
 _EXPORTS = {
+    "DesignConfig": "config",
     "CostModel": "cost",
     "budget_rule": "cost",
     "categorization_fraction": "cost",
-    "DesignConfig": "design",
     "DesignCurve": "design",
     "DesignResult": "design",
     "optimize_design": "design",

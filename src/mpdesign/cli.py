@@ -183,9 +183,7 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     loaded = _load(ctx)
     cfg = loaded.design
     try:
-        data = parse_campaign_data(
-            data_path, cfg.cost.quadrant_area, loaded.class_names
-        )
+        data = parse_campaign_data(data_path, cfg.cost.quadrant_area, loaded.class_names)
     except CampaignDataError as exc:
         raise click.ClickException(str(exc)) from exc
 

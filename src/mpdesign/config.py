@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .cost import CostModel
-from .design import DesignConfig
 from .distributions import DirichletParams, GammaParams
 
-__all__ = ["ConfigError", "LoadedConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "DesignConfig", "LoadedConfig", "load_config", "parse_config"]
 
 DEFAULT_CLASS_NAMES = ("PE", "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP")
 _MAX_CLASSES = 10_000  # largest number of polymer classes k, in either form
@@ -41,6 +40,20 @@ _MAX_CLASSES = 10_000  # largest number of polymer classes k, in either form
 
 class ConfigError(ValueError):
     """Invalid or malformed configuration file."""
+
+
+@dataclass(frozen=True)
+class DesignConfig:
+    """Design inputs: the abundance prior, the composition prior and the cost
+    model. The design curve is an exact sum, so ``mc_draws`` and ``seed``, which
+    callers written for the Monte Carlo design may still pass, are init-only and
+    ignored: they are not fields."""
+
+    abundance_prior: GammaParams
+    composition_prior: DirichletParams
+    cost: CostModel
+    mc_draws: InitVar[int] = 0
+    seed: InitVar[int] = 0
 
 
 @dataclass(frozen=True)

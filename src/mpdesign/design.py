@@ -22,18 +22,18 @@ involves no randomness: reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import DesignConfig
 from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
-from .distributions import DirichletParams, GammaParams, _log_pmf_from_steps, _ratio_steps
+from .distributions import GammaParams, _check_log_pmf, _log_pmf_from_steps, _ratio_steps
 from .loss import l1_expected, l2_expected
 
 __all__ = [
-    "DesignConfig",
     "DesignCurveRow",
     "DesignCurve",
     "DesignResult",
@@ -64,22 +64,6 @@ MAX_CURVE_TERMS = 1e8  # largest total of the design points' first pmf chunks
 DESIGN_COLUMNS = ("m", "area", "L1_star", "E_L2_star", "E_L2_se", "L_star", "L_star_se")
 CURVES_COLUMNS = ("lambda", "n", "q", "n_bar", "L2_star")
 SENSITIVITY_COLUMNS = ("axis", "value", "m_star", "typical_n_bar", "budget_slack")
-
-
-@dataclass(frozen=True)
-class DesignConfig:
-    """Design inputs: the abundance prior, the composition prior and the cost
-    model. The design curve is an exact sum, so no seed or draw count enters.
-
-    ``mc_draws`` and ``seed`` are init-only and ignored: callers written for
-    the Monte Carlo design may still pass them, but they are not fields.
-    """
-
-    abundance_prior: GammaParams
-    composition_prior: DirichletParams
-    cost: CostModel
-    mc_draws: InitVar[int] = 0
-    seed: InitVar[int] = 0
 
 
 class DesignCurveRow(NamedTuple):
@@ -264,13 +248,6 @@ def _predictive_median(m: int, config: DesignConfig, size: int, tables) -> int:
         mass = float(cdf[-1])
 
 
-def _check_feasible(m: int, cost: CostModel) -> None:
-    """Reject a quadrant count outside 0 .. ``cost.max_quadrants``, in time
-    independent of the budget."""
-    if not (0 <= m <= cost.max_quadrants and int(m) == m):
-        raise ValueError(f"m={m} outside the feasible set 0..{cost.max_quadrants}")
-
-
 def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> DesignCurveRow:
     w = L1_WEIGHT
     l1 = l1_expected(m, config.abundance_prior, config.cost.quadrant_area)
@@ -286,10 +263,11 @@ def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> Design
 
 
 def _first_chunks(config: DesignConfig) -> list[int]:
-    """The first-chunk size of every feasible m = 0 .. ``max_quadrants``, once
-    the walk is known to be bounded: a budget that affords more than
-    ``MAX_QUADRANTS`` quadrants, or whose design points' first chunks total
-    more than ``MAX_CURVE_TERMS`` counts, is rejected before any is summed."""
+    """The first-chunk size of every feasible m = 0 .. ``max_quadrants``. The
+    one gate of a design walk: before any array is built it rejects, in this
+    order, more than ``MAX_QUADRANTS`` quadrants, a mean past ``MAX_MEAN_COUNT``,
+    more than ``MAX_CURVE_TERMS`` first-chunk counts and a shape whose log pmf
+    would be wrong at some m >= 1 (:func:`_check_log_pmf`)."""
     cost = config.cost
     budget = cost.budget_area / cost.quadrant_area
     if cost.max_quadrants > MAX_QUADRANTS:
@@ -305,6 +283,9 @@ def _first_chunks(config: DesignConfig) -> list[int]:
             f"puts {terms:.3g} pmf terms in the design points' first chunks; "
             f"the exact design supports at most {MAX_CURVE_TERMS:.0e}"
         )
+    if len(sizes) > 1:
+        areas = (m * cost.quadrant_area for m in range(1, len(sizes)))
+        _check_log_pmf(config.abundance_prior, areas)
     return sizes
 
 
@@ -389,14 +370,16 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> tuple[Per
     budget-implied q, the categorized count n_bar, and the resulting expected
     composition loss.
     """
-    _check_feasible(m, config.cost)
+    cost = config.cost
+    if not (0 <= m <= cost.max_quadrants and int(m) == m):  # named by its ends, not listed
+        raise ValueError(f"m={m} outside the feasible set 0..{cost.max_quadrants}")
     grid = np.asarray(abundance_grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]
     if bad.size:
         raise ValueError(f"abundance grid point {bad[0]} is not a finite number >= 0")
-    area = m * config.cost.quadrant_area
+    area = m * cost.quadrant_area
     counts = np.floor(area * grid)
-    q, n_bar = budget_rule(config.cost, area, counts)
+    q, n_bar = budget_rule(cost, area, counts)
     l2 = l2_expected(n_bar, config.composition_prior)
     # int of the floats, not int64, which would wrap counts past 2**63
     columns = grid.tolist(), map(int, counts.tolist()), q.tolist(), map(int, n_bar.tolist())

@@ -110,6 +110,25 @@ def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
     return np.log1p((shape - 1.0) / n)
 
 
+def _check_log_pmf(prior: GammaParams, total_areas) -> None:
+    """Reject a shape whose log pmf (:func:`_log_pmf_from_steps`) would be wrong:
+    its log-gamma passes the largest float (about 2.5e305), or rounding log(b)
+    and log(b + mA) moves it past ``_LOG_PMF_TOLERANCE`` at one of ``total_areas``."""
+    a = prior.shape
+    try:
+        math.lgamma(a)
+    except OverflowError:
+        raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
+    ulp_log_b = math.ulp(math.log(prior.rate))
+    for total_area in total_areas:
+        error = a * (ulp_log_b + math.ulp(math.log(prior.rate + total_area)))
+        if error > _LOG_PMF_TOLERANCE:
+            raise ValueError(
+                f"abundance_prior shape {a!r} is too large: rounding log(rate) moves the log "
+                f"pmf by up to {error:.2g}, past {_LOG_PMF_TOLERANCE:.0e}"
+            )
+
+
 def _log_pmf_from_steps(
     prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
 ) -> np.ndarray:
@@ -121,24 +140,16 @@ def _log_pmf_from_steps(
     a = shape and p = rate/(rate + total_area) (rate parametrization). The
     value at ``start`` comes from log-gamma functions; the rest follow from
     the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
+    The prior and area must have passed :func:`_check_log_pmf`.
     """
     a, b = prior.shape, prior.rate
     log_b, log_b_area = math.log(b), math.log(b + total_area)
     log_p = log_b - log_b_area
     log_1mp = math.log(total_area) - log_b_area
-    try:  # log-gamma passes the largest float past a shape of about 2.5e305
-        first = (
-            math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
-            + a * log_p + start * log_1mp
-        )
-    except OverflowError:
-        raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
-    error = a * (math.ulp(log_b) + math.ulp(log_b_area))
-    if error > _LOG_PMF_TOLERANCE:
-        raise ValueError(
-            f"abundance_prior shape {a!r} is too large: rounding log(rate) moves the log pmf "
-            f"by up to {error:.2g}, past {_LOG_PMF_TOLERANCE:.0e}"
-        )
+    first = (
+        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
+        + a * log_p + start * log_1mp
+    )
     out = np.empty(len(ratio_steps) + 1)
     out[0] = first
     np.add.accumulate(ratio_steps + log_1mp, out=out[1:])  # np.cumsum, less its wrapper

@@ -13,12 +13,11 @@ import os
 
 import numpy as np
 
-from .config import DEFAULT_CLASS_NAMES
+from .config import DEFAULT_CLASS_NAMES, DesignConfig
 from .cost import CostModel
 from .design import (
     CURVES_COLUMNS,
     DESIGN_COLUMNS,
-    DesignConfig,
     _first_chunks,
     _optimize_designs,
     default_abundance_grid,
@@ -95,9 +94,8 @@ def _design_figures(ids) -> dict[str, str]:
     for (tag, *_), config, result in zip(scenarios, configs, results):
         m = result.m_star
         rows = performance_curve(m, default_abundance_grid(config), config)
-        files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + render_csv(
-            DESIGN_COLUMNS, result.curve.rows
-        )
+        design_csv = render_csv(DESIGN_COLUMNS, result.curve.rows)
+        files[f"{tag}_design.csv"] = f"# m_star: {m}\n" + design_csv
         files[f"{tag}_performance.csv"] = f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows)
     return files
 
@@ -200,10 +198,7 @@ def replicate(figure: str, out_dir) -> list[str]:
             "high_prior": {"shape": HIGH_PRIOR.shape, "rate": HIGH_PRIOR.rate},
         },
         "files": [
-            {
-                "name": name,
-                "sha256": _sha256(files[name].encode("utf-8")).hexdigest(),
-            }
+            {"name": name, "sha256": _sha256(files[name].encode("utf-8")).hexdigest()}
             for name in written
         ],
     }

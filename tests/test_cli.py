@@ -448,6 +448,21 @@ class TestSensitivityCommand:
         assert "Traceback" not in result.output
         assert calls == []
 
+    def test_log_pmf_rounding_names_the_value(self, runner, tmp_path):
+        # mode 1e-300 puts the rate near 1e306, where an ulp of log(rate)
+        # times the shape passes the tolerance; the check runs when the value
+        # is admitted, so the error names the axis and the value
+        path = write_config(tmp_path, lambda doc: doc["abundance_prior"].update(shape=1e6))
+        result = runner.invoke(
+            main,
+            ["--config", path, "sensitivity", "--axis", "prior-mode", "--values", "200,1e-300"],
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: prior-mode value 1e-300: abundance_prior shape 1000000.0 is too large: "
+            "rounding log(rate) moves the log pmf by up to 2.3e-07, past 1e-08\n"
+        )
+
     def test_axis_choices_are_the_sweep_axes(self):
         # the CLI writes its own copy so that --help loads no design module
         assert option_choices("sensitivity", "axis") == SWEEP_AXES

@@ -271,6 +271,21 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError, match=f"^{axis} value {value}: "):
             sensitivity_sweep(baseline_config(), axis, [8.0, value])
 
+    @pytest.mark.parametrize(
+        "values,named,error",
+        [([200.0, 1e-300, 1e-200], 1e-300, "2.3e-07"), ([1e-200, 1e-300], 1e-200, "1.1e-07")],
+    )
+    def test_log_pmf_rounding_names_the_first_failing_value(self, values, named, error):
+        # with shape 1e6, modes this small put an ulp of log(rate) times the
+        # shape past the log pmf's tolerance
+        base = replace(baseline_config(), abundance_prior=GammaParams.from_mode(1e6, 200.0))
+        with pytest.raises(ValueError) as info:
+            sensitivity_sweep(base, "prior-mode", values)
+        assert str(info.value) == (
+            f"prior-mode value {named}: abundance_prior shape 1000000.0 is too large: "
+            f"rounding log(rate) moves the log pmf by up to {error}, past 1e-08"
+        )
+
 
 class TestDesignConfig:
     def test_draws_and_seed_do_not_change_the_design(self):
@@ -406,6 +421,16 @@ class TestWalkBound:
         assert message.startswith("a budget of 12 quadrant equivalents ")
         assert f" puts {terms:.3g} pmf terms " in message
         assert message.endswith(f"; the exact design supports at most {terms - 1:.0e}")
+
+    def test_log_pmf_rounding_checked_before_any_table(self, monkeypatch):
+        config = _config(GammaParams.from_mode(1e6, 1e-300))
+        monkeypatch.setattr(design, "_count_tables", None)  # rejected before any table
+        with pytest.raises(
+            ValueError,
+            match=r"^abundance_prior shape 1000000\.0 is too large: rounding log\(rate\) "
+            r"moves the log pmf by up to 2\.3e-07, past 1e-08$",
+        ):
+            optimize_design(config)
 
 
 def _config(prior, count_ratio=5e-5, budget=12.0):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mpdesign import DirichletParams, GammaParams, dirichlet_multinomial_moments
+from mpdesign import (
+    CostModel,
+    DesignConfig,
+    DirichletParams,
+    GammaParams,
+    dirichlet_multinomial_moments,
+)
+from mpdesign.design import _first_chunks
 from mpdesign.distributions import _log_pmf_from_steps, _ratio_steps
 from oracles import (
     RandomStream,
@@ -158,11 +165,16 @@ class TestPredictiveLogPmf:
 
     def test_invalid_arguments(self):
         # a shape whose log pmf would be silently wrong is rejected by name
+        # when the design walk is admitted, not while the pmf is computed; the
+        # rate equals the shape, so the mean count at m*A = 0.5 passes the
+        # walk's other bounds
+        cost = CostModel.from_budget_quadrants(0.5, 1.0, 5e-5, 3e-3)
         cases = [(1e308, "too large for log-gamma"), (1e16, "too large: rounding log(rate)")]
         for shape, message in cases:
+            config = DesignConfig(GammaParams(shape, shape), DirichletParams.symmetric(10), cost)
             pattern = rf"^abundance_prior shape \S+ is {re.escape(message)}"
             with pytest.raises(ValueError, match=pattern):
-                predictive_log_pmf(GammaParams(shape, 0.01), 0.5, 0, 10)
+                _first_chunks(config)
 
 
 class TestDirichletSample:

@@ -3,10 +3,12 @@
 The package root and the command line import lazily: ``import mpdesign``,
 ``--help`` and a command's ``--help`` load neither NumPy nor any
 ``mpdesign`` submodule but ``mpdesign.cli``, and each command loads exactly
-the modules it runs. The design commands (``design``, ``curves``,
-``sensitivity``) load the CLI, ``config``, ``io`` and the design path
-(``design``, ``cost``, ``loss``, ``distributions``); ``posterior`` adds
-``posterior`` and ``_special``, and ``replicate`` fig1 adds ``replicate``.
+the modules it runs. Every command that reads a config loads the CLI,
+``config``, ``io``, ``cost`` and ``distributions``; ``config`` defines
+``DesignConfig`` and loads no design module. The design commands
+(``design``, ``curves``, ``sensitivity``) add the design path (``design``,
+``loss``); ``posterior`` adds ``posterior`` and ``_special`` but not the
+design path; ``replicate`` fig1 loads the design path and ``replicate``.
 No command loads a random number generator of the package's own: it has
 none, and the Monte Carlo oracles live in ``tests/oracles.py``.
 
@@ -141,30 +143,31 @@ def test_nothing_but_cli_before_a_command_runs(args, workdir):
 
 
 # the modules every command loads: the CLI, its config and output layers and
-# the design path that they import
+# the prior and cost types that the config holds
 COMMAND_MODULES = {
     "mpdesign",
     "mpdesign.cli",
     "mpdesign.config",
     "mpdesign.cost",
-    "mpdesign.design",
     "mpdesign.distributions",
     "mpdesign.io",
-    "mpdesign.loss",
 }
+DESIGN_PATH = {"mpdesign.design", "mpdesign.loss"}
+POSTERIOR_PATH = {"mpdesign._special", "mpdesign.posterior"}
 
 
 @pytest.mark.parametrize(
     "args, extra",
     [
-        (("--config", "config.json", "design"), set()),
-        (("--config", "config.json", "curves", "--m", "3"), set()),
-        (("--config", "config.json", "sensitivity", "--axis", "r2", "--values", "1,2"), set()),
-        (("--config", "config.json", "posterior", "--data", "campaign.csv"),
-         {"mpdesign._special", "mpdesign.posterior"}),
-        (("replicate", "--figure", "fig1", "--out-dir", "out"), {"mpdesign.replicate"}),
+        (("--config", "config.json", "design"), DESIGN_PATH),
+        (("--config", "config.json", "curves", "--m", "3"), DESIGN_PATH),
+        (("--config", "config.json", "sensitivity", "--axis", "r2", "--values", "1,2"),
+         DESIGN_PATH),
+        (("--config", "config.json", "posterior", "--data", "campaign.csv"), POSTERIOR_PATH),
+        (("replicate", "--figure", "fig1", "--out-dir", "out"),
+         DESIGN_PATH | {"mpdesign.replicate"}),
         (("replicate", "--figure", "fig6", "--out-dir", "out"),
-         {"mpdesign._special", "mpdesign.posterior", "mpdesign.replicate"}),
+         DESIGN_PATH | POSTERIOR_PATH | {"mpdesign.replicate"}),
     ],
     ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig6"],
 )
@@ -190,6 +193,20 @@ def test_no_openssl(args, workdir):
     loaded = loaded_modules(*args, cwd=workdir)
     assert "numpy" in loaded  # the command did run
     assert "_hashlib" not in loaded
+
+
+def test_config_loads_no_design_module():
+    # DesignConfig is defined next to its parser, so reading a config runs
+    # none of the optimizer
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, mpdesign.config; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'mpdesign')))"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "mpdesign.config" in loaded
+    assert not loaded & {"mpdesign.design", "mpdesign.loss"}
 
 
 def test_replicate_design_figure_loads_no_posterior(workdir):

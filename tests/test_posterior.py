@@ -528,6 +528,55 @@ class TestDensityGrid:
         )
 
 
+# shapes from 0.05 to 5000, log-uniform, and exactly 1
+UNIT_SHAPES = st.one_of(
+    st.just(1.0), st.floats(math.log(0.05), math.log(5000.0)).map(math.exp)
+)
+
+
+class TestChangeOfUnit:
+    """The abundance posterior under a change of area unit by a power of two.
+
+    Measuring area in units 2^k times smaller multiplies the rate by 2^k and
+    divides every abundance by it. The HPD interval's ends are the mode or a
+    rate-1 quantile divided by the rate, and the density is a rate-1 value at
+    x * rate divided by the scale, so both change by a power of two, which is
+    exact in binary floating point: the checks are bit for bit.
+    """
+
+    @given(
+        shape=UNIT_SHAPES,
+        rate=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+        mass=st.floats(0.01, 0.999),
+        k=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hpd_ends_scale_exactly(self, shape, rate, mass, k):
+        lower, upper = hpd_interval(GammaParams(shape, rate), mass)
+        scaled = hpd_interval(GammaParams(shape, math.ldexp(rate, k)), mass)
+        assert scaled == (math.ldexp(lower, -k), math.ldexp(upper, -k))
+
+    @given(
+        shape=UNIT_SHAPES,
+        rate=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+        k=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_density_scales_exactly(self, shape, rate, k):
+        grid = np.linspace(0.0, 4.0 * (shape + 1.0) / rate, 201)
+        density = density_grid(GammaParams(shape, rate), grid)
+        scaled = density_grid(GammaParams(shape, math.ldexp(rate, k)), np.ldexp(grid, -k))
+        expected = np.ldexp(density, k)
+        # a subnormal density keeps fewer bits, so scaling it by 2^k rounds
+        # (or flushes it to 0) and the two sides may differ in the last kept
+        # bit; every cell where neither side is subnormal must match
+        tiny = np.finfo(float).tiny
+        subnormal = np.zeros(grid.shape, dtype=bool)
+        for values in (density, scaled, expected):
+            subnormal |= (values != 0) & (np.abs(values) < tiny)
+        assert np.array_equal(scaled[~subnormal], expected[~subnormal])
+
+
 class TestSynthesizeExpectedData:
     proportions = (0.52, 0.34, 0.0, 0.13, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0)
 
