@@ -21,6 +21,7 @@ import click
 # ``replicate.FIGURE_IDS``. Each command imports what it runs when it runs.
 SWEEP_AXES = ("r2", "budget", "prior-mode")
 FIGURE_CHOICES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "all")
+_MAX_POINTS = 1_000_000  # largest --grid-points and --lambda-points: 8 MB of floats each
 
 
 def _resolve_out(path: str) -> str:
@@ -128,7 +129,8 @@ def _abundance(ctx, param, value):
 @click.option("--lambda-min", type=float, default=None, callback=_abundance,
               help="Grid start (exclusive of 0).")
 @click.option("--lambda-max", type=float, default=None, callback=_abundance, help="Grid end.")
-@click.option("--lambda-points", type=click.IntRange(2), default=200, show_default=True)
+@click.option("--lambda-points", type=click.IntRange(2, _MAX_POINTS), default=200,
+              show_default=True)
 @click.pass_context
 def curves(ctx, m, lambda_min, lambda_max, lambda_points):
     """Second-stage performance across hypothetical true abundances."""
@@ -165,7 +167,8 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
               default=0.95, show_default=True)
 @click.option("--density-grid", "with_grids", is_flag=True,
               help="Append density-grid rows for plotting.")
-@click.option("--grid-points", type=click.IntRange(2), default=500, show_default=True)
+@click.option("--grid-points", type=click.IntRange(2, _MAX_POINTS), default=500,
+              show_default=True)
 @click.pass_context
 def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     """Posterior inference for abundance and polymer composition."""

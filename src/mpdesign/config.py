@@ -223,7 +223,7 @@ def parse_config(doc: dict) -> LoadedConfig:
 
 def load_config(path) -> LoadedConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is dropped
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -17,7 +17,6 @@ exceed 1, where n_bar is the categorized count that :func:`budget_rule` returns.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +52,6 @@ class CostModel:
             raise ValueError("count_ratio must be nonnegative")
         if not self.categorize_ratio > 0:
             raise ValueError("categorize_ratio must be positive")
-        if self.max_quadrants == 0:
-            warnings.warn(
-                "budget does not cover even one quadrant; only m = 0 is feasible",
-                stacklevel=2,
-            )
 
     @property
     def budget_area(self) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DesignConfig
 from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
-from .distributions import GammaParams, _check_log_pmf, _log_pmf_from_steps, _ratio_steps
+from .distributions import GammaParams
 from .loss import l1_expected, l2_expected
 
 __all__ = [
@@ -57,6 +57,9 @@ _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
 MAX_QUADRANTS = 10_000  # largest affordable quadrant count the design curve walks
 MAX_CURVE_TERMS = 1e8  # largest total of the design points' first pmf chunks
+# Largest error that rounding log(b) and log(b + mA), an ulp each, may put
+# into the log pmf through a * log(p); past it every loss is silently wrong.
+_LOG_PMF_TOLERANCE = 1e-8
 
 # Output columns of a design curve, a performance curve and a sensitivity
 # sweep, in file order. The rows are named tuples with their fields in this
@@ -154,6 +157,16 @@ def _first_chunk(m: int, config: DesignConfig) -> int:
     return min(size, _MAX_CHUNK)
 
 
+def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
+    """log((n-1+a)/n) = log1p((a-1)/n) for n = start .. stop - 1 (start >= 1).
+
+    The log pmf ratio P(n)/P(n-1) less log(1-p): it depends only on the
+    prior shape, so one array serves every sampled area.
+    """
+    n = np.arange(start, stop, dtype=np.float64)
+    return np.log1p((shape - 1.0) / n)
+
+
 def _count_tables(config: DesignConfig, size: int):
     """The per-count arrays over n = 0 .. size - 1 that no design point changes.
 
@@ -167,6 +180,34 @@ def _count_tables(config: DesignConfig, size: int):
     for table in (counts, steps, gains):
         table.flags.writeable = False
     return counts, steps, gains
+
+
+def _log_pmf_from_steps(
+    prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
+) -> np.ndarray:
+    """Log pmf of the predictive total count N for n = start .. start +
+    len(ratio_steps), where ``ratio_steps`` is :func:`_ratio_steps` over
+    n = start + 1 onward and ``total_area`` > 0.
+
+    N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
+    a = shape and p = rate/(rate + total_area) (rate parametrization). The
+    value at ``start`` comes from log-gamma functions; the rest follow from
+    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
+    The prior and area must have passed :func:`_first_chunks`.
+    """
+    a, b = prior.shape, prior.rate
+    log_b, log_b_area = math.log(b), math.log(b + total_area)
+    log_p = log_b - log_b_area
+    log_1mp = math.log(total_area) - log_b_area
+    first = (
+        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
+        + a * log_p + start * log_1mp
+    )
+    out = np.empty(len(ratio_steps) + 1)
+    out[0] = first
+    np.add.accumulate(ratio_steps + log_1mp, out=out[1:])  # np.cumsum, less its wrapper
+    out[1:] += first
+    return out
 
 
 def _pmf_chunk(prior: GammaParams, area: float, lo: int, hi: int, tables) -> np.ndarray:
@@ -267,7 +308,9 @@ def _first_chunks(config: DesignConfig) -> list[int]:
     one gate of a design walk: before any array is built it rejects, in this
     order, more than ``MAX_QUADRANTS`` quadrants, a mean past ``MAX_MEAN_COUNT``,
     more than ``MAX_CURVE_TERMS`` first-chunk counts and a shape whose log pmf
-    would be wrong at some m >= 1 (:func:`_check_log_pmf`)."""
+    (:func:`_log_pmf_from_steps`) would be wrong at some m >= 1: its log-gamma
+    passes the largest float (about 2.5e305), or rounding log(b) and
+    log(b + mA) moves it past ``_LOG_PMF_TOLERANCE``, checked for m = 1, 2, ..."""
     cost = config.cost
     budget = cost.budget_area / cost.quadrant_area
     if cost.max_quadrants > MAX_QUADRANTS:
@@ -283,9 +326,21 @@ def _first_chunks(config: DesignConfig) -> list[int]:
             f"puts {terms:.3g} pmf terms in the design points' first chunks; "
             f"the exact design supports at most {MAX_CURVE_TERMS:.0e}"
         )
-    if len(sizes) > 1:
-        areas = (m * cost.quadrant_area for m in range(1, len(sizes)))
-        _check_log_pmf(config.abundance_prior, areas)
+    if len(sizes) == 1:  # m = 0 alone sums no pmf
+        return sizes
+    a, b = config.abundance_prior.shape, config.abundance_prior.rate
+    try:
+        math.lgamma(a)
+    except OverflowError:
+        raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
+    ulp_log_b = math.ulp(math.log(b))
+    for m in range(1, len(sizes)):
+        error = a * (ulp_log_b + math.ulp(math.log(b + m * cost.quadrant_area)))
+        if error > _LOG_PMF_TOLERANCE:
+            raise ValueError(
+                f"abundance_prior shape {a!r} is too large: rounding log(rate) moves the log "
+                f"pmf by up to {error:.2g}, past {_LOG_PMF_TOLERANCE:.0e}"
+            )
     return sizes
 
 

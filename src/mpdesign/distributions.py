@@ -19,11 +19,6 @@ __all__ = [
     "dirichlet_multinomial_moments",
 ]
 
-# Largest error that rounding log(b) and log(b + mA), an ulp each, may put
-# into the log pmf through a * log(p); past it every loss is silently wrong.
-_LOG_PMF_TOLERANCE = 1e-8
-
-
 @dataclass(frozen=True)
 class GammaParams:
     """Gamma(shape, rate) parameters for the abundance rate (MP m^-2).
@@ -98,63 +93,6 @@ class DirichletParams:
     @classmethod
     def symmetric(cls, k: int, value: float = 1.0) -> "DirichletParams":
         return cls((float(value),) * int(k))
-
-
-def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
-    """log((n-1+a)/n) = log1p((a-1)/n) for n = start .. stop - 1 (start >= 1).
-
-    The log pmf ratio P(n)/P(n-1) less log(1-p): it depends only on the
-    prior shape, so one array serves every sampled area.
-    """
-    n = np.arange(start, stop, dtype=np.float64)
-    return np.log1p((shape - 1.0) / n)
-
-
-def _check_log_pmf(prior: GammaParams, total_areas) -> None:
-    """Reject a shape whose log pmf (:func:`_log_pmf_from_steps`) would be wrong:
-    its log-gamma passes the largest float (about 2.5e305), or rounding log(b)
-    and log(b + mA) moves it past ``_LOG_PMF_TOLERANCE`` at one of ``total_areas``."""
-    a = prior.shape
-    try:
-        math.lgamma(a)
-    except OverflowError:
-        raise ValueError(f"abundance_prior shape {a!r} is too large for log-gamma") from None
-    ulp_log_b = math.ulp(math.log(prior.rate))
-    for total_area in total_areas:
-        error = a * (ulp_log_b + math.ulp(math.log(prior.rate + total_area)))
-        if error > _LOG_PMF_TOLERANCE:
-            raise ValueError(
-                f"abundance_prior shape {a!r} is too large: rounding log(rate) moves the log "
-                f"pmf by up to {error:.2g}, past {_LOG_PMF_TOLERANCE:.0e}"
-            )
-
-
-def _log_pmf_from_steps(
-    prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
-) -> np.ndarray:
-    """Log pmf of the predictive total count N for n = start .. start +
-    len(ratio_steps), where ``ratio_steps`` is :func:`_ratio_steps` over
-    n = start + 1 onward and ``total_area`` > 0.
-
-    N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
-    a = shape and p = rate/(rate + total_area) (rate parametrization). The
-    value at ``start`` comes from log-gamma functions; the rest follow from
-    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
-    The prior and area must have passed :func:`_check_log_pmf`.
-    """
-    a, b = prior.shape, prior.rate
-    log_b, log_b_area = math.log(b), math.log(b + total_area)
-    log_p = log_b - log_b_area
-    log_1mp = math.log(total_area) - log_b_area
-    first = (
-        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
-        + a * log_p + start * log_1mp
-    )
-    out = np.empty(len(ratio_steps) + 1)
-    out[0] = first
-    np.add.accumulate(ratio_steps + log_1mp, out=out[1:])  # np.cumsum, less its wrapper
-    out[1:] += first
-    return out
 
 
 def dirichlet_multinomial_moments(params: DirichletParams, n: int):

@@ -1,6 +1,7 @@
 """File I/O: atomic writes, CSV/JSON serialization, campaign data parsing.
 
-Campaign data CSV (schema version 1): optional ``#`` comment lines, then a
+Campaign data CSV (schema version 1, UTF-8 with or without a byte-order
+mark): optional ``#`` comment lines, then a
 ``quadrant_id,suspected_count`` section, then optionally a
 ``class_name,categorized_count`` section with the spectroscopy results:
 
@@ -73,7 +74,7 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
     from .posterior import FieldObservations
 
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # a BOM is dropped
             rows = [
                 row
                 for row in csv.reader(fh)
@@ -83,9 +84,8 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
         raise CampaignDataError(f"cannot read {path}: {exc}") from exc
 
     if not rows or rows[0] != FIELD_HEADER:
-        raise CampaignDataError(
-            f"first header must be {','.join(FIELD_HEADER)!r}"
-        )
+        found = f"got {','.join(rows[0])!r}" if rows else "the file has no rows"
+        raise CampaignDataError(f"first header must be {','.join(FIELD_HEADER)!r}, {found}")
     try:
         split = next(i for i, row in enumerate(rows) if row == CLASS_HEADER)
     except StopIteration:

@@ -216,8 +216,7 @@ class TestDesignCommand:
         path = write_config(
             tmp_path, lambda d: d["cost"].update(budget_quadrant_equivalents=0.01)
         )
-        with pytest.warns(UserWarning):
-            result = runner.invoke(main, ["--config", path, "design"])
+        result = runner.invoke(main, ["--config", path, "design"])
         assert result.exit_code != 0
         assert "feasible" in result.output
 
@@ -306,6 +305,25 @@ class TestCurvesCommand:
         assert f"'{option}'" in result.output
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [(["curves", "--m", "7"], "--lambda-points"), (["posterior", "--density-grid"], "--grid-points")],
+)
+def test_point_count_bounded(runner, config_path, tmp_path, command, option):
+    # a million points is the named upper end; one more is a usage error that
+    # names the option, before any grid is built
+    data = tmp_path / "campaign.csv"
+    data.write_text(CAMPAIGN)
+    args = command + (["--data", str(data)] if command[0] == "posterior" else [])
+    result = runner.invoke(main, ["--config", config_path] + args + [option, "1000001"])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': 1000001 is not in the range 2<=x<=1000000." in (
+        result.output
+    )
+    help_text = runner.invoke(main, [command[0], "--help"]).output
+    assert "2<=x<=1000000" in help_text
+
+
 class TestPosteriorCommand:
     def test_reference_posterior(self, runner, config_path, tmp_path):
         data = tmp_path / "campaign.csv"
@@ -346,6 +364,36 @@ class TestPosteriorCommand:
         assert rows[0] == ["section", "key", "value"]
         assert sorted(map(tuple, rows[1:])) == from_json
         assert len(doc["abundance_density"]) == 300
+
+    def test_byte_order_mark_accepted(self, runner, config_path, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a byte-order mark; a BOM
+        # copy of the campaign or of the config gives the plain file's bytes
+        plain = tmp_path / "campaign.csv"
+        plain.write_text(CAMPAIGN, encoding="utf-8")
+        bom_data = tmp_path / "campaign_bom.csv"
+        bom_data.write_text(CAMPAIGN, encoding="utf-8-sig")
+        bom_config = tmp_path / "config_bom.json"
+        bom_config.write_text(open(config_path, encoding="utf-8").read(), encoding="utf-8-sig")
+        assert bom_data.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert bom_config.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for config, data in [(config_path, plain), (config_path, bom_data), (bom_config, plain)]:
+            result = runner.invoke(
+                main, ["--config", str(config), "posterior", "--data", str(data), "--density-grid"]
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_bad_header_printed(self, runner, config_path, tmp_path):
+        data = tmp_path / "campaign.csv"
+        data.write_text("quadrant_id, suspected_count\n1,5\n")
+        result = runner.invoke(main, ["--config", config_path, "posterior", "--data", str(data)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: first header must be 'quadrant_id,suspected_count', "
+            "got 'quadrant_id, suspected_count'\n"
+        )
 
     def test_without_categorization_prior_kept(self, runner, config_path, tmp_path):
         data = tmp_path / "campaign.csv"

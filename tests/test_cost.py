@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,9 +38,13 @@ class TestCostModel:
         scaled = CostModel.from_raw_costs(0.0625, f * 80.0, f * 4e-3, f * 0.24, f * 60.0)
         assert scaled == base  # bit-identical ratios
 
-    def test_tiny_budget_warns(self):
-        with pytest.warns(UserWarning):
-            CostModel.from_budget_quadrants(0.0625, 0.5, 5e-5, 3e-3)
+    def test_tiny_budget_warns_nothing(self):
+        # a budget below one quadrant is a valid model whose only design is
+        # m = 0; the design command refuses it with its own error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost = CostModel.from_budget_quadrants(0.0625, 0.5, 5e-5, 3e-3)
+        assert cost.max_quadrants == 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(

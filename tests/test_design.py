@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -31,12 +32,17 @@ from mpdesign.design import (
     _count_tables,
     _expected_l2,
     _first_chunk,
+    _first_chunks,
+    _log_pmf_from_steps,
     _pmf_chunk,
     _predictive_median,
+    _ratio_steps,
     default_abundance_grid,
 )
 from oracles import RandomStream, budget_fraction, categorized_count, predictive_total_count
 from conftest import baseline_config
+
+N = 100_000  # Monte Carlo draws behind an oracle mean
 
 
 def own_tables(m, config):
@@ -129,8 +135,7 @@ class TestOptimizeDesign:
         }
 
     def test_typical_summary_without_sampling(self):
-        with pytest.warns(UserWarning):
-            result = optimize_design(baseline_config(budget=0.5))
+        result = optimize_design(baseline_config(budget=0.5))
         assert (result.m_star, result.typical_n, result.typical_n_bar) == (0, 0, 0)
         assert result.budget_split == {
             "sampling": 0.0, "counting": 0.0, "categorization": 0.0, "slack": 1.0,
@@ -388,6 +393,67 @@ class TestExactQuadrature:
         assert 3.0 * 0.0625 / 1e-12 > MAX_MEAN_COUNT
         with pytest.raises(ValueError, match="abundance_prior"):
             optimize_design(config)
+
+
+def brute_log_pmf(prior, area, n):
+    """Negative binomial log pmf straight from log-gamma functions."""
+    a, b = prior.shape, prior.rate
+    return (
+        math.lgamma(n + a) - math.lgamma(a) - math.lgamma(n + 1)
+        + a * math.log(b / (b + area)) + n * math.log(area / (b + area))
+    )
+
+
+def predictive_log_pmf(prior, area, start, stop):
+    """The design curve's log pmf of N for n = start .. stop - 1."""
+    return _log_pmf_from_steps(prior, area, start, _ratio_steps(prior.shape, start + 1, stop))
+
+
+class TestPredictiveLogPmf:
+    @pytest.mark.parametrize(
+        "prior,area",
+        [
+            (GammaParams(3.0, 0.01), 0.4375),
+            (GammaParams(3.0, 0.0025), 0.75),
+            (GammaParams(0.7, 0.2), 0.0625),
+            (GammaParams(40.0, 0.05), 1.5),
+        ],
+    )
+    def test_matches_lgamma_brute_force(self, prior, area):
+        rng = np.random.default_rng(5)
+        for start in (0, 1, 777, 20_000):
+            log_pmf = predictive_log_pmf(prior, area, start, start + 3000)
+            for k in rng.integers(0, 3000, size=25):
+                n = start + int(k)
+                ref = brute_log_pmf(prior, area, n)
+                assert log_pmf[k] == pytest.approx(ref, rel=1e-11, abs=1e-9)
+
+    def test_sums_to_one_and_matches_scipy(self):
+        prior, area = GammaParams(3.0, 0.01), 0.4375
+        pmf = np.exp(predictive_log_pmf(prior, area, 0, 20_000))
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        ref = stats.nbinom(prior.shape, prior.rate / (prior.rate + area)).pmf(np.arange(20_000))
+        assert np.allclose(pmf, ref, rtol=1e-10, atol=0.0)
+
+    def test_mean_matches_monte_carlo_draws(self):
+        prior, area = GammaParams(3.0, 0.01), 0.4375
+        n = np.arange(20_000)
+        mean = float(np.dot(np.exp(predictive_log_pmf(prior, area, 0, 20_000)), n))
+        draws = predictive_total_count(prior, area, RandomStream(8), size=N)
+        assert abs(draws.mean() - mean) < 4 * draws.std(ddof=1) / np.sqrt(N)
+
+    def test_invalid_arguments(self):
+        # a shape whose log pmf would be silently wrong is rejected by name
+        # when the design walk is admitted, not while the pmf is computed; the
+        # rate equals the shape, so the mean count at m*A = 0.5 passes the
+        # walk's other bounds
+        cost = CostModel.from_budget_quadrants(0.5, 1.0, 5e-5, 3e-3)
+        cases = [(1e308, "too large for log-gamma"), (1e16, "too large: rounding log(rate)")]
+        for shape, message in cases:
+            config = DesignConfig(GammaParams(shape, shape), DirichletParams.symmetric(10), cost)
+            pattern = rf"^abundance_prior shape \S+ is {re.escape(message)}"
+            with pytest.raises(ValueError, match=pattern):
+                _first_chunks(config)
 
 
 class TestWalkBound:
