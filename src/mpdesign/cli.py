@@ -5,6 +5,10 @@ from a JSON config (see ``mpdesign.config``); tabular results are written as
 CSV (default) or JSON. Re-running a command with identical inputs produces
 byte-identical output files. If the ``MPDESIGN_OUT_DIR`` environment
 variable is set, relative output paths are resolved against it.
+
+Errors become lines in one place, ``_Commands.invoke``: a ``ValueError`` from
+a config, a campaign or a design the walk refuses ends the command as one
+``Error:`` line with exit 1. Any other exception is a bug: a traceback.
 """
 
 from __future__ import annotations
@@ -32,15 +36,12 @@ def _resolve_out(path: str) -> str:
 
 
 def _load(ctx):
-    from .config import ConfigError, load_config
+    from .config import load_config
 
     opts = ctx.obj
     if opts["config"] is None:
         raise click.ClickException("--config is required for this command")
-    try:
-        return load_config(opts["config"])
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
+    return load_config(opts["config"])
 
 
 def _emit(ctx, csv_text, json_obj):
@@ -56,7 +57,17 @@ def _emit(ctx, csv_text, json_obj):
         atomic_write_text(_resolve_out(out_path), text)
 
 
-@click.group(invoke_without_command=True)
+class _Commands(click.Group):
+    """Ends a ``ValueError`` from the group callback or a command as a ``ClickException``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands, invoke_without_command=True)
 @click.option("--config", type=click.Path(), default=None, help="JSON config file.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output format.")
@@ -91,25 +102,21 @@ def design(ctx):
         raise click.ClickException(
             "budget admits no field sampling (feasible quadrant counts: [0])"
         )
-    try:
-        result = optimize_design(cfg)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    area = result.optimal_row.area
+    result = optimize_design(cfg)
+    summary = {
+        "m_star": result.m_star,
+        "sampled_area": result.optimal_row.area,
+        "typical_n": result.typical_n,
+        "typical_n_bar": result.typical_n_bar,
+    }
     summary_lines = (
-        f"# m_star: {result.m_star}\n"
-        f"# sampled_area: {area!r}\n"
-        f"# typical_n: {result.typical_n}\n"
-        f"# typical_n_bar: {result.typical_n_bar}\n"
-        "# budget_split: "
+        "".join(f"# {k}: {v!r}\n" for k, v in summary.items())
+        + "# budget_split: "
         + " ".join(f"{k}={v!r}" for k, v in result.budget_split.items())
         + "\n"
     )
     json_obj = {
-        "m_star": result.m_star,
-        "sampled_area": area,
-        "typical_n": result.typical_n,
-        "typical_n_bar": result.typical_n_bar,
+        **summary,
         "budget_split": result.budget_split,
         "q_policy": result.q_policy_note,
         "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in result.curve.rows],
@@ -147,15 +154,12 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
         raise click.BadParameter(
             f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}", param_hint="'--lambda-min'"
         )
-    try:
-        if lambda_max is None:
-            grid = default_abundance_grid(cfg, lambda_points)
-        else:
-            lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
-            grid = np.linspace(lo, lambda_max, lambda_points)
-        rows = performance_curve(m, grid, cfg)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if lambda_max is None:
+        grid = default_abundance_grid(cfg, lambda_points)
+    else:
+        lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
+        grid = np.linspace(lo, lambda_max, lambda_points)
+    rows = performance_curve(m, grid, cfg)
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
     _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
@@ -174,7 +178,7 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     """Posterior inference for abundance and polymer composition."""
     import numpy as np
 
-    from .io import CampaignDataError, parse_campaign_data, render_csv
+    from .io import parse_campaign_data, render_csv
     from .posterior import (
         density_grid,
         hpd_interval,
@@ -185,11 +189,7 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
 
     loaded = _load(ctx)
     cfg = loaded.design
-    try:
-        data = parse_campaign_data(data_path, cfg.cost.quadrant_area, loaded.class_names)
-    except CampaignDataError as exc:
-        raise click.ClickException(str(exc)) from exc
-
+    data = parse_campaign_data(data_path, cfg.cost.quadrant_area, loaded.class_names)
     obs = data.observations
     abundance = update_abundance(cfg.abundance_prior, obs)
     lower, upper = hpd_interval(abundance, hpd_mass)
@@ -254,10 +254,7 @@ def sensitivity(ctx, axis, values):
         raise click.ClickException(f"bad --values list: {exc}") from exc
     if not parsed:
         raise click.ClickException("--values must contain at least one number")
-    try:
-        rows = sensitivity_sweep(loaded.design, axis, parsed)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    rows = sensitivity_sweep(loaded.design, axis, parsed)
     json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
     _emit(ctx, lambda: render_csv(SENSITIVITY_COLUMNS, rows), json_obj)
 

@@ -134,6 +134,8 @@ def _nonneg_int(text: str, where: str) -> int:
         raise CampaignDataError(f"{where} must be an integer, got {text!r}") from exc
     if value < 0:
         raise CampaignDataError(f"{where} must be nonnegative, got {value}")
+    if value > 2**53:  # past it a count is not exact in the float posterior
+        raise CampaignDataError(f"{where} must be at most 2**53 = {2**53}, got {value}")
     return value
 
 

@@ -804,3 +804,86 @@ class TestFieldValueTable:
             assert [(row["q"], row["n_bar"]) for row in rows] == [
                 (1.0 if row["n"] == 0 else 0.0, 0) for row in rows
             ]
+
+
+# Each command and a library function it calls. The command group is the one
+# place where a ValueError becomes the Error: line; any other exception is a
+# bug and keeps its traceback.
+LIBRARY_CALLS = {
+    "print-config": ("mpdesign.config.load_config", ["--print-config"]),
+    "design": ("mpdesign.design.optimize_design", ["design"]),
+    "curves": ("mpdesign.design.performance_curve", ["curves", "--m", "7"]),
+    "posterior": ("mpdesign.posterior.hpd_interval", ["posterior", "--data", "{data}"]),
+    "sensitivity": (
+        "mpdesign.design.sensitivity_sweep", ["sensitivity", "--axis", "budget", "--values", "8"]
+    ),
+}
+
+
+class TestErrorBoundary:
+    @staticmethod
+    def invoke_raising(runner, monkeypatch, config_path, tmp_path, command, exc):
+        target, args = LIBRARY_CALLS[command]
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, fail)
+        data = tmp_path / "campaign.csv"
+        data.write_text(CAMPAIGN)
+        args = [arg.format(data=data) for arg in args]
+        return runner.invoke(main, ["--config", config_path, *args])
+
+    @pytest.mark.parametrize("command", LIBRARY_CALLS)
+    def test_value_error_is_the_error_line(
+        self, runner, monkeypatch, config_path, tmp_path, command
+    ):
+        result = self.invoke_raising(
+            runner, monkeypatch, config_path, tmp_path, command, ValueError("refused by name")
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: refused by name\n"
+
+    @pytest.mark.parametrize("command", LIBRARY_CALLS)
+    def test_other_errors_keep_their_traceback(
+        self, runner, monkeypatch, config_path, tmp_path, command
+    ):
+        bug = RuntimeError("a bug")
+        result = self.invoke_raising(runner, monkeypatch, config_path, tmp_path, command, bug)
+        assert result.exit_code == 1
+        assert result.exception is bug
+        assert "Error:" not in result.output
+
+    # a count past 2^53 is refused by the campaign parser, and a posterior
+    # shape past the HPD bound by hpd_interval, both before any series of
+    # _gamma_tail is summed: these asked NumPy for 820 GiB or 8.2 GiB, or
+    # ended in a ZeroDivisionError or OverflowError traceback
+    @pytest.mark.parametrize(
+        "counts,shape,message",
+        [
+            ([10**400], 3, f"suspected_count for quadrant '1' must be at most 2**53 = "
+                           f"9007199254740992, got {10**400}"),
+            ([10**300], 3, f"suspected_count for quadrant '1' must be at most 2**53 = "
+                           f"9007199254740992, got {10**300}"),
+            ([10**20], 3, "suspected_count for quadrant '1' must be at most 2**53 = "
+                          "9007199254740992, got 100000000000000000000"),
+            ([5, 4], 1e16, "Gamma shape 1.0000000000000008e+16 is past 1e+10, the largest "
+                           "whose HPD interval is computed"),
+        ],
+        ids=["count1e400", "count1e300", "count1e20", "shape1e16"],
+    )
+    def test_posterior_work_bound(self, runner, monkeypatch, tmp_path, counts, shape, message):
+        monkeypatch.setattr(
+            "mpdesign._special._gamma_tail", lambda *args, **kwargs: pytest.fail("series summed")
+        )
+        config = write_config(tmp_path, lambda d: d["abundance_prior"].update(shape=shape))
+        data = tmp_path / "campaign.csv"
+        data.write_text(
+            "quadrant_id,suspected_count\n"
+            + "".join(f"{qid},{count}\n" for qid, count in enumerate(counts, 1))
+        )
+        result = runner.invoke(main, ["--config", config, "posterior", "--data", str(data)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message}\n"

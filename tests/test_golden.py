@@ -1,31 +1,34 @@
-"""The design path's outputs against the golden files in ``tests/golden``.
+"""The design and posterior outputs against the golden files in ``tests/golden``.
 
 Each output is recomputed and compared cell by cell with its golden file:
-text (headers, axis names), integers (m, m*, counts) exactly, and floats
-within ``REL_TOL``. The design curves take NumPy's SIMD ``exp``/``log1p`` and
-a BLAS ``np.dot``, which move cells in the last bits between CPUs; the
-largest move measured across dispatch paths is 7.6e-15 relative, so a bound
-of 2e-14 holds on any CPU and still catches a real change. A change that
-moves these outputs on purpose regenerates the files by hand with
-``tests/golden/make_golden.py``.
+text (headers, axis names, JSON keys that are not numbers), integers (m, m*,
+counts) exactly, and floats within ``REL_TOL``. The design curves and the
+Gamma densities take NumPy's SIMD ``exp``/``log1p`` and a BLAS ``np.dot``,
+which move cells in the last bits between CPUs; the largest move measured
+across dispatch paths is 7.6e-15 relative, so a bound of 2e-14 holds on any
+CPU and still catches a real change. A subnormal density has fewer bits, so
+floats are compared as if they were at least the smallest normal double. A
+change that moves these outputs on purpose regenerates the files by hand
+with ``tests/golden/make_golden.py``.
 """
 
 import math
 import re
+import sys
 
 import pytest
 
-from golden.make_golden import GOLDEN_DIR, outputs
+from golden.make_golden import GOLDEN_DIR, golden_files, outputs
 
 REL_TOL = 2e-14
 
-GOLDEN_FILES = sorted(path.name for path in GOLDEN_DIR.glob("*.csv"))
+GOLDEN_FILES = golden_files()
 
 
 def cells(text):
-    """Each line's cells: split at commas, and at the spaces and '=' of the
-    ``#`` summary lines."""
-    return [re.split(r"[, =]", line) for line in text.splitlines()]
+    """Each line's cells: split at commas, at the spaces and '=' of the
+    ``#`` summary lines, and at the quotes and colons of JSON."""
+    return [re.split(r'[, =":]', line) for line in text.splitlines()]
 
 
 def cell_matches(expected, actual):
@@ -37,7 +40,7 @@ def cell_matches(expected, actual):
         x, y = float(expected), float(actual)
     except ValueError:
         return False  # text
-    return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=0.0)
+    return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=REL_TOL * sys.float_info.min)
 
 
 def differences(expected, actual):
@@ -59,7 +62,7 @@ def fresh(tmp_path_factory):
 
 
 def test_every_output_has_a_golden_file(fresh):
-    assert len(GOLDEN_FILES) == 21
+    assert len(GOLDEN_FILES) == 33
     assert sorted(fresh) == GOLDEN_FILES
 
 
@@ -82,3 +85,21 @@ def test_comparison_catches_a_moved_cell_and_a_changed_m_star():
     assert list(differences(golden, curve(m_star="6")))
     assert list(differences(golden, curve(m="7.0")))
     assert list(differences(golden, "# m_star: 7\nm,L_star\n"))
+
+
+def test_comparison_catches_a_moved_density_and_a_changed_hpd_end():
+    def posterior(upper=133.984320292621, key=0.5370113037780401, density=1.357676791572819e-32):
+        return (
+            f'{{\n  "abundance": {{\n    "hpd_upper": {upper!r}\n  }},\n'
+            f'  "abundance_density": {{\n    "{key!r}": {density!r}\n  }}\n}}\n'
+        )
+
+    golden = posterior()
+    assert '"0.5370113037780401": 1.357676791572819e-32' in golden
+    assert not list(differences(golden, posterior(key=0.5370113037780401 * (1 + 1e-14))))
+    assert not list(differences(golden, posterior(density=1.357676791572819e-32 * (1 + 1e-14))))
+    assert list(differences(golden, posterior(density=1.357676791572819e-32 * (1 + 4e-14))))
+    assert list(differences(golden, posterior(upper=133.984320292621 * (1 + 1e-12))))
+    # a subnormal density may move by a few of its last bits (here ten), not by 10%
+    assert not list(differences(posterior(density=5e-320), posterior(density=5.005e-320)))
+    assert list(differences(posterior(density=5e-320), posterior(density=5.5e-320)))

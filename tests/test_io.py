@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdesign.io import render_csv, render_json
+from mpdesign.io import CampaignDataError, parse_campaign_data, render_csv, render_json
 
 
 @pytest.mark.parametrize(
@@ -131,3 +131,24 @@ CSV_CELLS = st.one_of(
 def test_render_csv_equals_per_cell_text(rows):
     header = ["a", "b,c", 'd"e']
     assert render_csv(header, rows) == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize(
+    "rows,where",
+    [("1,{}\n", "suspected_count for quadrant '1'"),
+     (f"1,{2**53}\nclass_name,categorized_count\nPE,{{}}\n", "categorized_count for 'PE'")],
+    ids=["suspected", "categorized"],
+)
+def test_counts_bounded_at_2_53(tmp_path, rows, where):
+    # past 2^53 a count is not exact in the float posterior, and past about
+    # 1e308 it is not a float at all
+    path = tmp_path / "campaign.csv"
+    for count in (2**53, 2**53 + 1, 10**400):
+        path.write_text("quadrant_id,suspected_count\n" + rows.format(count))
+        if count == 2**53:
+            parse_campaign_data(path, 0.0625, ("PE", "PP"))
+            continue
+        message = f"{where} must be at most 2**53 = 9007199254740992, got {count}"
+        with pytest.raises(CampaignDataError) as info:
+            parse_campaign_data(path, 0.0625, ("PE", "PP"))
+        assert str(info.value) == message

@@ -23,7 +23,7 @@ from mpdesign import (
     update_abundance,
     update_composition,
 )
-from mpdesign import posterior
+from mpdesign import _special, posterior
 from mpdesign._special import _gammainc, _lgamma
 from mpdesign.posterior import apportion_counts
 from conftest import BASELINE_COST
@@ -245,6 +245,24 @@ class TestHpdInterval:
     def test_bad_mass(self):
         with pytest.raises(ValueError):
             hpd_interval(GammaParams(2.0, 1.0), 1.5)
+
+    def test_shape_bound(self, monkeypatch):
+        # at the bound the interval is computed to its stated mass error;
+        # the next double is refused before the series of _gamma_tail, whose
+        # length grows like sqrt(78 shape), allocates anything
+        bound = posterior._MAX_HPD_SHAPE
+        lower, upper = hpd_interval(GammaParams(bound, 0.5), 0.5)
+        with mpmath.workdps(50):
+            contained = mpmath.gammainc(bound, lower * 0.5, upper * 0.5, regularized=True)
+            assert abs(contained - 0.5) <= 1e-11
+        monkeypatch.setattr(_special, "_gamma_tail", lambda *args: pytest.fail("series summed"))
+        past = math.nextafter(bound, math.inf)
+        with pytest.raises(ValueError) as info:
+            hpd_interval(GammaParams(past, 0.5), 0.95)
+        assert str(info.value) == (
+            "Gamma shape 10000000000.000002 is past 1e+10, the largest whose HPD interval "
+            "is computed"
+        )
 
     @given(
         shape=st.floats(0.05, 1.0),
