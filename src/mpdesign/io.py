@@ -80,7 +80,8 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
                 for row in csv.reader(fh)
                 if row and not row[0].lstrip().startswith("#")
             ]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # also bytes that are not UTF-8, or a cell past csv's 131,072 characters
         raise CampaignDataError(f"cannot read {path}: {exc}") from exc
 
     if not rows or rows[0] != FIELD_HEADER:
@@ -128,15 +129,23 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
 
 
 def _nonneg_int(text: str, where: str) -> int:
+    # 2**53 has 16 digits, so the first 17 of a count decide its bound; int()
+    # alone refuses a text of more than 4,300 digits as if it were no integer
+    digits = text.strip().lstrip("0")
     try:
-        value = int(text)
+        value = int(digits[:17]) if digits.isascii() and digits.isdigit() else int(text)
     except ValueError as exc:
-        raise CampaignDataError(f"{where} must be an integer, got {text!r}") from exc
+        raise CampaignDataError(f"{where} must be an integer, got {_cut(text)!r}") from exc
     if value < 0:
-        raise CampaignDataError(f"{where} must be nonnegative, got {value}")
+        raise CampaignDataError(f"{where} must be nonnegative, got {_cut(text.strip())}")
     if value > 2**53:  # past it a count is not exact in the float posterior
-        raise CampaignDataError(f"{where} must be at most 2**53 = {2**53}, got {value}")
+        raise CampaignDataError(f"{where} must be at most 2**53 = {2**53}, got {_cut(digits)}")
     return value
+
+
+def _cut(text: str) -> str:
+    """``text`` as a message echoes it: past 32 characters, its first 32 and its length."""
+    return text if len(text) <= 32 else f"{text[:32]}… ({len(text)} characters)"
 
 
 def atomic_write_text(path, text: str):

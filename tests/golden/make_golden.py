@@ -50,7 +50,7 @@ COMMANDS = {
 }
 
 # Campaign name -> (config, campaign file) for ``posterior --density-grid``:
-# the campaign of the CI package job, with class rows; an all-zero campaign
+# three quadrants with two class rows; an all-zero campaign
 # under a shape-0.5 prior, whose HPD interval is left-anchored; and 20
 # quadrants holding 2,962 particles.
 CAMPAIGNS = {

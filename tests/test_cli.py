@@ -614,6 +614,10 @@ class TestTableColumns:
         for name, attribute in attributes.items():
             assert line[name] == cell_text(getattr(row, attribute)), name
             assert json_row[name] == getattr(row, attribute), name
+        # every JSON row, read by column name, is the CSV row in its place
+        assert [[cell_text(r[name]) for name in header] for r in json_rows] == [
+            l.split(",") for l in lines[1:]
+        ]
 
 
 def _all_finite(value):
@@ -633,6 +637,20 @@ def _set_field(doc, field, value):
 
 
 DESIGN, CURVES = ["design"], ["curves", "--m", "1"]
+POSTERIOR, PRINT_CONFIG = ["posterior", "--data", "{campaign}"], ["--print-config"]
+
+
+def run_with_value(runner, tmp_path, field, value, command, *options):
+    """Run ``command`` on the config with ``field`` set to ``value``, and
+    CAMPAIGN as the ``{campaign}`` file. A ``field`` of ``config`` or
+    ``campaign`` names a whole file, and ``value`` is its bytes."""
+    files = {"config": tmp_path / "bad.json", "campaign": tmp_path / "campaign.csv"}
+    files["campaign"].write_text(CAMPAIGN)
+    write_config(tmp_path, lambda d: field in files or _set_field(d, field, value))
+    if field in files:
+        files[field].write_bytes(value)
+    args = [arg.format(**files) for arg in command]
+    return runner.invoke(main, ["--config", str(files["config"]), *options, *args]), files
 
 
 class TestBadValuesNamed:
@@ -693,20 +711,40 @@ class TestBadValuesNamed:
              "m=-1 outside the feasible set 0..10000000\n"),
             ("cost.budget_quadrant_equivalents", 1e308, ["curves", "--m", "-1"],
              "m=-1 outside the feasible set 0..1000000000000100"),
+            # a file that is not UTF-8 or holds an integer past int()'s 4,300
+            # digits named neither itself nor its field, a long cell was
+            # echoed whole, and one past csv's 131,072 characters was a traceback
+            ("config", b'{"cost": "\xff"}', DESIGN,
+             "config {config} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+             "in position 10: invalid start byte\n"),
+            ("config", json.dumps(BASE_DOC).replace(
+                '"budget_quadrant_equivalents": 12', '"budget_quadrant_equivalents": 1' + "0" * 5000
+            ).encode(), DESIGN, "config {config} is not valid JSON: Exceeds the limit (4300 digits) "),
+            ("campaign", b"quadrant_id,suspected_count\n1,5\xff\n", POSTERIOR,
+             "cannot read {campaign}: 'utf-8' codec can't decode byte 0xff in position 31: "
+             "invalid start byte\n"),
+            ("campaign", b"quadrant_id,suspected_count\n1,1" + b"0" * 5000 + b"\n", POSTERIOR,
+             "suspected_count for quadrant '1' must be at most 2**53 = 9007199254740992, "
+             "got 10000000000000000000000000000000… (5001 characters)\n"),
+            ("campaign", b"quadrant_id,suspected_count\n1," + b"x" * 5000 + b"\n", POSTERIOR,
+             "suspected_count for quadrant '1' must be an integer, "
+             "got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx… (5000 characters)'\n"),
+            ("campaign", b"quadrant_id,suspected_count\n1," + b"x" * 200_000 + b"\n", POSTERIOR,
+             "cannot read {campaign}: field larger than field limit (131072)\n"),
         ],
         ids=["budget-negative", "budget-zero", "budget-tiny", "mode-tiny", "shape-huge",
              "mode-huge", "gamma-short", "classes-one", "classes-1e20", "classes-1e9",
              "classes-above-bound", "gamma-above-bound", "shape-1e14", "shape-1e16",
              "gamma-string", "rate-string", "symmetric-gamma-negative", "symmetric-gamma-zero",
              "gamma-negative", "m-negative-b12", "m-above-b12", "m-negative-b1e7",
-             "m-negative-b1e308"],
+             "m-negative-b1e308", "config-0xff", "config-5001-digits", "campaign-0xff",
+             "campaign-5001-digits", "campaign-5000-letters", "campaign-long-cell"],
     )
     def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
-        path = write_config(tmp_path, lambda d: _set_field(d, field, value))
-        result = runner.invoke(main, ["--config", path, *command])
+        result, files = run_with_value(runner, tmp_path, field, value, command)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
-        assert result.output.startswith("Error: " + message)
+        assert result.output.startswith("Error: " + message.format(**files))
         assert result.output.count("\n") == 1
         assert len(result.output) < 1000
 
@@ -726,22 +764,28 @@ class TestBadValuesNamed:
         )
         assert result.output.count("\n") == 1
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "field,value,command",
         [
             ("cost.count_ratio", 1e-320, DESIGN),
+            ("cost.categorize_ratio", 1e-320, CURVES),
             ("abundance_prior.shape", 1e308, CURVES),
             ("abundance_prior.shape", 1e6, DESIGN),
             ("composition_prior", {"classes": 10_000, "symmetric_gamma": 1.0}, DESIGN),
+            # a budget below one quadrant is a valid config: the commands that
+            # never read the quadrant count run on it without a warning
+            ("cost.budget_quadrant_equivalents", 0.5, POSTERIOR),
+            ("cost.budget_quadrant_equivalents", 0.5, PRINT_CONFIG),
         ],
-        ids=["count-ratio-tiny-design", "shape-huge-curves", "shape-1e6-design",
-             "classes-at-bound-design"],
+        ids=["count-ratio-tiny-design", "categorize-ratio-tiny-curves", "shape-huge-curves",
+             "shape-1e6-design", "classes-at-bound-design", "budget-half-posterior",
+             "budget-half-print-config"],
     )
     def test_accepted_with_finite_output(self, runner, tmp_path, field, value, command):
-        path = write_config(tmp_path, lambda d: _set_field(d, field, value))
-        result = runner.invoke(main, ["--config", path, "--format", "json", *command])
+        result, _ = run_with_value(runner, tmp_path, field, value, command, "--format", "json")
         assert result.exit_code == 0, result.output
+        assert result.stderr == ""
         assert _all_finite(json.loads(result.output))
 
 
@@ -862,10 +906,12 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "counts,shape,message",
         [
-            ([10**400], 3, f"suspected_count for quadrant '1' must be at most 2**53 = "
-                           f"9007199254740992, got {10**400}"),
-            ([10**300], 3, f"suspected_count for quadrant '1' must be at most 2**53 = "
-                           f"9007199254740992, got {10**300}"),
+            ([10**400], 3, "suspected_count for quadrant '1' must be at most 2**53 = "
+                           "9007199254740992, got 10000000000000000000000000000000… "
+                           "(401 characters)"),
+            ([10**300], 3, "suspected_count for quadrant '1' must be at most 2**53 = "
+                           "9007199254740992, got 10000000000000000000000000000000… "
+                           "(301 characters)"),
             ([10**20], 3, "suspected_count for quadrant '1' must be at most 2**53 = "
                           "9007199254740992, got 100000000000000000000"),
             ([5, 4], 1e16, "Gamma shape 1.0000000000000008e+16 is past 1e+10, the largest "

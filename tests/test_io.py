@@ -141,14 +141,22 @@ def test_render_csv_equals_per_cell_text(rows):
 )
 def test_counts_bounded_at_2_53(tmp_path, rows, where):
     # past 2^53 a count is not exact in the float posterior, and past about
-    # 1e308 it is not a float at all
+    # 1e308 it is not a float at all; a long count is echoed cut short, and
+    # one past int()'s 4,300 digits is refused by the same bound
     path = tmp_path / "campaign.csv"
-    for count in (2**53, 2**53 + 1, 10**400):
+    for count, shown in [
+        ("9007199254740992", None),
+        ("009007199254740992", None),
+        ("9007199254740993", "9007199254740993"),
+        ("1" + "0" * 400, "1" + "0" * 31 + "… (401 characters)"),
+        ("0" * 5000 + "1" + "0" * 16, "1" + "0" * 16),
+        ("1" + "0" * 5000, "1" + "0" * 31 + "… (5001 characters)"),
+    ]:
         path.write_text("quadrant_id,suspected_count\n" + rows.format(count))
-        if count == 2**53:
+        if shown is None:
             parse_campaign_data(path, 0.0625, ("PE", "PP"))
             continue
-        message = f"{where} must be at most 2**53 = 9007199254740992, got {count}"
+        message = f"{where} must be at most 2**53 = 9007199254740992, got {shown}"
         with pytest.raises(CampaignDataError) as info:
             parse_campaign_data(path, 0.0625, ("PE", "PP"))
         assert str(info.value) == message
