@@ -118,7 +118,10 @@ def design(ctx):
     json_obj = {
         **summary,
         "budget_split": result.budget_split,
-        "q_policy": result.q_policy_note,
+        "q_policy": (
+            f"after counting n particles over {result.m_star} quadrants, categorize "
+            f"n_bar = floor(n * q) with q = q({result.m_star}*A, n) from the budget rule"
+        ),
         "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in result.curve.rows],
     }
     _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, result.curve.rows), json_obj)
@@ -245,13 +248,15 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
 def sensitivity(ctx, axis, values):
     """Re-optimize the design along one input axis."""
     from .design import SENSITIVITY_COLUMNS, sensitivity_sweep
-    from .io import render_csv
+    from .io import _cut, render_csv
 
     loaded = _load(ctx)
-    try:
-        parsed = [float(v) for v in values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise click.ClickException(f"bad --values list: {exc}") from exc
+    parsed = []
+    for entry in filter(str.strip, values.split(",")):
+        try:
+            parsed.append(float(entry))
+        except ValueError as exc:
+            raise click.ClickException(f"bad --values entry {_cut(entry)!r}: not a number") from exc
     if not parsed:
         raise click.ClickException("--values must contain at least one number")
     rows = sensitivity_sweep(loaded.design, axis, parsed)

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import InitVar, dataclass
 
 from .cost import CostModel
 from .distributions import DirichletParams, GammaParams
+from .io import _cut
 
 __all__ = ["ConfigError", "DesignConfig", "LoadedConfig", "load_config", "parse_config"]
 
@@ -87,15 +89,17 @@ def _require_keys(obj: dict, section: str, allowed: set[str], required: set[str]
         raise ConfigError(f"section {section!r} must be an object")
     for key in obj:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section {section!r}")
+            raise ConfigError(f"unknown key {_cut(key)!r} in section {section!r}")
     for key in required:
         if key not in obj:
             raise ConfigError(f"missing key {key!r} in section {section!r}")
 
 
 def _finite_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    # abs(value) compares an int exactly, so one past the largest float is refused
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {_cut(repr(value))}")
     return float(value)
 
 
@@ -179,10 +183,10 @@ def _check_legacy_mc(obj) -> None:
     _require_keys(obj, "mc", {"draws", "seed"}, set())
     draws = obj.get("draws", 1000)
     if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1000:
-        raise ConfigError(f"mc.draws must be an integer >= 1000, got {draws!r}")
+        raise ConfigError(f"mc.draws must be an integer >= 1000, got {_cut(repr(draws))}")
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {_cut(repr(seed))}")
 
 
 def parse_config(doc: dict) -> LoadedConfig:

@@ -45,13 +45,13 @@ class CostModel:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.quadrant_area > 0:
-            raise ValueError("quadrant_area must be positive")
+            raise ValueError(f"quadrant_area must be positive, got {self.quadrant_area!r}")
         if not self.budget_coefficient > 0:
-            raise ValueError("budget_coefficient must be positive")
+            raise ValueError(f"budget_coefficient must be positive, got {self.budget_coefficient!r}")
         if self.count_ratio < 0:
-            raise ValueError("count_ratio must be nonnegative")
+            raise ValueError(f"count_ratio must be nonnegative, got {self.count_ratio!r}")
         if not self.categorize_ratio > 0:
-            raise ValueError("categorize_ratio must be positive")
+            raise ValueError(f"categorize_ratio must be positive, got {self.categorize_ratio!r}")
 
     @property
     def budget_area(self) -> float:
@@ -97,7 +97,9 @@ class CostModel:
         common factor yields the same design problem.
         """
         if sample_cost_per_m2 <= 0 or budget <= 0:
-            raise ValueError("sample cost and budget must be positive")
+            raise ValueError(
+                f"sample_cost_per_m2 {sample_cost_per_m2!r} and budget {budget!r} must be positive"
+            )
         return cls(
             quadrant_area,
             sample_cost_per_m2 / budget,

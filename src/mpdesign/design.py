@@ -81,10 +81,7 @@ class DesignCurveRow(NamedTuple):
 
 @dataclass(frozen=True)
 class DesignCurve:
-    rows: tuple[DesignCurveRow, ...]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.rows])
+    rows: tuple[DesignCurveRow, ...]  # rows[m] is the design point at m
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,10 @@ class DesignResult:
     typical_n: int
     typical_n_bar: int
     budget_split: dict[str, float] = field(hash=False)  # a dict; keeps the result hashable
-    q_policy_note: str = field(default="")
 
     @property
     def optimal_row(self) -> DesignCurveRow:
-        return next(r for r in self.curve.rows if r.m == self.m_star)
+        return self.curve.rows[self.m_star]
 
 
 class PerformanceRow(NamedTuple):
@@ -397,25 +393,16 @@ def _optimize_designs(configs, sizes) -> list[DesignResult]:
 
 
 def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables) -> DesignResult:
-    """m* of ``curve``, with the predictive median and budget split there."""
-    l_star = curve.column("l_star")
-    nan = np.flatnonzero(np.isnan(l_star))
-    if nan.size:
-        m = curve.rows[nan[0]].m
-        raise ValueError(f"the expected loss L* is NaN at m={m}; no design can be chosen")
-    best = int(np.argmin(l_star))
-    optimal = curve.rows[best]
-    m_star = int(optimal.m)
-    n = _predictive_median(m_star, config, sizes[best], tables)
-    n_bar, split = _budget_split(config.cost, optimal.area, n)
-    note = (
-        f"after counting n particles over {m_star} quadrants, categorize "
-        f"n_bar = floor(n * q) with q = q({m_star}*A, n) from the budget rule"
-    )
-    return DesignResult(
-        m_star=m_star, curve=curve, typical_n=n, typical_n_bar=n_bar, budget_split=split,
-        q_policy_note=note,
-    )
+    """m* of ``curve``, the first m of least L*, with the predictive median
+    and budget split there."""
+    rows = curve.rows
+    nan = next((row.m for row in rows if math.isnan(row.l_star)), None)
+    if nan is not None:
+        raise ValueError(f"the expected loss L* is NaN at m={nan}; no design can be chosen")
+    m_star = min(range(len(rows)), key=lambda m: rows[m].l_star)
+    n = _predictive_median(m_star, config, sizes[m_star], tables)
+    n_bar, split = _budget_split(config.cost, rows[m_star].area, n)
+    return DesignResult(m_star, curve, n, n_bar, split)
 
 
 def performance_curve(m: int, abundance_grid, config: DesignConfig) -> tuple[PerformanceRow, ...]:

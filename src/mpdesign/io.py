@@ -85,7 +85,7 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
         raise CampaignDataError(f"cannot read {path}: {exc}") from exc
 
     if not rows or rows[0] != FIELD_HEADER:
-        found = f"got {','.join(rows[0])!r}" if rows else "the file has no rows"
+        found = f"got {_cut(','.join(rows[0]))!r}" if rows else "the file has no rows"
         raise CampaignDataError(f"first header must be {','.join(FIELD_HEADER)!r}, {found}")
     try:
         split = next(i for i, row in enumerate(rows) if row == CLASS_HEADER)
@@ -96,12 +96,12 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
     seen_ids = set()
     for row in rows[1:split]:
         if len(row) != 2:
-            raise CampaignDataError(f"malformed quadrant row {row!r}")
+            raise CampaignDataError(f"malformed quadrant row {_cut(','.join(row))!r}")
         qid, value = row
         if qid in seen_ids:
-            raise CampaignDataError(f"duplicate quadrant_id {qid!r}")
+            raise CampaignDataError(f"duplicate quadrant_id {_cut(qid)!r}")
         seen_ids.add(qid)
-        counts.append(_nonneg_int(value, f"suspected_count for quadrant {qid!r}"))
+        counts.append(_nonneg_int(value, f"suspected_count for quadrant {_cut(qid)!r}"))
     if not counts:
         raise CampaignDataError("no quadrant rows")
     obs = FieldObservations(quadrant_area, tuple(counts))
@@ -111,15 +111,16 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
         class_counts = {}
         for row in rows[split + 1 :]:
             if len(row) != 2:
-                raise CampaignDataError(f"malformed class row {row!r}")
+                raise CampaignDataError(f"malformed class row {_cut(','.join(row))!r}")
             name, value = row
             if name not in class_names:
                 raise CampaignDataError(
-                    f"unknown class_name {name!r}; configured classes: {', '.join(class_names)}"
+                    f"unknown class_name {_cut(name)!r}; "
+                    f"configured classes: {_cut(', '.join(class_names))}"
                 )
             if name in class_counts:
-                raise CampaignDataError(f"duplicate class_name {name!r}")
-            class_counts[name] = _nonneg_int(value, f"categorized_count for {name!r}")
+                raise CampaignDataError(f"duplicate class_name {_cut(name)!r}")
+            class_counts[name] = _nonneg_int(value, f"categorized_count for {_cut(name)!r}")
         total_cat = sum(class_counts.values())
         if total_cat > obs.total_count:
             raise CampaignDataError(

@@ -37,7 +37,7 @@ def l1_realized(m: int, total_count: int, prior: GammaParams, quadrant_area: flo
     """
     _check_area(quadrant_area)
     if m < 0 or total_count < 0:
-        raise ValueError("invalid inputs")
+        raise ValueError(f"m and total_count must be nonnegative, got {m!r} and {total_count!r}")
     a, b = prior.shape, prior.rate
     return (b**2 / a) * (a + total_count) / (b + m * quadrant_area) ** 2
 
@@ -46,7 +46,7 @@ def l1_expected(m: int, prior: GammaParams, quadrant_area: float) -> float:
     """Prior-expected abundance variance reduction: 1 / (1 + m*A/rate)."""
     _check_area(quadrant_area)
     if m < 0:
-        raise ValueError("invalid inputs")
+        raise ValueError(f"m must be nonnegative, got {m!r}")
     return 1.0 / (1.0 + m * quadrant_area / prior.rate)
 
 

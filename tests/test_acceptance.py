@@ -256,8 +256,8 @@ def test_09_determinism_and_scale_invariance(tmp_path):
 
 def test_10_u_shape():
     curve = optimize_design(baseline_config()).curve
-    e2 = curve.column("e_l2_star")
-    se = curve.column("e_l2_se")
+    e2 = np.array([row.e_l2_star for row in curve.rows])
+    se = np.array([row.e_l2_se for row in curve.rows])
     diffs = np.diff(e2)
     band = 2.0 * np.sqrt(se[:-1] ** 2 + se[1:] ** 2)
     signs = [d > 0 for d, b in zip(diffs, band) if abs(d) > b]

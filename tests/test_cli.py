@@ -11,7 +11,7 @@ from mpdesign import design
 from mpdesign.cli import main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
-from mpdesign.replicate import FIGURE_IDS
+from mpdesign.replicate import FIGURE_IDS, replicate
 
 BASE_DOC = {
     "abundance_prior": {"shape": 3, "mode": 200},
@@ -167,6 +167,12 @@ class TestLegacyMcSection:
         assert "No such option" in result.output and option[0] in result.output
 
 
+def test_bare_command_prints_help(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert result.output == runner.invoke(main, ["--help"]).output
+
+
 class TestPrintConfig:
     def test_round_trip(self, runner, config_path):
         out = runner.invoke(main, ["--config", config_path, "--print-config"])
@@ -195,6 +201,16 @@ class TestDesignCommand:
         text = out_file.read_text()
         assert "# m_star: 7" in text
         assert "m,area,L1_star,E_L2_star,E_L2_se,L_star,L_star_se" in text
+
+    def test_q_policy_names_m_star(self, runner, config_path):
+        result = runner.invoke(main, ["--config", config_path, "--format", "json", "design"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["m_star"] == 7
+        assert doc["q_policy"] == (
+            "after counting n particles over 7 quadrants, categorize "
+            "n_bar = floor(n * q) with q = q(7*A, n) from the budget rule"
+        )
 
     def test_rerun_byte_identical(self, runner, config_path, tmp_path):
         files = []
@@ -540,6 +556,10 @@ class TestReplicateCommand:
             main, ["replicate", "--figure", "fig9", "--out-dir", str(tmp_path)]
         )
         assert result.exit_code != 0
+        # the library's own check, which the option's choices keep the command from reaching
+        with pytest.raises(ValueError, match=r"^unknown figure id 'fig9'; expected \('fig1', "):
+            replicate("fig9", tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_figure_choices_are_the_figure_ids(self):
         assert option_choices("replicate", "figure") == FIGURE_IDS + ("all",)
@@ -653,6 +673,17 @@ def run_with_value(runner, tmp_path, field, value, command, *options):
     return runner.invoke(main, ["--config", str(files["config"]), *options, *args]), files
 
 
+LONG = 100_000  # characters in a value that a message must not echo whole
+CLASS_ROWS = b"quadrant_id,suspected_count\n1,5\nclass_name,categorized_count\n"
+
+
+def cut(char, length=LONG, shown=32):
+    """How a message echoes a text of ``length`` characters that starts with
+    ``shown`` copies of ``char``: its first 32 characters and its length. A
+    value quoted by its repr has its opening quote among the 32: ``shown=31``."""
+    return f"{char * shown}… ({length} characters)"
+
+
 class TestBadValuesNamed:
     """Values that ended in a traceback, a stray warning, a message naming a
     derived quantity, or the section's name twice."""
@@ -731,6 +762,60 @@ class TestBadValuesNamed:
              "got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx… (5000 characters)'\n"),
             ("campaign", b"quadrant_id,suspected_count\n1," + b"x" * 200_000 + b"\n", POSTERIOR,
              "cannot read {campaign}: field larger than field limit (131072)\n"),
+            # a value of 100,000 characters was echoed whole, and an integer
+            # past the largest float ended in an OverflowError traceback
+            ("campaign", b"h" * LONG + b"\n", POSTERIOR,
+             f"first header must be 'quadrant_id,suspected_count', got '{cut('h')}'\n"),
+            ("campaign", b"quadrant_id,suspected_count\n" + b"r" * LONG + b"\n", POSTERIOR,
+             f"malformed quadrant row '{cut('r')}'\n"),
+            ("campaign", b"quadrant_id,suspected_count\n" + (b"q" * LONG + b",1\n") * 2, POSTERIOR,
+             f"duplicate quadrant_id '{cut('q')}'\n"),
+            ("campaign", b"quadrant_id,suspected_count\n" + b"q" * LONG + b",-1\n", POSTERIOR,
+             f"suspected_count for quadrant '{cut('q')}' must be nonnegative, got -1\n"),
+            ("campaign", CLASS_ROWS + b"c" * LONG + b"\n", POSTERIOR,
+             f"malformed class row '{cut('c')}'\n"),
+            ("campaign", CLASS_ROWS + b"c" * LONG + b",1\n", POSTERIOR,
+             f"unknown class_name '{cut('c')}'; "
+             "configured classes: PE, PP, PET, PS, PA, PVC, PU, AC… (42 characters)\n"),
+            ("class_names", ["n" * LONG, "PP", "PET", "PS", "PA", "PVC", "PU", "AC", "PES", "NPP"],
+             POSTERIOR, f"unknown class_name 'PE'; configured classes: {cut('n', LONG + 40)}\n"),
+            ("cost." + "k" * LONG, 1, DESIGN, f"unknown key '{cut('k')}' in section 'cost'\n"),
+            ("abundance_prior.mode", "v" * LONG, DESIGN,
+             f"abundance_prior.mode must be a finite number, got '{cut('v', LONG + 2, 31)}\n"),
+            ("composition_prior", {"gamma": [1, "g" * LONG]}, DESIGN,
+             "composition_prior.gamma[1] must be a finite number, "
+             f"got '{cut('g', LONG + 2, 31)}\n"),
+            ("mc.draws", "d" * LONG, DESIGN,
+             f"mc.draws must be an integer >= 1000, got '{cut('d', LONG + 2, 31)}\n"),
+            ("mc.seed", "s" * LONG, DESIGN,
+             f"mc.seed must be an integer in [0, 2**64), got '{cut('s', LONG + 2, 31)}\n"),
+            ("cost.budget_quadrant_equivalents", 12,
+             ["sensitivity", "--axis", "budget", "--values", "8," + "x" * LONG],
+             f"bad --values entry '{cut('x')}': not a number\n"),
+            ("abundance_prior.shape", 10**400, DESIGN,
+             "abundance_prior.shape must be a finite number, got "
+             "10000000000000000000000000000000… (401 characters)\n"),
+            # rejections no other test reached
+            ("cost.budget_quadrant_equivalents", 12,
+             ["sensitivity", "--axis", "budget", "--values", " , "],
+             "--values must contain at least one number\n"),
+            ("cost", 5, DESIGN, "section 'cost' must be an object\n"),
+            ("composition_prior", {}, DESIGN,
+             "composition_prior needs either 'gamma' or ('classes', 'symmetric_gamma')\n"),
+            ("class_names", ["PE"], DESIGN, "class_names must be 10 distinct nonempty strings\n"),
+            ("config", b"[]", DESIGN, "config root must be a JSON object\n"),
+            ("campaign", b"quadrant_id,suspected_count\nclass_name,categorized_count\n", POSTERIOR,
+             "no quadrant rows\n"),
+            ("campaign", CLASS_ROWS + b"PE,1\nPE,2\n", POSTERIOR, "duplicate class_name 'PE'\n"),
+            ("cost.budget_quadrant_equivalents", 12,
+             ["sensitivity", "--axis", "budget", "--values", "1e-320"],
+             "budget value 1e-320: quadrant_area 0.0625 times budget 1e-320 is 6.23e-322, so the "
+             "budget coefficient 1/(budget * quadrant_area) is not a positive finite number\n"),
+            # a library rejection names its value
+            ("cost.count_ratio", -1, DESIGN, "cost: count_ratio must be nonnegative, got -1.0\n"),
+            ("cost.budget_quadrant_equivalents", 12,
+             ["sensitivity", "--axis", "r2", "--values", "0"],
+             "r2 value 0.0: categorize_ratio must be positive, got 0.0\n"),
         ],
         ids=["budget-negative", "budget-zero", "budget-tiny", "mode-tiny", "shape-huge",
              "mode-huge", "gamma-short", "classes-one", "classes-1e20", "classes-1e9",
@@ -738,7 +823,13 @@ class TestBadValuesNamed:
              "gamma-string", "rate-string", "symmetric-gamma-negative", "symmetric-gamma-zero",
              "gamma-negative", "m-negative-b12", "m-above-b12", "m-negative-b1e7",
              "m-negative-b1e308", "config-0xff", "config-5001-digits", "campaign-0xff",
-             "campaign-5001-digits", "campaign-5000-letters", "campaign-long-cell"],
+             "campaign-5001-digits", "campaign-5000-letters", "campaign-long-cell",
+             "header-long", "quadrant-row-long", "quadrant-id-duplicate-long",
+             "quadrant-id-count-long", "class-row-long", "class-name-long", "class-names-long",
+             "unknown-key-long", "mode-long", "gamma-long", "mc-draws-long", "mc-seed-long",
+             "values-long", "shape-401-digits", "values-empty", "section-not-object",
+             "composition-empty", "class-names-short", "config-array", "campaign-no-quadrants",
+             "class-name-duplicate", "budget-axis-tiny", "count-ratio-negative", "r2-zero"],
     )
     def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
         result, files = run_with_value(runner, tmp_path, field, value, command)
@@ -747,6 +838,20 @@ class TestBadValuesNamed:
         assert result.output.startswith("Error: " + message.format(**files))
         assert result.output.count("\n") == 1
         assert len(result.output) < 1000
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [(["design"], "--config is required for this command"),
+         (["--config", "{missing}", "design"],
+          "cannot read config {missing}: [Errno 2] No such file or directory: '{missing}'")],
+        ids=["no-config", "config-missing"],
+    )
+    def test_config_file_rejected(self, runner, tmp_path, args, message):
+        missing = tmp_path / "missing.json"
+        result = runner.invoke(main, [arg.format(missing=missing) for arg in args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message.format(missing=missing)}\n"
 
     # taking the feasible set's length ended in an OverflowError; a list of
     # per-m work would not end at all

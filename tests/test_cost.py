@@ -54,6 +54,30 @@ class TestCostModel:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             replace(BASELINE_COST, **{name: value})
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: replace(BASELINE_COST, quadrant_area=0.0),
+             "quadrant_area must be positive, got 0.0"),
+            (lambda: replace(BASELINE_COST, budget_coefficient=-1.0),
+             "budget_coefficient must be positive, got -1.0"),
+            (lambda: replace(BASELINE_COST, count_ratio=-1e-9),
+             "count_ratio must be nonnegative, got -1e-09"),
+            (lambda: replace(BASELINE_COST, categorize_ratio=0.0),
+             "categorize_ratio must be positive, got 0.0"),
+            (lambda: CostModel.from_raw_costs(0.0625, 0.0, 4e-3, 0.24, 60.0),
+             "sample_cost_per_m2 0.0 and budget 60.0 must be positive"),
+            (lambda: CostModel.from_raw_costs(0.0625, 80.0, 4e-3, 0.24, -1.0),
+             "sample_cost_per_m2 80.0 and budget -1.0 must be positive"),
+        ],
+        ids=["area-zero", "coefficient-negative", "count-ratio-negative",
+             "categorize-ratio-zero", "raw-sample-cost-zero", "raw-budget-negative"],
+    )
+    def test_out_of_range_rejected_with_value(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
 
 def spent(cost, total_area, n):
     """c * (mA + r1*n + r2*n_bar), the normalized cost, with n_bar from the rule."""

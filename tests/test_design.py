@@ -108,6 +108,18 @@ class TestOptimizeDesign:
         with pytest.raises(ValueError, match=r"^the expected loss L\* is NaN at m=3;"):
             optimize_design(low_config)
 
+    def test_ties_break_toward_smaller_m(self, low_config, monkeypatch):
+        curve_row = design._curve_row
+
+        def tied(m, *args):  # the two least L*, at m = 4 and m = 9, are equal
+            row = curve_row(m, *args)
+            return row._replace(l_star=0.0) if m in (4, 9) else row
+
+        monkeypatch.setattr(design, "_curve_row", tied)
+        result = optimize_design(low_config)
+        assert result.m_star == 4
+        assert result.optimal_row == result.curve.rows[4]
+
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"beta": 0.0025}, {"budget": 8.0}, {"r2": 3.0}, {"budget": 20.0, "r2": 6e-3}],
@@ -149,7 +161,7 @@ class TestOptimizeDesign:
 
     def test_curve_invariants(self, low_config):
         curve = optimize_design(low_config).curve
-        l1 = curve.column("l1_star")
+        l1 = np.array([row.l1_star for row in curve.rows])
         assert np.all(np.diff(l1) < 0)
         for row in curve.rows:
             combined = 0.5 * row.l1_star + 0.5 * row.e_l2_star
@@ -158,8 +170,8 @@ class TestOptimizeDesign:
 
     def test_u_shape_of_l2_component(self, low_config):
         curve = optimize_design(low_config).curve
-        e2 = curve.column("e_l2_star")
-        se = curve.column("e_l2_se")
+        e2 = np.array([row.e_l2_star for row in curve.rows])
+        se = np.array([row.e_l2_se for row in curve.rows])
         diffs = np.diff(e2)
         band = 2.0 * np.sqrt(se[:-1] ** 2 + se[1:] ** 2)
         signs = [d > 0 for d, b in zip(diffs, band) if abs(d) > b]

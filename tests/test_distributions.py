@@ -151,6 +151,10 @@ class TestDirichletMultinomialMoments:
         mean, var = dirichlet_multinomial_moments(DirichletParams.symmetric(3), 0)
         assert np.all(mean == 0) and np.all(var == 0)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            dirichlet_multinomial_moments(DirichletParams.symmetric(3), -1)
+
     def test_symmetric_hand_value(self):
         mean, var = dirichlet_multinomial_moments(DirichletParams.symmetric(10, 1.0), 100)
         assert np.allclose(mean, 10.0)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdesign.io import CampaignDataError, parse_campaign_data, render_csv, render_json
+from mpdesign.io import (
+    CampaignDataError, atomic_write_text, parse_campaign_data, render_csv, render_json,
+)
 
 
 @pytest.mark.parametrize(
@@ -96,8 +99,8 @@ def test_render_json_non_string_keys(obj):
 
 @pytest.mark.parametrize(
     "obj",
-    [np.int64(3), {1, 2}, {"rows": [np.int64(1)]}, {(1, 2): 3}],
-    ids=["np.int64", "set", "nested-np.int64", "tuple-key"],
+    [np.int64(3), {1, 2}, {"rows": [np.int64(1)]}, {(1, 2): 3}, {(1, 2): [3]}],
+    ids=["np.int64", "set", "nested-np.int64", "tuple-key", "tuple-key-of-container"],
 )
 def test_render_json_raises_what_json_dumps_raises(obj):
     with pytest.raises(TypeError) as expected:
@@ -160,3 +163,31 @@ def test_counts_bounded_at_2_53(tmp_path, rows, where):
         with pytest.raises(CampaignDataError) as info:
             parse_campaign_data(path, 0.0625, ("PE", "PP"))
         assert str(info.value) == message
+
+
+def test_atomic_write_leaves_no_temp_file_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "a\ud800")  # a lone surrogate has no UTF-8 form
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [("{name},1\n{name},2\n", "duplicate class_name '{cut}'"),
+     ("{name},x\n", "categorized_count for '{cut}' must be an integer, got 'x'")],
+    ids=["duplicate", "count"],
+)
+def test_long_configured_class_name_cut(tmp_path, rows, message):
+    # the name comes from the config, and a message quotes its first 32 characters
+    name = "n" * 100_000
+    path = tmp_path / "campaign.csv"
+    path.write_text(
+        "quadrant_id,suspected_count\n1,5\nclass_name,categorized_count\n"
+        + rows.format(name=name)
+    )
+    with pytest.raises(CampaignDataError) as info:
+        parse_campaign_data(path, 0.0625, (name, "PP"))
+    assert str(info.value) == message.format(cut="n" * 32 + "… (100000 characters)")

@@ -63,6 +63,33 @@ def test_bad_quadrant_area_named(area):
         l1_realized(3, 10, LOW_PRIOR, area)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: l1_realized(-1, 10, LOW_PRIOR, A),
+         "m and total_count must be nonnegative, got -1 and 10"),
+        (lambda: l1_realized(3, -2, LOW_PRIOR, A),
+         "m and total_count must be nonnegative, got 3 and -2"),
+        (lambda: l1_expected(-1, LOW_PRIOR, A), "m must be nonnegative, got -1"),
+        (lambda: l2_realized((1, 2), DirichletParams.symmetric(3)),
+         "expected 3 class counts, got shape (2,)"),
+        (lambda: l2_realized((1, -1), DirichletParams.symmetric(2)),
+         "class counts must be nonnegative"),
+        # the second class's share of the prior rounds to 0
+        (lambda: l2_realized((0, 0), DirichletParams((1.0, 1e-20))),
+         "degenerate prior: zero prior covariance trace"),
+        (lambda: l2_expected([3.0, -1.0], DirichletParams.symmetric(2)),
+         "n_bar must be nonnegative"),
+    ],
+    ids=["l1-realized-m", "l1-realized-count", "l1-expected-m", "l2-realized-length",
+         "l2-realized-negative", "l2-realized-degenerate", "l2-expected-negative"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestL2Realized:
     def test_no_data_is_one(self):
         assert l2_realized((0, 0, 0), DirichletParams.symmetric(3)) == pytest.approx(1.0)

@@ -246,6 +246,9 @@ class TestHpdInterval:
         with pytest.raises(ValueError):
             hpd_interval(GammaParams(2.0, 1.0), 1.5)
 
+    def test_left_anchored_quantile_underflow_is_zero(self):
+        assert hpd_interval(GammaParams(0.05, 1.0), 1e-300) == (0.0, 0.0)
+
     def test_shape_bound(self, monkeypatch):
         # at the bound the interval is computed to its stated mass error;
         # the next double is refused before the series of _gamma_tail, whose
@@ -491,7 +494,7 @@ class TestDensityGrid:
         got = density_grid(DirichletParams((1.0, 4.0)), [1.1125e-308], component=0)
         assert got[0] == pytest.approx(4.0, rel=1e-15)
 
-    @pytest.mark.parametrize("a", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 0.99])
     @pytest.mark.parametrize("b", [0.5, 3.0, 400.0])
     def test_beta_marginal_below_one_at_subnormal_points(self, a, b):
         # the density passes the largest double near 0 for some shapes: inf
@@ -660,3 +663,25 @@ class TestApportionCounts:
 
     def test_largest_remainder(self):
         assert apportion_counts(101, (0.52, 0.34, 0.13, 0.01)) == (53, 34, 13, 1)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: FieldObservations(A, ()), ValueError, "need at least one quadrant"),
+        (lambda: FieldObservations(A, (3, -1)), ValueError, "counts must be nonnegative"),
+        (lambda: CategorizationCounts((3, -1)), ValueError, "class counts must be nonnegative"),
+        (lambda: density_grid(DirichletParams.symmetric(3), [0.5], component=3), ValueError,
+         "component 3 out of range for k=3"),
+        (lambda: density_grid((2.0, 1.0), [0.5]), TypeError, "unsupported parameter type tuple"),
+        (lambda: apportion_counts(-1, [0.5, 0.5]), ValueError, "total must be nonnegative"),
+        (lambda: synthesize_expected_data(100.0, [0.5, 0.5], 0, A, BASELINE_COST), ValueError,
+         "m must be at least 1, got 0"),
+    ],
+    ids=["no-quadrants", "negative-count", "negative-class-count", "component-out-of-range",
+         "unsupported-params", "negative-total", "no-quadrants-synthesized"],
+)
+def test_bad_input_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
