@@ -1,4 +1,4 @@
-"""Special functions of the Gamma and Beta distributions, on NumPy and ``math`` alone.
+"""Special functions of the Gamma and Beta distributions, on ``math`` alone.
 
 The cephes log-gamma that ``scipy.special.gammaln`` calls, the Gamma density
 in the floating-point steps of ``scipy.stats.gamma.pdf``, one regularized
@@ -9,15 +9,19 @@ For a up to 1e5 the log of a computed tail is within 5e-14 relative of
 mpmath (of 1 where it is smaller), and the quantile puts P within 5e-15 of
 the mass asked for. The Beta density, for the marginals of a Dirichlet, is
 within 1.3e-15 relative of 40-digit mpmath for a from 0.05 to 500 and b
-from 0.05 to 5000, where SciPy's is off by up to 5.4e-13. The module
-imports no other ``mpdesign`` module and no SciPy.
+from 0.05 to 5000, where SciPy's is off by up to 5.4e-13. The densities
+take and return lists. ``_pairwise_sum`` is NumPy's summation order for
+``np.add.reduce``, so that sums keep the bits they had when they were
+NumPy's. The module imports no other ``mpdesign`` module, no NumPy and no
+SciPy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 # Steps allowed in each Newton or Halley loop of the HPD search and the
 # quantile. From their starting points they converge in a handful: an HPD
@@ -55,6 +59,29 @@ _LGAM_C = (
 _LOG_SQRT_2PI = 0.91893853320467274178
 _SQRT_2PI = math.sqrt(math.tau)
 _SQRT_HALF = math.sqrt(0.5)
+
+
+def _pairwise_sum(values, start: int = 0, count: int | None = None) -> float:
+    """The sum of the floats ``values[start:start + count]`` (to the end by
+    default) in the order of ``np.add.reduce`` on a contiguous float64 array,
+    so with its bits: below 8 terms one by one from 0.0; up to 128, eight
+    running sums, one per residue of the index mod 8, added pairwise, then
+    the terms past the last multiple of 8 in order; above, the sums of two
+    parts split at count / 2 rounded down to a multiple of 8.
+    """
+    if count is None:
+        count = len(values) - start
+    stop = start + count
+    if count < 8:
+        return reduce(add, values[start:stop], 0.0)
+    if count <= 128:
+        end = stop - count % 8
+        r = [reduce(add, values[start + j:end:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:stop], total)
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, count - half)
 
 
 def _lgamma_2_3(x: float) -> float:
@@ -191,9 +218,11 @@ def _gamma_tail(a: float, x: float, upper: bool = False) -> tuple[float, float, 
       (DLMF 8.7.3), which forms 1 - x^a / Gamma(a + 1) with ``expm1`` so that
       nothing cancels as x goes to 0.
     - P otherwise: x^a e^-x / Gamma(a + 1) * S, S = sum_n x^n / ((a+1)...(a+n)),
-      in one NumPy pass to a tail below 1e-16 of S. Near the mean the fraction
-      would take O(sqrt(a)) Python-level steps; with ``_log_gamma_weight`` the
-      series stays accurate above the mean too. For a > 1, a is first rounded
+      to a tail below 1e-16 of S: the terms are a running product, summed by
+      ``_pairwise_sum`` for a > 1 and in order from 1 for a <= 1. Near the
+      mean the fraction would take O(sqrt(a)) steps as well; with
+      ``_log_gamma_weight`` the series stays accurate above the mean too.
+      For a > 1, a is first rounded
       to the spacing of the doubles near a + n, so that every a + k is exact:
       rounding each a + k would bias all n factors alike, by up to n * 1e-16,
       while rounding a moves P by at most about sqrt(a) * 5e-17. For a <= 1,
@@ -212,13 +241,14 @@ def _gamma_tail(a: float, x: float, upper: bool = False) -> tuple[float, float, 
         while True:
             step = math.ulp(a + n)
             a_n = a if a <= 1.0 else round(a / step) * step
-            terms = np.multiply.accumulate(x / (a_n + np.arange(1.0, n + 0.5)))
+            ratios = map(truediv, repeat(x), map(add, repeat(a_n), range(1, n + 1)))
+            terms = list(accumulate(ratios, mul))  # x^k / ((a + 1)...(a + k))
             if a <= 1.0:
                 # from 1 on in order, as a scalar loop adds them: this keeps
                 # the last bits of the shape <= 1 quantiles of earlier versions
-                total = float(np.add.accumulate(np.concatenate(([1.0], terms)))[-1])
+                total = reduce(add, terms, 1.0)
             else:
-                total = 1.0 + float(np.add.reduce(terms))
+                total = 1.0 + _pairwise_sum(terms)
             # past n the factors x / (a + k) keep falling, so the tail is geometric
             r = x / (a_n + n + 1.0)
             if terms[-1] * r <= _EPS * total * (1.0 - r):
@@ -344,28 +374,34 @@ def _gamma_quantile(a: float, mass: float) -> float:
     raise RuntimeError(f"quantile search did not converge for shape {a} at mass {mass}")
 
 
-def _gamma_pdf(x, shape: float, rate: float):
-    """Gamma(shape, rate) density at ``x`` >= 0.
+def _gamma_pdf(x: list[float], shape: float, rate: float) -> list[float]:
+    """Gamma(shape, rate) density at each point of the list ``x``, all >= 0.
 
-    Takes the floating-point steps of ``scipy.stats.gamma.pdf``, so the values
-    are bit-identical to it without SciPy: exp(xlogy(shape - 1, y) - y -
-    gammaln(shape)) / scale with y = x / scale. ``xlogy`` is (shape - 1) times
-    the C library ``log`` of each point, called through ``math.log``
-    (NumPy's SIMD ``log`` differs from it in the last bit at some points),
-    and 0 when shape = 1; at y = 0 it is -inf for shape > 1 and +inf for
-    shape < 1. ``gammaln`` is ``_lgamma``.
+    Takes the floating-point steps of ``scipy.stats.gamma.pdf``,
+    exp(xlogy(shape - 1, y) - y - gammaln(shape)) / scale with y = x / scale,
+    on the C library's ``log`` and ``exp`` through ``math``. ``xlogy`` is
+    (shape - 1) log y, 0 when shape = 1; at y = 0 it is -inf for shape > 1
+    and +inf for shape < 1. ``gammaln`` is ``_lgamma``. An exponent past the
+    largest double gives inf, as in SciPy. SciPy takes NumPy's SIMD ``exp``,
+    which differs from libm's in the last bit at some points, and the
+    division by the scale can double that: a value is within 2 ulp of
+    SciPy's rather than equal to it, and does not depend on NumPy's SIMD
+    dispatch.
     """
     scale = 1.0 / rate
-    y = np.asarray(x, dtype=float) / scale
-    if shape == 1.0:
-        xlogy = np.zeros(y.shape)
-    else:
-        flat = y.ravel()
-        logs = np.full(flat.shape, -math.inf)
-        nonzero = flat != 0.0
-        logs[nonzero] = list(map(math.log, flat[nonzero].tolist()))
-        xlogy = (shape - 1.0) * logs.reshape(y.shape)
-    return np.exp(xlogy - y - _lgamma(shape)) / scale
+    log_norm = _lgamma(shape)
+    out = []
+    for xi in x:
+        y = xi / scale
+        if shape == 1.0:
+            xlogy = 0.0
+        else:
+            xlogy = (shape - 1.0) * (math.log(y) if y != 0.0 else -math.inf)
+        try:
+            out.append(math.exp(xlogy - y - log_norm) / scale)
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def _scaled_gamma(z: float) -> float:
@@ -447,8 +483,8 @@ def _beta_normalizer(a: float, b: float) -> tuple[float, int]:
 _MAX_BETA_B1 = 700.0 * 2.0**53
 
 
-def _beta_pdf(x, a: float, b: float) -> np.ndarray:
-    """Beta(a, b) density at each point of ``x`` in [0, 1], for a, b > 0.
+def _beta_pdf(x: list[float], a: float, b: float) -> list[float]:
+    """Beta(a, b) density at each point of the list ``x`` in [0, 1], for a, b > 0.
 
     x^(a - 1) (1 - x)^(b - 1) / B(a, b), one point at a time on ``math``:
     each power is ``_power_parts`` of the exact x or of y = 1 - x, and the
@@ -489,9 +525,8 @@ def _beta_pdf(x, a: float, b: float) -> np.ndarray:
     (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
     at_zero = math.inf if a < 1.0 else b if a == 1.0 else 0.0
     at_one = math.inf if b < 1.0 else a if b == 1.0 else 0.0
-    points = np.asarray(x, dtype=float)
     out = []
-    for xi in points.ravel().tolist():
+    for xi in x:
         if xi == 0.0 or xi == 1.0:
             out.append(at_zero if xi == 0.0 else at_one)
             continue
@@ -504,4 +539,4 @@ def _beta_pdf(x, a: float, b: float) -> np.ndarray:
             out.append(math.ldexp(value, norm_exp + kx + ky))
         except OverflowError:
             out.append(math.inf)
-    return np.array(out).reshape(points.shape)
+    return out

@@ -57,6 +57,28 @@ def _emit(ctx, csv_text, json_obj):
         atomic_write_text(_resolve_out(out_path), text)
 
 
+class _CutOption(click.Option):
+    """An option whose errors quote at most 32 characters of the value
+    (``io._cut``). Click's own messages for a number quote it whole, as
+    ``'<value>' is not a valid integer.`` or ``<value> is not in the range
+    ...``; the echo before the last " is not " is cut. (A parameter type that
+    wrapped Click's would hide an ``IntRange``'s range from ``--help``.)"""
+
+    def process_value(self, ctx, value):
+        try:
+            return super().process_value(ctx, value)
+        except click.BadParameter as exc:
+            from .io import _cut
+
+            echo, phrase, rest = exc.message.rpartition(" is not ")
+            if len(echo) > 1 and echo[0] == echo[-1] == "'":
+                echo = f"'{_cut(echo[1:-1])}'"
+            else:
+                echo = _cut(echo)
+            exc.message = echo + phrase + rest
+            raise
+
+
 class _Commands(click.Group):
     """Ends a ``ValueError`` from the group callback or a command as a ``ClickException``."""
 
@@ -135,12 +157,13 @@ def _abundance(ctx, param, value):
 
 
 @main.command()
-@click.option("--m", "m", type=int, required=True, help="Number of quadrants.")
-@click.option("--lambda-min", type=float, default=None, callback=_abundance,
+@click.option("--m", "m", cls=_CutOption, type=int, required=True, help="Number of quadrants.")
+@click.option("--lambda-min", cls=_CutOption, type=float, default=None, callback=_abundance,
               help="Grid start (exclusive of 0).")
-@click.option("--lambda-max", type=float, default=None, callback=_abundance, help="Grid end.")
-@click.option("--lambda-points", type=click.IntRange(2, _MAX_POINTS), default=200,
-              show_default=True)
+@click.option("--lambda-max", cls=_CutOption, type=float, default=None, callback=_abundance,
+              help="Grid end.")
+@click.option("--lambda-points", cls=_CutOption, type=click.IntRange(2, _MAX_POINTS),
+              default=200, show_default=True)
 @click.pass_context
 def curves(ctx, m, lambda_min, lambda_max, lambda_points):
     """Second-stage performance across hypothetical true abundances."""
@@ -167,23 +190,36 @@ def curves(ctx, m, lambda_min, lambda_max, lambda_points):
     _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
 
+def _linspace_from_zero(stop: float, points: int) -> list[float]:
+    """``np.linspace(0.0, stop, points).tolist()`` for points >= 2, in its
+    steps: i * (stop / (points - 1)), or (i / (points - 1)) * stop where that
+    step underflows to 0, and the last point ``stop`` itself."""
+    div = points - 1
+    step = stop / div
+    if step:
+        grid = [i * step for i in range(div)]
+    else:
+        grid = [i / div * stop for i in range(div)]
+    grid.append(stop)
+    return grid
+
+
 @main.command()
 @click.option("--data", "data_path", type=click.Path(), required=True,
               help="Campaign data CSV.")
-@click.option("--hpd-mass", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+@click.option("--hpd-mass", cls=_CutOption,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True),
               default=0.95, show_default=True)
 @click.option("--density-grid", "with_grids", is_flag=True,
               help="Append density-grid rows for plotting.")
-@click.option("--grid-points", type=click.IntRange(2, _MAX_POINTS), default=500,
-              show_default=True)
+@click.option("--grid-points", cls=_CutOption, type=click.IntRange(2, _MAX_POINTS),
+              default=500, show_default=True)
 @click.pass_context
 def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     """Posterior inference for abundance and polymer composition."""
-    import numpy as np
-
     from .io import parse_campaign_data, render_csv
     from .posterior import (
-        density_grid,
+        _gamma_density,
         hpd_interval,
         naive_abundance_estimate,
         update_abundance,
@@ -226,9 +262,9 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
         json_obj.setdefault(section, {})[key] = value
     keys, densities = [], []
     if with_grids:
-        grid = np.linspace(0.0, float(upper) * 2.0, grid_points)
-        keys = list(map(repr, grid.tolist()))
-        densities = density_grid(abundance, grid).tolist()
+        grid = _linspace_from_zero(upper * 2.0, grid_points)
+        keys = list(map(repr, grid))
+        densities = _gamma_density(abundance, grid)
         json_obj["abundance_density"] = dict(zip(keys, densities))
     _emit(
         ctx,

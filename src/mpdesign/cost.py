@@ -12,14 +12,14 @@ to rescaling raw costs and budget by a common factor:
 
 The normalized cost of a design is c * (m*A + r1*n + r2*n_bar) and must not
 exceed 1, where n_bar is the categorized count that :func:`budget_rule` returns.
+``CostModel`` needs only ``math``; the functions over arrays of counts import
+NumPy when they are called, so reading a config loads no NumPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CostModel",
@@ -134,6 +134,8 @@ def budget_rule(cost: CostModel, total_area: float, counts):
     single count, a Python ``(float, int)``. A NaN, infinite or negative area
     or count is rejected by name.
     """
+    import numpy as np
+
     n = np.asarray(counts, dtype=np.float64)
     if not (total_area >= 0 and math.isfinite(total_area)):
         raise ValueError(f"total_area must be finite and >= 0, got {total_area!r}")
@@ -162,6 +164,8 @@ def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
     inf, which leaves q = 0, and a quotient that overflows leaves q = 1, the
     limits of the exact rule. Callers turn NumPy's overflow warning off.
     """
+    import numpy as np
+
     np.multiply(n, cost.count_ratio, out=q)
     np.add(q, total_area, out=q)
     np.subtract(cost.budget_area, q, out=q)
@@ -182,6 +186,8 @@ def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict
     ``total_area`` and ``n`` are a design point's, finite and >= 0, so the
     rule's core runs unchecked, with NumPy's overflow warning left to the
     caller (:func:`_categorized`)."""
+    import numpy as np
+
     counts = np.array([float(n)])
     n_bar = int(_categorized(cost, total_area, counts, np.empty(1), np.empty(1))[0])
     c = cost.budget_coefficient

@@ -31,6 +31,7 @@ import numpy as np
 from .config import DesignConfig
 from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
 from .distributions import GammaParams
+from .io import _cut
 from .loss import l1_expected, l2_expected
 
 __all__ = [
@@ -414,7 +415,7 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> tuple[Per
     """
     cost = config.cost
     if not (0 <= m <= cost.max_quadrants and int(m) == m):  # named by its ends, not listed
-        raise ValueError(f"m={m} outside the feasible set 0..{cost.max_quadrants}")
+        raise ValueError(f"m={_cut(str(m))} outside the feasible set 0..{cost.max_quadrants}")
     grid = np.asarray(abundance_grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]
     if bad.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._special import _pairwise_sum
 
 __all__ = [
     "GammaParams",
@@ -30,9 +30,9 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and np.isfinite(self.shape)):
+        if not (self.shape > 0 and math.isfinite(self.shape)):
             raise ValueError(f"shape must be positive and finite, got {self.shape}")
-        if not (self.rate > 0 and np.isfinite(self.rate)):
+        if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     def mean(self) -> float:
@@ -67,10 +67,13 @@ class DirichletParams:
     concentration: tuple[float, ...]
 
     def __post_init__(self):
-        conc = tuple(float(g) for g in np.atleast_1d(self.concentration))
+        try:
+            conc = tuple(map(float, self.concentration))
+        except TypeError:  # one number, which is one class
+            conc = (float(self.concentration),)
         if len(conc) < 2:
             raise ValueError("need at least two classes")
-        if not all(g > 0 and np.isfinite(g) for g in conc):
+        if not all(g > 0 and math.isfinite(g) for g in conc):
             raise ValueError("all concentration parameters must be positive and finite")
         if not math.isfinite(sum(conc)):
             raise ValueError("total concentration (the sum of the parameters) must be finite")
@@ -82,12 +85,15 @@ class DirichletParams:
 
     @property
     def total(self) -> float:
-        return float(np.sum(self.concentration))
+        """gamma_0, the sum of the concentrations, with the bits of ``np.sum``."""
+        return _pairwise_sum(self.concentration)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
+
         return np.asarray(self.concentration, dtype=float)
 
-    def mean(self) -> np.ndarray:
+    def mean(self):
         return self.as_array() / self.total
 
     @classmethod

@@ -2,13 +2,15 @@ import csv
 import io
 import json
 import math
+import random
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mpdesign import design
-from mpdesign.cli import main
+from mpdesign.cli import _linspace_from_zero, main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
 from mpdesign.replicate import FIGURE_IDS, replicate
@@ -445,6 +447,23 @@ class TestPosteriorCommand:
         assert "XYZ" in result.output
 
 
+def grid_stops():
+    """(stop, points) pairs: zero and subnormal stops, where the step
+    underflows or has few bits, two points, and random stops and lengths."""
+    rng = random.Random(28)
+    yield from [(0.0, 2), (0.0, 500), (5e-324, 2), (5e-324, 3), (1e-322, 100), (1e-310, 7),
+                (2.0**-1022, 2000), (1.0, 2), (267.96864058524203, 500), (1e308, 3)]
+    for _ in range(300):
+        yield math.exp(rng.uniform(-750.0, 709.0)), rng.randint(2, 3000)
+
+
+def test_density_grid_is_numpy_linspace():
+    for stop, points in grid_stops():
+        expected = np.linspace(0.0, stop, points).tolist()
+        got = _linspace_from_zero(stop, points)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], (stop, points)
+
+
 class TestSensitivityCommand:
     def test_budget_axis(self, runner, config_path):
         result = runner.invoke(
@@ -682,6 +701,36 @@ def cut(char, length=LONG, shown=32):
     ``shown`` copies of ``char``: its first 32 characters and its length. A
     value quoted by its repr has its opening quote among the 32: ``shown=31``."""
     return f"{char * shown}… ({length} characters)"
+
+
+@pytest.mark.parametrize(
+    "args,exit_code,line",
+    [
+        (["curves", "--m", "1" * LONG], 2,
+         f"Error: Invalid value for '--m': '{cut('1')}' is not a valid integer."),
+        (["curves", "--m", "3", "--lambda-max", "a" * LONG], 2,
+         f"Error: Invalid value for '--lambda-max': '{cut('a')}' is not a valid float."),
+        (["curves", "--m", "3", "--lambda-points", "9" * 4000], 2,
+         f"Error: Invalid value for '--lambda-points': {cut('9', 4000)} is not in the range "
+         "2<=x<=1000000."),
+        (["posterior", "--data", "campaign.csv", "--hpd-mass", "x" * LONG], 2,
+         f"Error: Invalid value for '--hpd-mass': '{cut('x')}' is not a valid float range."),
+        # int() takes 4,000 digits, so the command runs and refuses m by name
+        (["curves", "--m", "9" * 4000], 1,
+         f"Error: m={cut('9', 4000)} outside the feasible set 0..12"),
+    ],
+    ids=["m-100000-digits", "lambda-max-100000-letters", "lambda-points-4000-digits",
+         "hpd-mass-100000-letters", "m-4000-nines"],
+)
+def test_long_option_value_cut(runner, config_path, tmp_path, monkeypatch, args, exit_code, line):
+    # one short Error line (after Click's usage lines for exit 2), not the
+    # value echoed whole
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "campaign.csv").write_text(CAMPAIGN)
+    result = runner.invoke(main, ["--config", config_path] + args)
+    assert result.exit_code == exit_code
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == [line]
+    assert len(result.output) < 400
 
 
 class TestBadValuesNamed:

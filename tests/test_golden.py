@@ -2,23 +2,32 @@
 
 Each output is recomputed and compared cell by cell with its golden file:
 text (headers, axis names, JSON keys that are not numbers), integers (m, m*,
-counts) exactly, and floats within ``REL_TOL``. The design curves and the
-Gamma densities take NumPy's SIMD ``exp``/``log1p`` and a BLAS ``np.dot``,
-which move cells in the last bits between CPUs; the largest move measured
-across dispatch paths is 7.6e-15 relative, so a bound of 2e-14 holds on any
-CPU and still catches a real change. A subnormal density has fewer bits, so
-floats are compared as if they were at least the smallest normal double. A
-change that moves these outputs on purpose regenerates the files by hand
-with ``tests/golden/make_golden.py``.
+counts) exactly, and floats within ``REL_TOL``. The design curves take
+NumPy's SIMD ``exp``/``log1p`` and a BLAS ``np.dot``, which move cells in the
+last bits between CPUs; the largest move measured across dispatch paths is
+7.6e-15 relative. The Gamma densities take the C library's ``exp``, which
+glibc picks by CPU too: with its FMA variant masked off, one density cell of
+the golden files moves by 1 ulp. So a bound of 2e-14 holds on any CPU and
+still catches a real change. A subnormal density has fewer bits, so floats
+are compared as if they were at least the smallest normal double. A change
+that moves these outputs on purpose regenerates the files by hand with
+``tests/golden/make_golden.py``.
+
+``posterior`` needs no NumPy: it is also run in a fresh interpreter in which
+``import numpy`` fails, on the golden campaigns, against the same files.
 """
 
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
-from golden.make_golden import GOLDEN_DIR, golden_files, outputs
+import mpdesign
+from golden.make_golden import CAMPAIGNS, GOLDEN_DIR, golden_files, outputs
 
 REL_TOL = 2e-14
 
@@ -71,6 +80,51 @@ def test_output_matches_golden(fresh, name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     found = list(differences(expected, fresh[name]))
     assert not found, f"{name}: " + "; ".join(found[:5])
+
+
+# Runs the command line with NumPy made unimportable: None in sys.modules
+# makes every ``import numpy`` raise ImportError.
+NUMPY_FREE_CHILD = """
+import sys
+sys.modules["numpy"] = None
+from mpdesign.cli import main
+main.main(sys.argv[1:], prog_name="mpdesign")
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_posterior_runs_without_numpy(campaign, fmt, tmp_path):
+    doc, data = CAMPAIGNS[campaign]
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "campaign.csv").write_text(data, encoding="utf-8")
+    # the child imports the mpdesign that this test imported: the checkout
+    # or an installed package
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(mpdesign.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, "--config", "config.json", "--format", fmt,
+         "posterior", "--data", "campaign.csv", "--density-grid"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    name = f"posterior_{campaign}.{fmt}"
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    found = list(differences(golden, proc.stdout))
+    assert not found, f"{name}: " + "; ".join(found[:5])
+    # the summary (HPD ends, moments, counts) takes no exp of the C library's
+    # or NumPy's: it keeps every bit
+    assert summary(proc.stdout, fmt) == summary(golden, fmt)
+
+
+def summary(text, fmt):
+    """A posterior output without its density rows."""
+    if fmt == "json":
+        doc = json.loads(text)
+        del doc["abundance_density"]
+        return doc
+    return [line for line in text.splitlines() if not line.startswith("abundance_density,")]
 
 
 def test_comparison_catches_a_moved_cell_and_a_changed_m_star():

@@ -4,13 +4,19 @@ The package root and the command line import lazily: ``import mpdesign``,
 ``--help`` and a command's ``--help`` load neither NumPy nor any
 ``mpdesign`` submodule but ``mpdesign.cli``, and each command loads exactly
 the modules it runs. Every command that reads a config loads the CLI,
-``config``, ``io``, ``cost`` and ``distributions``; ``config`` defines
-``DesignConfig`` and loads no design module. The design commands
-(``design``, ``curves``, ``sensitivity``) add the design path (``design``,
-``loss``); ``posterior`` adds ``posterior`` and ``_special`` but not the
-design path; ``replicate`` fig1 loads the design path and ``replicate``.
-No command loads a random number generator of the package's own: it has
-none, and the Monte Carlo oracles live in ``tests/oracles.py``.
+``config``, ``io``, ``cost``, ``distributions`` and ``_special`` (whose
+pairwise sum gives a Dirichlet's total); ``config`` defines ``DesignConfig``
+and loads no design module. The design commands (``design``, ``curves``,
+``sensitivity``) add the design path (``design``, ``loss``); ``posterior``
+adds ``posterior`` but not the design path; ``replicate`` fig1 loads the
+design path and ``replicate``. No command loads a random number generator of
+the package's own: it has none, and the Monte Carlo oracles live in
+``tests/oracles.py``.
+
+``posterior`` loads no NumPy either: in CSV and JSON, with and without
+``--density-grid``, and with a left-anchored HPD interval. Its posterior is
+closed-form and its grid and densities are lists, so a user's campaign is
+read, updated and written on ``math`` and Click alone.
 
 SciPy's import costs several times a whole run, and no command needs it:
 importing the package, ``--help``, the design commands, ``posterior``
@@ -22,8 +28,12 @@ top-level import that breaks this fails here by name.
 OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
 command loads it. ``replicate`` fig1-fig4 load only the design path, not
-``mpdesign.posterior``; fig5 and fig6 add ``posterior`` and ``_special``.
-``mpdesign._special`` loads no other ``mpdesign`` module and no SciPy.
+``mpdesign.posterior``; fig5 and fig6 add ``posterior``.
+``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy and no
+SciPy.
+
+Each check that a command loads something or not also checks, by a line of
+its output, that the command ran.
 """
 
 import json
@@ -43,7 +53,7 @@ SRC = os.path.join(ROOT, "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
 # then prints the loaded scipy and mpdesign modules, and numpy and _hashlib
-# if loaded, as the last line of stderr.
+# if loaded, as the last line of stderr. The command's output goes to stdout.
 CHILD = """
 import json, sys
 import mpdesign
@@ -67,13 +77,37 @@ def _child_env():
     return env
 
 
-def loaded_modules(*args, cwd):
+def run_child(*args, cwd):
+    """(the modules loaded, stdout) of ``CHILD`` run with ``args``."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *args],
         cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+    return set(json.loads(proc.stderr.strip().splitlines()[-1])), proc.stdout
+
+
+def loaded_modules(*args, cwd):
+    return run_child(*args, cwd=cwd)[0]
+
+
+# Text that each command's output holds once the command has run
+OUTPUT_MARKERS = {
+    "design": "# m_star: ",
+    "curves": "# m: 3",
+    "sensitivity": "axis,value,m_star,",
+    "posterior": "hpd_upper",
+    "replicate": "manifest.json",
+}
+
+
+def loaded_by_command(*args, cwd):
+    """The modules loaded by the command that ``args`` name, after checking
+    that it ran."""
+    loaded, stdout = run_child(*args, cwd=cwd)
+    command = next(arg for arg in args if arg in OUTPUT_MARKERS)
+    assert OUTPUT_MARKERS[command] in stdout, stdout[:500]
+    return loaded
 
 
 def scipy_modules(*args, cwd):
@@ -100,27 +134,22 @@ def test_no_scipy_outside_posterior(args, workdir):
     assert scipy_modules(*args, cwd=workdir) == set()
 
 
-def test_posterior_loads_no_scipy(workdir):
-    loaded = scipy_modules(
-        "--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid",
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(), ("--density-grid",)], ids=["no-grid", "grid"])
+@pytest.mark.parametrize("prior_shape", [None, 0.5, 1.0], ids=["baseline", "shape0.5", "shape1"])
+def test_posterior_loads_no_numpy_and_no_scipy(prior_shape, grid, fmt, workdir):
+    if prior_shape is not None:
+        # no particles: the posterior shape stays <= 1, so the HPD interval
+        # is left-anchored and its upper end is a quantile
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["abundance_prior"] = {"shape": prior_shape, "rate": 0.01}
+        (workdir / "config.json").write_text(json.dumps(doc))
+        (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
+    loaded = loaded_by_command(
+        "--config", "config.json", "--format", fmt, "posterior", "--data", "campaign.csv", *grid,
         cwd=workdir,
     )
-    assert loaded == set()
-
-
-@pytest.mark.parametrize("prior_shape", [0.5, 1.0])
-def test_left_anchored_posterior_loads_no_scipy(prior_shape, workdir):
-    # no particles: the posterior shape stays <= 1, so the HPD interval is
-    # left-anchored and its upper end is a quantile
-    doc = json.loads(json.dumps(BASE_DOC))
-    doc["abundance_prior"] = {"shape": prior_shape, "rate": 0.01}
-    (workdir / "config.json").write_text(json.dumps(doc))
-    (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
-    loaded = scipy_modules(
-        "--config", "config.json", "posterior", "--data", "campaign.csv", "--density-grid",
-        cwd=workdir,
-    )
-    assert loaded == set()
+    assert {m for m in loaded if m == "numpy" or m.split(".")[0] == "scipy"} == set()
 
 
 def test_replicate_fig5_loads_no_scipy(workdir):
@@ -146,6 +175,7 @@ def test_nothing_but_cli_before_a_command_runs(args, workdir):
 # the prior and cost types that the config holds
 COMMAND_MODULES = {
     "mpdesign",
+    "mpdesign._special",
     "mpdesign.cli",
     "mpdesign.config",
     "mpdesign.cost",
@@ -153,7 +183,7 @@ COMMAND_MODULES = {
     "mpdesign.io",
 }
 DESIGN_PATH = {"mpdesign.design", "mpdesign.loss"}
-POSTERIOR_PATH = {"mpdesign._special", "mpdesign.posterior"}
+POSTERIOR_PATH = {"mpdesign.posterior"}
 
 
 @pytest.mark.parametrize(
@@ -172,8 +202,7 @@ POSTERIOR_PATH = {"mpdesign._special", "mpdesign.posterior"}
     ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig6"],
 )
 def test_command_loads_only_what_it_runs(args, extra, workdir):
-    loaded = loaded_modules(*args, cwd=workdir)
-    assert "numpy" in loaded  # the command did run
+    loaded = loaded_by_command(*args, cwd=workdir)
     assert {m for m in loaded if m.split(".")[0] == "mpdesign"} == COMMAND_MODULES | extra
 
 
@@ -190,9 +219,7 @@ def test_command_loads_only_what_it_runs(args, extra, workdir):
     ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig5"],
 )
 def test_no_openssl(args, workdir):
-    loaded = loaded_modules(*args, cwd=workdir)
-    assert "numpy" in loaded  # the command did run
-    assert "_hashlib" not in loaded
+    assert "_hashlib" not in loaded_by_command(*args, cwd=workdir)
 
 
 def test_config_loads_no_design_module():
@@ -216,8 +243,7 @@ def test_replicate_design_figure_loads_no_posterior(workdir):
 
 
 def test_replicate_fig6_loads_no_scipy_and_no_openssl(workdir):
-    loaded = loaded_modules("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
-    assert "numpy" in loaded  # the command did run
+    loaded = loaded_by_command("replicate", "--figure", "fig6", "--out-dir", "out", cwd=workdir)
     assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()
     assert "_hashlib" not in loaded
 

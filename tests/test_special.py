@@ -1,17 +1,22 @@
-"""The incomplete gamma pair of ``mpdesign._special`` against mpmath.
+"""The incomplete gamma pair of ``mpdesign._special`` against mpmath, and
+its transcriptions of NumPy against NumPy.
 
 ``_gamma_tail`` computes one tail of P(a, x) + Q(a, x) = 1 and takes the
 other as 1 minus it; which one depends on where (a, x) lies relative to the
 branch points x = 1.1, a + 1 and a + 1 + 8 sqrt(a). The grid puts x on both
-sides of each, for a from 0.05 to 1e5.
+sides of each, for a from 0.05 to 1e5. ``_pairwise_sum`` must give the bits
+of ``np.add.reduce``, on which the series' sums and with them every HPD end
+were computed before the module dropped NumPy.
 """
 
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 
-from mpdesign._special import _fraction_depth, _gamma_tail
+from mpdesign._special import _fraction_depth, _gamma_pdf, _gamma_tail, _pairwise_sum
 
 A_GRID = (0.05, 0.3, 0.999, 1.0, 1.001, 2.5, 19.5, 20.0, 300.0, 2500.25, 1e4, 1e5)
 
@@ -108,3 +113,34 @@ def test_fraction_depth_is_enough():
             h = truncated_fraction(a, x, depth)
             doubled = truncated_fraction(a, x, 2 * depth)
             assert abs(doubled / h - 1) < 4e-16, (a, x, depth)
+
+
+def sum_cases():
+    """(name, list) pairs: every length about the branch points of the
+    pairwise sum (8 and 128 terms) and of NumPy's 8192-element buffer, then
+    random lengths up to 20,000, with terms of mixed signs and magnitudes so
+    that the order of the additions shows in the last bits."""
+    rng = random.Random(28)
+
+    def terms(n):
+        return [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.uniform(-8, 8)
+                for _ in range(n)]
+
+    for n in [*range(10), 127, 128, 129, 8191, 8192, 8193]:
+        yield f"n={n}", terms(n)
+    for j in range(200):
+        n = rng.randint(1, 20_000)
+        yield f"random{j} n={n}", terms(n)
+
+
+def test_pairwise_sum_is_numpys():
+    for name, values in sum_cases():
+        expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
+        assert _pairwise_sum(values).hex() == expected.hex(), name
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-315])
+def test_gamma_density_past_the_largest_double_is_inf(x):
+    # x^(shape - 1) for shape 1e-3 at a subnormal x is past 1e308: libm's
+    # exp raises where NumPy's returned inf, and the density is inf
+    assert _gamma_pdf([x, 1.0], 1e-3, 1.0)[0] == math.inf
