@@ -8,7 +8,8 @@ variable is set, relative output paths are resolved against it.
 
 Errors become lines in one place, ``_Commands.invoke``: a ``ValueError`` from
 a config, a campaign or a design the walk refuses ends the command as one
-``Error:`` line with exit 1. Any other exception is a bug: a traceback.
+``Error:`` line with exit 1, and a bad command option's message quotes at
+most 32 characters of its value. Any other exception is a bug: a traceback.
 """
 
 from __future__ import annotations
@@ -57,34 +58,24 @@ def _emit(ctx, csv_text, json_obj):
         atomic_write_text(_resolve_out(out_path), text)
 
 
-class _CutOption(click.Option):
-    """An option whose errors quote at most 32 characters of the value
-    (``io._cut``). Click's own messages for a number quote it whole, as
-    ``'<value>' is not a valid integer.`` or ``<value> is not in the range
-    ...``; the echo before the last " is not " is cut. (A parameter type that
-    wrapped Click's would hide an ``IntRange``'s range from ``--help``.)"""
-
-    def process_value(self, ctx, value):
-        try:
-            return super().process_value(ctx, value)
-        except click.BadParameter as exc:
-            from .io import _cut
-
-            echo, phrase, rest = exc.message.rpartition(" is not ")
-            if len(echo) > 1 and echo[0] == echo[-1] == "'":
-                echo = f"'{_cut(echo[1:-1])}'"
-            else:
-                echo = _cut(echo)
-            exc.message = echo + phrase + rest
-            raise
-
-
 class _Commands(click.Group):
-    """Ends a ``ValueError`` from the group callback or a command as a ``ClickException``."""
+    """Ends a ``ValueError`` from the group callback or a command as a
+    ``ClickException``, and cuts the value a bad command option's message
+    quotes to 32 characters (``io._cut``): Click quotes a number whole, as
+    ``'<value>' is not a valid integer.`` or ``<value> is not in the range
+    ...``, so the echo before the last " is not " is cut."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.BadParameter as exc:
+            from .io import _cut
+
+            echo, phrase, rest = exc.message.rpartition(" is not ")
+            if phrase:
+                quoted = len(echo) > 1 and echo[0] == echo[-1] == "'"
+                exc.message = (f"'{_cut(echo[1:-1])}'" if quoted else _cut(echo)) + phrase + rest
+            raise
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -157,13 +148,12 @@ def _abundance(ctx, param, value):
 
 
 @main.command()
-@click.option("--m", "m", cls=_CutOption, type=int, required=True, help="Number of quadrants.")
-@click.option("--lambda-min", cls=_CutOption, type=float, default=None, callback=_abundance,
+@click.option("--m", "m", type=int, required=True, help="Number of quadrants.")
+@click.option("--lambda-min", type=float, default=None, callback=_abundance,
               help="Grid start (exclusive of 0).")
-@click.option("--lambda-max", cls=_CutOption, type=float, default=None, callback=_abundance,
-              help="Grid end.")
-@click.option("--lambda-points", cls=_CutOption, type=click.IntRange(2, _MAX_POINTS),
-              default=200, show_default=True)
+@click.option("--lambda-max", type=float, default=None, callback=_abundance, help="Grid end.")
+@click.option("--lambda-points", type=click.IntRange(2, _MAX_POINTS), default=200,
+              show_default=True)
 @click.pass_context
 def curves(ctx, m, lambda_min, lambda_max, lambda_points):
     """Second-stage performance across hypothetical true abundances."""
@@ -207,13 +197,12 @@ def _linspace_from_zero(stop: float, points: int) -> list[float]:
 @main.command()
 @click.option("--data", "data_path", type=click.Path(), required=True,
               help="Campaign data CSV.")
-@click.option("--hpd-mass", cls=_CutOption,
-              type=click.FloatRange(0, 1, min_open=True, max_open=True),
+@click.option("--hpd-mass", type=click.FloatRange(0, 1, min_open=True, max_open=True),
               default=0.95, show_default=True)
 @click.option("--density-grid", "with_grids", is_flag=True,
               help="Append density-grid rows for plotting.")
-@click.option("--grid-points", cls=_CutOption, type=click.IntRange(2, _MAX_POINTS),
-              default=500, show_default=True)
+@click.option("--grid-points", type=click.IntRange(2, _MAX_POINTS), default=500,
+              show_default=True)
 @click.pass_context
 def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     """Posterior inference for abundance and polymer composition."""

@@ -67,10 +67,13 @@ class DirichletParams:
     concentration: tuple[float, ...]
 
     def __post_init__(self):
+        values = self.concentration
+        if isinstance(values, (str, bytes)):  # one value, not one class per character
+            values = (values,)
         try:
-            conc = tuple(map(float, self.concentration))
+            conc = tuple(map(float, values))
         except TypeError:  # one number, which is one class
-            conc = (float(self.concentration),)
+            conc = (float(values),)
         if len(conc) < 2:
             raise ValueError("need at least two classes")
         if not all(g > 0 and math.isfinite(g) for g in conc):

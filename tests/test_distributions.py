@@ -45,8 +45,11 @@ class TestDirichletParams:
         assert p.total == 7.8
 
     def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            DirichletParams((1.0,))
+        # one class: a one-element tuple, a number or a string (one value,
+        # not one class per character)
+        for concentration in [(1.0,), 5.0, "12", b"12"]:
+            with pytest.raises(ValueError, match="^need at least two classes"):
+                DirichletParams(concentration)
 
     def test_positive_concentration(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ the package's own: it has none, and the Monte Carlo oracles live in
 ``posterior`` loads no NumPy either: in CSV and JSON, with and without
 ``--density-grid``, and with a left-anchored HPD interval. Its posterior is
 closed-form and its grid and densities are lists, so a user's campaign is
-read, updated and written on ``math`` and Click alone.
+read, updated and written on ``math`` and Click alone (up to a posterior
+shape of about 2e5, past which the HPD interval's series is NumPy's).
 
 SciPy's import costs several times a whole run, and no command needs it:
 importing the package, ``--help``, the design commands, ``posterior``
@@ -29,8 +30,8 @@ OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
 command loads it. ``replicate`` fig1-fig4 load only the design path, not
 ``mpdesign.posterior``; fig5 and fig6 add ``posterior``.
-``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy and no
-SciPy.
+Importing ``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy
+and no SciPy.
 
 Each check that a command loads something or not also checks, by a line of
 its output, that the command ran.

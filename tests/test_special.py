@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from mpdesign import _special
 from mpdesign._special import _fraction_depth, _gamma_pdf, _gamma_tail, _pairwise_sum
 
 A_GRID = (0.05, 0.3, 0.999, 1.0, 1.001, 2.5, 19.5, 20.0, 300.0, 2500.25, 1e4, 1e5)
@@ -137,6 +138,19 @@ def test_pairwise_sum_is_numpys():
     for name, values in sum_cases():
         expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
         assert _pairwise_sum(values).hex() == expected.hex(), name
+
+
+@pytest.mark.parametrize("a", [1.5, 2500.25, 1e5, 3e5, 1e7])
+def test_long_series_in_numpy_has_the_python_bits(a, monkeypatch):
+    # past _LONG_SERIES terms the series is NumPy's; the tail must not
+    # depend on which of the two sums it
+    points = [a * f for f in (0.5, 0.99, 1.0, 1.01)] + [a + 1.0 + 7.9 * math.sqrt(a)]
+
+    def tails(long_series):
+        monkeypatch.setattr(_special, "_LONG_SERIES", long_series)
+        return [_gamma_tail(a, x, upper) for x in points for upper in (False, True)]
+
+    assert tails(0) == tails(math.inf)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-315])
