@@ -6,27 +6,289 @@ CSV (default) or JSON. Re-running a command with identical inputs produces
 byte-identical output files. If the ``MPDESIGN_OUT_DIR`` environment
 variable is set, relative output paths are resolved against it.
 
-Errors become lines in one place, ``_Commands.invoke``: a ``ValueError`` from
-a config, a campaign or a design the walk refuses ends the command as one
-``Error:`` line with exit 1, and a bad command option's message quotes at
-most 32 characters of its value. Any other exception is a bug: a traceback.
+The command line is read by the standard library's ``argparse``, on one
+parser built once per process (``_parser``), so ``--help`` loads nothing but
+this module and the standard library. ``_read`` first walks the arguments:
+an option that takes a value takes the next argument whatever it is (so
+``--lambda-max -inf`` is a value, not an option), and an unknown option or
+command, a stray argument or a value missing at the end is a usage error.
+
+Errors become lines in one place, ``main``. A usage error (those above, a
+bad option value, a missing required option) prints the usage line of its
+command and one ``Error:`` line, exit 2; a ``ValueError`` from a config, a
+campaign or a design the walk refuses ends the command as one ``Error:``
+line, exit 1. An echoed option value is cut to 32 characters (``io._cut``).
+Any other exception is a bug: a traceback.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import math
 import os
 import sys
 from itertools import repeat
 
-import click
-
 # The option choices are written here so that ``--help`` and usage errors
-# import nothing beyond Click; a test pins them to ``design.SWEEP_AXES`` and
-# ``replicate.FIGURE_IDS``. Each command imports what it runs when it runs.
+# import no other module of the package; a test pins them to
+# ``design.SWEEP_AXES`` and ``replicate.FIGURE_IDS``. Each command imports
+# what it runs when it runs.
 SWEEP_AXES = ("r2", "budget", "prior-mode")
 FIGURE_CHOICES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "all")
 _MAX_POINTS = 1_000_000  # largest --grid-points and --lambda-points: 8 MB of floats each
+
+
+class UsageError(Exception):
+    """A command line that ``parser`` refuses: exit 2 after its usage line."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
+
+
+def _cut(text: str) -> str:
+    from .io import _cut  # on an error path only: --help loads no io
+
+    return _cut(text)
+
+
+# -- option values: each converter raises a ValueError whose text follows
+# "Invalid value for '<option>': " -------------------------------------------
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{_cut(text)!r} is not a valid integer.") from None
+
+
+def _abundance(text: str) -> float:
+    """A true abundance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{_cut(text)!r} is not a valid float.") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{value!r} is not a finite number >= 0")
+    return value
+
+
+def _point_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{_cut(text)!r} is not a valid integer range.") from None
+    if not 2 <= value <= _MAX_POINTS:
+        raise ValueError(f"{_cut(str(value))} is not in the range 2<=x<={_MAX_POINTS}.")
+    return value
+
+
+def _mass(text: str) -> float:
+    """A probability mass strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{_cut(text)!r} is not a valid float range.") from None
+    if value <= 0 or value >= 1:
+        raise ValueError(f"{value!r} is not in the range 0<x<1.")
+    return value
+
+
+def _choice(*choices: str):
+    def convert(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"{_cut(text)!r} is not one of {listed}.")
+        return text
+
+    return convert
+
+
+# -- the parser ---------------------------------------------------------------
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Help whose usage line starts with ``Usage: ``."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Converted(argparse.Action):
+    """Stores ``convert(text)``; a ``ValueError`` from it is a usage error
+    that names the option."""
+
+    def __init__(self, *args, convert, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.convert = convert
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            setattr(namespace, self.dest, self.convert(text))
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '{option_string}': {exc}", parser) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option and whose errors are
+    ``UsageError``s. ``takes_value`` maps each option to
+    whether it takes a value, and ``commands`` each command to its parser."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+        self.options = self.add_argument_group("Options")
+        self.takes_value: dict[str, bool] = {}
+        self.commands: dict[str, _Parser] = {}
+
+    def error(self, message):
+        raise UsageError(message, self)
+
+    def option(self, name, convert=None, **kwargs):
+        """Add the option ``name``, whose value is its text or ``convert(text)``."""
+        self.takes_value[name] = True
+        if convert is not None:
+            kwargs.update(action=_Converted, convert=convert)
+        self.options.add_argument(name, **kwargs)
+
+    def flag(self, name, action="store_true", **kwargs):
+        self.takes_value[name] = False
+        self.options.add_argument(name, action=action, **kwargs)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built once per process."""
+    parser = _Parser(
+        prog="mpdesign",
+        usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+        description="Two-stage sampling design and Bayesian inference for microplastic campaigns.",
+    )
+    parser.option("--config", metavar="PATH", help="JSON config file.")
+    parser.option("--format", _choice("csv", "json"), default="csv", metavar="[csv|json]",
+                  help="Output format.  [default: csv]")
+    parser.option("--out", metavar="PATH", help="Output file (default: stdout).")
+    parser.flag("--print-config", help="Echo the parsed config as canonical JSON and exit.")
+    subparsers = parser.add_subparsers(
+        title="Commands", dest="command", metavar="COMMAND", prog="mpdesign", parser_class=_Parser
+    )
+
+    def command(name, run):
+        summary = run.__doc__.strip()
+        sub = subparsers.add_parser(name, usage="%(prog)s [OPTIONS]", help=summary,
+                                    description=summary)
+        sub.set_defaults(run=run)
+        parser.commands[name] = sub
+        return sub
+
+    command("design", design)
+    sub = command("curves", curves)
+    sub.option("--m", _integer, required=True, metavar="INTEGER",
+               help="Number of quadrants.  [required]")
+    sub.option("--lambda-min", _abundance, metavar="FLOAT", help="Grid start (exclusive of 0).")
+    sub.option("--lambda-max", _abundance, metavar="FLOAT", help="Grid end.")
+    sub.option("--lambda-points", _point_count, default=200, metavar="INTEGER RANGE",
+               help=f"[default: 200; 2<=x<={_MAX_POINTS}]")
+    sub = command("posterior", posterior)
+    sub.option("--data", required=True, metavar="PATH", help="Campaign data CSV.  [required]")
+    sub.option("--hpd-mass", _mass, default=0.95, metavar="FLOAT RANGE",
+               help="[default: 0.95; 0<x<1]")
+    sub.flag("--density-grid", help="Append density-grid rows for plotting.")
+    sub.option("--grid-points", _point_count, default=500, metavar="INTEGER RANGE",
+               help=f"[default: 500; 2<=x<={_MAX_POINTS}]")
+    sub = command("sensitivity", sensitivity)
+    sub.option("--axis", _choice(*SWEEP_AXES), required=True,
+               metavar=f"[{'|'.join(SWEEP_AXES)}]", help="[required]")
+    sub.option("--values", required=True, metavar="TEXT",
+               help="Comma-separated axis values (multipliers for r2).  [required]")
+    sub = command("replicate", replicate_cmd)
+    sub.option("--figure", _choice(*FIGURE_CHOICES), required=True,
+               metavar=f"[{'|'.join(FIGURE_CHOICES)}]", help="[required]")
+    sub.option("--out-dir", required=True, metavar="PATH", help="[required]")
+    for each in (parser, *parser.commands.values()):  # last in each help; _read answers it
+        each.flag("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _read(args) -> tuple[_Parser | None, list[str]]:
+    """(the parser whose help ``--help`` asks for, else None; ``args`` with
+    each option that takes a value joined to it, as ``--m=7``).
+
+    An option takes the next argument as its value whatever it is, which
+    ``argparse`` does not do for one that starts with ``-``. The first other
+    argument names the command. An argument after it, an unknown command, and
+    an option that neither the command group nor the command has are usage
+    errors. No argument after ``--`` is an option.
+    """
+    top = _parser()
+    scope, command, joined, positional = top, None, [], False
+    rest = iter(args)
+    for arg in rest:
+        if positional or arg == "-" or not arg.startswith("-"):
+            if command is not None:
+                raise UsageError(f"Got unexpected extra argument ({_cut(arg)})", scope)
+            if arg not in top.commands:
+                raise UsageError(f"No such command '{_cut(arg)}'.", top)
+            command, scope = arg, top.commands[arg]
+        elif arg == "--":
+            positional = True
+            continue
+        elif arg == "--help":
+            return scope, []
+        else:
+            name, equals, _ = arg.partition("=")
+            if name not in scope.takes_value:
+                raise UsageError(f"No such option '{_cut(name)}'.", scope)
+            if not scope.takes_value[name] and equals:
+                raise UsageError(f"Option '{name}' does not take a value.", scope)
+            if scope.takes_value[name] and not equals:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"Option '{name}' requires an argument.", scope)
+                arg = f"{name}={value}"
+        joined.append(arg)
+    return None, joined
+
+
+def main(argv=None, standalone_mode=True) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` by default) and return
+    its exit status: 0; 1 after one ``Error:`` line; 2 after a usage error.
+    ``--help`` prints the help (0), and so does a bare ``mpdesign`` (2). With
+    ``standalone_mode=False`` an error is raised (a ``UsageError`` or a
+    ``ValueError``) instead of printed."""
+    try:
+        helped, args = _read(sys.argv[1:] if argv is None else argv)
+        if helped is not None:
+            sys.stdout.write(helped.format_help())
+            return 0
+        opts = _parser().parse_args(args)
+        if opts.print_config:
+            from .io import render_json
+
+            sys.stdout.write(render_json(_load(opts).to_mapping()))
+        elif opts.command is None:
+            sys.stdout.write(_parser().format_help())
+            return 2
+        else:
+            opts.run(opts)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        parser = exc.parser
+        sys.stderr.write(
+            f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}\n"
+        )
+        return 2
+    except ValueError as exc:
+        if not standalone_mode:
+            raise
+        sys.stderr.write(f"Error: {exc}\n")
+        return 1
+    return 0
+
+
+# -- the commands ---------------------------------------------------------------
 
 
 def _resolve_out(path: str) -> str:
@@ -36,85 +298,35 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _load(ctx):
+def _load(opts):
     from .config import load_config
 
-    opts = ctx.obj
-    if opts["config"] is None:
-        raise click.ClickException("--config is required for this command")
-    return load_config(opts["config"])
+    if opts.config is None:
+        raise ValueError("--config is required for this command")
+    return load_config(opts.config)
 
 
-def _emit(ctx, csv_text, json_obj):
+def _emit(opts, csv_text, json_obj):
     """Write ``json_obj`` as JSON, or the text ``csv_text()`` returns, to
     ``--out`` or stdout. The CSV is built only when it is the format asked for."""
     from .io import atomic_write_text, render_json
 
-    text = csv_text() if ctx.obj["format"] == "csv" else render_json(json_obj)
-    out_path = ctx.obj["out"]
-    if out_path is None:
-        click.echo(text, nl=False)
+    text = csv_text() if opts.format == "csv" else render_json(json_obj)
+    if opts.out is None:
+        sys.stdout.write(text)
     else:
-        atomic_write_text(_resolve_out(out_path), text)
+        atomic_write_text(_resolve_out(opts.out), text)
 
 
-class _Commands(click.Group):
-    """Ends a ``ValueError`` from the group callback or a command as a
-    ``ClickException``, and cuts the value a bad command option's message
-    quotes to 32 characters (``io._cut``): Click quotes a number whole, as
-    ``'<value>' is not a valid integer.`` or ``<value> is not in the range
-    ...``, so the echo before the last " is not " is cut."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.BadParameter as exc:
-            from .io import _cut
-
-            echo, phrase, rest = exc.message.rpartition(" is not ")
-            if phrase:
-                quoted = len(echo) > 1 and echo[0] == echo[-1] == "'"
-                exc.message = (f"'{_cut(echo[1:-1])}'" if quoted else _cut(echo)) + phrase + rest
-            raise
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-@click.group(cls=_Commands, invoke_without_command=True)
-@click.option("--config", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True, help="Output format.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Output file (default: stdout).")
-@click.option("--print-config", is_flag=True,
-              help="Echo the parsed config as canonical JSON and exit.")
-@click.pass_context
-def main(ctx, config, fmt, out, print_config):
-    """Two-stage sampling design and Bayesian inference for microplastic campaigns."""
-    ctx.obj = {"config": config, "format": fmt, "out": out}
-    if print_config:
-        from .io import render_json
-
-        click.echo(render_json(_load(ctx).to_mapping()), nl=False)
-        ctx.exit(0)
-    if ctx.invoked_subcommand is None:
-        click.echo(ctx.get_help())
-        ctx.exit(2)
-
-
-@main.command()
-@click.pass_context
-def design(ctx):
+def design(opts):
     """Optimize the number of quadrants and write the design curve."""
     from .design import DESIGN_COLUMNS, optimize_design
     from .io import render_csv
 
-    loaded = _load(ctx)
+    loaded = _load(opts)
     cfg = loaded.design
     if cfg.cost.max_quadrants < 1:
-        raise click.ClickException(
-            "budget admits no field sampling (feasible quadrant counts: [0])"
-        )
+        raise ValueError("budget admits no field sampling (feasible quadrant counts: [0])")
     result = optimize_design(cfg)
     summary = {
         "m_star": result.m_star,
@@ -137,47 +349,36 @@ def design(ctx):
         ),
         "curve": [dict(zip(DESIGN_COLUMNS, r)) for r in result.curve.rows],
     }
-    _emit(ctx, lambda: summary_lines + render_csv(DESIGN_COLUMNS, result.curve.rows), json_obj)
+    _emit(opts, lambda: summary_lines + render_csv(DESIGN_COLUMNS, result.curve.rows), json_obj)
 
 
-def _abundance(ctx, param, value):
-    """Option callback: a true abundance must be a finite number >= 0."""
-    if value is not None and not (math.isfinite(value) and value >= 0):
-        raise click.BadParameter(f"{value!r} is not a finite number >= 0")
-    return value
-
-
-@main.command()
-@click.option("--m", "m", type=int, required=True, help="Number of quadrants.")
-@click.option("--lambda-min", type=float, default=None, callback=_abundance,
-              help="Grid start (exclusive of 0).")
-@click.option("--lambda-max", type=float, default=None, callback=_abundance, help="Grid end.")
-@click.option("--lambda-points", type=click.IntRange(2, _MAX_POINTS), default=200,
-              show_default=True)
-@click.pass_context
-def curves(ctx, m, lambda_min, lambda_max, lambda_points):
+def curves(opts):
     """Second-stage performance across hypothetical true abundances."""
     import numpy as np
 
     from .design import CURVES_COLUMNS, default_abundance_grid, performance_curve
     from .io import render_csv
 
-    loaded = _load(ctx)
+    loaded = _load(opts)
     cfg = loaded.design
+    m, points = opts.m, opts.lambda_points
+    lambda_min, lambda_max = opts.lambda_min, opts.lambda_max
+    reason = None
     if lambda_max is None and lambda_min is not None:
-        raise click.BadParameter("needs --lambda-max", param_hint="'--lambda-min'")
-    if lambda_min is not None and lambda_min > lambda_max:
-        raise click.BadParameter(
-            f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}", param_hint="'--lambda-min'"
-        )
+        reason = "needs --lambda-max"
+    elif lambda_min is not None and lambda_min > lambda_max:
+        reason = f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}"
+    if reason:
+        command = _parser().commands["curves"]
+        raise UsageError(f"Invalid value for '--lambda-min': {reason}", command)
     if lambda_max is None:
-        grid = default_abundance_grid(cfg, lambda_points)
+        grid = default_abundance_grid(cfg, points)
     else:
-        lo = lambda_min if lambda_min is not None else lambda_max / lambda_points
-        grid = np.linspace(lo, lambda_max, lambda_points)
+        lo = lambda_min if lambda_min is not None else lambda_max / points
+        grid = np.linspace(lo, lambda_max, points)
     rows = performance_curve(m, grid, cfg)
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
-    _emit(ctx, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
+    _emit(opts, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
 
 def _linspace_from_zero(stop: float, points: int) -> list[float]:
@@ -194,17 +395,7 @@ def _linspace_from_zero(stop: float, points: int) -> list[float]:
     return grid
 
 
-@main.command()
-@click.option("--data", "data_path", type=click.Path(), required=True,
-              help="Campaign data CSV.")
-@click.option("--hpd-mass", type=click.FloatRange(0, 1, min_open=True, max_open=True),
-              default=0.95, show_default=True)
-@click.option("--density-grid", "with_grids", is_flag=True,
-              help="Append density-grid rows for plotting.")
-@click.option("--grid-points", type=click.IntRange(2, _MAX_POINTS), default=500,
-              show_default=True)
-@click.pass_context
-def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
+def posterior(opts):
     """Posterior inference for abundance and polymer composition."""
     from .io import parse_campaign_data, render_csv
     from .posterior import (
@@ -215,10 +406,11 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
         update_composition,
     )
 
-    loaded = _load(ctx)
+    loaded = _load(opts)
     cfg = loaded.design
-    data = parse_campaign_data(data_path, cfg.cost.quadrant_area, loaded.class_names)
+    data = parse_campaign_data(opts.data, cfg.cost.quadrant_area, loaded.class_names)
     obs = data.observations
+    hpd_mass = opts.hpd_mass
     abundance = update_abundance(cfg.abundance_prior, obs)
     lower, upper = hpd_interval(abundance, hpd_mass)
     records = [
@@ -250,13 +442,13 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     for section, key, value in records:
         json_obj.setdefault(section, {})[key] = value
     keys, densities = [], []
-    if with_grids:
-        grid = _linspace_from_zero(upper * 2.0, grid_points)
+    if opts.density_grid:
+        grid = _linspace_from_zero(upper * 2.0, opts.grid_points)
         keys = list(map(repr, grid))
         densities = _gamma_density(abundance, grid)
         json_obj["abundance_density"] = dict(zip(keys, densities))
     _emit(
-        ctx,
+        opts,
         lambda: render_csv(
             ["section", "key", "value"],
             records + list(zip(repeat("abundance_density"), keys, densities)),
@@ -265,40 +457,31 @@ def posterior(ctx, data_path, hpd_mass, with_grids, grid_points):
     )
 
 
-@main.command()
-@click.option("--axis", type=click.Choice(SWEEP_AXES), required=True)
-@click.option("--values", required=True,
-              help="Comma-separated axis values (multipliers for r2).")
-@click.pass_context
-def sensitivity(ctx, axis, values):
+def sensitivity(opts):
     """Re-optimize the design along one input axis."""
     from .design import SENSITIVITY_COLUMNS, sensitivity_sweep
-    from .io import _cut, render_csv
+    from .io import render_csv
 
-    loaded = _load(ctx)
+    loaded = _load(opts)
     parsed = []
-    for entry in filter(str.strip, values.split(",")):
+    for entry in filter(str.strip, opts.values.split(",")):
         try:
             parsed.append(float(entry))
-        except ValueError as exc:
-            raise click.ClickException(f"bad --values entry {_cut(entry)!r}: not a number") from exc
+        except ValueError:
+            raise ValueError(f"bad --values entry {_cut(entry)!r}: not a number") from None
     if not parsed:
-        raise click.ClickException("--values must contain at least one number")
-    rows = sensitivity_sweep(loaded.design, axis, parsed)
-    json_obj = {"axis": axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
-    _emit(ctx, lambda: render_csv(SENSITIVITY_COLUMNS, rows), json_obj)
+        raise ValueError("--values must contain at least one number")
+    rows = sensitivity_sweep(loaded.design, opts.axis, parsed)
+    json_obj = {"axis": opts.axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
+    _emit(opts, lambda: render_csv(SENSITIVITY_COLUMNS, rows), json_obj)
 
 
-@main.command("replicate")
-@click.option("--figure", type=click.Choice(FIGURE_CHOICES), required=True)
-@click.option("--out-dir", type=click.Path(), required=True)
-def replicate_cmd(figure, out_dir):
+def replicate_cmd(opts):
     """Regenerate the reference scenario data bundles."""
     from .replicate import replicate
 
-    written = replicate(figure, _resolve_out(out_dir))
-    for name in written:
-        click.echo(name)
+    for name in replicate(opts.figure, _resolve_out(opts.out_dir)):
+        print(name)
 
 
 if __name__ == "__main__":

@@ -229,8 +229,8 @@ def load_config(path) -> LoadedConfig:
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a BOM is dropped
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except OSError as exc:  # its text repeats the path: only the reason is quoted
+        raise ConfigError(f"cannot read config {_cut(str(path))}: {exc.strerror}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past 4,300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -80,8 +80,10 @@ def parse_campaign_data(path, quadrant_area: float, class_names: tuple[str, ...]
                 for row in csv.reader(fh)
                 if row and not row[0].lstrip().startswith("#")
             ]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        # also bytes that are not UTF-8, or a cell past csv's 131,072 characters
+    except OSError as exc:  # its text repeats the path: only the reason is quoted
+        raise CampaignDataError(f"cannot read {_cut(str(path))}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # bytes that are not UTF-8, or a cell past csv's 131,072 characters
         raise CampaignDataError(f"cannot read {path}: {exc}") from exc
 
     if not rows or rows[0] != FIELD_HEADER:

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import math
+import sys
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -75,3 +79,40 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the SystemExit of a nonzero exit, or the uncaught error
+
+
+class _Tee(io.StringIO):
+    def __init__(self, merged):
+        super().__init__()
+        self.merged = merged
+
+    def write(self, text):
+        self.merged.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a command line's ``main`` in this process, as its console script
+    does (``sys.exit(main(args))``), and captures what it writes."""
+
+    def invoke(self, main, args) -> CliResult:
+        merged = io.StringIO()
+        out, err = _Tee(merged), _Tee(merged)
+        exception = None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                sys.exit(main(args))
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
+                exception = exc if code else None
+            except Exception as exc:  # a bug: the console script prints its traceback
+                code, exception = 1, exc
+        return CliResult(code, merged.getvalue(), out.getvalue(), err.getvalue(), exception)

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import tempfile
 
-from click.testing import CliRunner
+if __name__ == "__main__":  # run by hand: the test helpers are in tests/
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
-from mpdesign.cli import main as mpdesign
+from conftest import CliRunner  # noqa: E402
+from mpdesign.cli import main as mpdesign  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 

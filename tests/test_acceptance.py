@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from mpdesign import (
     CategorizationCounts,
@@ -38,6 +37,7 @@ from oracles import RandomStream, mc_oracle_l1, mc_oracle_l2
 from conftest import (
     ACCEPTANCE_LINES,
     BASELINE_COST,
+    CliRunner,
     baseline_config,
     dirichlet_multinomial_enumeration,
 )

@@ -3,17 +3,18 @@ import io
 import json
 import math
 import random
+import re
 import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from mpdesign import design
 from mpdesign.cli import _linspace_from_zero, main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
 from mpdesign.replicate import FIGURE_IDS, replicate
+from conftest import CliRunner
 
 BASE_DOC = {
     "abundance_prior": {"shape": 3, "mode": 200},
@@ -55,8 +56,12 @@ def config_path(tmp_path):
 
 
 def option_choices(command, option):
-    param = next(p for p in main.commands[command].params if p.name == option)
-    return tuple(param.type.choices)
+    """The choices of a command's option, as the usage error for a value
+    outside them lists them."""
+    result = CliRunner().invoke(main, [command, f"--{option}", "?"])
+    assert result.exit_code == 2
+    listed = result.output.split(" is not one of ", 1)[1].splitlines()[0]
+    return tuple(re.findall(r"'([^']*)'", listed))
 
 
 def cell_text(value):
@@ -175,6 +180,48 @@ def test_bare_command_prints_help(runner):
     assert result.output == runner.invoke(main, ["--help"]).output
 
 
+class TestParsing:
+    """How the command line reads its arguments."""
+
+    def test_option_prefix_refused(self, runner):
+        result = runner.invoke(main, ["--conf", "x", "design"])
+        assert result.exit_code == 2
+        assert "Error: No such option '--conf'." in result.output
+
+    def test_value_starting_with_a_dash_is_a_value(self, runner, config_path):
+        # "-1,2" reaches the sweep, which refuses the budget -1 by name
+        result = runner.invoke(
+            main,
+            ["--config", config_path, "sensitivity", "--axis", "budget", "--values", "-1,2"],
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: budget value -1.0: budget must be positive and finite, got -1.0\n"
+        )
+
+    def test_negative_infinity_is_a_value(self, runner, config_path):
+        result = runner.invoke(
+            main, ["--config", config_path, "curves", "--m", "7", "--lambda-max", "-inf"]
+        )
+        assert result.exit_code == 2
+        assert "\nError: Invalid value for '--lambda-max': -inf is not a finite number >= 0\n" in (
+            result.output
+        )
+
+    def test_equals_form(self, runner, config_path):
+        joined = runner.invoke(main, ["--config", config_path, "--format=json", "design"])
+        apart = runner.invoke(main, ["--config", config_path, "--format", "json", "design"])
+        assert joined.exit_code == 0
+        assert joined.output == apart.output
+        assert json.loads(joined.output)["m_star"] == 7
+
+    def test_not_standalone_returns(self, runner, config_path, capsys):
+        # how the benchmark calls it in process: no SystemExit on success
+        args = ["--config", config_path, "sensitivity", "--axis", "r2", "--values", "1,2"]
+        assert main(args, standalone_mode=False) in (None, 0)
+        assert capsys.readouterr().out == runner.invoke(main, args).stdout
+
+
 class TestPrintConfig:
     def test_round_trip(self, runner, config_path):
         out = runner.invoke(main, ["--config", config_path, "--print-config"])
@@ -259,7 +306,7 @@ class TestDesignCommand:
         path = write_config(tmp_path, lambda d: d["cost"].update(quadrant_area=area))
         result = runner.invoke(main, ["--config", path, *command])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, not a traceback
         assert result.output.startswith("Error: cost: quadrant_area ")
         assert repr(float(area)) in result.output
 
@@ -319,7 +366,7 @@ class TestCurvesCommand:
     def test_bad_grid_rejected_by_name(self, runner, config_path, args, option):
         result = runner.invoke(main, ["--config", config_path, "curves", "--m", "7"] + args)
         assert result.exit_code != 0
-        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, not a traceback
         assert f"'{option}'" in result.output
 
 
@@ -718,13 +765,21 @@ def cut(char, length=LONG, shown=32):
         # int() takes 4,000 digits, so the command runs and refuses m by name
         (["curves", "--m", "9" * 4000], 1,
          f"Error: m={cut('9', 4000)} outside the feasible set 0..12"),
+        # an option of the command group, and paths that cannot be opened
+        (["--format", "f" * 1000, "design"], 2,
+         f"Error: Invalid value for '--format': '{cut('f', 1000)}' is not one of 'csv', 'json'."),
+        (["--config", "c" * 5000, "design"], 1,
+         f"Error: cannot read config {cut('c', 5000)}: File name too long"),
+        (["posterior", "--data", "d" * 5000], 1,
+         f"Error: cannot read {cut('d', 5000)}: File name too long"),
     ],
     ids=["m-100000-digits", "lambda-max-100000-letters", "lambda-points-4000-digits",
-         "hpd-mass-100000-letters", "m-4000-nines"],
+         "hpd-mass-100000-letters", "m-4000-nines", "format-1000-letters",
+         "config-5000-characters", "data-5000-characters"],
 )
 def test_long_option_value_cut(runner, config_path, tmp_path, monkeypatch, args, exit_code, line):
-    # one short Error line (after Click's usage lines for exit 2), not the
-    # value echoed whole
+    # one short Error line (after the usage lines of exit 2), not the value
+    # echoed whole
     monkeypatch.chdir(tmp_path)
     (tmp_path / "campaign.csv").write_text(CAMPAIGN)
     result = runner.invoke(main, ["--config", config_path] + args)
@@ -883,7 +938,7 @@ class TestBadValuesNamed:
     def test_rejected_by_field(self, runner, tmp_path, field, value, command, message):
         result, files = run_with_value(runner, tmp_path, field, value, command)
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, not a traceback
         assert result.output.startswith("Error: " + message.format(**files))
         assert result.output.count("\n") == 1
         assert len(result.output) < 1000
@@ -891,12 +946,14 @@ class TestBadValuesNamed:
     @pytest.mark.parametrize(
         "args,message",
         [(["design"], "--config is required for this command"),
+         # the OSError's reason alone: its text would repeat the path
          (["--config", "{missing}", "design"],
-          "cannot read config {missing}: [Errno 2] No such file or directory: '{missing}'")],
+          "cannot read config {missing}: No such file or directory")],
         ids=["no-config", "config-missing"],
     )
-    def test_config_file_rejected(self, runner, tmp_path, args, message):
-        missing = tmp_path / "missing.json"
+    def test_config_file_rejected(self, runner, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        missing = "missing.json"
         result = runner.invoke(main, [arg.format(missing=missing) for arg in args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -976,7 +1033,7 @@ class TestFieldValueTable:
             assert _all_finite(json.loads(result.output))
             return
         assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)  # a Click error, not a traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, not a traceback
         (line,) = result.output.splitlines()
         assert line.startswith("Error: ")
         assert field.partition(".")[0] in line

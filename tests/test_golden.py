@@ -88,7 +88,7 @@ NUMPY_FREE_CHILD = """
 import sys
 sys.modules["numpy"] = None
 from mpdesign.cli import main
-main.main(sys.argv[1:], prog_name="mpdesign")
+sys.exit(main(sys.argv[1:]))
 """
 
 

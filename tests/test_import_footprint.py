@@ -1,9 +1,10 @@
 """Which modules each entry point loads, checked in fresh interpreters.
 
 The package root and the command line import lazily: ``import mpdesign``,
-``--help`` and a command's ``--help`` load neither NumPy nor any
-``mpdesign`` submodule but ``mpdesign.cli``, and each command loads exactly
-the modules it runs. Every command that reads a config loads the CLI,
+``--help`` and a command's ``--help`` load no module outside the standard
+library but ``mpdesign`` and ``mpdesign.cli``, and each command loads exactly
+the modules it runs, and outside the standard library at most NumPy: no
+command loads Click. Every command that reads a config loads the CLI,
 ``config``, ``io``, ``cost``, ``distributions`` and ``_special`` (whose
 pairwise sum gives a Dirichlet's total); ``config`` defines ``DesignConfig``
 and loads no design module. The design commands (``design``, ``curves``,
@@ -16,7 +17,7 @@ the package's own: it has none, and the Monte Carlo oracles live in
 ``posterior`` loads no NumPy either: in CSV and JSON, with and without
 ``--density-grid``, and with a left-anchored HPD interval. Its posterior is
 closed-form and its grid and densities are lists, so a user's campaign is
-read, updated and written on ``math`` and Click alone (up to a posterior
+read, updated and written on ``math`` and the standard library alone (up to a posterior
 shape of about 2e5, past which the HPD interval's series is NumPy's).
 
 SciPy's import costs several times a whole run, and no command needs it:
@@ -53,21 +54,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
-# then prints the loaded scipy and mpdesign modules, and numpy and _hashlib
-# if loaded, as the last line of stderr. The command's output goes to stdout.
+# then prints, as the last line of stderr, every module outside the standard
+# library that it loaded (so every mpdesign, NumPy, SciPy or Click module),
+# and _hashlib if loaded. The command's output goes to stdout.
 CHILD = """
-import json, sys
+import sys
+started = set(sys.modules)
+import json
 import mpdesign
 from mpdesign.cli import main
-if sys.argv[1:]:
-    try:
-        main.main(sys.argv[1:], prog_name="mpdesign")
-    except SystemExit as exc:
-        if exc.code:
-            raise
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+if code:
+    sys.exit(code)
 print(json.dumps(sorted(
     m for m in sys.modules
-    if m.split(".")[0] in ("scipy", "mpdesign") or m in ("numpy", "_hashlib")
+    if m == "_hashlib" or m not in started and m.split(".")[0] not in sys.stdlib_module_names
 )), file=sys.stderr)
 """
 
@@ -170,6 +171,8 @@ def test_replicate_fig5_loads_no_scipy(workdir):
 def test_nothing_but_cli_before_a_command_runs(args, workdir):
     loaded = loaded_modules(*args, cwd=workdir)
     assert {m for m in loaded if m == "numpy" or m.startswith("mpdesign.")} == {"mpdesign.cli"}
+    # nothing else outside the standard library: no Click, no NumPy
+    assert loaded == {"mpdesign", "mpdesign.cli"}
 
 
 # the modules every command loads: the CLI, its config and output layers and
@@ -205,6 +208,8 @@ POSTERIOR_PATH = {"mpdesign.posterior"}
 def test_command_loads_only_what_it_runs(args, extra, workdir):
     loaded = loaded_by_command(*args, cwd=workdir)
     assert {m for m in loaded if m.split(".")[0] == "mpdesign"} == COMMAND_MODULES | extra
+    # outside the standard library, NumPy at most: no Click
+    assert {m.split(".")[0] for m in loaded} <= {"mpdesign", "numpy"}
 
 
 @pytest.mark.parametrize(
