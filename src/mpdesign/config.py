@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import InitVar, dataclass
 
+from ._record import Record
 from .cost import CostModel
 from .distributions import DirichletParams, GammaParams
 from .io import _cut
@@ -44,25 +44,39 @@ class ConfigError(ValueError):
     """Invalid or malformed configuration file."""
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(Record):
     """Design inputs: the abundance prior, the composition prior and the cost
     model. The design curve is an exact sum, so ``mc_draws`` and ``seed``, which
-    callers written for the Monte Carlo design may still pass, are init-only and
+    callers written for the Monte Carlo design may still pass, are accepted and
     ignored: they are not fields."""
 
-    abundance_prior: GammaParams
-    composition_prior: DirichletParams
-    cost: CostModel
-    mc_draws: InitVar[int] = 0
-    seed: InitVar[int] = 0
+    __slots__ = ("abundance_prior", "composition_prior", "cost")
+
+    def __init__(
+        self,
+        abundance_prior: GammaParams,
+        composition_prior: DirichletParams,
+        cost: CostModel,
+        mc_draws: int = 0,
+        seed: int = 0,
+    ):
+        object.__setattr__(self, "abundance_prior", abundance_prior)
+        object.__setattr__(self, "composition_prior", composition_prior)
+        object.__setattr__(self, "cost", cost)
 
 
-@dataclass(frozen=True)
-class LoadedConfig:
-    design: DesignConfig
-    class_names: tuple[str, ...]
-    budget_quadrant_equivalents: float
+class LoadedConfig(Record):
+    __slots__ = ("design", "class_names", "budget_quadrant_equivalents")
+
+    def __init__(
+        self,
+        design: DesignConfig,
+        class_names: tuple[str, ...],
+        budget_quadrant_equivalents: float,
+    ):
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "class_names", class_names)
+        object.__setattr__(self, "budget_quadrant_equivalents", budget_quadrant_equivalents)
 
     def to_mapping(self) -> dict:
         cost = self.design.cost

@@ -19,7 +19,8 @@ NumPy when they are called, so reading a config loads no NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "CostModel",
@@ -32,26 +33,29 @@ __all__ = [
 _QUADRANT_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class CostModel:
-    quadrant_area: float
-    budget_coefficient: float
-    count_ratio: float
-    categorize_ratio: float
+class CostModel(Record):
+    __slots__ = ("quadrant_area", "budget_coefficient", "count_ratio", "categorize_ratio")
 
-    def __post_init__(self):
-        for name in ("quadrant_area", "budget_coefficient", "count_ratio", "categorize_ratio"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        quadrant_area: float,
+        budget_coefficient: float,
+        count_ratio: float,
+        categorize_ratio: float,
+    ):
+        values = (quadrant_area, budget_coefficient, count_ratio, categorize_ratio)
+        for name, value in zip(self.__slots__, values):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.quadrant_area > 0:
-            raise ValueError(f"quadrant_area must be positive, got {self.quadrant_area!r}")
-        if not self.budget_coefficient > 0:
-            raise ValueError(f"budget_coefficient must be positive, got {self.budget_coefficient!r}")
-        if self.count_ratio < 0:
-            raise ValueError(f"count_ratio must be nonnegative, got {self.count_ratio!r}")
-        if not self.categorize_ratio > 0:
-            raise ValueError(f"categorize_ratio must be positive, got {self.categorize_ratio!r}")
+            object.__setattr__(self, name, value)
+        if not quadrant_area > 0:
+            raise ValueError(f"quadrant_area must be positive, got {quadrant_area!r}")
+        if not budget_coefficient > 0:
+            raise ValueError(f"budget_coefficient must be positive, got {budget_coefficient!r}")
+        if count_ratio < 0:
+            raise ValueError(f"count_ratio must be nonnegative, got {count_ratio!r}")
+        if not categorize_ratio > 0:
+            raise ValueError(f"categorize_ratio must be positive, got {categorize_ratio!r}")
 
     @property
     def budget_area(self) -> float:

@@ -22,12 +22,12 @@ involves no randomness: reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .config import DesignConfig
 from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
 from .distributions import GammaParams
@@ -80,13 +80,14 @@ class DesignCurveRow(NamedTuple):
     l_star_se: float  # (1 - w) * e_l2_se
 
 
-@dataclass(frozen=True)
-class DesignCurve:
-    rows: tuple[DesignCurveRow, ...]  # rows[m] is the design point at m
+class DesignCurve(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[DesignCurveRow, ...]):
+        object.__setattr__(self, "rows", rows)  # rows[m] is the design point at m
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(Record):
     """The optimal design, its curve, and the budget at the typical count.
 
     ``typical_n`` is the predictive median total count at m*,
@@ -95,11 +96,24 @@ class DesignResult:
     categorization take there, with the slack left over.
     """
 
-    m_star: int
-    curve: DesignCurve
-    typical_n: int
-    typical_n_bar: int
-    budget_split: dict[str, float] = field(hash=False)  # a dict; keeps the result hashable
+    __slots__ = ("m_star", "curve", "typical_n", "typical_n_bar", "budget_split")
+
+    def __init__(
+        self,
+        m_star: int,
+        curve: DesignCurve,
+        typical_n: int,
+        typical_n_bar: int,
+        budget_split: dict[str, float],
+    ):
+        object.__setattr__(self, "m_star", m_star)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "typical_n", typical_n)
+        object.__setattr__(self, "typical_n_bar", typical_n_bar)
+        object.__setattr__(self, "budget_split", budget_split)
+
+    def __hash__(self):  # without the budget_split dict, so the result stays hashable
+        return hash(self._fields()[:-1])
 
     @property
     def optimal_row(self) -> DesignCurveRow:
@@ -470,14 +484,16 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
 
 
 def _apply_axis(base: DesignConfig, axis: str, value: float) -> DesignConfig:
-    cost = base.cost
+    prior, cost = base.abundance_prior, base.cost
     if axis == "r2":
-        new_cost = replace(cost, categorize_ratio=cost.categorize_ratio * value)
+        cost = CostModel(
+            cost.quadrant_area, cost.budget_coefficient, cost.count_ratio,
+            cost.categorize_ratio * value,
+        )
     elif axis == "budget":
-        new_cost = CostModel.from_budget_quadrants(
+        cost = CostModel.from_budget_quadrants(
             cost.quadrant_area, value, cost.count_ratio, cost.categorize_ratio
         )
     else:  # prior-mode
-        prior = GammaParams.from_mode(base.abundance_prior.shape, value)
-        return replace(base, abundance_prior=prior)
-    return replace(base, cost=new_cost)
+        prior = GammaParams.from_mode(prior.shape, value)
+    return DesignConfig(prior, base.composition_prior, cost)

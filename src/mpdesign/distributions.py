@@ -9,8 +9,8 @@ rate and scale is the classic bug here, so every function that touches a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from ._special import _pairwise_sum
 
 __all__ = [
@@ -19,21 +19,21 @@ __all__ = [
     "dirichlet_multinomial_moments",
 ]
 
-@dataclass(frozen=True)
-class GammaParams:
+class GammaParams(Record):
     """Gamma(shape, rate) parameters for the abundance rate (MP m^-2).
 
     ``rate`` is the *rate* (inverse scale), in m^2.
     """
 
-    shape: float
-    rate: float
+    __slots__ = ("shape", "rate")
 
-    def __post_init__(self):
-        if not (self.shape > 0 and math.isfinite(self.shape)):
-            raise ValueError(f"shape must be positive and finite, got {self.shape}")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+    def __init__(self, shape: float, rate: float):
+        if not (shape > 0 and math.isfinite(shape)):
+            raise ValueError(f"shape must be positive and finite, got {shape}")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"rate must be positive and finite, got {rate}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rate", rate)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -60,14 +60,13 @@ class GammaParams:
         return cls(shape, rate)
 
 
-@dataclass(frozen=True)
-class DirichletParams:
+class DirichletParams(Record):
     """Dirichlet concentration vector for the k polymer-class proportions."""
 
-    concentration: tuple[float, ...]
+    __slots__ = ("concentration",)
 
-    def __post_init__(self):
-        values = self.concentration
+    def __init__(self, concentration: tuple[float, ...]):
+        values = concentration
         if isinstance(values, (str, bytes)):  # one value, not one class per character
             values = (values,)
         try:

@@ -29,14 +29,10 @@ import functools
 import io as _io
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # imported at run time by the parsing code only
-    from .posterior import CategorizationCounts, FieldObservations
+from ._record import Record
 
 __all__ = [
     "CampaignDataError",
@@ -55,10 +51,12 @@ class CampaignDataError(ValueError):
     """Invalid campaign data file."""
 
 
-@dataclass(frozen=True)
-class CampaignData:
-    observations: FieldObservations
-    class_counts: dict[str, int] | None
+class CampaignData(Record):
+    __slots__ = ("observations", "class_counts")
+
+    def __init__(self, observations: FieldObservations, class_counts: dict[str, int] | None):
+        object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "class_counts", class_counts)
 
     def categorization(self, class_names: tuple[str, ...]) -> CategorizationCounts | None:
         if self.class_counts is None:
@@ -153,6 +151,8 @@ def _cut(text: str) -> str:
 
 def atomic_write_text(path, text: str):
     """Write via a temp file in the same directory plus rename."""
+    import tempfile  # only a command that writes files loads it
+
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)

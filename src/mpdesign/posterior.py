@@ -21,8 +21,8 @@ imports SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from ._special import (
     _MAX_NEWTON, _beta_pdf, _erfinv, _gamma_pdf, _gamma_quantile, _gammainc, _log_gamma_weight,
 )
@@ -42,23 +42,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldObservations:
+class FieldObservations(Record):
     """Suspected-particle counts from m sampled quadrants of equal area (m^2)."""
 
-    quadrant_area: float
-    counts: tuple[int, ...]
+    __slots__ = ("quadrant_area", "counts")
 
-    def __post_init__(self):
-        if not (self.quadrant_area > 0 and math.isfinite(self.quadrant_area)):
+    def __init__(self, quadrant_area: float, counts: tuple[int, ...]):
+        if not (quadrant_area > 0 and math.isfinite(quadrant_area)):
             raise ValueError(
-                f"quadrant_area must be positive and finite, got {self.quadrant_area!r}"
+                f"quadrant_area must be positive and finite, got {quadrant_area!r}"
             )
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(int(c) for c in counts)
         if len(counts) < 1:
             raise ValueError("need at least one quadrant")
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "quadrant_area", quadrant_area)
         object.__setattr__(self, "counts", counts)
 
     @classmethod
@@ -83,14 +82,13 @@ class FieldObservations:
         return self.m * self.quadrant_area
 
 
-@dataclass(frozen=True)
-class CategorizationCounts:
+class CategorizationCounts(Record):
     """Spectroscopy results: categorized particles per polymer class."""
 
-    class_counts: tuple[int, ...]
+    __slots__ = ("class_counts",)
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.class_counts)
+    def __init__(self, class_counts: tuple[int, ...]):
+        counts = tuple(int(c) for c in class_counts)
         if any(c < 0 for c in counts):
             raise ValueError("class counts must be nonnegative")
         object.__setattr__(self, "class_counts", counts)

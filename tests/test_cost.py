@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,19 +50,20 @@ class TestCostModel:
         "name", ["quadrant_area", "budget_coefficient", "count_ratio", "categorize_ratio"]
     )
     def test_nonfinite_field_rejected_by_name(self, name, value):
+        fields = {field: getattr(BASELINE_COST, field) for field in CostModel.__match_args__}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            replace(BASELINE_COST, **{name: value})
+            CostModel(**{**fields, name: value})
 
     @pytest.mark.parametrize(
         "make,message",
         [
-            (lambda: replace(BASELINE_COST, quadrant_area=0.0),
+            (lambda: CostModel(0.0, 4.0 / 3.0, 5e-5, 3e-3),
              "quadrant_area must be positive, got 0.0"),
-            (lambda: replace(BASELINE_COST, budget_coefficient=-1.0),
+            (lambda: CostModel(0.0625, -1.0, 5e-5, 3e-3),
              "budget_coefficient must be positive, got -1.0"),
-            (lambda: replace(BASELINE_COST, count_ratio=-1e-9),
+            (lambda: CostModel(0.0625, 4.0 / 3.0, -1e-9, 3e-3),
              "count_ratio must be nonnegative, got -1e-09"),
-            (lambda: replace(BASELINE_COST, categorize_ratio=0.0),
+            (lambda: CostModel(0.0625, 4.0 / 3.0, 5e-5, 0.0),
              "categorize_ratio must be positive, got 0.0"),
             (lambda: CostModel.from_raw_costs(0.0625, 0.0, 4e-3, 0.24, 60.0),
              "sample_cost_per_m2 0.0 and budget 60.0 must be positive"),

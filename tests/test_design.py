@@ -2,7 +2,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -265,7 +264,9 @@ class TestSensitivitySweep:
             elif axis == "budget":
                 cfg = baseline_config(budget=value)
             else:
-                cfg = replace(base, abundance_prior=GammaParams.from_mode(3.0, value))
+                cfg = DesignConfig(
+                    GammaParams.from_mode(3.0, value), base.composition_prior, base.cost
+                )
             result = optimize_design(cfg)
             assert (row.axis, row.value) == (axis, value)
             assert (row.m_star, row.typical_n_bar) == (result.m_star, result.typical_n_bar)
@@ -295,7 +296,8 @@ class TestSensitivitySweep:
     def test_log_pmf_rounding_names_the_first_failing_value(self, values, named, error):
         # with shape 1e6, modes this small put an ulp of log(rate) times the
         # shape past the log pmf's tolerance
-        base = replace(baseline_config(), abundance_prior=GammaParams.from_mode(1e6, 200.0))
+        cfg = baseline_config()
+        base = DesignConfig(GammaParams.from_mode(1e6, 200.0), cfg.composition_prior, cfg.cost)
         with pytest.raises(ValueError) as info:
             sensitivity_sweep(base, "prior-mode", values)
         assert str(info.value) == (
@@ -307,14 +309,13 @@ class TestSensitivitySweep:
 class TestDesignConfig:
     def test_draws_and_seed_do_not_change_the_design(self):
         base = baseline_config()
-        assert [f.name for f in fields(DesignConfig)] == [
-            "abundance_prior",
-            "composition_prior",
-            "cost",
-        ]
+        names = ("abundance_prior", "composition_prior", "cost")
+        assert DesignConfig.__slots__ == DesignConfig.__match_args__ == names
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            few = replace(base, mc_draws=500, seed=1)
+            few = DesignConfig(
+                base.abundance_prior, base.composition_prior, base.cost, mc_draws=500, seed=1
+            )
             assert few == base
             assert optimize_design(few) == optimize_design(base)
 
@@ -701,8 +702,10 @@ class TestDesignsTogether:
         assert set(design._first_chunks(capped)[1:]) == {_MAX_CHUNK}
 
     def test_composition_prior_is_not_shared(self):
-        configs = [baseline_config(), replace(baseline_config(), composition_prior=DirichletParams(
-            (0.5,) * 10))]
+        base = baseline_config()
+        configs = [base, DesignConfig(
+            base.abundance_prior, DirichletParams((0.5,) * 10), base.cost
+        )]
         together = optimized_together(configs)
         assert result_bits(together[0]) != result_bits(together[1])
         for config, result in zip(configs, together):

@@ -5,9 +5,10 @@ The package root and the command line import lazily: ``import mpdesign``,
 library but ``mpdesign`` and ``mpdesign.cli``, and each command loads exactly
 the modules it runs, and outside the standard library at most NumPy: no
 command loads Click. Every command that reads a config loads the CLI,
-``config``, ``io``, ``cost``, ``distributions`` and ``_special`` (whose
-pairwise sum gives a Dirichlet's total); ``config`` defines ``DesignConfig``
-and loads no design module. The design commands (``design``, ``curves``,
+``config``, ``io``, ``cost``, ``distributions``, ``_record`` (the base of
+their value types) and ``_special`` (whose pairwise sum gives a Dirichlet's
+total); ``config`` defines ``DesignConfig`` and loads no design module. No
+command loads ``dataclasses``. The design commands (``design``, ``curves``,
 ``sensitivity``) add the design path (``design``, ``loss``); ``posterior``
 adds ``posterior`` but not the design path; ``replicate`` fig1 loads the
 design path and ``replicate``. No command loads a random number generator of
@@ -18,7 +19,9 @@ the package's own: it has none, and the Monte Carlo oracles live in
 ``--density-grid``, and with a left-anchored HPD interval. Its posterior is
 closed-form and its grid and densities are lists, so a user's campaign is
 read, updated and written on ``math`` and the standard library alone (up to a posterior
-shape of about 2e5, past which the HPD interval's series is NumPy's).
+shape of about 2e5, past which the HPD interval's series is NumPy's). Run by
+``python -S``, so that no ``.pth`` file imports anything first, it loads none
+of ``dataclasses``, ``inspect``, ``typing`` and ``tempfile`` either.
 
 SciPy's import costs several times a whole run, and no command needs it:
 importing the package, ``--help``, the design commands, ``posterior``
@@ -54,22 +57,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 # Runs the CLI with the given arguments (or only the imports, without any),
-# then prints, as the last line of stderr, every module outside the standard
-# library that it loaded (so every mpdesign, NumPy, SciPy or Click module),
-# and _hashlib if loaded. The command's output goes to stdout.
+# then prints, as the last two lines of stderr, every module outside the
+# standard library that it loaded (so every mpdesign, NumPy, SciPy or Click
+# module), and _hashlib if loaded, and then every standard-library module that
+# it loaded. The command's output goes to stdout.
 CHILD = """
+import json
 import sys
 started = set(sys.modules)
-import json
 import mpdesign
 from mpdesign.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 if code:
     sys.exit(code)
+stdlib = {m for m in sys.modules if m.split(".")[0] in sys.stdlib_module_names}
 print(json.dumps(sorted(
-    m for m in sys.modules
-    if m == "_hashlib" or m not in started and m.split(".")[0] not in sys.stdlib_module_names
+    m for m in sys.modules if m == "_hashlib" or m not in started and m not in stdlib
 )), file=sys.stderr)
+print(json.dumps(sorted(stdlib - started)), file=sys.stderr)
 """
 
 
@@ -79,14 +84,17 @@ def _child_env():
     return env
 
 
-def run_child(*args, cwd):
-    """(the modules loaded, stdout) of ``CHILD`` run with ``args``."""
+def run_child(*args, cwd, flags=()):
+    """(the modules loaded outside the standard library, the standard-library
+    modules loaded, stdout) of ``CHILD`` run with ``args``, by an interpreter
+    given ``flags``."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *args],
+        [sys.executable, *flags, "-c", CHILD, *args],
         cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.strip().splitlines()[-1])), proc.stdout
+    outside, stdlib = proc.stderr.strip().splitlines()[-2:]
+    return set(json.loads(outside)), set(json.loads(stdlib)), proc.stdout
 
 
 def loaded_modules(*args, cwd):
@@ -103,13 +111,20 @@ OUTPUT_MARKERS = {
 }
 
 
-def loaded_by_command(*args, cwd):
-    """The modules loaded by the command that ``args`` name, after checking
-    that it ran."""
-    loaded, stdout = run_child(*args, cwd=cwd)
+def modules_of_command(*args, cwd, flags=()):
+    """(the modules outside the standard library, the standard-library
+    modules) loaded by the command that ``args`` name, after checking that it
+    ran."""
+    outside, stdlib, stdout = run_child(*args, cwd=cwd, flags=flags)
     command = next(arg for arg in args if arg in OUTPUT_MARKERS)
     assert OUTPUT_MARKERS[command] in stdout, stdout[:500]
-    return loaded
+    return outside, stdlib
+
+
+def loaded_by_command(*args, cwd):
+    """The modules outside the standard library that the command ``args``
+    name loaded, after checking that it ran."""
+    return modules_of_command(*args, cwd=cwd)[0]
 
 
 def scipy_modules(*args, cwd):
@@ -136,22 +151,49 @@ def test_no_scipy_outside_posterior(args, workdir):
     assert scipy_modules(*args, cwd=workdir) == set()
 
 
+def left_anchored(workdir, prior_shape):
+    """Give ``workdir`` a prior of ``prior_shape`` <= 1 and no particles: the
+    posterior shape stays <= 1, so the HPD interval is left-anchored and its
+    upper end is a quantile."""
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["abundance_prior"] = {"shape": prior_shape, "rate": 0.01}
+    (workdir / "config.json").write_text(json.dumps(doc))
+    (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("grid", [(), ("--density-grid",)], ids=["no-grid", "grid"])
 @pytest.mark.parametrize("prior_shape", [None, 0.5, 1.0], ids=["baseline", "shape0.5", "shape1"])
 def test_posterior_loads_no_numpy_and_no_scipy(prior_shape, grid, fmt, workdir):
     if prior_shape is not None:
-        # no particles: the posterior shape stays <= 1, so the HPD interval
-        # is left-anchored and its upper end is a quantile
-        doc = json.loads(json.dumps(BASE_DOC))
-        doc["abundance_prior"] = {"shape": prior_shape, "rate": 0.01}
-        (workdir / "config.json").write_text(json.dumps(doc))
-        (workdir / "campaign.csv").write_text("quadrant_id,suspected_count\n1,0\n2,0\n")
+        left_anchored(workdir, prior_shape)
     loaded = loaded_by_command(
         "--config", "config.json", "--format", fmt, "posterior", "--data", "campaign.csv", *grid,
         cwd=workdir,
     )
     assert {m for m in loaded if m == "numpy" or m.split(".")[0] == "scipy"} == set()
+
+
+# Standard-library modules that a cold posterior does without: the code
+# generator of ``dataclasses`` with the ``inspect`` (and its ``ast``, ``dis``
+# and ``tokenize``) that it imports, ``typing``, and ``tempfile``, which only a
+# command that writes files needs. ``python -S`` runs no ``.pth`` file, which
+# could import any of them before the command starts.
+POSTERIOR_SKIPS = {"dataclasses", "inspect", "typing", "tempfile"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(), ("--density-grid",)], ids=["no-grid", "grid"])
+@pytest.mark.parametrize("prior_shape", [None, 0.5], ids=["baseline", "left-anchored"])
+def test_posterior_loads_no_dataclasses_typing_or_tempfile(prior_shape, grid, fmt, workdir):
+    if prior_shape is not None:
+        left_anchored(workdir, prior_shape)
+    stdlib = modules_of_command(
+        "--config", "config.json", "--format", fmt, "posterior", "--data", "campaign.csv", *grid,
+        cwd=workdir, flags=("-S",),
+    )[1]
+    assert "argparse" in stdlib  # the set holds what the command loaded
+    assert stdlib & POSTERIOR_SKIPS == set()
 
 
 def test_replicate_fig5_loads_no_scipy(workdir):
@@ -179,6 +221,7 @@ def test_nothing_but_cli_before_a_command_runs(args, workdir):
 # the prior and cost types that the config holds
 COMMAND_MODULES = {
     "mpdesign",
+    "mpdesign._record",
     "mpdesign._special",
     "mpdesign.cli",
     "mpdesign.config",
@@ -206,10 +249,12 @@ POSTERIOR_PATH = {"mpdesign.posterior"}
     ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig6"],
 )
 def test_command_loads_only_what_it_runs(args, extra, workdir):
-    loaded = loaded_by_command(*args, cwd=workdir)
+    loaded, stdlib = modules_of_command(*args, cwd=workdir)
     assert {m for m in loaded if m.split(".")[0] == "mpdesign"} == COMMAND_MODULES | extra
     # outside the standard library, NumPy at most: no Click
     assert {m.split(".")[0] for m in loaded} <= {"mpdesign", "numpy"}
+    # the value types are records, and NumPy does not import dataclasses
+    assert "dataclasses" not in stdlib
 
 
 @pytest.mark.parametrize(
