@@ -34,7 +34,6 @@ _EXPORTS = {
     "CategorizationCounts": "posterior",
     "FieldObservations": "posterior",
     "hpd_interval": "posterior",
-    "density_grid": "posterior",
     "naive_abundance_estimate": "posterior",
     "synthesize_expected_data": "posterior",
     "update_abundance": "posterior",

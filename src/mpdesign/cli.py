@@ -381,25 +381,12 @@ def curves(opts):
     _emit(opts, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
 
 
-def _linspace_from_zero(stop: float, points: int) -> list[float]:
-    """``np.linspace(0.0, stop, points).tolist()`` for points >= 2, in its
-    steps: i * (stop / (points - 1)), or (i / (points - 1)) * stop where that
-    step underflows to 0, and the last point ``stop`` itself."""
-    div = points - 1
-    step = stop / div
-    if step:
-        grid = [i * step for i in range(div)]
-    else:
-        grid = [i / div * stop for i in range(div)]
-    grid.append(stop)
-    return grid
-
-
 def posterior(opts):
     """Posterior inference for abundance and polymer composition."""
     from .io import parse_campaign_data, render_csv
     from .posterior import (
         _gamma_density,
+        _linspace_from_zero,
         hpd_interval,
         naive_abundance_estimate,
         update_abundance,

@@ -4,27 +4,27 @@ Abundance: Gamma(shape, rate) prior, Poisson counts over the sampled area,
 so the posterior is Gamma(shape + n, rate + m*A). Composition: Dirichlet
 prior, Multinomial categorized counts, posterior Dirichlet(gamma + s).
 Also provides the naive count-per-area estimator used in current practice,
-HPD intervals, density grids for plotting, and a synthetic-data generator
-that turns a hypothetical "true" abundance/composition into the expected
-observations for a given design.
+HPD intervals, the densities behind plotted posterior curves, and a
+synthetic-data generator that turns a hypothetical "true"
+abundance/composition into the expected observations for a given design.
 
-HPD intervals, Gamma densities and the Beta marginals of a Dirichlet run on
-``math`` alone, on the special functions of ``mpdesign._special``. NumPy is
-imported only by the functions that take or return arrays
-(:func:`density_grid`, :func:`apportion_counts` and
-:func:`synthesize_expected_data`), when they are called, so the conjugate
-updates, the HPD interval and ``_gamma_density`` load no NumPy (the HPD
-interval does past a shape of about 2e5, for its long series); nothing here
-imports SciPy.
+Everything here runs on lists and ``math``, on the special functions of
+``mpdesign._special``. It loads no SciPy, and NumPy only for the HPD
+interval's long series past a shape of about 2e5 and in the budget rule
+that :func:`synthesize_expected_data` calls. A density grid is
+``_linspace_from_zero``, NumPy's ``linspace`` from 0 bit for bit; its
+densities are ``_gamma_density`` and ``_beta_marginal``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from ._record import Record
 from ._special import (
     _MAX_NEWTON, _beta_pdf, _erfinv, _gamma_pdf, _gamma_quantile, _gammainc, _log_gamma_weight,
+    _pairwise_sum,
 )
 from .cost import CostModel, budget_rule
 from .distributions import DirichletParams, GammaParams
@@ -36,7 +36,6 @@ __all__ = [
     "update_composition",
     "naive_abundance_estimate",
     "hpd_interval",
-    "density_grid",
     "apportion_counts",
     "synthesize_expected_data",
 ]
@@ -243,71 +242,87 @@ def hpd_interval(params: GammaParams, mass: float):
 
 
 def _gamma_density(params: GammaParams, points: list[float]) -> list[float]:
-    """The Gamma density at each point of the list ``points``, all >= 0:
-    ``_special._gamma_pdf``, for callers that hold lists."""
+    """The Gamma density at each point of the list ``points``, all >= 0, by
+    ``_special._gamma_pdf``: the steps of ``scipy.stats.gamma.pdf`` on libm's
+    ``exp``, within 1 ulp of SciPy's (NumPy's SIMD one)."""
     for x in points:
         if not x >= 0:
             raise ValueError(f"grid point {x} outside support [0, inf)")
     return _gamma_pdf(points, params.shape, params.rate)
 
 
-def density_grid(params, grid, component: int | None = None):
-    """Pointwise densities on a grid, as an array of the grid's shape, for
-    plotting posterior curves.
+def _linspace_from_zero(stop: float, points: int) -> list[float]:
+    """``np.linspace(0.0, stop, points).tolist()`` for points >= 2, in its
+    steps: i * (stop / (points - 1)), or (i / (points - 1)) * stop where that
+    step underflows to 0, and the last point ``stop`` itself."""
+    div = points - 1
+    step = stop / div
+    if step:
+        grid = [i * step for i in range(div)]
+    else:
+        grid = [i / div * stop for i in range(div)]
+    grid.append(stop)
+    return grid
 
-    With ``GammaParams``: the Gamma density; grid points must be >= 0. With
-    ``DirichletParams`` and a ``component`` index i: the marginal density of
-    proportion i, which is Beta(gamma_i, b) with b the sum of the other
-    concentrations (``math.fsum``, not gamma_0 - gamma_i, which cancels);
-    grid points must lie in [0, 1]. Gamma densities are ``_gamma_pdf``, in
-    the steps of ``scipy.stats.gamma.pdf`` on libm's ``exp``, whose result
-    is within 1 ulp of SciPy's (NumPy's SIMD one). Beta marginals are
-    ``_beta_pdf``: against 40-digit mpmath within 1.3e-15 relative where
-    SciPy's Beta density is off by up to 5.4e-13, and finite (or inf for
-    gamma_i < 1) at subnormal grid points, where SciPy's overflows. No SciPy
-    module is loaded.
-    """
-    import numpy as np
 
-    grid = np.asarray(grid, dtype=float)
-    points = grid.ravel().tolist()
-    if isinstance(params, GammaParams):
-        return np.array(_gamma_density(params, points)).reshape(grid.shape)
-    if isinstance(params, DirichletParams):
-        if component is None:
-            raise ValueError("component index required for Dirichlet marginals")
-        if not 0 <= component < params.k:
-            raise ValueError(f"component {component} out of range for k={params.k}")
-        for x in points:
-            if not 0 <= x <= 1:
-                raise ValueError(f"grid point {x} outside support [0, 1]")
-        conc = params.concentration
-        b = math.fsum(conc[:component] + conc[component + 1:])
-        try:
-            values = _beta_pdf(points, conc[component], b)
-        except ValueError as exc:
-            raise ValueError(f"component {component}: {exc}") from None
-        return np.array(values).reshape(grid.shape)
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
+def _beta_marginal(params: DirichletParams, component: int, points: list[float]) -> list[float]:
+    """The marginal density of proportion ``component`` of a Dirichlet at
+    each point of the list ``points``, all in [0, 1]: Beta(gamma_i, b), with
+    b the sum of the other concentrations (``math.fsum``, not gamma_0 -
+    gamma_i, which cancels), by ``_special._beta_pdf``: within 1.3e-15
+    relative of 40-digit mpmath where SciPy's Beta density is off by up to
+    5.4e-13, and finite (or inf for gamma_i < 1) at subnormal points, where
+    SciPy's overflows."""
+    if not 0 <= component < params.k:
+        raise ValueError(f"component {component} out of range for k={params.k}")
+    for x in points:
+        if not 0 <= x <= 1:
+            raise ValueError(f"grid point {x} outside support [0, 1]")
+    conc = params.concentration
+    b = math.fsum(conc[:component] + conc[component + 1:])
+    try:
+        return _beta_pdf(points, conc[component], b)
+    except ValueError as exc:
+        raise ValueError(f"component {component}: {exc}") from None
+
+
+def _weights(name: str, values) -> list[float]:
+    """``values`` as a list of floats, each finite and >= 0, at least one."""
+    weights = [float(x) for x in values]
+    if not weights:
+        raise ValueError(f"{name} must not be empty, got {values!r}")
+    for x in weights:
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+    return weights
 
 
 def apportion_counts(total: int, proportions) -> tuple[int, ...]:
     """Integer split of ``total`` proportional to ``proportions``.
 
     Largest-remainder rounding; the result always sums to ``total`` exactly.
+    The proportions need not sum to 1, but must be finite, nonnegative and
+    not all 0.
     """
-    import numpy as np
-
-    p = np.asarray(proportions, dtype=float)
+    try:
+        total = operator.index(total)
+    except TypeError:
+        raise ValueError(f"total must be an integer, got {total!r}") from None
     if total < 0:
         raise ValueError("total must be nonnegative")
-    raw = total * p / p.sum()
-    base = np.floor(raw).astype(int)
-    short = total - int(base.sum())
-    if short:
-        order = np.argsort(-(raw - base), kind="stable")
-        base[order[:short]] += 1
-    return tuple(int(x) for x in base)
+    p = _weights("proportions", proportions)
+    s = _pairwise_sum(p)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"proportions must have a positive, finite sum, got {s!r}")
+    raw = [total * x / s for x in p]
+    base = [math.floor(r) for r in raw]
+    short = total - sum(base)
+    if not 0 <= short <= len(p):  # the float shares err by a whole count
+        raise ValueError(f"total {total} is too large to apportion in floating point")
+    if short > 0:  # to the largest remainders raw - base, first on ties
+        for i in sorted(range(len(p)), key=lambda i: base[i] - raw[i])[:short]:
+            base[i] += 1
+    return tuple(base)
 
 
 def synthesize_expected_data(
@@ -328,11 +343,10 @@ def synthesize_expected_data(
     specifies the observed total; ``true_abundance`` is then not read and
     may be None.
     """
-    import numpy as np
-
-    p = np.asarray(true_proportions, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValueError("true_proportions must be a probability vector")
+    p = _weights("true_proportions", true_proportions)
+    s = _pairwise_sum(p)
+    if abs(s - 1.0) > 1e-9:
+        raise ValueError(f"true_proportions must sum to 1, got a sum of {s!r}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     if total_count is not None:

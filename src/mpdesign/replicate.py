@@ -4,6 +4,10 @@ Each figure id maps to a bundle of CSV files (design curves, performance
 curves, or posterior density grids) produced from embedded configurations,
 plus a manifest recording the inputs and a checksum per file. The bundles are
 plot *data*; rendering is left to external tools.
+
+Only the design figures (fig1-fig4) import the optimizer and NumPy. fig5
+and fig6 take the ``posterior`` command's list grid and densities; fig6
+loads NumPy only through the budget rule that splits its categorized counts.
 """
 
 from __future__ import annotations
@@ -11,18 +15,8 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 from .config import DEFAULT_CLASS_NAMES, DesignConfig
 from .cost import CostModel
-from .design import (
-    CURVES_COLUMNS,
-    DESIGN_COLUMNS,
-    _first_chunks,
-    _optimize_designs,
-    default_abundance_grid,
-    performance_curve,
-)
 from .distributions import DirichletParams, GammaParams
 from .io import atomic_write_text, render_csv, render_json
 
@@ -88,6 +82,13 @@ def _design_figures(ids) -> dict[str, str]:
     """The design and performance curves of every scenario of the design
     figures among ``ids``, whose designs are optimized together."""
     scenarios = [s for fid in ids if fid in DESIGN_SCENARIOS for s in DESIGN_SCENARIOS[fid]]
+    if not scenarios:
+        return {}
+    from .design import (
+        CURVES_COLUMNS, DESIGN_COLUMNS, _first_chunks, _optimize_designs, default_abundance_grid,
+        performance_curve,
+    )
+
     configs = [_config(prior, budget, r2) for _, prior, budget, r2 in scenarios]
     results = _optimize_designs(configs, [_first_chunks(config) for config in configs])
     files = {}
@@ -102,19 +103,19 @@ def _design_figures(ids) -> dict[str, str]:
 
 def _abundance_posterior_grid(prior: GammaParams, cases, grid):
     """CSV of prior plus per-case posterior abundance densities."""
-    from .posterior import density_grid
+    from .posterior import _gamma_density
 
     header = ["lambda", "prior"] + [tag for tag, _ in cases]
-    columns = [grid.tolist(), density_grid(prior, grid).tolist()]
+    columns = [grid, _gamma_density(prior, grid)]
     for _, posterior in cases:
-        columns.append(density_grid(posterior, grid).tolist())
+        columns.append(_gamma_density(posterior, grid))
     return render_csv(header, zip(*columns))
 
 
 def _fig5():
-    from .posterior import FieldObservations, update_abundance
+    from .posterior import FieldObservations, _linspace_from_zero, update_abundance
 
-    grid = np.linspace(0.0, 1000.0, 1001)
+    grid = _linspace_from_zero(1000.0, 1001)
     files = {}
     for lam in (5.0, 80.0):
         cases = []
@@ -128,16 +129,14 @@ def _fig5():
 
 def _fig6():
     from .posterior import (
-        density_grid,
-        synthesize_expected_data,
-        update_abundance,
+        _beta_marginal, _linspace_from_zero, synthesize_expected_data, update_abundance,
         update_composition,
     )
 
     cost = CostModel.from_budget_quadrants(QUADRANT_AREA, BASE_BUDGET, COUNT_RATIO, CATEGORIZE_RATIO)
     comp_prior = DirichletParams.symmetric(CLASSES, 1.0)
-    lambda_grid = np.linspace(0.0, 1000.0, 1001)
-    p_grid = np.linspace(0.0, 1.0, 501)
+    lambda_grid = _linspace_from_zero(1000.0, 1001)
+    p_grid = _linspace_from_zero(1.0, 501)
     files = {}
     # scenario -> per-design observed totals; the second scenario pins the
     # observed totals directly rather than deriving them from an abundance
@@ -148,7 +147,7 @@ def _fig6():
     for tag, totals in scenarios.items():
         abundance_cases = []
         comp_header = ["p"]
-        comp_columns = [p_grid.tolist()]
+        comp_columns = [p_grid]
         for m, n in totals.items():
             obs, cats = synthesize_expected_data(
                 None, TOMASA_SHARES, m, QUADRANT_AREA, cost, total_count=n
@@ -158,7 +157,7 @@ def _fig6():
             for name in TOMASA_PROPORTIONS:
                 idx = DEFAULT_CLASS_NAMES.index(name)
                 comp_header.append(f"{name}_m{m}")
-                comp_columns.append(density_grid(comp_post, p_grid, component=idx).tolist())
+                comp_columns.append(_beta_marginal(comp_post, idx, p_grid))
         files[f"fig6_{tag}_abundance.csv"] = _abundance_posterior_grid(
             LOW_PRIOR, abundance_cases, lambda_grid
         )

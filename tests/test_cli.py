@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import random
 import re
 import time
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from mpdesign import design
-from mpdesign.cli import _linspace_from_zero, main
+from mpdesign.cli import main
 from mpdesign.config import ConfigError, load_config, parse_config
 from mpdesign.design import SWEEP_AXES, optimize_design, performance_curve, sensitivity_sweep
 from mpdesign.replicate import FIGURE_IDS, replicate
@@ -492,23 +491,6 @@ class TestPosteriorCommand:
         )
         assert result.exit_code != 0
         assert "XYZ" in result.output
-
-
-def grid_stops():
-    """(stop, points) pairs: zero and subnormal stops, where the step
-    underflows or has few bits, two points, and random stops and lengths."""
-    rng = random.Random(28)
-    yield from [(0.0, 2), (0.0, 500), (5e-324, 2), (5e-324, 3), (1e-322, 100), (1e-310, 7),
-                (2.0**-1022, 2000), (1.0, 2), (267.96864058524203, 500), (1e308, 3)]
-    for _ in range(300):
-        yield math.exp(rng.uniform(-750.0, 709.0)), rng.randint(2, 3000)
-
-
-def test_density_grid_is_numpy_linspace():
-    for stop, points in grid_stops():
-        expected = np.linspace(0.0, stop, points).tolist()
-        got = _linspace_from_zero(stop, points)
-        assert [x.hex() for x in got] == [x.hex() for x in expected], (stop, points)
 
 
 class TestSensitivityCommand:

@@ -11,9 +11,10 @@ total); ``config`` defines ``DesignConfig`` and loads no design module. No
 command loads ``dataclasses``. The design commands (``design``, ``curves``,
 ``sensitivity``) add the design path (``design``, ``loss``); ``posterior``
 adds ``posterior`` but not the design path; ``replicate`` fig1 loads the
-design path and ``replicate``. No command loads a random number generator of
-the package's own: it has none, and the Monte Carlo oracles live in
-``tests/oracles.py``.
+design path and ``replicate``, and fig5 and fig6 load ``posterior`` and
+``replicate`` but not the design path. No command loads a random number
+generator of the package's own: it has none, and the Monte Carlo oracles
+live in ``tests/oracles.py``.
 
 ``posterior`` loads no NumPy either: in CSV and JSON, with and without
 ``--density-grid``, and with a left-anchored HPD interval. Its posterior is
@@ -33,7 +34,10 @@ top-level import that breaks this fails here by name.
 OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
 command loads it. ``replicate`` fig1-fig4 load only the design path, not
-``mpdesign.posterior``; fig5 and fig6 add ``posterior``.
+``mpdesign.posterior``; fig5 and fig6 load ``posterior`` instead. fig5 takes
+the ``posterior`` command's list grid and densities, so it loads no NumPy;
+fig6 loads NumPy only through the budget rule that splits its categorized
+counts.
 Importing ``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy
 and no SciPy.
 
@@ -200,6 +204,12 @@ def test_replicate_fig5_loads_no_scipy(workdir):
     assert scipy_modules("replicate", "--figure", "fig5", "--out-dir", "out", cwd=workdir) == set()
 
 
+def test_replicate_fig5_loads_no_numpy(workdir):
+    # its grid and Gamma densities are lists, as in ``posterior --density-grid``
+    loaded = loaded_by_command("replicate", "--figure", "fig5", "--out-dir", "out", cwd=workdir)
+    assert {m for m in loaded if m.split(".")[0] == "numpy"} == set()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -243,10 +253,13 @@ POSTERIOR_PATH = {"mpdesign.posterior"}
         (("--config", "config.json", "posterior", "--data", "campaign.csv"), POSTERIOR_PATH),
         (("replicate", "--figure", "fig1", "--out-dir", "out"),
          DESIGN_PATH | {"mpdesign.replicate"}),
+        (("replicate", "--figure", "fig5", "--out-dir", "out"),
+         POSTERIOR_PATH | {"mpdesign.replicate"}),
         (("replicate", "--figure", "fig6", "--out-dir", "out"),
-         DESIGN_PATH | POSTERIOR_PATH | {"mpdesign.replicate"}),
+         POSTERIOR_PATH | {"mpdesign.replicate"}),
     ],
-    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig6"],
+    ids=["design", "curves", "sensitivity", "posterior", "replicate-fig1", "replicate-fig5",
+         "replicate-fig6"],
 )
 def test_command_loads_only_what_it_runs(args, extra, workdir):
     loaded, stdlib = modules_of_command(*args, cwd=workdir)
@@ -332,7 +345,7 @@ def test_special_functions_are_a_leaf():
 PUBLIC_API_CHILD = """
 import sys
 import mpdesign
-assert len(mpdesign.__all__) == 24, len(mpdesign.__all__)
+assert len(mpdesign.__all__) == 23, len(mpdesign.__all__)
 assert set(mpdesign.__all__) <= set(dir(mpdesign)), set(mpdesign.__all__) - set(dir(mpdesign))
 assert "__all__" in dir(mpdesign)
 namespace = {}
@@ -352,7 +365,7 @@ else:
 for name in ("RandomStream", "gamma_sample", "poisson_sample", "predictive_total_count",
              "dirichlet_sample", "mc_oracle_l1", "mc_oracle_l2",
              "normalized_cost", "feasible_designs", "predictive_l2", "expected_total_loss",
-             "predictive_log_pmf", "dirichlet_cov_trace"):
+             "predictive_log_pmf", "dirichlet_cov_trace", "density_grid"):
     try:
         getattr(mpdesign, name)
     except AttributeError as exc:

@@ -16,7 +16,6 @@ from mpdesign import (
     DirichletParams,
     FieldObservations,
     GammaParams,
-    density_grid,
     hpd_interval,
     naive_abundance_estimate,
     synthesize_expected_data,
@@ -25,7 +24,9 @@ from mpdesign import (
 )
 from mpdesign import _special, posterior
 from mpdesign._special import _gammainc, _lgamma
-from mpdesign.posterior import apportion_counts
+from mpdesign.posterior import (
+    _beta_marginal, _gamma_density, _linspace_from_zero, apportion_counts,
+)
 from conftest import BASELINE_COST
 
 LOW_PRIOR = GammaParams(3.0, 0.01)
@@ -216,7 +217,7 @@ class TestHpdInterval:
     def test_density_equal_at_endpoints(self):
         params = GammaParams(28.0, 0.3225)
         lower, upper = hpd_interval(params, 0.95)
-        f = density_grid(params, [lower, upper])
+        f = _gamma_density(params, [lower, upper])
         assert abs(f[0] - f[1]) / f[0] < 1e-8
 
     def test_mass_is_exact(self):
@@ -386,32 +387,28 @@ class TestIncompleteGamma:
 
 class TestDensityGrid:
     def test_unit_exponential_at_zero(self):
-        assert density_grid(GammaParams(1.0, 1.0), [0.0])[0] == pytest.approx(1.0)
+        assert _gamma_density(GammaParams(1.0, 1.0), [0.0])[0] == pytest.approx(1.0)
 
     def test_beta_marginal_normalizes(self):
         prior = DirichletParams.symmetric(10, 1.0)
         grid = np.linspace(0.0, 1.0, 20_001)
-        dens = density_grid(prior, grid, component=2)
+        dens = _beta_marginal(prior, 2, grid.tolist())
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-4)
 
     def test_grid_argmax_at_mode(self):
         grid = np.linspace(0.0, 1000.0, 2001)
-        dens = density_grid(GammaParams(3.0, 0.01), grid)
+        dens = _gamma_density(GammaParams(3.0, 0.01), grid.tolist())
         assert grid[np.argmax(dens)] == pytest.approx(200.0, abs=0.5)
 
     def test_out_of_support_named(self):
         with pytest.raises(ValueError, match="-3.0"):
-            density_grid(GammaParams(2.0, 1.0), [1.0, -3.0])
+            _gamma_density(GammaParams(2.0, 1.0), [1.0, -3.0])
         with pytest.raises(ValueError, match="1.5"):
-            density_grid(DirichletParams.symmetric(3), [0.2, 1.5], component=0)
+            _beta_marginal(DirichletParams.symmetric(3), 0, [0.2, 1.5])
         with pytest.raises(ValueError, match="nan"):
-            density_grid(GammaParams(3.0, 0.01), [math.nan, 1.0])
+            _gamma_density(GammaParams(3.0, 0.01), [math.nan, 1.0])
         with pytest.raises(ValueError, match="nan"):
-            density_grid(DirichletParams.symmetric(3), [0.2, math.nan], component=0)
-
-    def test_component_required_for_dirichlet(self):
-        with pytest.raises(ValueError):
-            density_grid(DirichletParams.symmetric(3), [0.5])
+            _beta_marginal(DirichletParams.symmetric(3), 0, [0.2, math.nan])
 
     @given(
         shape=st.floats(0.05, 1e4),
@@ -435,7 +432,7 @@ class TestDensityGrid:
         with np.errstate(over="ignore"):
             theirs = np.exp(arg)
         assert stats.gamma.pdf(grid, shape, scale=scale).tolist() == (theirs / scale).tolist()
-        got = density_grid(GammaParams(shape, rate), grid).tolist()
+        got = _gamma_density(GammaParams(shape, rate), grid.tolist())
         for x, exponent, ref, value in zip(grid.tolist(), arg.tolist(), theirs.tolist(), got):
             try:
                 ours = math.exp(exponent)
@@ -465,7 +462,7 @@ class TestDensityGrid:
         # 0.65; this one's worst was the same, at the same point. The bound
         # is SciPy's worst, rounded up in its fourth digit.
         grid = grid + np.linspace(0.0, top * shape / rate, 41).tolist()
-        got = density_grid(GammaParams(shape, rate), grid).tolist()
+        got = _gamma_density(GammaParams(shape, rate), grid)
         log_gamma = abs(_lgamma(shape))
         with mpmath.workdps(40):
             a, b = mpmath.mpf(shape), mpmath.mpf(rate)
@@ -499,8 +496,8 @@ class TestDensityGrid:
         grid = np.concatenate([grid, np.linspace(0.0, 1.0, 101)])
         a = params.concentration[i]
         b = math.fsum(params.concentration[:i] + params.concentration[i + 1:])
-        got = density_grid(params, grid, component=i)
-        assert_beta_density(got.tolist(), grid.tolist(), a, b, rel=4e-15)
+        got = _beta_marginal(params, i, grid.tolist())
+        assert_beta_density(got, grid.tolist(), a, b, rel=4e-15)
 
     def test_beta_marginal_no_worse_than_scipy(self):
         # fig6's 16 marginals, 40 seeded shapes over the concentrations
@@ -525,12 +522,12 @@ class TestDensityGrid:
         for name, shapes in sets.items():
             ours = theirs = 0.0
             for a, b in shapes:
-                got = density_grid(DirichletParams((a, b)), grid, component=0)
+                got = _beta_marginal(DirichletParams((a, b)), 0, grid.tolist())
                 scipy_values = np.full(len(grid), math.nan)
                 scipy_values[normal] = stats.beta.pdf(grid[normal], a, b)
                 exact = beta_density_mpmath(grid.tolist(), a, b)
                 with mpmath.workdps(40):
-                    for value, scipy_value, e in zip(got.tolist(), scipy_values.tolist(), exact):
+                    for value, scipy_value, e in zip(got, scipy_values.tolist(), exact):
                         if 1e-300 <= e <= sys.float_info.max:
                             ours = max(ours, float(abs(value / e - 1)))
                             if not math.isnan(scipy_value):
@@ -542,13 +539,13 @@ class TestDensityGrid:
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
     def test_beta_marginal_at_the_ends_equals_scipy(self, a, b):
         # inf below 1, the other shape at 1 (1 / B(1, b) = b) and 0 above
-        got = density_grid(DirichletParams((a, b)), [0.0, 1.0], component=0)
+        got = _beta_marginal(DirichletParams((a, b)), 0, [0.0, 1.0])
         np.testing.assert_array_equal(got, stats.beta.pdf([0.0, 1.0], a, b))
         assert got[0] == (math.inf if a < 1 else b if a == 1 else 0.0)
 
     def test_beta_marginal_at_a_subnormal_point(self):
         # SciPy raises OverflowError here
-        got = density_grid(DirichletParams((1.0, 4.0)), [1.1125e-308], component=0)
+        got = _beta_marginal(DirichletParams((1.0, 4.0)), 0, [1.1125e-308])
         assert got[0] == pytest.approx(4.0, rel=1e-15)
 
     @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 0.99])
@@ -557,8 +554,8 @@ class TestDensityGrid:
         # the density passes the largest double near 0 for some shapes: inf
         # then, else the density, but never an exception
         grid = [5e-324, 1e-320, 1e-310, 1.1125e-308, 2.0**-1022]
-        got = density_grid(DirichletParams((a, b)), grid, component=0)
-        assert_beta_density(got.tolist(), grid, a, b, rel=4e-15)
+        got = _beta_marginal(DirichletParams((a, b)), 0, grid)
+        assert_beta_density(got, grid, a, b, rel=4e-15)
 
     def test_beta_second_shape_is_the_sum_of_the_others(self):
         # 1000.001 - 1000 would give b = 0.0009999999999763531, 2.4e-11
@@ -566,8 +563,8 @@ class TestDensityGrid:
         params = DirichletParams((1000.0, 1e-3))
         grid = np.linspace(0.98, 1.0, 21)
         for i, (a, b, x) in enumerate([(1000.0, 1e-3, grid), (1e-3, 1000.0, 1.0 - grid)]):
-            got = density_grid(params, x, component=i)
-            assert_beta_density(got.tolist(), x.tolist(), a, b, rel=4e-15)
+            got = _beta_marginal(params, i, x.tolist())
+            assert_beta_density(got, x.tolist(), a, b, rel=4e-15)
 
     @pytest.mark.parametrize(
         "concentration,a,b",
@@ -580,7 +577,7 @@ class TestDensityGrid:
     )
     def test_beta_marginal_names_shapes_out_of_range(self, concentration, a, b):
         with pytest.raises(ValueError) as info:
-            density_grid(DirichletParams(concentration), [0.5], component=0)
+            _beta_marginal(DirichletParams(concentration), 0, [0.5])
         assert str(info.value) == (
             f"component 0: Beta shapes a={a!r}, b={b!r} are out of range: "
             "1/B(a, b) cannot be formed"
@@ -591,19 +588,38 @@ class TestDensityGrid:
         # b = 6e18: the factor that corrects the rounding of 1 - x reaches
         # e^+-330 at these points, where the density is still a double
         grid = [k * 2.0**-55 for k in range(1, 40, 3)] + [1e-19, 1e-17, 0.3]
-        got = density_grid(DirichletParams((a, 6e18)), grid, component=0)
-        assert_beta_density(got.tolist(), grid, a, 6e18, rel=4e-15)
+        got = _beta_marginal(DirichletParams((a, 6e18)), 0, grid)
+        assert_beta_density(got, grid, a, 6e18, rel=4e-15)
 
     @pytest.mark.parametrize("b", [1e300, 6.4e18])
     def test_beta_marginal_names_shapes_past_the_b_bound(self, b):
         # past 700 * 2^53 the rounding correction can leave the double range
         # (at x = 0.3 for b = 1e300), so such a b is refused at every point
         with pytest.raises(ValueError) as info:
-            density_grid(DirichletParams((1.0, b)), [0.3], component=0)
+            _beta_marginal(DirichletParams((1.0, b)), 0, [0.3])
         assert str(info.value) == (
             f"component 0: Beta shapes a=1.0, b={b!r} are out of range: "
             "(1 - x)^(b - 1) cannot be formed for b past 6.31e+18"
         )
+
+
+def grid_stops():
+    """(stop, points) pairs: the lambda and p grids of replicate's fig5 and
+    fig6, zero and subnormal stops, where the step underflows or has few
+    bits, two points, and random stops and lengths."""
+    rng = random.Random(28)
+    yield from [(1000.0, 1001), (1.0, 501),
+                (0.0, 2), (0.0, 500), (5e-324, 2), (5e-324, 3), (1e-322, 100), (1e-310, 7),
+                (2.0**-1022, 2000), (1.0, 2), (267.96864058524203, 500), (1e308, 3)]
+    for _ in range(300):
+        yield math.exp(rng.uniform(-750.0, 709.0)), rng.randint(2, 3000)
+
+
+def test_density_grid_is_numpy_linspace():
+    for stop, points in grid_stops():
+        expected = np.linspace(0.0, stop, points).tolist()
+        got = _linspace_from_zero(stop, points)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], (stop, points)
 
 
 # shapes from 0.05 to 5000, log-uniform, and exactly 1
@@ -642,8 +658,10 @@ class TestChangeOfUnit:
     @settings(max_examples=100, deadline=None)
     def test_density_scales_exactly(self, shape, rate, k):
         grid = np.linspace(0.0, 4.0 * (shape + 1.0) / rate, 201)
-        density = density_grid(GammaParams(shape, rate), grid)
-        scaled = density_grid(GammaParams(shape, math.ldexp(rate, k)), np.ldexp(grid, -k))
+        density = np.array(_gamma_density(GammaParams(shape, rate), grid.tolist()))
+        scaled = np.array(
+            _gamma_density(GammaParams(shape, math.ldexp(rate, k)), np.ldexp(grid, -k).tolist())
+        )
         expected = np.ldexp(density, k)
         # a subnormal density keeps fewer bits, so scaling it by 2^k rounds
         # (or flushes it to 0) and the two sides may differ in the last kept
@@ -710,16 +728,36 @@ class TestSynthesizeExpectedData:
 class TestApportionCounts:
     @given(
         total=st.integers(0, 500),
-        weights=st.lists(st.floats(0.01, 5.0), min_size=2, max_size=10),
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 5.0)), min_size=2, max_size=10)
+        .filter(any),
     )
     @settings(max_examples=200)
     def test_sums_exactly(self, total, weights):
         counts = apportion_counts(total, weights)
         assert sum(counts) == total
         assert all(c >= 0 for c in counts)
+        assert all(c == 0 for c, w in zip(counts, weights) if w == 0.0)
 
     def test_largest_remainder(self):
         assert apportion_counts(101, (0.52, 0.34, 0.13, 0.01)) == (53, 34, 13, 1)
+
+    @given(
+        total=st.integers(0, 10**6),
+        weights=st.lists(
+            st.one_of(st.sampled_from((0.0, 0.1, 0.25, 1.0 / 3.0)), st.floats(1e-6, 1e6)),
+            min_size=1, max_size=12,
+        ).filter(any),
+    )
+    @settings(max_examples=300)
+    def test_same_split_as_numpy(self, total, weights):
+        # the NumPy form it replaced, ties broken by a stable argsort
+        p = np.asarray(weights, dtype=float)
+        raw = total * p / p.sum()
+        base = np.floor(raw).astype(int)
+        short = total - int(base.sum())
+        if short:
+            base[np.argsort(-(raw - base), kind="stable")[:short]] += 1
+        assert apportion_counts(total, weights) == tuple(base.tolist())
 
 
 @pytest.mark.parametrize(
@@ -728,15 +766,41 @@ class TestApportionCounts:
         (lambda: FieldObservations(A, ()), ValueError, "need at least one quadrant"),
         (lambda: FieldObservations(A, (3, -1)), ValueError, "counts must be nonnegative"),
         (lambda: CategorizationCounts((3, -1)), ValueError, "class counts must be nonnegative"),
-        (lambda: density_grid(DirichletParams.symmetric(3), [0.5], component=3), ValueError,
+        (lambda: _beta_marginal(DirichletParams.symmetric(3), 3, [0.5]), ValueError,
          "component 3 out of range for k=3"),
-        (lambda: density_grid((2.0, 1.0), [0.5]), TypeError, "unsupported parameter type tuple"),
         (lambda: apportion_counts(-1, [0.5, 0.5]), ValueError, "total must be nonnegative"),
+        (lambda: apportion_counts(10.5, [0.5, 0.5]), ValueError,
+         "total must be an integer, got 10.5"),
+        # below 2**53, yet the shares floor to one more than the total
+        (lambda: apportion_counts(7485798736127770, [643930922149846.0, 566833729445614.1]),
+         ValueError, "total 7485798736127770 is too large to apportion in floating point"),
+        (lambda: apportion_counts(10, []), ValueError, "proportions must not be empty, got []"),
+        (lambda: apportion_counts(10, [math.nan, 1.0]), ValueError,
+         "proportions must be finite and >= 0, got nan"),
+        (lambda: apportion_counts(10, [1.0, math.inf]), ValueError,
+         "proportions must be finite and >= 0, got inf"),
+        (lambda: apportion_counts(10, [-1, 2]), ValueError,
+         "proportions must be finite and >= 0, got -1.0"),
+        (lambda: apportion_counts(10, [0, 0]), ValueError,
+         "proportions must have a positive, finite sum, got 0.0"),
+        (lambda: apportion_counts(10, [1e308, 1e308]), ValueError,
+         "proportions must have a positive, finite sum, got inf"),
         (lambda: synthesize_expected_data(100.0, [0.5, 0.5], 0, A, BASELINE_COST), ValueError,
          "m must be at least 1, got 0"),
+        (lambda: synthesize_expected_data(10.0, [math.nan, 0.5], 3, A, BASELINE_COST),
+         ValueError, "true_proportions must be finite and >= 0, got nan"),
+        (lambda: synthesize_expected_data(10.0, [-0.5, 1.5], 3, A, BASELINE_COST),
+         ValueError, "true_proportions must be finite and >= 0, got -0.5"),
+        (lambda: synthesize_expected_data(10.0, (), 3, A, BASELINE_COST), ValueError,
+         "true_proportions must not be empty, got ()"),
+        (lambda: synthesize_expected_data(10.0, (0.5, 0.4), 3, A, BASELINE_COST), ValueError,
+         "true_proportions must sum to 1, got a sum of 0.9"),
     ],
     ids=["no-quadrants", "negative-count", "negative-class-count", "component-out-of-range",
-         "unsupported-params", "negative-total", "no-quadrants-synthesized"],
+         "negative-total", "non-integer-total", "total-too-large", "no-proportions",
+         "nan-proportion", "infinite-proportion", "negative-proportion", "zero-sum", "infinite-sum",
+         "no-quadrants-synthesized", "nan-true-proportion", "negative-true-proportion",
+         "no-true-proportions", "true-proportions-off-one"],
 )
 def test_bad_input_rejected(call, error, message):
     with pytest.raises(error) as info:
