@@ -6,25 +6,23 @@ CSV (default) or JSON. Re-running a command with identical inputs produces
 byte-identical output files. If the ``MPDESIGN_OUT_DIR`` environment
 variable is set, relative output paths are resolved against it.
 
-The command line is read by the standard library's ``argparse``, on one
-parser built once per process (``_parser``), so ``--help`` loads nothing but
-this module and the standard library. ``_read`` first walks the arguments:
-an option that takes a value takes the next argument whatever it is (so
-``--lambda-max -inf`` is a value, not an option), and an unknown option or
-command, a stray argument or a value missing at the end is a usage error.
+Every option of the command group and of each command is one row of one
+table, ``_OPTIONS``. ``_read`` walks the arguments once against it, and
+``_help`` writes each help from it in a fixed layout that does not depend on
+the terminal, so ``--help`` loads nothing but this module and the standard
+library.
 
-Errors become lines in one place, ``main``. A usage error (those above, a
-bad option value, a missing required option) prints the usage line of its
-command and one ``Error:`` line, exit 2; a ``ValueError`` from a config, a
-campaign or a design the walk refuses ends the command as one ``Error:``
-line, exit 1. An echoed option value is cut to 32 characters (``io._cut``).
-Any other exception is a bug: a traceback.
+Errors become lines in one place, ``main``. A usage error (an unknown option
+or command, a stray argument, a missing value, a bad option value, a missing
+required option) prints the usage line of its command and one ``Error:``
+line, exit 2; a ``ValueError`` from a config, a campaign or a design the walk
+refuses ends the command as one ``Error:`` line, exit 1. An echoed option
+value is cut to 32 characters (``io._cut``). Any other exception is a bug: a
+traceback.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
@@ -40,11 +38,12 @@ _MAX_POINTS = 1_000_000  # largest --grid-points and --lambda-points: 8 MB of fl
 
 
 class UsageError(Exception):
-    """A command line that ``parser`` refuses: exit 2 after its usage line."""
+    """A command line that ``command`` (None for the command group) refuses:
+    exit 2 after its usage line."""
 
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
+    def __init__(self, message: str, command: str | None):
         super().__init__(message)
-        self.parser = parser
+        self.command = command
 
 
 def _cut(text: str) -> str:
@@ -106,149 +105,139 @@ def _choice(*choices: str):
     return convert
 
 
-# -- the parser ---------------------------------------------------------------
+# -- the option table -----------------------------------------------------------
+
+_REQUIRED = object()  # the default of a required option
+_HELP = ("--help", None, False, "", "Show this message and exit.")  # last in each help
+
+# Each scope's options, the command group's under None, then each command's
+# in the order of the group's help: (name, converter, default, metavar, help).
+# A flag's converter is None and its default False. ``_COMMANDS``, at the end
+# of the module, holds the function that runs each command.
+_OPTIONS = {
+    None: (
+        ("--config", str, None, "PATH", "JSON config file."),
+        ("--format", _choice("csv", "json"), "csv", "[csv|json]",
+         "Output format.  [default: csv]"),
+        ("--out", str, None, "PATH", "Output file (default: stdout)."),
+        ("--print-config", None, False, "", "Echo the parsed config as canonical JSON and exit."),
+    ),
+    "design": (),
+    "curves": (
+        ("--m", _integer, _REQUIRED, "INTEGER", "Number of quadrants.  [required]"),
+        ("--lambda-min", _abundance, None, "FLOAT", "Grid start (exclusive of 0)."),
+        ("--lambda-max", _abundance, None, "FLOAT", "Grid end."),
+        ("--lambda-points", _point_count, 200, "INTEGER RANGE",
+         f"[default: 200; 2<=x<={_MAX_POINTS}]"),
+    ),
+    "posterior": (
+        ("--data", str, _REQUIRED, "PATH", "Campaign data CSV.  [required]"),
+        ("--hpd-mass", _mass, 0.95, "FLOAT RANGE", "[default: 0.95; 0<x<1]"),
+        ("--density-grid", None, False, "", "Append density-grid rows for plotting."),
+        ("--grid-points", _point_count, 500, "INTEGER RANGE",
+         f"[default: 500; 2<=x<={_MAX_POINTS}]"),
+    ),
+    "sensitivity": (
+        ("--axis", _choice(*SWEEP_AXES), _REQUIRED, f"[{'|'.join(SWEEP_AXES)}]", "[required]"),
+        ("--values", str, _REQUIRED, "TEXT",
+         "Comma-separated axis values (multipliers for r2).  [required]"),
+    ),
+    "replicate": (
+        ("--figure", _choice(*FIGURE_CHOICES), _REQUIRED, f"[{'|'.join(FIGURE_CHOICES)}]",
+         "[required]"),
+        ("--out-dir", str, _REQUIRED, "PATH", "[required]"),
+    ),
+}
 
 
-class _Formatter(argparse.HelpFormatter):
-    """Help whose usage line starts with ``Usage: ``."""
-
-    def add_usage(self, usage, actions, groups, prefix=None):
-        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+def _key(name: str) -> str:
+    """The key of option ``name``'s value: ``--lambda-min`` -> ``lambda_min``."""
+    return name[2:].replace("-", "_")
 
 
-class _Converted(argparse.Action):
-    """Stores ``convert(text)``; a ``ValueError`` from it is a usage error
-    that names the option."""
+def _read(args) -> tuple[str | None, dict | None]:
+    """(the command, or None for the bare group; the value of each option of
+    the group and the command by ``_key``, or None if ``--help`` asks for the
+    command's help).
 
-    def __init__(self, *args, convert, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.convert = convert
-
-    def __call__(self, parser, namespace, text, option_string=None):
-        try:
-            setattr(namespace, self.dest, self.convert(text))
-        except ValueError as exc:
-            raise UsageError(f"Invalid value for '{option_string}': {exc}", parser) from None
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser that takes no abbreviated option and whose errors are
-    ``UsageError``s. ``takes_value`` maps each option to
-    whether it takes a value, and ``commands`` each command to its parser."""
-
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter, **kwargs)
-        self.options = self.add_argument_group("Options")
-        self.takes_value: dict[str, bool] = {}
-        self.commands: dict[str, _Parser] = {}
-
-    def error(self, message):
-        raise UsageError(message, self)
-
-    def option(self, name, convert=None, **kwargs):
-        """Add the option ``name``, whose value is its text or ``convert(text)``."""
-        self.takes_value[name] = True
-        if convert is not None:
-            kwargs.update(action=_Converted, convert=convert)
-        self.options.add_argument(name, **kwargs)
-
-    def flag(self, name, action="store_true", **kwargs):
-        self.takes_value[name] = False
-        self.options.add_argument(name, action=action, **kwargs)
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The command line's parser, built once per process."""
-    parser = _Parser(
-        prog="mpdesign",
-        usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
-        description="Two-stage sampling design and Bayesian inference for microplastic campaigns.",
-    )
-    parser.option("--config", metavar="PATH", help="JSON config file.")
-    parser.option("--format", _choice("csv", "json"), default="csv", metavar="[csv|json]",
-                  help="Output format.  [default: csv]")
-    parser.option("--out", metavar="PATH", help="Output file (default: stdout).")
-    parser.flag("--print-config", help="Echo the parsed config as canonical JSON and exit.")
-    subparsers = parser.add_subparsers(
-        title="Commands", dest="command", metavar="COMMAND", prog="mpdesign", parser_class=_Parser
-    )
-
-    def command(name, run):
-        summary = run.__doc__.strip()
-        sub = subparsers.add_parser(name, usage="%(prog)s [OPTIONS]", help=summary,
-                                    description=summary)
-        sub.set_defaults(run=run)
-        parser.commands[name] = sub
-        return sub
-
-    command("design", design)
-    sub = command("curves", curves)
-    sub.option("--m", _integer, required=True, metavar="INTEGER",
-               help="Number of quadrants.  [required]")
-    sub.option("--lambda-min", _abundance, metavar="FLOAT", help="Grid start (exclusive of 0).")
-    sub.option("--lambda-max", _abundance, metavar="FLOAT", help="Grid end.")
-    sub.option("--lambda-points", _point_count, default=200, metavar="INTEGER RANGE",
-               help=f"[default: 200; 2<=x<={_MAX_POINTS}]")
-    sub = command("posterior", posterior)
-    sub.option("--data", required=True, metavar="PATH", help="Campaign data CSV.  [required]")
-    sub.option("--hpd-mass", _mass, default=0.95, metavar="FLOAT RANGE",
-               help="[default: 0.95; 0<x<1]")
-    sub.flag("--density-grid", help="Append density-grid rows for plotting.")
-    sub.option("--grid-points", _point_count, default=500, metavar="INTEGER RANGE",
-               help=f"[default: 500; 2<=x<={_MAX_POINTS}]")
-    sub = command("sensitivity", sensitivity)
-    sub.option("--axis", _choice(*SWEEP_AXES), required=True,
-               metavar=f"[{'|'.join(SWEEP_AXES)}]", help="[required]")
-    sub.option("--values", required=True, metavar="TEXT",
-               help="Comma-separated axis values (multipliers for r2).  [required]")
-    sub = command("replicate", replicate_cmd)
-    sub.option("--figure", _choice(*FIGURE_CHOICES), required=True,
-               metavar=f"[{'|'.join(FIGURE_CHOICES)}]", help="[required]")
-    sub.option("--out-dir", required=True, metavar="PATH", help="[required]")
-    for each in (parser, *parser.commands.values()):  # last in each help; _read answers it
-        each.flag("--help", action="help", help="Show this message and exit.")
-    return parser
-
-
-def _read(args) -> tuple[_Parser | None, list[str]]:
-    """(the parser whose help ``--help`` asks for, else None; ``args`` with
-    each option that takes a value joined to it, as ``--m=7``).
-
-    An option takes the next argument as its value whatever it is, which
-    ``argparse`` does not do for one that starts with ``-``. The first other
-    argument names the command. An argument after it, an unknown command, and
-    an option that neither the command group nor the command has are usage
-    errors. No argument after ``--`` is an option.
+    An option takes the next argument as its value whatever it is (so
+    ``--lambda-max -inf`` and ``--lambda-max --`` give values), or the text
+    after ``=`` in ``--opt=value``. Options are not abbreviated; a repeated
+    option's values are each converted, and the last one wins. The first
+    other argument names the command, so the group's options come before it.
+    No argument after ``--`` is an option. The errors come in this order:
+    first an unknown option or command, an argument after the command, a
+    missing value or a value given to a flag, as the walk meets it; then a
+    value that its converter refuses, in the order given; last the required
+    options left out.
     """
-    top = _parser()
-    scope, command, joined, positional = top, None, [], False
+    command, given, positional = None, [], False
     rest = iter(args)
     for arg in rest:
         if positional or arg == "-" or not arg.startswith("-"):
             if command is not None:
-                raise UsageError(f"Got unexpected extra argument ({_cut(arg)})", scope)
-            if arg not in top.commands:
-                raise UsageError(f"No such command '{_cut(arg)}'.", top)
-            command, scope = arg, top.commands[arg]
-        elif arg == "--":
+                raise UsageError(f"Got unexpected extra argument ({_cut(arg)})", command)
+            if arg not in _OPTIONS:
+                raise UsageError(f"No such command '{_cut(arg)}'.", None)
+            command = arg
+            continue
+        if arg == "--":
             positional = True
             continue
-        elif arg == "--help":
-            return scope, []
-        else:
-            name, equals, _ = arg.partition("=")
-            if name not in scope.takes_value:
-                raise UsageError(f"No such option '{_cut(name)}'.", scope)
-            if not scope.takes_value[name] and equals:
-                raise UsageError(f"Option '{name}' does not take a value.", scope)
-            if scope.takes_value[name] and not equals:
-                value = next(rest, None)
-                if value is None:
-                    raise UsageError(f"Option '{name}' requires an argument.", scope)
-                arg = f"{name}={value}"
-        joined.append(arg)
-    return None, joined
+        if arg == "--help":
+            return command, None
+        name, equals, text = arg.partition("=")
+        option = next((o for o in (*_OPTIONS[command], _HELP) if o[0] == name), None)
+        if option is None:
+            raise UsageError(f"No such option '{_cut(name)}'.", command)
+        if option[1] is None and equals:
+            raise UsageError(f"Option '{name}' does not take a value.", command)
+        if option[1] is not None and not equals:
+            text = next(rest, None)
+            if text is None:
+                raise UsageError(f"Option '{name}' requires an argument.", command)
+        given.append((command, option, text))
+    options = _OPTIONS[None] if command is None else _OPTIONS[None] + _OPTIONS[command]
+    values = {_key(name): default for name, _, default, *_ in options}
+    for scope, (name, convert, *_), text in given:
+        try:
+            values[_key(name)] = True if convert is None else convert(text)
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '{name}': {exc}", scope) from None
+    missing = [name for name, *_ in options if values[_key(name)] is _REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    return command, values
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "Usage: mpdesign [OPTIONS] COMMAND [ARGS]..."
+    return f"Usage: mpdesign {command} [OPTIONS]"
+
+
+def _help(command: str | None) -> str:
+    """The help of ``command`` (None for the group): its usage line, summary,
+    options and, for the group, the commands, each list in two columns."""
+
+    def rows(pairs):
+        width = max(len(left) for left, _ in pairs) + 2
+        return [f"  {left:<{width}}{right}" for left, right in pairs]
+
+    summary = (
+        "Two-stage sampling design and Bayesian inference for microplastic campaigns."
+        if command is None
+        else _COMMANDS[command].__doc__.strip()
+    )
+    lines = [_usage(command), "", summary, "", "Options:"]
+    lines += rows([
+        (f"{name} {metavar}".rstrip(), text)
+        for name, _, _, metavar, text in (*_OPTIONS[command], _HELP)
+    ])
+    if command is None:
+        lines += ["", "Commands:"]
+        lines += rows([(name, run.__doc__.strip()) for name, run in _COMMANDS.items()])
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None, standalone_mode=True) -> int:
@@ -258,26 +247,25 @@ def main(argv=None, standalone_mode=True) -> int:
     ``standalone_mode=False`` an error is raised (a ``UsageError`` or a
     ``ValueError``) instead of printed."""
     try:
-        helped, args = _read(sys.argv[1:] if argv is None else argv)
-        if helped is not None:
-            sys.stdout.write(helped.format_help())
+        command, opts = _read(sys.argv[1:] if argv is None else argv)
+        if opts is None:
+            sys.stdout.write(_help(command))
             return 0
-        opts = _parser().parse_args(args)
-        if opts.print_config:
+        if opts["print_config"]:
             from .io import render_json
 
             sys.stdout.write(render_json(_load(opts).to_mapping()))
-        elif opts.command is None:
-            sys.stdout.write(_parser().format_help())
+        elif command is None:
+            sys.stdout.write(_help(None))
             return 2
         else:
-            opts.run(opts)
+            _COMMANDS[command](opts)
     except UsageError as exc:
         if not standalone_mode:
             raise
-        parser = exc.parser
+        prog = "mpdesign" if exc.command is None else f"mpdesign {exc.command}"
         sys.stderr.write(
-            f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}\n"
+            f"{_usage(exc.command)}\nTry '{prog} --help' for help.\n\nError: {exc}\n"
         )
         return 2
     except ValueError as exc:
@@ -301,9 +289,9 @@ def _resolve_out(path: str) -> str:
 def _load(opts):
     from .config import load_config
 
-    if opts.config is None:
+    if opts["config"] is None:
         raise ValueError("--config is required for this command")
-    return load_config(opts.config)
+    return load_config(opts["config"])
 
 
 def _emit(opts, csv_text, json_obj):
@@ -311,11 +299,11 @@ def _emit(opts, csv_text, json_obj):
     ``--out`` or stdout. The CSV is built only when it is the format asked for."""
     from .io import atomic_write_text, render_json
 
-    text = csv_text() if opts.format == "csv" else render_json(json_obj)
-    if opts.out is None:
+    text = csv_text() if opts["format"] == "csv" else render_json(json_obj)
+    if opts["out"] is None:
         sys.stdout.write(text)
     else:
-        atomic_write_text(_resolve_out(opts.out), text)
+        atomic_write_text(_resolve_out(opts["out"]), text)
 
 
 def design(opts):
@@ -361,16 +349,15 @@ def curves(opts):
 
     loaded = _load(opts)
     cfg = loaded.design
-    m, points = opts.m, opts.lambda_points
-    lambda_min, lambda_max = opts.lambda_min, opts.lambda_max
+    m, points = opts["m"], opts["lambda_points"]
+    lambda_min, lambda_max = opts["lambda_min"], opts["lambda_max"]
     reason = None
     if lambda_max is None and lambda_min is not None:
         reason = "needs --lambda-max"
     elif lambda_min is not None and lambda_min > lambda_max:
         reason = f"{lambda_min!r} exceeds --lambda-max {lambda_max!r}"
     if reason:
-        command = _parser().commands["curves"]
-        raise UsageError(f"Invalid value for '--lambda-min': {reason}", command)
+        raise UsageError(f"Invalid value for '--lambda-min': {reason}", "curves")
     if lambda_max is None:
         grid = default_abundance_grid(cfg, points)
     else:
@@ -395,9 +382,9 @@ def posterior(opts):
 
     loaded = _load(opts)
     cfg = loaded.design
-    data = parse_campaign_data(opts.data, cfg.cost.quadrant_area, loaded.class_names)
+    data = parse_campaign_data(opts["data"], cfg.cost.quadrant_area, loaded.class_names)
     obs = data.observations
-    hpd_mass = opts.hpd_mass
+    hpd_mass = opts["hpd_mass"]
     abundance = update_abundance(cfg.abundance_prior, obs)
     lower, upper = hpd_interval(abundance, hpd_mass)
     records = [
@@ -429,8 +416,8 @@ def posterior(opts):
     for section, key, value in records:
         json_obj.setdefault(section, {})[key] = value
     keys, densities = [], []
-    if opts.density_grid:
-        grid = _linspace_from_zero(upper * 2.0, opts.grid_points)
+    if opts["density_grid"]:
+        grid = _linspace_from_zero(upper * 2.0, opts["grid_points"])
         keys = list(map(repr, grid))
         densities = _gamma_density(abundance, grid)
         json_obj["abundance_density"] = dict(zip(keys, densities))
@@ -451,15 +438,15 @@ def sensitivity(opts):
 
     loaded = _load(opts)
     parsed = []
-    for entry in filter(str.strip, opts.values.split(",")):
+    for entry in filter(str.strip, opts["values"].split(",")):
         try:
             parsed.append(float(entry))
         except ValueError:
             raise ValueError(f"bad --values entry {_cut(entry)!r}: not a number") from None
     if not parsed:
         raise ValueError("--values must contain at least one number")
-    rows = sensitivity_sweep(loaded.design, opts.axis, parsed)
-    json_obj = {"axis": opts.axis, "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
+    rows = sensitivity_sweep(loaded.design, opts["axis"], parsed)
+    json_obj = {"axis": opts["axis"], "rows": [dict(zip(SENSITIVITY_COLUMNS, r)) for r in rows]}
     _emit(opts, lambda: render_csv(SENSITIVITY_COLUMNS, rows), json_obj)
 
 
@@ -467,8 +454,17 @@ def replicate_cmd(opts):
     """Regenerate the reference scenario data bundles."""
     from .replicate import replicate
 
-    for name in replicate(opts.figure, _resolve_out(opts.out_dir)):
+    for name in replicate(opts["figure"], _resolve_out(opts["out_dir"])):
         print(name)
+
+
+_COMMANDS = {
+    "design": design,
+    "curves": curves,
+    "posterior": posterior,
+    "sensitivity": sensitivity,
+    "replicate": replicate_cmd,
+}
 
 
 if __name__ == "__main__":

@@ -314,8 +314,11 @@ def apportion_counts(total: int, proportions) -> tuple[int, ...]:
     s = _pairwise_sum(p)
     if not 0.0 < s < math.inf:
         raise ValueError(f"proportions must have a positive, finite sum, got {s!r}")
-    raw = [total * x / s for x in p]
-    base = [math.floor(r) for r in raw]
+    try:  # a share past the largest float, or a total that no float holds
+        raw = [total * x / s for x in p]
+        base = [math.floor(r) for r in raw]
+    except OverflowError:
+        raise ValueError(f"total {total} times a proportion overflows a float") from None
     short = total - sum(base)
     if not 0 <= short <= len(p):  # the float shares err by a whole count
         raise ValueError(f"total {total} is too large to apportion in floating point")

@@ -220,6 +220,71 @@ class TestParsing:
         assert main(args, standalone_mode=False) in (None, 0)
         assert capsys.readouterr().out == runner.invoke(main, args).stdout
 
+    # the order of usage errors: every error of the walk (an unknown option
+    # or command, an extra argument, a missing value, a value given to a
+    # flag) before any converter's, the converters' in the order given, and
+    # a required option left out last. An option's value "--" is text like
+    # any other, which its converter names.
+    @pytest.mark.parametrize(
+        "args,usage,error",
+        [
+            (["--format", "xml", "design", "extra"], "Usage: mpdesign design [OPTIONS]",
+             "Error: Got unexpected extra argument (extra)"),
+            (["--format", "xml", "--bogus", "design"],
+             "Usage: mpdesign [OPTIONS] COMMAND [ARGS]...", "Error: No such option '--bogus'."),
+            (["curves", "--lambda-max", "x"], "Usage: mpdesign curves [OPTIONS]",
+             "Error: Invalid value for '--lambda-max': 'x' is not a valid float."),
+            (["curves", "--m", "3", "--m", "x"], "Usage: mpdesign curves [OPTIONS]",
+             "Error: Invalid value for '--m': 'x' is not a valid integer."),
+            (["design", "--help=1"], "Usage: mpdesign design [OPTIONS]",
+             "Error: Option '--help' does not take a value."),
+            (["sensitivity", "--axis", "r2"], "Usage: mpdesign sensitivity [OPTIONS]",
+             "Error: the following arguments are required: --values"),
+            (["curves", "--m", "3", "--lambda-max", "--"], "Usage: mpdesign curves [OPTIONS]",
+             "Error: Invalid value for '--lambda-max': '--' is not a valid float."),
+        ],
+        ids=["extra-before-value", "unknown-before-value", "value-before-required",
+             "each-repeat-converted", "flag-given-a-value", "required-last",
+             "double-dash-is-a-value"],
+    )
+    def test_error_order(self, runner, args, usage, error):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        prog = usage.removeprefix("Usage: ").split(" [")[0]
+        assert result.output == f"{usage}\nTry '{prog} --help' for help.\n\n{error}\n"
+
+
+# each help's options with their metavars, in order: the command group's
+# (under None), then each command's
+HELP_OPTIONS = {
+    None: ["--config PATH", "--format [csv|json]", "--out PATH", "--print-config", "--help"],
+    "design": ["--help"],
+    "curves": ["--m INTEGER", "--lambda-min FLOAT", "--lambda-max FLOAT",
+               "--lambda-points INTEGER RANGE", "--help"],
+    "posterior": ["--data PATH", "--hpd-mass FLOAT RANGE", "--density-grid",
+                  "--grid-points INTEGER RANGE", "--help"],
+    "sensitivity": ["--axis [r2|budget|prior-mode]", "--values TEXT", "--help"],
+    "replicate": ["--figure [fig1|fig2|fig3|fig4|fig5|fig6|all]", "--out-dir PATH", "--help"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_OPTIONS), ids=lambda c: c or "group")
+def test_help_does_not_depend_on_the_terminal(runner, monkeypatch, command):
+    args = ["--help"] if command is None else [command, "--help"]
+    helps = set()
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        helps.add(result.output)
+    assert len(helps) == 1
+    (text,) = helps
+    options = text.split("\nOptions:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line[2:].split("  ")[0] for line in options] == HELP_OPTIONS[command]
+    if command is None:
+        commands = text.split("\nCommands:\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in commands] == [c for c in HELP_OPTIONS if c]
+
 
 class TestPrintConfig:
     def test_round_trip(self, runner, config_path):

@@ -22,7 +22,9 @@ closed-form and its grid and densities are lists, so a user's campaign is
 read, updated and written on ``math`` and the standard library alone (up to a posterior
 shape of about 2e5, past which the HPD interval's series is NumPy's). Run by
 ``python -S``, so that no ``.pth`` file imports anything first, it loads none
-of ``dataclasses``, ``inspect``, ``typing`` and ``tempfile`` either.
+of ``dataclasses``, ``inspect``, ``typing`` and ``tempfile`` either. Neither it
+nor ``--help`` loads ``argparse``, ``gettext`` or ``locale``: the command line
+is read from the CLI's own option table.
 
 SciPy's import costs several times a whole run, and no command needs it:
 importing the package, ``--help``, the design commands, ``posterior``
@@ -178,12 +180,18 @@ def test_posterior_loads_no_numpy_and_no_scipy(prior_shape, grid, fmt, workdir):
     assert {m for m in loaded if m == "numpy" or m.split(".")[0] == "scipy"} == set()
 
 
-# Standard-library modules that a cold posterior does without: the code
-# generator of ``dataclasses`` with the ``inspect`` (and its ``ast``, ``dis``
-# and ``tokenize``) that it imports, ``typing``, and ``tempfile``, which only a
-# command that writes files needs. ``python -S`` runs no ``.pth`` file, which
-# could import any of them before the command starts.
-POSTERIOR_SKIPS = {"dataclasses", "inspect", "typing", "tempfile"}
+# Standard-library modules that the command line does without: it walks its
+# arguments against its own option table, so it loads no ``argparse``, nor
+# the ``gettext`` and ``locale`` that ``argparse`` imports for its messages.
+PARSER_SKIPS = {"argparse", "gettext", "locale"}
+
+# Standard-library modules that a cold posterior does without: the parser's
+# above, the code generator of ``dataclasses`` with the ``inspect`` (and its
+# ``ast``, ``dis`` and ``tokenize``) that it imports, ``typing``, and
+# ``tempfile``, which only a command that writes files needs. ``python -S``
+# runs no ``.pth`` file, which could import any of them before the command
+# starts.
+POSTERIOR_SKIPS = PARSER_SKIPS | {"dataclasses", "inspect", "typing", "tempfile"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -196,8 +204,17 @@ def test_posterior_loads_no_dataclasses_typing_or_tempfile(prior_shape, grid, fm
         "--config", "config.json", "--format", fmt, "posterior", "--data", "campaign.csv", *grid,
         cwd=workdir, flags=("-S",),
     )[1]
-    assert "argparse" in stdlib  # the set holds what the command loaded
+    assert "csv" in stdlib  # the set holds what the command loaded
     assert stdlib & POSTERIOR_SKIPS == set()
+
+
+@pytest.mark.parametrize(
+    "args", [("--help",), ("posterior", "--help")], ids=["help", "posterior-help"]
+)
+def test_help_loads_no_argparse(args, workdir):
+    _, stdlib, stdout = run_child(*args, cwd=workdir, flags=("-S",))
+    assert stdout.startswith("Usage: mpdesign ")
+    assert stdlib & PARSER_SKIPS == set()
 
 
 def test_replicate_fig5_loads_no_scipy(workdir):

@@ -785,6 +785,12 @@ class TestApportionCounts:
          "proportions must have a positive, finite sum, got 0.0"),
         (lambda: apportion_counts(10, [1e308, 1e308]), ValueError,
          "proportions must have a positive, finite sum, got inf"),
+        # a share of 10 * 1e308 / s is inf, and floor(inf) overflows
+        (lambda: apportion_counts(10, [1e308, 1.0]), ValueError,
+         "total 10 times a proportion overflows a float"),
+        # a total past the largest float
+        (lambda: apportion_counts(10**309, [1.0, 1.0]), ValueError,
+         f"total {10**309} times a proportion overflows a float"),
         (lambda: synthesize_expected_data(100.0, [0.5, 0.5], 0, A, BASELINE_COST), ValueError,
          "m must be at least 1, got 0"),
         (lambda: synthesize_expected_data(10.0, [math.nan, 0.5], 3, A, BASELINE_COST),
@@ -799,6 +805,7 @@ class TestApportionCounts:
     ids=["no-quadrants", "negative-count", "negative-class-count", "component-out-of-range",
          "negative-total", "non-integer-total", "total-too-large", "no-proportions",
          "nan-proportion", "infinite-proportion", "negative-proportion", "zero-sum", "infinite-sum",
+         "infinite-share", "total-past-float",
          "no-quadrants-synthesized", "nan-true-proportion", "negative-true-proportion",
          "no-true-proportions", "true-proportions-off-one"],
 )
