@@ -7,8 +7,9 @@ Run by hand from the repository root, never by the tests:
 It writes the fig1-fig4 design and performance CSVs of ``replicate``; the
 header and every 25th row of its fig5 and fig6 density files; the CSV output
 of ``design``, ``curves --m 7`` and the three ``sensitivity`` axes on the
-baseline config; and ``posterior --density-grid`` in CSV and JSON on three
-campaigns (``CAMPAIGNS``). ``tests/test_golden.py`` recomputes the same
+baseline config; ``posterior --density-grid`` in CSV and JSON on three
+campaigns (``CAMPAIGNS``); and ``design_grid.csv``, the optimal design of each
+config of ``GRID`` (:func:`grid_text`). ``tests/test_golden.py`` recomputes the same
 outputs with :func:`outputs` and compares them with these files. A change
 that moves these outputs on purpose reruns this script in the same commit
 and states the largest move and its reason.
@@ -25,7 +26,10 @@ if __name__ == "__main__":  # run by hand: the test helpers are in tests/
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 from conftest import CliRunner  # noqa: E402
+from mpdesign import CostModel, DesignConfig, DirichletParams, GammaParams  # noqa: E402
 from mpdesign.cli import main as mpdesign  # noqa: E402
+from mpdesign.design import _first_chunks, _optimize_designs  # noqa: E402
+from mpdesign.io import render_csv  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -72,6 +76,21 @@ CAMPAIGNS = {
     ),
 }
 
+# The design grid: every combination of these inputs, 960 configs. A shape
+# <= 1 prior has no mode; its "mode" is then its mean. The quadrant area is
+# the baseline's.
+GRID = {
+    "shape": (0.7, 1.5, 3.0, 8.0),
+    "mode": (5.0, 200.0, 800.0, 3000.0),
+    "budget": (2.0, 5.0, 12.0, 20.0, 40.0),
+    "r2": (3e-3, 3.0),
+    "r1": (0.0, 5e-5, 2e-4),
+    "gamma": (0.5, 1.0),
+}
+GRID_COLUMNS = tuple(GRID) + (
+    "m_star", "typical_n", "typical_n_bar", "sampling", "counting", "categorization", "slack",
+)
+
 DESIGN_FIGURES = ("fig1", "fig2", "fig3", "fig4")
 DENSITY_FIGURES = ("fig5", "fig6")  # 1001 or 501 rows each: every 25th is kept
 
@@ -81,6 +100,38 @@ def _run(runner: CliRunner, args) -> str:
     if result.exit_code != 0:
         raise RuntimeError(f"mpdesign {' '.join(args)} exited {result.exit_code}: {result.output}")
     return result.stdout
+
+
+def grid_config(shape, mode, budget, r2, r1, gamma) -> DesignConfig:
+    """The design of one ``GRID`` point."""
+    rate = (shape - 1.0) / mode if shape > 1.0 else shape / mode
+    return DesignConfig(
+        GammaParams(shape, rate),
+        DirichletParams.symmetric(10, gamma),
+        CostModel.from_budget_quadrants(0.0625, budget, r1, r2),
+    )
+
+
+def grid_points() -> list[tuple[float, ...]]:
+    """Every ``GRID`` point, in the order of ``GRID``'s axes, the last fastest."""
+    points = [()]
+    for values in GRID.values():
+        points = [point + (value,) for point in points for value in values]
+    return points
+
+
+def grid_text() -> str:
+    """CSV of the optimal design of every ``GRID`` point: m*, the typical count
+    and its categorized count, and the budget split there. The designs are
+    optimized together, as a sweep's are."""
+    points = grid_points()
+    configs = [grid_config(*point) for point in points]
+    results = _optimize_designs(configs, [_first_chunks(config) for config in configs])
+    rows = [
+        point + (r.m_star, r.typical_n, r.typical_n_bar, *r.budget_split.values())
+        for point, r in zip(points, results)
+    ]
+    return render_csv(GRID_COLUMNS, rows)
 
 
 def outputs(workdir) -> dict[str, str]:
@@ -109,6 +160,7 @@ def outputs(workdir) -> dict[str, str]:
                 if figure in DENSITY_FIGURES:
                     header, *rows = texts[name].splitlines(keepends=True)
                     texts[name] = header + "".join(rows[::25])
+    texts["design_grid.csv"] = grid_text()
     return texts
 
 

@@ -11,7 +11,9 @@ the golden files moves by 1 ulp. So a bound of 2e-14 holds on any CPU and
 still catches a real change. A subnormal density has fewer bits, so floats
 are compared as if they were at least the smallest normal double. A change
 that moves these outputs on purpose regenerates the files by hand with
-``tests/golden/make_golden.py``.
+``tests/golden/make_golden.py``. Among the files is ``design_grid.csv``, m*,
+the typical counts and the budget split of 960 designs (``GRID``), which
+takes about five seconds to recompute.
 
 ``posterior`` needs no NumPy: it is also run in a fresh interpreter in which
 ``import numpy`` fails, on the golden campaigns, against the same files.
@@ -27,7 +29,7 @@ import sys
 import pytest
 
 import mpdesign
-from golden.make_golden import CAMPAIGNS, GOLDEN_DIR, golden_files, outputs
+from golden.make_golden import CAMPAIGNS, GOLDEN_DIR, GRID_COLUMNS, golden_files, outputs
 
 REL_TOL = 2e-14
 
@@ -71,7 +73,7 @@ def fresh(tmp_path_factory):
 
 
 def test_every_output_has_a_golden_file(fresh):
-    assert len(GOLDEN_FILES) == 33
+    assert len(GOLDEN_FILES) == 34
     assert sorted(fresh) == GOLDEN_FILES
 
 
@@ -139,6 +141,19 @@ def test_comparison_catches_a_moved_cell_and_a_changed_m_star():
     assert list(differences(golden, curve(m_star="6")))
     assert list(differences(golden, curve(m="7.0")))
     assert list(differences(golden, "# m_star: 7\nm,L_star\n"))
+
+
+def test_grid_comparison_catches_a_changed_count():
+    golden = (GOLDEN_DIR / "design_grid.csv").read_text(encoding="utf-8")
+    header, *rows = golden.splitlines(keepends=True)
+    assert header.rstrip("\n").split(",") == list(GRID_COLUMNS)
+    assert len(rows) == 960
+    column = GRID_COLUMNS.index("typical_n_bar")
+    cells = rows[-1].split(",")
+    for step in (1, -1):
+        moved = cells[:column] + [str(int(cells[column]) + step)] + cells[column + 1:]
+        found = list(differences(golden, header + "".join(rows[:-1]) + ",".join(moved)))
+        assert found == [f"line 961: {moved[column]!r}, golden {cells[column]!r}"]
 
 
 def test_comparison_catches_a_moved_density_and_a_changed_hpd_end():
