@@ -11,9 +11,10 @@ the mass asked for. The Beta density, for the marginals of a Dirichlet, is
 within 1.3e-15 relative of 40-digit mpmath for a from 0.05 to 500 and b
 from 0.05 to 5000, where SciPy's is off by up to 5.4e-13. The densities
 take and return lists. ``_pairwise_sum`` is NumPy's summation order for
-``np.add.reduce``, so that sums keep the bits they had when they were
-NumPy's. The module imports no other ``mpdesign`` module and no SciPy, and
-NumPy only for an incomplete gamma series past ``_LONG_SERIES`` terms.
+``np.add.reduce`` and ``_linspace`` the steps of ``np.linspace``, so that
+sums and grids keep the bits they had when they were NumPy's. The module
+imports no other ``mpdesign`` module and no SciPy, and NumPy only for an
+incomplete gamma series past ``_LONG_SERIES`` terms.
 """
 
 from __future__ import annotations
@@ -89,6 +90,24 @@ def _pairwise_sum(values, start: int = 0, count: int | None = None) -> float:
     half = count // 2
     half -= half % 8
     return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, count - half)
+
+
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """``np.linspace(start, stop, points).tolist()`` for points >= 1, in its
+    steps: i * step + start with step = (stop - start) / (points - 1), or
+    (i / (points - 1)) * (stop - start) + start where that step underflows
+    to 0, and the last point ``stop`` itself."""
+    div = points - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step:
+        grid = [i * step + start for i in range(div)]
+    else:
+        grid = [i / div * delta + start for i in range(div)]
+    grid.append(stop)
+    return grid
 
 
 def _lgamma_2_3(x: float) -> float:

@@ -342,8 +342,7 @@ def design(opts):
 
 def curves(opts):
     """Second-stage performance across hypothetical true abundances."""
-    import numpy as np
-
+    from ._special import _linspace
     from .design import CURVES_COLUMNS, default_abundance_grid, performance_curve
     from .io import render_csv
 
@@ -362,7 +361,7 @@ def curves(opts):
         grid = default_abundance_grid(cfg, points)
     else:
         lo = lambda_min if lambda_min is not None else lambda_max / points
-        grid = np.linspace(lo, lambda_max, points)
+        grid = _linspace(lo, lambda_max, points)
     rows = performance_curve(m, grid, cfg)
     json_obj = {"m": m, "rows": [dict(zip(CURVES_COLUMNS, r)) for r in rows]}
     _emit(opts, lambda: f"# m: {m}\n" + render_csv(CURVES_COLUMNS, rows), json_obj)
@@ -370,10 +369,10 @@ def curves(opts):
 
 def posterior(opts):
     """Posterior inference for abundance and polymer composition."""
+    from ._special import _linspace
     from .io import parse_campaign_data, render_csv
     from .posterior import (
         _gamma_density,
-        _linspace_from_zero,
         hpd_interval,
         naive_abundance_estimate,
         update_abundance,
@@ -417,7 +416,7 @@ def posterior(opts):
         json_obj.setdefault(section, {})[key] = value
     keys, densities = [], []
     if opts["density_grid"]:
-        grid = _linspace_from_zero(upper * 2.0, opts["grid_points"])
+        grid = _linspace(0.0, upper * 2.0, opts["grid_points"])
         keys = list(map(repr, grid))
         densities = _gamma_density(abundance, grid)
         json_obj["abundance_density"] = dict(zip(keys, densities))

@@ -12,8 +12,9 @@ to rescaling raw costs and budget by a common factor:
 
 The normalized cost of a design is c * (m*A + r1*n + r2*n_bar) and must not
 exceed 1, where n_bar is the categorized count that :func:`budget_rule` returns.
-``CostModel`` needs only ``math``; the functions over arrays of counts import
-NumPy when they are called, so reading a config loads no NumPy.
+``CostModel`` and the rule on single counts need only ``math``; the functions
+over arrays of counts import NumPy when they are called, so reading a config
+or applying the rule to one count loads no NumPy.
 """
 
 from __future__ import annotations
@@ -132,20 +133,31 @@ def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float
 def budget_rule(cost: CostModel, total_area: float, counts):
     """Budget-implied fraction q and categorized count n_bar.
 
-    The one source of n_bar, which its in-place core :func:`_categorized`
-    forms; the design curve and its budget split call that core directly.
-    For an array of counts, returns ``(q, n_bar)`` as float arrays; for a
-    single count, a Python ``(float, int)``. A NaN, infinite or negative area
-    or count is rejected by name.
+    The one source of n_bar, which its cores form: :func:`_categorized` on
+    arrays and :func:`_fractions` on Python numbers, in the same steps; the
+    design curve and its budget split call them directly. For an array of
+    counts, returns ``(q, n_bar)`` as float arrays; for a single count, a
+    Python ``(float, int)``, computed without NumPy. A NaN, infinite or
+    negative area or count is rejected by name.
     """
-    import numpy as np
+    if isinstance(counts, (int, float)):
+        n = float(counts)
+        bad = None if n >= 0.0 and math.isfinite(n) else n
+    else:
+        import numpy as np
 
-    n = np.asarray(counts, dtype=np.float64)
+        n = np.asarray(counts, dtype=np.float64)
+        bad = n[~(np.isfinite(n) & (n >= 0))]
+        bad = bad[0] if bad.size else None
     if not (total_area >= 0 and math.isfinite(total_area)):
         raise ValueError(f"total_area must be finite and >= 0, got {total_area!r}")
-    bad = n[~(np.isfinite(n) & (n >= 0))]
-    if bad.size:
-        raise ValueError(f"counts must be finite and >= 0, got {bad[0]}")
+    if bad is not None:
+        raise ValueError(f"counts must be finite and >= 0, got {bad}")
+    if type(n) is float:
+        if n == 0.0:  # nothing to categorize: q = 1 by convention
+            return 1.0, 0
+        (q,) = _fractions(cost, total_area, (n,))
+        return q, math.floor(n * q)
     q = np.empty_like(n)
     with np.errstate(over="ignore"):  # the rule saturates; see _categorized
         n_bar = _categorized(cost, total_area, n, q, np.empty_like(n))
@@ -182,18 +194,38 @@ def _categorized(cost: CostModel, total_area: float, n, q, n_bar):
     return np.floor(n_bar, out=n_bar)
 
 
+def _fractions(cost: CostModel, total_area: float, counts) -> list[float]:
+    """The q of :func:`_categorized` at each count of the iterable ``counts``
+    (ints below 2**53 or floats, finite and >= 0), unchecked, in Python
+    floats: the same basic operations in the same order, so the same bits,
+    and the same saturation past the largest float, where Python's float
+    arithmetic gives inf as NumPy's does. n_bar is floor(n * q).
+
+    The clamps are comparisons: the residual is never NaN, and where it is
+    at most 0, q = 0 / (r2 * max(n, 1)) = 0."""
+    budget, r1, r2 = cost.budget_area, cost.count_ratio, cost.categorize_ratio
+    fractions = []
+    for n in counts:
+        q = budget - (n * r1 + total_area)
+        if q > 0.0:
+            q /= (n if n > 1.0 else 1.0) * r2
+            if q > 1.0:
+                q = 1.0
+        else:
+            q = 0.0
+        fractions.append(q)
+    return fractions
+
+
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:
     """n_bar at count ``n``, and the budget fractions that sampling, counting and
     categorization take there, with the slack 1 minus what that n_bar spends.
     A share past the largest float is rejected by the ``cost`` section.
 
     ``total_area`` and ``n`` are a design point's, finite and >= 0, so the
-    rule's core runs unchecked, with NumPy's overflow warning left to the
-    caller (:func:`_categorized`)."""
-    import numpy as np
-
-    counts = np.array([float(n)])
-    n_bar = int(_categorized(cost, total_area, counts, np.empty(1), np.empty(1))[0])
+    rule's core runs unchecked (:func:`_fractions`)."""
+    (q,) = _fractions(cost, total_area, (float(n),))
+    n_bar = math.floor(float(n) * q)
     c = cost.budget_coefficient
     split = {
         "sampling": c * total_area,

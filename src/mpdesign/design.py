@@ -17,22 +17,38 @@ the absolute error and is reported where a standard error would be. Once the
 budget rule's q reaches 0, which it does for good since q is nonincreasing in
 n, n_bar = 0 and L2* = 1, so that whole tail enters exactly. The curve
 involves no randomness: reruns are bit-identical.
+
+The pmf is a running product, P(n) = P(n - 1) * ((n - 1 + a) / n) * (1 - p),
+of IEEE basic operations taken in order, from one anchor per design point
+(:func:`_anchor`): P(0) = exp(-a log1p(mA/b)), or, where that underflows, the
+log-gamma form at the first count whose log pmf reaches ``_LOG_ANCHOR``. The
+anchor is the walk's only call of the C library (``log1p``, ``exp``,
+``lgamma``). Every other step is a basic operation, an in-order accumulation
+or NumPy's pairwise sum, so the curve does not depend on NumPy's SIMD level
+or on a BLAS. The walk runs on lists in Python (:class:`_ListWalk`) or on
+NumPy arrays (:class:`_ArrayWalk`), which take the same steps in the same
+order and give the same bits. A call whose first pmf chunks hold at most
+``_PYTHON_WALK_TERMS`` terms walks in Python unless NumPy is loaded already,
+so that a cold command skips NumPy's import (:func:`_choose_walk`); the module
+imports NumPy only inside the array walk.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+import sys
+from bisect import bisect_left
+from itertools import accumulate, zip_longest
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
 from ._record import Record
+from ._special import _linspace, _pairwise_sum
 from .config import DesignConfig
-from .cost import CostModel, _budget_split, _categorized, _exhausted_at, budget_rule
+from .cost import CostModel, _budget_split, _categorized, _exhausted_at, _fractions, budget_rule
 from .distributions import GammaParams
 from .io import _cut
-from .loss import l1_expected, l2_expected
+from .loss import _l2, l1_expected, l2_expected
 
 __all__ = [
     "DesignCurveRow",
@@ -58,9 +74,17 @@ _MAX_CHUNK = 1 << 16  # pmf terms held in memory at once
 MAX_MEAN_COUNT = 1e8  # largest predictive mean total count the exact sum accepts
 MAX_QUADRANTS = 10_000  # largest affordable quadrant count the design curve walks
 MAX_CURVE_TERMS = 1e8  # largest total of the design points' first pmf chunks
-# Largest error that rounding log(b) and log(b + mA), an ulp each, may put
-# into the log pmf through a * log(p); past it every loss is silently wrong.
+# Largest error allowed in the exponent of the pmf's anchor: a times an ulp
+# of log(b) and of log(b + mA), the size of the rounding in a * log1p(mA/b)
+# and in the log-gamma form's terms; past it every loss is silently wrong.
 _LOG_PMF_TOLERANCE = 1e-8
+# Log pmf at which the product starts when P(0) = p^a is below exp of it;
+# every count before that start is below exp(-700), about 1e-304, and taken as 0.
+_LOG_ANCHOR = -700.0
+# First-chunk terms up to which a walk runs in Python when NumPy is not
+# loaded: near where the Python walk, at about 0.7 us a term, costs as much
+# as NumPy's import (about 80 ms on a 2-vCPU Xeon).
+_PYTHON_WALK_TERMS = 100_000
 
 # Output columns of a design curve, a performance curve and a sensitivity
 # sweep, in file order. The rows are named tuples with their fields in this
@@ -168,85 +192,193 @@ def _first_chunk(m: int, config: DesignConfig) -> int:
     return min(size, _MAX_CHUNK)
 
 
-def _ratio_steps(shape: float, start: int, stop: int) -> np.ndarray:
-    """log((n-1+a)/n) = log1p((a-1)/n) for n = start .. stop - 1 (start >= 1).
-
-    The log pmf ratio P(n)/P(n-1) less log(1-p): it depends only on the
-    prior shape, so one array serves every sampled area.
-    """
-    n = np.arange(start, stop, dtype=np.float64)
-    return np.log1p((shape - 1.0) / n)
-
-
-def _count_tables(config: DesignConfig, size: int):
-    """The per-count arrays over n = 0 .. size - 1 that no design point changes.
-
-    Returns the counts as floats, the pmf's log ratio steps (index n - 1
-    holds the step into n) and the gain weights 1 - L2*(n), all read-only.
-    A design point slices them for every chunk that ends below ``size``.
-    """
-    counts = np.arange(size, dtype=np.float64)
-    steps = _ratio_steps(config.abundance_prior.shape, 1, size)
-    gains = 1.0 - l2_expected(counts, config.composition_prior)
-    for table in (counts, steps, gains):
-        table.flags.writeable = False
-    return counts, steps, gains
-
-
-def _log_pmf_from_steps(
-    prior: GammaParams, total_area: float, start: int, ratio_steps: np.ndarray
-) -> np.ndarray:
-    """Log pmf of the predictive total count N for n = start .. start +
-    len(ratio_steps), where ``ratio_steps`` is :func:`_ratio_steps` over
-    n = start + 1 onward and ``total_area`` > 0.
+def _anchor(prior: GammaParams, area: float) -> tuple[int, float]:
+    """``(n0, P(N = n0))``, where the pmf's product starts at a sampled area > 0.
 
     N is negative binomial: P(N = n) = G(n+a)/(G(a) n!) p^a (1-p)^n with
-    a = shape and p = rate/(rate + total_area) (rate parametrization). The
-    value at ``start`` comes from log-gamma functions; the rest follow from
-    the ratio P(n)/P(n-1) = (n-1+a)/n * (1-p), accumulated in log space.
-    The prior and area must have passed :func:`_first_chunks`.
+    a = shape and p = rate/(rate + area) (rate parametrization), so
+    log p = -log1p(mA/b), which does not cancel when b << mA. The anchor is
+    n0 = 0 with P(0) = exp(a log p), unless a log p is below ``_LOG_ANCHOR``:
+    then n0 is the first count whose log pmf in log-gamma form, with
+    log(1 - p) = -log1p(b/mA), reaches it, found by bisection below the mode,
+    and every count below n0 is taken as 0. The prior and area must have
+    passed :func:`_first_chunks`.
     """
     a, b = prior.shape, prior.rate
-    log_b, log_b_area = math.log(b), math.log(b + total_area)
-    log_p = log_b - log_b_area
-    log_1mp = math.log(total_area) - log_b_area
-    first = (
-        math.lgamma(start + a) - math.lgamma(a) - math.lgamma(start + 1.0)
-        + a * log_p + start * log_1mp
-    )
-    out = np.empty(len(ratio_steps) + 1)
-    out[0] = first
-    np.add.accumulate(ratio_steps + log_1mp, out=out[1:])  # np.cumsum, less its wrapper
-    out[1:] += first
-    return out
+    log_p = -math.log1p(area / b)
+    if a * log_p >= _LOG_ANCHOR:
+        return 0, math.exp(a * log_p)
+    # a > 1 here: a mean count a * mA/b of at most MAX_MEAN_COUNT keeps
+    # a * log1p(mA/b) far below 700 for any a <= 1
+    log_1mp = -math.log1p(b / area)
+
+    def log_pmf(n: int) -> float:
+        return (
+            math.lgamma(n + a) - math.lgamma(a) - math.lgamma(n + 1.0)
+            + a * log_p + n * log_1mp
+        )
+
+    below, at = 0, math.ceil((a - 1.0) * area / b)  # log_pmf(at) is near the peak
+    while at - below > 1:
+        mid = (below + at) // 2
+        if log_pmf(mid) < _LOG_ANCHOR:
+            below = mid
+        else:
+            at = mid
+    return at, math.exp(log_pmf(at))
 
 
-def _pmf_chunk(prior: GammaParams, area: float, lo: int, hi: int, tables) -> np.ndarray:
-    """P(N = n) for n = lo .. hi - 1 at a sampled area > 0. A chunk inside
-    ``tables`` slices their ratio steps; one that reaches past them computes
-    its own. A first chunk (lo = 0) must lie inside."""
-    counts, steps, _ = tables
-    if hi <= len(counts):
-        chunk_steps = steps[lo:hi - 1]
-    else:
-        chunk_steps = _ratio_steps(prior.shape, lo + 1, hi)
-    log_pmf = _log_pmf_from_steps(prior, area, lo, chunk_steps)
-    return np.exp(log_pmf, out=log_pmf)
+class _ListWalk:
+    """The steps of the design walk on lists of Python floats.
+
+    Each step is :class:`_ArrayWalk`'s, one count at a time: the same basic
+    operations in the same order, the running product by ``accumulate``, the
+    sums by ``_special._pairwise_sum`` (NumPy's pairwise order) and the median
+    by ``bisect`` on the running sums, so every result has the same bits.
+    """
+
+    @staticmethod
+    def tables(config: DesignConfig, size: int):
+        """The per-count lists over n = 0 .. size - 1 that no design point
+        changes: the pmf's ratios ((n - 1) + a) / n (index n, from 1) and the
+        gain weights 1 - L2*(n)."""
+        a, g0 = config.abundance_prior.shape, config.composition_prior.total
+        ratios = [0.0] + [((n - 1.0) + a) / n for n in range(1, size)]
+        gains = [1.0 - _l2(n, g0) for n in range(size)]
+        return ratios, gains
+
+    @staticmethod
+    def pmf(tables, a: float, omp: float, anchor, lo: int, hi: int, prev: float) -> list:
+        """P(N = n) for n = lo .. hi - 1 (see :func:`_pmf_chunk`)."""
+        ratios = tables[0]
+        n0, value = anchor
+        start = max(lo, n0)
+        if start >= hi:
+            return [0.0] * (hi - lo)
+        if hi <= len(ratios):
+            factors = [r * omp for r in ratios[start:hi]]
+        else:
+            factors = [((n - 1.0) + a) / n * omp for n in range(start, hi)]
+        factors[0] = value if start == n0 else prev * factors[0]
+        return [0.0] * (start - lo) + list(accumulate(factors, mul))
+
+    @staticmethod
+    def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
+        """(sum of P(N = n) * (1 - L2*(n_bar(n))) over the chunk, q at its last count)."""
+        gains = tables[1]
+        counts = range(lo, lo + len(pmf))
+        q = _fractions(config.cost, area, counts)
+        n_bar = map(math.floor, map(mul, counts, q))
+        if counts.stop <= len(gains):  # n_bar <= n < len(gains): a gather
+            weights = map(gains.__getitem__, n_bar)
+        else:
+            g0 = config.composition_prior.total
+            weights = [1.0 - _l2(k, g0) for k in n_bar]
+        return _pairwise_sum(list(map(mul, pmf, weights))), q[-1]
+
+    @staticmethod
+    def search(pmf, mass: float) -> tuple[int, float]:
+        """(the first i at which ``mass``, P(N < lo), plus the chunk's running
+        sum reaches 1/2, or len(pmf) if none; and ``mass`` plus the chunk's sum)."""
+        sums = list(accumulate(pmf))
+        return bisect_left(sums, 0.5, key=lambda total: mass + total), mass + sums[-1]
 
 
-def _pmf_chunks(prior: GammaParams, area: float, first: np.ndarray, tables):
+class _ArrayWalk:
+    """The steps of the design walk on NumPy arrays; see :class:`_ListWalk`."""
+
+    @staticmethod
+    def tables(config: DesignConfig, size: int):
+        """The per-count arrays over n = 0 .. size - 1 that no design point
+        changes, all read-only: the counts as floats, the pmf's ratios
+        ((n - 1) + a) / n (index n, from 1) and the gain weights 1 - L2*(n).
+        A design point slices them for every chunk that ends below ``size``."""
+        import numpy as np
+
+        counts = np.arange(size, dtype=np.float64)
+        ratios = np.zeros(size)
+        np.divide(counts[:-1] + config.abundance_prior.shape, counts[1:], out=ratios[1:])
+        gains = 1.0 - l2_expected(counts, config.composition_prior)
+        for table in (counts, ratios, gains):
+            table.flags.writeable = False
+        return counts, ratios, gains
+
+    @staticmethod
+    def pmf(tables, a: float, omp: float, anchor, lo: int, hi: int, prev: float):
+        import numpy as np
+
+        ratios = tables[1]
+        n0, value = anchor
+        start = max(lo, n0)
+        if start >= hi:
+            return np.zeros(hi - lo)
+        if hi <= len(ratios):
+            factors = ratios[start:hi] * omp
+        else:
+            n = np.arange(start, hi, dtype=np.float64)
+            factors = (n - 1.0 + a) / n * omp
+        factors[0] = value if start == n0 else prev * factors[0]
+        pmf = np.multiply.accumulate(factors)
+        return pmf if start == lo else np.concatenate((np.zeros(start - lo), pmf))
+
+    @staticmethod
+    def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
+        import numpy as np
+
+        counts, _, gains = tables
+        hi = lo + len(pmf)
+        inside = hi <= len(counts)
+        n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
+        q = np.empty(hi - lo)
+        n_bar = _categorized(config.cost, area, n, q, np.empty(hi - lo))
+        if inside:  # n_bar <= n < len(counts), so the weights are a gather
+            weights = gains[n_bar.astype(np.intp)]
+        else:
+            weights = 1.0 - l2_expected(n_bar, config.composition_prior)
+        terms = np.multiply(pmf, weights, out=weights)
+        return float(np.add.reduce(terms)), float(q[-1])
+
+    @staticmethod
+    def search(pmf, mass: float) -> tuple[int, float]:
+        import numpy as np
+
+        cdf = mass + np.cumsum(pmf)
+        return int(np.searchsorted(cdf, 0.5)), float(cdf[-1])
+
+
+def _choose_walk(sizes) -> type:
+    """The walk of a call whose designs have the first-chunk sizes ``sizes``:
+    :class:`_ArrayWalk` when NumPy is loaded already, or when the chunks hold
+    more than ``_PYTHON_WALK_TERMS`` terms in all, else :class:`_ListWalk`."""
+    if sys.modules.get("numpy") is not None or sum(map(sum, sizes)) > _PYTHON_WALK_TERMS:
+        return _ArrayWalk
+    return _ListWalk
+
+
+def _pmf_chunk(walk, tables, prior: GammaParams, area: float, lo: int, hi: int, prev=0.0):
+    """P(N = n) for n = lo .. hi - 1 at a sampled area > 0, where ``prev`` is
+    P(N = lo - 1), in ``walk``'s lists or arrays. The product runs from the
+    anchor (:func:`_anchor`) when it lies in the chunk, else from ``prev``;
+    counts before the anchor are 0. A chunk inside ``tables`` slices their
+    ratios; one that reaches past them computes its own."""
+    omp = area / (prior.rate + area)
+    return walk.pmf(tables, prior.shape, omp, _anchor(prior, area), lo, hi, prev)
+
+
+def _pmf_chunks(walk, tables, prior: GammaParams, area: float, first):
     """The predictive pmf of N at a sampled area > 0, chunk by chunk: yields
     ``(lo, pmf)`` with pmf[i] = P(N = lo + i). The first chunk is ``first``,
     the pmf over n < len(first) (:func:`_first_chunk` counts); each later one
-    holds as many counts as all before it, up to ``_MAX_CHUNK``."""
+    holds as many counts as all before it, up to ``_MAX_CHUNK``, and carries
+    the product on from the last value of the one before."""
     lo, pmf = 0, first
     while True:
         yield lo, pmf
         lo += len(pmf)
-        pmf = _pmf_chunk(prior, area, lo, lo + min(lo, _MAX_CHUNK), tables)
+        pmf = _pmf_chunk(walk, tables, prior, area, lo, lo + min(lo, _MAX_CHUNK), float(pmf[-1]))
 
 
-def _expected_l2(m: int, config: DesignConfig, first: np.ndarray, tables):
+def _expected_l2(m: int, config: DesignConfig, first, tables, walk):
     """``(e_l2, tail, terms)``: the exact E[L2*(n_bar(N))] over the negative
     binomial predictive of N at m >= 1, the bound on the upper tail mass it
     leaves out, and the pmf terms it sums. ``first`` is the first pmf chunk
@@ -256,48 +388,38 @@ def _expected_l2(m: int, config: DesignConfig, first: np.ndarray, tables):
     memory stays bounded for any prior, until the tail bound falls below
     ``TAIL_MASS`` or the budget rule's q reaches 0, after which every term is
     zero. Any ``tables`` at least as long as ``first`` give the same bits."""
-    counts, _, gains = tables
     prior, cost = config.abundance_prior, config.cost
     area = m * cost.quadrant_area
     one_minus_p = area / (prior.rate + area)
 
     gain = 0.0  # sum of P(N = n) * (1 - L2*(n))
     terms = 0
-    for lo, pmf in _pmf_chunks(prior, area, first, tables):
-        hi = lo + len(pmf)
-        inside = hi <= len(counts)
-        n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
-        q = np.empty(hi - lo)
-        n_bar = _categorized(cost, area, n, q, np.empty(hi - lo))
-        if inside:  # n_bar <= n < len(counts), so the weights are a gather
-            weights = gains[n_bar.astype(np.intp)]
-        else:
-            weights = 1.0 - l2_expected(n_bar, config.composition_prior)
-        gain += float(np.dot(pmf, weights))
-        terms += hi - lo
-        if not q[-1] > 0.0:  # q is nonincreasing in n: no later count is categorized
+    for lo, pmf in _pmf_chunks(walk, tables, prior, area, first):
+        chunk_gain, q_last = walk.gain(config, area, pmf, lo, tables)
+        gain += chunk_gain
+        terms += len(pmf)
+        if not q_last > 0.0:  # q is nonincreasing in n: no later count is categorized
             return 1.0 - gain, 0.0, terms
-        tail = _tail_bound(float(pmf[-1]), hi - 1, prior.shape, one_minus_p)
+        tail = _tail_bound(float(pmf[-1]), lo + len(pmf) - 1, prior.shape, one_minus_p)
         if tail < TAIL_MASS:
             return 1.0 - gain, tail, terms
 
 
-def _predictive_median(m: int, config: DesignConfig, size: int, tables) -> int:
+def _predictive_median(m: int, config: DesignConfig, size: int, tables, walk) -> int:
     """Predictive median of N at m, the first n with P(N <= n) >= 1/2, read
-    from the cumulative pmf over the chunks of :func:`_expected_l2`, the first
-    of them ``size`` long. It walks on past the budget-exhaustion count when
-    the median lies there."""
+    from the running sums of the pmf over the chunks of :func:`_expected_l2`,
+    the first of them ``size`` long. It walks on past the budget-exhaustion
+    count when the median lies there."""
     if m == 0:
         return 0
     prior = config.abundance_prior
     area = m * config.cost.quadrant_area
+    first = _pmf_chunk(walk, tables, prior, area, 0, size)
     mass = 0.0  # P(N < lo)
-    for lo, pmf in _pmf_chunks(prior, area, _pmf_chunk(prior, area, 0, size, tables), tables):
-        cdf = mass + np.cumsum(pmf)
-        idx = int(np.searchsorted(cdf, 0.5))
-        if idx < len(pmf):
-            return lo + idx
-        mass = float(cdf[-1])
+    for lo, pmf in _pmf_chunks(walk, tables, prior, area, first):
+        index, mass = walk.search(pmf, mass)
+        if index < len(pmf):
+            return lo + index
 
 
 def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> DesignCurveRow:
@@ -316,12 +438,12 @@ def _curve_row(m: int, config: DesignConfig, e_l2: float, tail: float) -> Design
 
 def _first_chunks(config: DesignConfig) -> list[int]:
     """The first-chunk size of every feasible m = 0 .. ``max_quadrants``. The
-    one gate of a design walk: before any array is built it rejects, in this
+    one gate of a design walk: before any table is built it rejects, in this
     order, more than ``MAX_QUADRANTS`` quadrants, a mean past ``MAX_MEAN_COUNT``,
-    more than ``MAX_CURVE_TERMS`` first-chunk counts and a shape whose log pmf
-    (:func:`_log_pmf_from_steps`) would be wrong at some m >= 1: its log-gamma
-    passes the largest float (about 2.5e305), or rounding log(b) and
-    log(b + mA) moves it past ``_LOG_PMF_TOLERANCE``, checked for m = 1, 2, ..."""
+    more than ``MAX_CURVE_TERMS`` first-chunk counts and a shape whose pmf
+    anchor (:func:`_anchor`) would be wrong at some m >= 1: its log-gamma
+    passes the largest float (about 2.5e305), or a times an ulp of log(b) and
+    of log(b + mA) passes ``_LOG_PMF_TOLERANCE``, checked for m = 1, 2, ..."""
     cost = config.cost
     budget = cost.budget_area / cost.quadrant_area
     if cost.max_quadrants > MAX_QUADRANTS:
@@ -360,54 +482,67 @@ def optimize_design(config: DesignConfig) -> DesignResult:
 
     Ties break toward smaller m (the cheaper field campaign). The walk's
     bounds are checked first (:func:`_first_chunks`), before any table is
-    built. The per-count arrays are built once, as long as the largest first
+    built. The per-count tables are built once, as long as the largest first
     chunk, and every design point slices them. Only m* reads the predictive
     median, for the typical-count summary.
     """
     return _optimize_designs([config], [_first_chunks(config)])[0]
 
 
-def _optimize_designs(configs, sizes) -> list[DesignResult]:
+def _optimize_designs(configs, sizes, walk=None) -> list[DesignResult]:
     """:func:`optimize_design` for each config, evaluated together;
-    ``sizes[i]`` is ``_first_chunks(configs[i])``.
+    ``sizes[i]`` is ``_first_chunks(configs[i])``. The walk is ``walk``,
+    :class:`_ListWalk` or :class:`_ArrayWalk`, or by default the one that
+    :func:`_choose_walk` picks for all the configs at once.
 
     Configs with the same abundance prior, quadrant area and composition
-    prior form a group. A group shares one set of per-count arrays, as long
+    prior form a group. A group shares one set of per-count tables, as long
     as its longest first chunk, and at each m one first pmf chunk, as long as
     the longest first chunk of its configs there. Each config sums over its
     own prefix of that chunk, which holds the bits the config would compute
-    alone: the log pmf's cumulative sum runs in order and every other step
-    works element by element. Groups are walked one after another, so one
-    group's arrays and one shared chunk are held at a time.
+    alone: the pmf's product runs in order and every other step works count
+    by count. Groups are walked one after another, so one group's tables and
+    one shared chunk are held at a time.
 
     The budget rule saturates where its products or quotients pass the
     largest float (:func:`_categorized`), so NumPy's overflow warning is off
-    for the walk.
+    for the array walk.
     """
+    if walk is None:
+        walk = _choose_walk(sizes)
+    if walk is _ListWalk:
+        return _walk_groups(configs, sizes, walk)
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        return _walk_groups(configs, sizes, walk)
+
+
+def _walk_groups(configs, sizes, walk) -> list[DesignResult]:
+    """The body of :func:`_optimize_designs`, on ``walk``."""
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         key = (config.abundance_prior, config.cost.quadrant_area, config.composition_prior)
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
-    with np.errstate(over="ignore"):
-        for (prior, quadrant_area, _), members in groups.items():
-            tables = _count_tables(configs[members[0]], max(max(sizes[i]) for i in members))
-            rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] for i in members}
-            widths = list(map(max, zip_longest(*(sizes[i] for i in members), fillvalue=0)))
-            for m in range(1, len(widths)):
-                pmf = _pmf_chunk(prior, m * quadrant_area, 0, widths[m], tables)
-                for i in members:
-                    if m < len(sizes[i]):
-                        config = configs[i]
-                        e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables)
-                        rows[i].append(_curve_row(m, config, e_l2, tail))
+    for (prior, quadrant_area, _), members in groups.items():
+        tables = walk.tables(configs[members[0]], max(max(sizes[i]) for i in members))
+        rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] for i in members}
+        widths = list(map(max, zip_longest(*(sizes[i] for i in members), fillvalue=0)))
+        for m in range(1, len(widths)):
+            pmf = _pmf_chunk(walk, tables, prior, m * quadrant_area, 0, widths[m])
             for i in members:
-                curve = DesignCurve(tuple(rows[i]))
-                results[i] = _design_result(configs[i], curve, sizes[i], tables)
+                if m < len(sizes[i]):
+                    config = configs[i]
+                    e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables, walk)
+                    rows[i].append(_curve_row(m, config, e_l2, tail))
+        for i in members:
+            curve = DesignCurve(tuple(rows[i]))
+            results[i] = _design_result(configs[i], curve, sizes[i], tables, walk)
     return results
 
 
-def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables) -> DesignResult:
+def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables, walk) -> DesignResult:
     """m* of ``curve``, the first m of least L*, with the predictive median
     and budget split there."""
     rows = curve.rows
@@ -415,43 +550,47 @@ def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables) -> D
     if nan is not None:
         raise ValueError(f"the expected loss L* is NaN at m={nan}; no design can be chosen")
     m_star = min(range(len(rows)), key=lambda m: rows[m].l_star)
-    n = _predictive_median(m_star, config, sizes[m_star], tables)
+    n = _predictive_median(m_star, config, sizes[m_star], tables, walk)
     n_bar, split = _budget_split(config.cost, rows[m_star].area, n)
     return DesignResult(m_star, curve, n, n_bar, split)
 
 
-def performance_curve(m: int, abundance_grid, config: DesignConfig) -> tuple[PerformanceRow, ...]:
+def performance_curve(m: int, abundance_grid, config: DesignConfig) -> list[PerformanceRow]:
     """Deterministic second-stage behavior across hypothetical true abundances.
 
     One row per grid abundance: expected count n = floor(m*A*abundance), the
     budget-implied q, the categorized count n_bar, and the resulting expected
-    composition loss.
+    composition loss. The grid is any iterable of numbers; the rows are a list.
     """
     cost = config.cost
     if not (0 <= m <= cost.max_quadrants and int(m) == m):  # named by its ends, not listed
         raise ValueError(f"m={_cut(str(m))} outside the feasible set 0..{cost.max_quadrants}")
-    grid = np.asarray(abundance_grid, dtype=float)
-    bad = grid[~(np.isfinite(grid) & (grid >= 0))]
-    if bad.size:
-        raise ValueError(f"abundance grid point {bad[0]} is not a finite number >= 0")
+    grid = [float(x) for x in abundance_grid]
+    for x in grid:
+        if not (x >= 0.0 and math.isfinite(x)):
+            raise ValueError(f"abundance grid point {x} is not a finite number >= 0")
     area = m * cost.quadrant_area
-    counts = np.floor(area * grid)
-    q, n_bar = budget_rule(cost, area, counts)
-    l2 = l2_expected(n_bar, config.composition_prior)
-    # int of the floats, not int64, which would wrap counts past 2**63
-    columns = grid.tolist(), map(int, counts.tolist()), q.tolist(), map(int, n_bar.tolist())
-    return tuple(map(PerformanceRow._make, zip(*columns, l2.tolist())))
+    counts = [area * x for x in grid]
+    if math.inf in counts:  # raises the rule's error for a count past the largest float
+        budget_rule(cost, area, math.inf)
+    counts = list(map(math.floor, counts))
+    q = _fractions(cost, area, counts)
+    n_bar = list(map(math.floor, map(mul, counts, q)))
+    q = [qn if n else 1.0 for n, qn in zip(counts, q)]  # the rule's q = 1 at n = 0
+    g0 = config.composition_prior.total
+    l2 = [_l2(k, g0) for k in n_bar]
+    return list(map(PerformanceRow._make, zip(grid, counts, q, n_bar, l2)))
 
 
-def default_abundance_grid(config: DesignConfig, points: int = 200) -> np.ndarray:
+def default_abundance_grid(config: DesignConfig, points: int = 200) -> list[float]:
     """Evenly spaced true-abundance grid over (0, 4 * prior mode], or up to
-    4 * prior mean when the shape is at most 1."""
+    4 * prior mean when the shape is at most 1, as a list."""
     prior = config.abundance_prior
     center, value = ("mode", prior.mode()) if prior.shape > 1 else ("mean", prior.mean())
     top = 4.0 * value
     if not top < math.inf:
         raise ValueError(f"abundance_prior {center} {value!r} is too large: 4 times it overflows")
-    return np.linspace(top / points, top, points)
+    return _linspace(top / points, top, points)
 
 
 def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:

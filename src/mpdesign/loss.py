@@ -6,14 +6,13 @@ The ``*_expected`` forms are closed-form prior expectations over the not yet
 observed data.
 
 Expected losses always lie in (0, 1]; realized losses can exceed 1 for
-extreme data and are not clamped.
+extreme data and are not clamped. The module imports NumPy only inside the
+functions that take arrays, so the design walk can run on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .distributions import DirichletParams, GammaParams
 
@@ -56,6 +55,8 @@ def l2_realized(class_counts, prior: DirichletParams, n_bar: int | None = None) 
     Closed form: ((1+g0) / (D*(1+g0+n_bar))) * (1 - sum(((g_i+s_i)/(g0+n_bar))^2))
     with D = 1 - sum((g_i/g0)^2).
     """
+    import numpy as np
+
     s = np.asarray(class_counts, dtype=float)
     if s.shape != (prior.k,):
         raise ValueError(f"expected {prior.k} class counts, got shape {s.shape}")
@@ -79,11 +80,23 @@ def l2_expected(n_bar, prior: DirichletParams):
 
     (g0 + 1 - n_bar/(g0 + n_bar)) / (g0 + 1 + n_bar).
 
-    For g0 = 1 this reduces to 1/(1 + n_bar).
+    For g0 = 1 this reduces to 1/(1 + n_bar). A single count gives a
+    Python float, computed without NumPy; an array of counts an array.
     """
+    if isinstance(n_bar, (int, float)):
+        if n_bar < 0:
+            raise ValueError("n_bar must be nonnegative")
+        return float(_l2(n_bar, prior.total))
+    import numpy as np
+
     nb = np.asarray(n_bar, dtype=float)
     if np.any(nb < 0):
         raise ValueError("n_bar must be nonnegative")
-    g0 = prior.total
-    out = (g0 + 1.0 - nb / (g0 + nb)) / (g0 + 1.0 + nb)
+    out = _l2(nb, prior.total)
     return float(out) if np.ndim(n_bar) == 0 else out
+
+
+def _l2(n_bar, g0: float):
+    """L2*(n_bar) at total concentration ``g0``, unchecked, for a count
+    (int below 2**53 or float) or a float array, with the same bits for both."""
+    return (g0 + 1.0 - n_bar / (g0 + n_bar)) / (g0 + 1.0 + n_bar)

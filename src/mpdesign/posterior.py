@@ -10,10 +10,10 @@ abundance/composition into the expected observations for a given design.
 
 Everything here runs on lists and ``math``, on the special functions of
 ``mpdesign._special``. It loads no SciPy, and NumPy only for the HPD
-interval's long series past a shape of about 2e5 and in the budget rule
-that :func:`synthesize_expected_data` calls. A density grid is
-``_linspace_from_zero``, NumPy's ``linspace`` from 0 bit for bit; its
-densities are ``_gamma_density`` and ``_beta_marginal``.
+interval's long series past a shape of about 2e5; the budget rule that
+:func:`synthesize_expected_data` calls takes one count, so it needs none. A
+density grid is ``_special._linspace`` from 0, NumPy's ``linspace`` bit for
+bit; its densities are ``_gamma_density`` and ``_beta_marginal``.
 """
 
 from __future__ import annotations
@@ -249,20 +249,6 @@ def _gamma_density(params: GammaParams, points: list[float]) -> list[float]:
         if not x >= 0:
             raise ValueError(f"grid point {x} outside support [0, inf)")
     return _gamma_pdf(points, params.shape, params.rate)
-
-
-def _linspace_from_zero(stop: float, points: int) -> list[float]:
-    """``np.linspace(0.0, stop, points).tolist()`` for points >= 2, in its
-    steps: i * (stop / (points - 1)), or (i / (points - 1)) * stop where that
-    step underflows to 0, and the last point ``stop`` itself."""
-    div = points - 1
-    step = stop / div
-    if step:
-        grid = [i * step for i in range(div)]
-    else:
-        grid = [i / div * stop for i in range(div)]
-    grid.append(stop)
-    return grid
 
 
 def _beta_marginal(params: DirichletParams, component: int, points: list[float]) -> list[float]:

@@ -5,9 +5,10 @@ curves, or posterior density grids) produced from embedded configurations,
 plus a manifest recording the inputs and a checksum per file. The bundles are
 plot *data*; rendering is left to external tools.
 
-Only the design figures (fig1-fig4) import the optimizer and NumPy. fig5
-and fig6 take the ``posterior`` command's list grid and densities; fig6
-loads NumPy only through the budget rule that splits its categorized counts.
+Only the design figures (fig1-fig4) import the optimizer, whose walk
+imports NumPy only past ``design._PYTHON_WALK_TERMS`` terms, as ``--figure
+all`` does. fig5 and fig6 take the ``posterior`` command's list grid and
+densities and the budget rule on single counts, so they load no NumPy.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ def _abundance_posterior_grid(prior: GammaParams, cases, grid):
 
 
 def _fig5():
-    from .posterior import FieldObservations, _linspace_from_zero, update_abundance
+    from ._special import _linspace
+    from .posterior import FieldObservations, update_abundance
 
-    grid = _linspace_from_zero(1000.0, 1001)
+    grid = _linspace(0.0, 1000.0, 1001)
     files = {}
     for lam in (5.0, 80.0):
         cases = []
@@ -128,15 +130,15 @@ def _fig5():
 
 
 def _fig6():
+    from ._special import _linspace
     from .posterior import (
-        _beta_marginal, _linspace_from_zero, synthesize_expected_data, update_abundance,
-        update_composition,
+        _beta_marginal, synthesize_expected_data, update_abundance, update_composition,
     )
 
     cost = CostModel.from_budget_quadrants(QUADRANT_AREA, BASE_BUDGET, COUNT_RATIO, CATEGORIZE_RATIO)
     comp_prior = DirichletParams.symmetric(CLASSES, 1.0)
-    lambda_grid = _linspace_from_zero(1000.0, 1001)
-    p_grid = _linspace_from_zero(1.0, 501)
+    lambda_grid = _linspace(0.0, 1000.0, 1001)
+    p_grid = _linspace(0.0, 1.0, 501)
     files = {}
     # scenario -> per-design observed totals; the second scenario pins the
     # observed totals directly rather than deriving them from an abundance

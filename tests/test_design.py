@@ -1,8 +1,12 @@
+import itertools
 import math
+import random
 import re
+import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,25 +25,25 @@ from mpdesign import (
     sensitivity_sweep,
 )
 from mpdesign import design
-from mpdesign.cost import _categorized
+from mpdesign.cost import _categorized, _fractions
 from mpdesign.design import (
     MAX_CURVE_TERMS,
     MAX_MEAN_COUNT,
     MAX_QUADRANTS,
     TAIL_MASS,
     _MAX_CHUNK,
-    _count_tables,
+    _ArrayWalk,
+    _ListWalk,
+    _anchor,
     _expected_l2,
     _first_chunk,
     _first_chunks,
-    _log_pmf_from_steps,
     _pmf_chunk,
     _predictive_median,
-    _ratio_steps,
     default_abundance_grid,
 )
 from oracles import RandomStream, budget_fraction, categorized_count, predictive_total_count
-from conftest import baseline_config
+from conftest import BASELINE_COST, baseline_config
 
 N = 100_000  # Monte Carlo draws behind an oracle mean
 
@@ -47,19 +51,26 @@ N = 100_000  # Monte Carlo draws behind an oracle mean
 def own_tables(m, config):
     """The first-chunk size at m and per-count arrays built for that point alone."""
     size = _first_chunk(m, config)
-    return size, _count_tables(config, size)
+    return size, _ArrayWalk.tables(config, size)
 
 
 def expected_l2(m, config, size, tables):
     """``_expected_l2`` at m >= 1 over a first chunk of ``size`` counts read from ``tables``."""
     area = m * config.cost.quadrant_area
-    first = _pmf_chunk(config.abundance_prior, area, 0, size, tables)
-    return _expected_l2(m, config, first, tables)
+    first = _pmf_chunk(_ArrayWalk, tables, config.abundance_prior, area, 0, size)
+    return _expected_l2(m, config, first, tables, _ArrayWalk)
 
 
 def median_alone(m, config):
     """The predictive median at m, read over that point's own arrays."""
-    return _predictive_median(m, config, *own_tables(m, config))
+    return _predictive_median(m, config, *own_tables(m, config), _ArrayWalk)
+
+
+def no_tables(monkeypatch):
+    """Make building any walk's tables fail, so a test shows that a check
+    rejects its input before any table is built."""
+    for walk in (_ArrayWalk, _ListWalk):
+        monkeypatch.setattr(walk, "tables", None)
 
 
 class TestExpectedTotalLoss:
@@ -417,12 +428,33 @@ def brute_log_pmf(prior, area, n):
     )
 
 
-def predictive_log_pmf(prior, area, start, stop):
-    """The design curve's log pmf of N for n = start .. stop - 1."""
-    return _log_pmf_from_steps(prior, area, start, _ratio_steps(prior.shape, start + 1, stop))
+def predictive_pmf(prior, area, stop, walk=_ArrayWalk):
+    """The design curve's pmf of N for n = 0 .. stop - 1, one chunk."""
+    config = DesignConfig(prior, DirichletParams.symmetric(10), BASELINE_COST)
+    return _pmf_chunk(walk, walk.tables(config, stop), prior, area, 0, stop)
 
 
-class TestPredictiveLogPmf:
+def mp_pmf(prior, area, stop):
+    """The pmf of N for n = 0 .. stop - 1 at 40 digits: p^a, then the exact
+    ratio (n - 1 + a) / n * (1 - p), from the float inputs."""
+    with mpmath.workdps(40):
+        a, b, area = mpmath.mpf(prior.shape), mpmath.mpf(prior.rate), mpmath.mpf(area)
+        omp = area / (b + area)
+        pmf = [(b / (b + area)) ** a]
+        for n in range(1, stop):
+            pmf.append(pmf[-1] * (n - 1 + a) / n * omp)
+        return pmf
+
+
+def relative_errors(pmf, exact):
+    """(max, mass-weighted mean) relative error of ``pmf`` against ``exact``."""
+    with mpmath.workdps(40):
+        errors = [abs(mpmath.mpf(float(x)) / e - 1) for x, e in zip(pmf, exact)]
+        weighted = mpmath.fsum(e * x for e, x in zip(errors, exact)) / mpmath.fsum(exact)
+        return float(max(errors)), float(weighted)
+
+
+class TestPredictivePmf:
     @pytest.mark.parametrize(
         "prior,area",
         [
@@ -434,16 +466,30 @@ class TestPredictiveLogPmf:
     )
     def test_matches_lgamma_brute_force(self, prior, area):
         rng = np.random.default_rng(5)
+        pmf = predictive_pmf(prior, area, 23_000)
         for start in (0, 1, 777, 20_000):
-            log_pmf = predictive_log_pmf(prior, area, start, start + 3000)
             for k in rng.integers(0, 3000, size=25):
                 n = start + int(k)
-                ref = brute_log_pmf(prior, area, n)
-                assert log_pmf[k] == pytest.approx(ref, rel=1e-11, abs=1e-9)
+                ref = math.exp(brute_log_pmf(prior, area, n))
+                assert pmf[n] == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "shape,mode,m,size,worst,weighted",
+        [(3.0, 200.0, 7, 1696, 5.2e-14, 9.5e-15), (3.0, 3000.0, 30, 65_536, 1.7e-12, 2.5e-13),
+         (1.5, 3000.0, 36, 65_536, 8.8e-12, 2.6e-12)],
+    )
+    def test_no_less_accurate_than_the_log_space_pmf(self, shape, mode, m, size, worst, weighted):
+        # worst and weighted are the relative errors against 40 digits of the
+        # pmf that exponentiated a running sum of log ratios, measured on
+        # these points
+        prior = GammaParams.from_mode(shape, mode)
+        area = m * 0.0625
+        got = relative_errors(predictive_pmf(prior, area, size), mp_pmf(prior, area, size))
+        assert got[0] <= worst and got[1] <= weighted, got
 
     def test_sums_to_one_and_matches_scipy(self):
         prior, area = GammaParams(3.0, 0.01), 0.4375
-        pmf = np.exp(predictive_log_pmf(prior, area, 0, 20_000))
+        pmf = predictive_pmf(prior, area, 20_000)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         ref = stats.nbinom(prior.shape, prior.rate / (prior.rate + area)).pmf(np.arange(20_000))
         assert np.allclose(pmf, ref, rtol=1e-10, atol=0.0)
@@ -451,9 +497,28 @@ class TestPredictiveLogPmf:
     def test_mean_matches_monte_carlo_draws(self):
         prior, area = GammaParams(3.0, 0.01), 0.4375
         n = np.arange(20_000)
-        mean = float(np.dot(np.exp(predictive_log_pmf(prior, area, 0, 20_000)), n))
+        mean = float(np.dot(predictive_pmf(prior, area, 20_000), n))
         draws = predictive_total_count(prior, area, RandomStream(8), size=N)
         assert abs(draws.mean() - mean) < 4 * draws.std(ddof=1) / np.sqrt(N)
+
+    def test_late_anchor_where_p_to_the_shape_underflows(self):
+        # a * log1p(mA/b) = 1e4 * log1p(7.5 / 49.995), about 1398, so P(0)
+        # underflows; the product starts where the log pmf reaches -700
+        prior, area = GammaParams.from_mode(1e4, 200.0), 7.5
+        assert prior.shape * math.log1p(area / prior.rate) > 1300
+        n0, value = _anchor(prior, area)
+        assert 0 < n0 < prior.shape * area / prior.rate
+        assert brute_log_pmf(prior, area, n0 - 1) < -700.0 <= brute_log_pmf(prior, area, n0)
+        size = 3000
+        exact = mp_pmf(prior, area, size)
+        # the anchor's log-gamma terms, of about 8e4, are rounded to an ulp
+        # (1.5e-11), which every later count inherits: 1.2e-11 here
+        for walk in (_ArrayWalk, _ListWalk):
+            pmf = list(predictive_pmf(prior, area, size, walk))
+            assert pmf[:n0] == [0.0] * n0 and pmf[n0] == value
+            assert max(exact[:n0]) < 1e-304
+            assert relative_errors(pmf[n0:], exact[n0:])[0] < 2e-11
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=2e-11)
 
     def test_invalid_arguments(self):
         # a shape whose log pmf would be silently wrong is rejected by name
@@ -493,7 +558,7 @@ class TestWalkBound:
         monkeypatch.setattr(design, "MAX_CURVE_TERMS", terms)
         assert optimize_design(low_config).m_star == 7
         monkeypatch.setattr(design, "MAX_CURVE_TERMS", terms - 1)
-        monkeypatch.setattr(design, "_count_tables", None)  # rejected before any table
+        no_tables(monkeypatch)
         with pytest.raises(ValueError) as info:
             optimize_design(low_config)
         message = str(info.value)
@@ -503,7 +568,7 @@ class TestWalkBound:
 
     def test_log_pmf_rounding_checked_before_any_table(self, monkeypatch):
         config = _config(GammaParams.from_mode(1e6, 1e-300))
-        monkeypatch.setattr(design, "_count_tables", None)  # rejected before any table
+        no_tables(monkeypatch)
         with pytest.raises(
             ValueError,
             match=r"^abundance_prior shape 1000000\.0 is too large: rounding log\(rate\) "
@@ -541,7 +606,7 @@ class TestSharedCountArrays:
         result = optimize_design(config)
         assert result.typical_n == median_alone(result.m_star, config)
         sizes = [_first_chunk(m, config) for m in range(config.cost.max_quadrants + 1)]
-        shared = _count_tables(config, max(sizes))
+        shared = _ArrayWalk.tables(config, max(sizes))
         assert result.curve.rows[0][2:] == (1.0, 1.0, 0.0, 1.0, 0.0)
         for row, size in zip(result.curve.rows[1:], sizes[1:]):
             alone = expected_l2(row.m, config, *own_tables(row.m, config))
@@ -587,7 +652,7 @@ class TestSharedCountArrays:
             label="area",
         )
         assume(area >= 0.0)
-        inside = _count_tables(config, size)[0][lo:hi]
+        inside = _ArrayWalk.tables(config, size)[0][lo:hi]
         past = np.arange(size + lo, size + hi, dtype=np.float64)
         for n in (inside, past):
             q_rule = np.array([budget_fraction(cost, area, int(k)) for k in n])
@@ -596,10 +661,13 @@ class TestSharedCountArrays:
             got = _categorized(cost, area, n, q, np.empty(hi - lo))
             assert np.array_equal(got, n_bar_rule)
             assert np.array_equal(q[n > 0], q_rule[n > 0])
+            # the list walk's rule, on int counts, has the array rule's bits
+            counts = range(int(n[0]), int(n[-1]) + 1)
+            assert _fractions(cost, area, counts) == q.tolist()
 
     def test_count_tables_are_read_only(self):
         config = _config(GammaParams.from_mode(3.0, 800.0))
-        for table in _count_tables(config, 100):
+        for table in _ArrayWalk.tables(config, 100):
             with pytest.raises(ValueError, match="read-only"):
                 table[:1] = 0.0
         assert 1 <= optimize_design(config).m_star <= config.cost.max_quadrants
@@ -779,3 +847,95 @@ class TestInvariances:
             for b in sorted(budgets)
         )
         assert high.l_star <= low.l_star + low.l_star_se + high.l_star_se
+
+
+def hex_bits(result):
+    """Everything a design result writes, each float by ``float.hex``."""
+    rows = [(row.m, *map(float.hex, row[1:])) for row in result.curve.rows]
+    split = [(key, value.hex()) for key, value in result.budget_split.items()]
+    return rows, result.m_star, result.typical_n, result.typical_n_bar, split
+
+
+def golden_configs():
+    """The designs behind the golden files: the baseline, its three
+    sensitivity sweeps and the eight scenarios of replicate's fig1-fig4."""
+    from mpdesign import replicate
+
+    base = baseline_config()
+    configs = [base]
+    for axis, values in (("r2", (0.5, 1.0, 2.0, 1000.0)), ("budget", (0.5, 8.0, 12.0, 14.0)),
+                         ("prior-mode", (100.0, 200.0, 800.0))):
+        configs += [design._apply_axis(base, axis, value) for value in values]
+    configs += [
+        replicate._config(prior, budget, r2)
+        for scenarios in replicate.DESIGN_SCENARIOS.values()
+        for _, prior, budget, r2 in scenarios
+    ]
+    return configs
+
+
+def grid_sample(count, seed):
+    """``count`` configs of the golden design grid whose walks take Python's
+    path, drawn by a seeded stream."""
+    from golden.make_golden import grid_config, grid_points
+
+    rng = random.Random(seed)
+    points = grid_points()
+    rng.shuffle(points)
+    configs = (grid_config(*point) for point in points)
+    small = (c for c in configs if sum(_first_chunks(c)) <= design._PYTHON_WALK_TERMS)
+    return list(itertools.islice(small, count))
+
+
+class TestWalkParity:
+    """The list walk and the array walk take the same steps in the same order,
+    so every design they give holds the same bits."""
+
+    def assert_same_bits(self, configs):
+        sizes = [_first_chunks(config) for config in configs]
+        lists = design._optimize_designs(configs, sizes, _ListWalk)
+        arrays = design._optimize_designs(configs, sizes, _ArrayWalk)
+        for config, a, b in zip(configs, lists, arrays):
+            assert hex_bits(a) == hex_bits(b), config
+
+    def test_golden_configs(self):
+        self.assert_same_bits(golden_configs())
+
+    def test_grid_sample_under_the_threshold(self):
+        configs = grid_sample(24, seed=33)
+        assert len(configs) == 24
+        assert {c.cost.count_ratio for c in configs} == {0.0, 5e-5, 2e-4}
+        for config in configs:
+            self.assert_same_bits([config])
+
+    def test_budget_rule_saturates(self):
+        # r2 = 5e-324: the quotient overflows to inf and q saturates at 1
+        config = _config(GammaParams.from_mode(3.0, 200.0))
+        cost = config.cost
+        config = DesignConfig(config.abundance_prior, config.composition_prior, CostModel(
+            cost.quadrant_area, cost.budget_coefficient, 0.0, 5e-324))
+        assert _fractions(config.cost, 0.0625, [5.0]) == [1.0]
+        result = optimize_design(config)
+        assert result.typical_n_bar == result.typical_n > 0
+        self.assert_same_bits([config])
+
+    def test_late_anchor(self):
+        # shape 1e4: from m = 59 on, a * log1p(mA/b) passes 700 and P(0)
+        # underflows, so the walks start from the log-gamma anchor
+        config = _config(GammaParams.from_mode(1e4, 200.0), budget=80.0)
+        prior = config.abundance_prior
+        anchors = [_anchor(prior, m * 0.0625)[0] for m in range(1, 81)]
+        assert anchors[57] == 0 < anchors[58]
+        self.assert_same_bits([config])
+
+    def test_chunks_past_the_tables(self):
+        # first chunks capped at _MAX_CHUNK: later chunks compute their own ratios
+        self.assert_same_bits([_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=2.0)])
+
+    def test_walk_choice(self, monkeypatch):
+        small, large = [[0, 10]], [[0, design._PYTHON_WALK_TERMS + 1]]
+        assert design._choose_walk(small) is design._choose_walk(large) is _ArrayWalk
+        monkeypatch.setitem(sys.modules, "numpy", None)  # as if NumPy were not loaded
+        assert design._choose_walk(small) is _ListWalk
+        assert design._choose_walk([[0, design._PYTHON_WALK_TERMS]]) is _ListWalk
+        assert design._choose_walk(large) is _ArrayWalk

@@ -2,26 +2,30 @@
 
 Each output is recomputed and compared cell by cell with its golden file:
 text (headers, axis names, JSON keys that are not numbers), integers (m, m*,
-counts) exactly, and floats within ``REL_TOL``. The design curves take
-NumPy's SIMD ``exp``/``log1p`` and a BLAS ``np.dot``, which move cells in the
-last bits between CPUs; the largest move measured across dispatch paths is
-7.6e-15 relative. The Gamma densities take the C library's ``exp``, which
-glibc picks by CPU too: with its FMA variant masked off, one density cell of
-the golden files moves by 1 ulp. So a bound of 2e-14 holds on any CPU and
-still catches a real change. A subnormal density has fewer bits, so floats
-are compared as if they were at least the smallest normal double. A change
+counts) exactly, and floats within ``REL_TOL``. The design curves take no
+SIMD or BLAS routine of NumPy's: their pmf is a product of basic operations,
+summed in NumPy's pairwise order, so their bytes do not move with NumPy's
+dispatch or the BLAS core, which a subprocess test checks. Their anchor, p^a,
+and the Gamma densities take the C library's ``log1p``, ``exp`` and
+``lgamma``, which glibc picks by CPU: with its FMA variant masked off, one
+density cell of the golden files moves by 1 ulp. So a bound of 2e-14 holds on
+any CPU and still catches a real change. A subnormal density has fewer bits,
+so floats are compared as if they were at least the smallest normal double. A change
 that moves these outputs on purpose regenerates the files by hand with
 ``tests/golden/make_golden.py``. Among the files is ``design_grid.csv``, m*,
 the typical counts and the budget split of 960 designs (``GRID``), which
-takes about five seconds to recompute.
+take about three seconds to recompute on a 2-vCPU Xeon.
 
 ``posterior`` needs no NumPy: it is also run in a fresh interpreter in which
-``import numpy`` fails, on the golden campaigns, against the same files.
+``import numpy`` fails, on the golden campaigns, against the same files, and
+so are the golden ``design``, ``curves`` and ``sensitivity`` commands, whose
+design walks run on lists.
 """
 
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -29,7 +33,9 @@ import sys
 import pytest
 
 import mpdesign
-from golden.make_golden import CAMPAIGNS, GOLDEN_DIR, GRID_COLUMNS, golden_files, outputs
+from golden.make_golden import (
+    BASELINE, CAMPAIGNS, COMMANDS, GOLDEN_DIR, GRID_COLUMNS, golden_files, outputs,
+)
 
 REL_TOL = 2e-14
 
@@ -118,6 +124,79 @@ def test_posterior_runs_without_numpy(campaign, fmt, tmp_path):
     # the summary (HPD ends, moments, counts) takes no exp of the C library's
     # or NumPy's: it keeps every bit
     assert summary(proc.stdout, fmt) == summary(golden, fmt)
+
+
+# Runs the command line, then reports on stderr whether the command loaded
+# NumPy and which CPU features NumPy's dispatch had on.
+DISPATCH_CHILD = """
+import sys
+from mpdesign.cli import main
+code = main(sys.argv[1:])
+walked_in_numpy = "numpy" in sys.modules
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+print(walked_in_numpy, *sorted(f for f, on in __cpu_features__.items() if on), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def dispatch_levels():
+    """NumPy's dispatched SIMD levels that this CPU has on: all of them, and
+    the AVX512 ones."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    levels = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return levels, [f for f in levels if f.startswith("AVX512") or f == "X86_V4"]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the BLAS cores and SIMD levels named are x86's",
+)
+def test_design_bytes_do_not_depend_on_blas_or_simd(tmp_path):
+    # B = 40 puts 159,850 terms in the first pmf chunks, so the walk is
+    # NumPy's; its bytes must not move with OpenBLAS's core or NumPy's SIMD level
+    doc = {**BASELINE, "cost": {**BASELINE["cost"], "budget_quadrant_equivalents": 40}}
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(mpdesign.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    variants = [{}] + [{"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Haswell", "SkylakeX")]
+    variants += [{"NPY_DISABLE_CPU_FEATURES": " ".join(levels)} for levels in dispatch_levels() if levels]
+    outputs = set()
+    for variant in variants:
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD, "--config", "config.json", "design"],
+            cwd=tmp_path, env={**env, **variant}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        walked_in_numpy, *features = proc.stderr.split()
+        assert walked_in_numpy == "True"
+        masked = variant.get("NPY_DISABLE_CPU_FEATURES", "").split()
+        assert not set(masked) & set(features), variant  # the mask took
+        assert proc.stdout.startswith("# m_star: ")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_design_commands_run_without_numpy(name, tmp_path):
+    # their walks hold at most design._PYTHON_WALK_TERMS terms, so they run on lists
+    (tmp_path / "config.json").write_text(json.dumps(BASELINE), encoding="utf-8")
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(mpdesign.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, "--config", "config.json", *COMMANDS[name]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = list(differences((GOLDEN_DIR / name).read_text(encoding="utf-8"), proc.stdout))
+    assert not found, f"{name}: " + "; ".join(found[:5])
 
 
 def summary(text, fmt):

@@ -37,9 +37,13 @@ OpenSSL's ``_hashlib`` (which ``import hashlib`` loads) is as needless: the
 replicate manifest hashes with the interpreter's built-in SHA-256, so no
 command loads it. ``replicate`` fig1-fig4 load only the design path, not
 ``mpdesign.posterior``; fig5 and fig6 load ``posterior`` instead. fig5 takes
-the ``posterior`` command's list grid and densities, so it loads no NumPy;
-fig6 loads NumPy only through the budget rule that splits its categorized
-counts.
+the ``posterior`` command's list grid and densities, and fig6 the budget rule
+on single counts, so neither loads NumPy.
+
+The design walk runs in Python up to ``design._PYTHON_WALK_TERMS`` first-chunk
+terms, so the golden ``design``, ``curves`` and ``sensitivity`` commands and
+``replicate`` fig1-fig4 load no NumPy either; a walk past that many terms
+does.
 Importing ``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy
 and no SciPy.
 
@@ -57,6 +61,7 @@ import pytest
 
 import mpdesign
 
+from golden.make_golden import COMMANDS
 from test_cli import BASE_DOC, CAMPAIGN
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -110,7 +115,7 @@ def loaded_modules(*args, cwd):
 # Text that each command's output holds once the command has run
 OUTPUT_MARKERS = {
     "design": "# m_star: ",
-    "curves": "# m: 3",
+    "curves": "# m: ",
     "sensitivity": "axis,value,m_star,",
     "posterior": "hpd_upper",
     "replicate": "manifest.json",
@@ -219,6 +224,30 @@ def test_help_loads_no_argparse(args, workdir):
 
 def test_replicate_fig5_loads_no_scipy(workdir):
     assert scipy_modules("replicate", "--figure", "fig5", "--out-dir", "out", cwd=workdir) == set()
+
+
+def numpy_modules(*args, cwd):
+    return {m for m in loaded_by_command(*args, cwd=cwd) if m.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--config", "config.json", *args) for args in COMMANDS.values()]
+    + [("replicate", "--figure", figure, "--out-dir", "out")
+       for figure in ("fig1", "fig2", "fig3", "fig4", "fig6")],
+    ids=list(COMMANDS) + ["replicate-fig1", "replicate-fig2", "replicate-fig3", "replicate-fig4",
+                          "replicate-fig6"],
+)
+def test_walks_under_the_threshold_load_no_numpy(args, workdir):
+    assert numpy_modules(*args, cwd=workdir) == set()
+
+
+def test_walk_past_the_threshold_loads_numpy(workdir):
+    # B = 40 puts 159,850 terms in the first chunks
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["cost"]["budget_quadrant_equivalents"] = 40
+    (workdir / "config.json").write_text(json.dumps(doc))
+    assert "numpy" in numpy_modules("--config", "config.json", "design", cwd=workdir)
 
 
 def test_replicate_fig5_loads_no_numpy(workdir):

@@ -23,9 +23,9 @@ from mpdesign import (
     update_composition,
 )
 from mpdesign import _special, posterior
-from mpdesign._special import _gammainc, _lgamma
+from mpdesign._special import _gammainc, _lgamma, _linspace
 from mpdesign.posterior import (
-    _beta_marginal, _gamma_density, _linspace_from_zero, apportion_counts,
+    _beta_marginal, _gamma_density, apportion_counts,
 )
 from conftest import BASELINE_COST
 
@@ -618,8 +618,24 @@ def grid_stops():
 def test_density_grid_is_numpy_linspace():
     for stop, points in grid_stops():
         expected = np.linspace(0.0, stop, points).tolist()
-        got = _linspace_from_zero(stop, points)
+        got = _linspace(0.0, stop, points)
         assert [x.hex() for x in got] == [x.hex() for x in expected], (stop, points)
+
+
+def test_linspace_from_any_start_is_numpy_linspace():
+    # the abundance grids of ``curves``: from top / points, or --lambda-min,
+    # up to the top; and one point, a start above the stop and a step that
+    # underflows
+    rng = random.Random(33)
+    cases = [(4.0, 800.0, 200), (2.0, 400.0, 200), (5.0, 5.0, 2), (3.0, 7.0, 1), (9.0, 1.0, 5),
+             (1e-320, 2e-320, 100), (0.0, 5e-324, 3)]
+    for _ in range(300):
+        start = math.exp(rng.uniform(-750.0, 704.0))  # times 100 is finite
+        cases.append((start, start * rng.uniform(1.0, 100.0), rng.randint(2, 3000)))
+    for start, stop, points in cases:
+        expected = np.linspace(start, stop, points).tolist()
+        got = _linspace(start, stop, points)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], (start, stop, points)
 
 
 # shapes from 0.05 to 5000, log-uniform, and exactly 1
