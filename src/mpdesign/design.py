@@ -22,10 +22,10 @@ The pmf is a running product, P(n) = P(n - 1) * ((n - 1 + a) / n) * (1 - p),
 of IEEE basic operations taken in order, from one anchor per design point
 (:func:`_anchor`): P(0) = exp(-a log1p(mA/b)), or, where that underflows, the
 log-gamma form at the first count whose log pmf reaches ``_LOG_ANCHOR``. The
-anchor is the walk's only call of the C library (``log1p``, ``exp``,
-``lgamma``). Every other step is a basic operation, an in-order accumulation
-or NumPy's pairwise sum, so the curve does not depend on NumPy's SIMD level
-or on a BLAS. The walk runs on lists in Python (:class:`_ListWalk`) or on
+anchor holds the walk's only rounded results of the C library (``log1p``,
+``exp``, ``lgamma``). Every other step is a basic operation, an in-order
+accumulation or NumPy's pairwise sum, so the curve does not depend on
+NumPy's SIMD level or on a BLAS. The walk runs on lists in Python (:class:`_ListWalk`) or on
 NumPy arrays (:class:`_ArrayWalk`), which take the same steps in the same
 order and give the same bits. A call whose first pmf chunks hold at most
 ``_PYTHON_WALK_TERMS`` terms walks in Python unless NumPy is loaded already,
@@ -82,8 +82,8 @@ _LOG_PMF_TOLERANCE = 1e-8
 # every count before that start is below exp(-700), about 1e-304, and taken as 0.
 _LOG_ANCHOR = -700.0
 # First-chunk terms up to which a walk runs in Python when NumPy is not
-# loaded: near where the Python walk, at about 0.7 us a term, costs as much
-# as NumPy's import (about 80 ms on a 2-vCPU Xeon).
+# loaded: near where the Python walk, at 0.5-0.9 us a term, costs as much as
+# NumPy's import (about 80 ms on a 2-vCPU Xeon).
 _PYTHON_WALK_TERMS = 100_000
 
 # Output columns of a design curve, a performance curve and a sensitivity

@@ -930,7 +930,9 @@ class TestWalkParity:
 
     def test_chunks_past_the_tables(self):
         # first chunks capped at _MAX_CHUNK: later chunks compute their own ratios
-        self.assert_same_bits([_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=2.0)])
+        capped = _config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=2.0)
+        assert _first_chunks(capped)[1:] == [_MAX_CHUNK] * 2
+        self.assert_same_bits([capped])
 
     def test_walk_choice(self, monkeypatch):
         small, large = [[0, 10]], [[0, design._PYTHON_WALK_TERMS + 1]]

@@ -166,7 +166,9 @@ def test_design_bytes_do_not_depend_on_blas_or_simd(tmp_path):
     package_root = os.path.dirname(os.path.dirname(mpdesign.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     variants = [{}] + [{"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Haswell", "SkylakeX")]
-    variants += [{"NPY_DISABLE_CPU_FEATURES": " ".join(levels)} for levels in dispatch_levels() if levels]
+    variants += [
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(levels)} for levels in dispatch_levels() if levels
+    ]
     outputs = set()
     for variant in variants:
         proc = subprocess.run(
