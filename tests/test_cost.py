@@ -15,7 +15,7 @@ from mpdesign import (
     l1_expected,
     optimize_design,
 )
-from mpdesign.cost import _budget_split
+from mpdesign.cost import _budget_split, _categorized, _fractions
 from conftest import BASELINE_COST, baseline_config
 from oracles import budget_fraction
 
@@ -249,6 +249,29 @@ class TestBudgetRule:
         assert all(type(qn) is float and type(nb) is int for qn, nb in scalar)
         assert [qn for qn, _ in scalar] == list(q) == list(ref_q)
         assert [nb for _, nb in scalar] == list(n_bar) == list(ref_n_bar)
+
+    @given(
+        budget_coefficient=st.floats(1e-300, 1e300),
+        r1=st.one_of(st.just(0.0), st.floats(5e-324, 1e308)),
+        r2=st.floats(5e-324, 1e308),
+        area=st.floats(0.0, 1e300),
+        counts=st.lists(st.one_of(st.integers(0, 2**53), st.floats(0.0, 1e300)),
+                        min_size=1, max_size=20),
+    )
+    @settings(max_examples=300)
+    @example(1.0, 1e308, 1.0, 0.0, [2])  # n * r1 overflows: q = 0
+    @example(1.0, 0.0, 5e-324, 0.0, [3])  # the quotient overflows: q = 1
+    def test_list_core_has_the_array_core_bits(self, budget_coefficient, r1, r2, area, counts):
+        # the design's list walk and its array walk must agree bit for bit,
+        # also where the rule saturates past the largest float
+        cost = CostModel(1.0, budget_coefficient, r1, r2)
+        n = np.array(counts, dtype=np.float64)
+        q = np.empty_like(n)
+        with np.errstate(over="ignore"):
+            n_bar = _categorized(cost, area, n, q, np.empty_like(n))
+        fractions = _fractions(cost, area, counts)
+        assert [x.hex() for x in fractions] == [x.hex() for x in q.tolist()]
+        assert [math.floor(k * x) for k, x in zip(counts, fractions)] == n_bar.tolist()
 
     @pytest.mark.xfail(
         strict=False,
