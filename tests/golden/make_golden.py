@@ -8,11 +8,11 @@ It writes the fig1-fig4 design and performance CSVs of ``replicate``; the
 header and every 25th row of its fig5 and fig6 density files; the CSV output
 of ``design``, ``curves --m 7`` and the three ``sensitivity`` axes on the
 baseline config; ``posterior --density-grid`` in CSV and JSON on three
-campaigns (``CAMPAIGNS``); and ``design_grid.csv``, the optimal design of each
-config of ``GRID`` (:func:`grid_text`). ``tests/test_golden.py`` recomputes the same
-outputs with :func:`outputs` and compares them with these files. A change
-that moves these outputs on purpose reruns this script in the same commit
-and states the largest move and its reason.
+campaigns (``CAMPAIGNS``); and ``design_grid.csv``, the optimal design of
+each config of ``GRID`` (:func:`grid_text`). ``tests/test_golden.py``
+recomputes the same outputs with :func:`outputs` and compares them with
+these files. A change that moves these outputs on purpose reruns this script
+in the same commit and states the largest move and its reason.
 """
 
 from __future__ import annotations
