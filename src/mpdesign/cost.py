@@ -20,6 +20,8 @@ or applying the rule to one count loads no NumPy.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 
 from ._record import Record
 
@@ -32,6 +34,10 @@ __all__ = [
 # Relative slack when counting whole affordable quadrants: c = 1/(B*A) is
 # rounded, so 1/(A*c) can land a few ulps below a whole budget B.
 _QUADRANT_RTOL = 1e-13
+# Guard band of the categorized count's runs (:func:`_categorized_runs`), as
+# a share of W/r2 + n: some 6e5 times the rounding bound 14u * (W/r2 + n).
+_RUN_GUARD = 1e-9
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 class CostModel(Record):
@@ -217,6 +223,88 @@ def _fractions(cost: CostModel, total_area: float, counts) -> list[float]:
     return fractions
 
 
+def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
+    """floor(n * q) from :func:`_fractions` over the int counts n = lo .. hi - 1,
+    in runs: yields ``(stop, n_bar)``, each run ending before ``stop`` and
+    starting where the one before ended, with n_bar None where n_bar = n.
+
+    q is nonincreasing in n, since each of its steps is a monotone IEEE
+    operation, so the counts fall in three bands, found by bisection: q = 1,
+    where n_bar = n; 0 < q < 1; and q = 0, where n_bar = 0. In the middle
+    band n_bar = floor(v(n)) up to rounding, where v(n) = (1/c - (n*r1 + mA))/r2
+    falls linearly in n, one whole number each r2/r1 counts (never, when r1 = 0).
+    The rule's float n*q and v computed in the rule's own steps are both
+    within 7u * (W/r2 + n) of v, where u = 2**-53 and W = 1/c + n*r1 + mA
+    (Higham, 2002, §3.1: gamma_3 for the residual's three roundings and for
+    the quotient's and product's, each on a normal result), so a run whose
+    computed v at both ends lies inside (k + g, k + 1 - g) for a guard band
+    g = ``_RUN_GUARD`` * (W/r2 + n) at the band's last count has n_bar = k
+    throughout. The counts where v lies within g of a whole number, and the
+    whole band when some step could leave the normal floats, are taken one at
+    a time in :func:`_fractions`' steps."""
+
+    def fraction(n):
+        return _fractions(cost, total_area, (n,))[0]
+
+    counts = range(lo, hi)
+    full = lo + bisect_left(counts, True, key=lambda n: fraction(n) < 1.0)
+    zero = full + bisect_left(counts[full - lo:], True, key=lambda n: not fraction(n) > 0.0)
+    if full > lo:
+        yield full, None
+    if full == 0 < zero:  # n_bar = 0 * q
+        yield 1, 0
+        full = 1
+    if full < zero:
+        yield from _middle_runs(cost, total_area, full, zero, fraction)
+    if zero < hi:
+        yield hi, 0
+
+
+def _middle_runs(cost: CostModel, total_area: float, start: int, stop: int, fraction):
+    """The runs of :func:`_categorized_runs` over counts ``start`` .. ``stop``
+    - 1, all >= 1 with 0 < q < 1."""
+    budget, r1, r2 = cost.budget_area, cost.count_ratio, cost.categorize_ratio
+    last = stop - 1
+
+    def one_by_one(a, b):
+        for n, q in zip(range(a, b), _fractions(cost, total_area, range(a, b))):
+            yield n + 1, math.floor(n * q)
+
+    def v(n):
+        return (budget - (n * r1 + total_area)) / r2
+
+    guard = _RUN_GUARD * ((budget + last * r1 + total_area) / r2 + stop)
+    # each step on a normal float or 0, so each rounds within u of its result
+    normal = (
+        (r1 == 0.0 or start * r1 >= _TINY and last * r1 < math.inf)
+        and start * r2 >= _TINY and last * r2 < math.inf and fraction(last) >= _TINY
+    )
+    if not (normal and guard < 0.25):  # a wider guard band leaves runs little room
+        yield from one_by_one(start, stop)
+        return
+    slope = r2 / r1 if r1 > 0.0 else math.inf  # counts per unit fall of v
+    n = start
+    while n < stop:
+        x = v(n)
+        k = math.floor(x)
+        if k + guard < x < k + 1 - guard:
+            # the last count whose v passes k + guard, by v's slope, checked
+            estimate = min(n + (x - (k + guard)) * slope, stop)
+            end = max(n, min(last, math.ceil(estimate) - 1))
+            if not v(end) > k + guard:
+                below = bisect_left(range(n, end + 1), True, key=lambda i: not v(i) > k + guard)
+                end = n + below - 1
+            yield end + 1, k
+            n = end + 1
+        else:  # v is within the guard band of a whole number j: count by count while v >= j - guard
+            j = round(x)
+            after = n + 1
+            if 2.0 * guard * slope > 1.0:  # v takes more than a count to cross the band
+                after = n + bisect_left(range(n, stop), True, key=lambda i: v(i) < j - guard)
+            yield from one_by_one(n, after)
+            n = after
+
+
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:
     """n_bar at count ``n``, and the budget fractions that sampling, counting and
     categorization take there, with the slack 1 minus what that n_bar spends.
@@ -248,3 +336,9 @@ def _exhausted_at(cost: CostModel, total_area: float) -> float:
     infinite when r1 = 0, or when a subnormal r1 overflows the quotient."""
     r1 = cost.count_ratio
     return (cost.budget_area - total_area) / r1 if r1 > 0 else math.inf
+
+
+def _categorizable(cost: CostModel) -> float:
+    """1/(c*r2): the categorizations that the whole budget buys, so, up to
+    rounding, the largest n_bar that the rule gives at any count."""
+    return cost.budget_area / cost.categorize_ratio

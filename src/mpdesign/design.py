@@ -25,12 +25,19 @@ log-gamma form at the first count whose log pmf reaches ``_LOG_ANCHOR``. The
 anchor holds the walk's only rounded results of the C library (``log1p``,
 ``exp``, ``lgamma``). Every other step is a basic operation, an in-order
 accumulation or NumPy's pairwise sum, so the curve does not depend on
-NumPy's SIMD level or on a BLAS. The walk runs on lists in Python (:class:`_ListWalk`) or on
-NumPy arrays (:class:`_ArrayWalk`), which take the same steps in the same
-order and give the same bits. A call whose first pmf chunks hold at most
-``_PYTHON_WALK_TERMS`` terms walks in Python unless NumPy is loaded already,
-so that a cold command skips NumPy's import (:func:`_choose_walk`); the module
-imports NumPy only inside the array walk.
+NumPy's SIMD level or on a BLAS. The walk runs on lists in Python
+(:class:`_ListWalk`) or on NumPy arrays (:class:`_ArrayWalk`), which give the
+same bits. The array walk applies the budget rule at every count. The list
+walk takes n_bar by runs (:func:`cost._categorized_runs`): n_bar = n up to
+the first count whose q < 1 and 0 from the first whose q = 0, and in between
+it is the floor of a linear v(n) up to rounding, so a run whose v stays a
+guard band clear of whole numbers at both ends has one n_bar. The guard band,
+far wider than the rounding of n*q, is the proof that this n_bar is
+floor(n*q) at every count of the run. A call
+whose first pmf chunks hold at most ``_PYTHON_WALK_TERMS`` terms walks in
+Python unless NumPy is loaded already, so that a cold command skips NumPy's
+import (:func:`_choose_walk`); the module imports NumPy only inside the array
+walk.
 """
 
 from __future__ import annotations
@@ -38,14 +45,17 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate, zip_longest
 from operator import mul
-from typing import NamedTuple
 
 from ._record import Record
 from ._special import _linspace, _pairwise_sum
 from .config import DesignConfig
-from .cost import CostModel, _budget_split, _categorized, _exhausted_at, _fractions, budget_rule
+from .cost import (
+    CostModel, _budget_split, _categorizable, _categorized, _categorized_runs, _exhausted_at,
+    _fractions, budget_rule,
+)
 from .distributions import GammaParams
 from .io import _cut
 from .loss import _l2, l1_expected, l2_expected
@@ -82,9 +92,11 @@ _LOG_PMF_TOLERANCE = 1e-8
 # every count before that start is below exp(-700), about 1e-304, and taken as 0.
 _LOG_ANCHOR = -700.0
 # First-chunk terms up to which a walk runs in Python when NumPy is not
-# loaded: near where the Python walk, at 0.5-0.9 us a term, costs as much as
-# NumPy's import (about 80 ms on a 2-vCPU Xeon).
-_PYTHON_WALK_TERMS = 100_000
+# loaded: a little below where the Python walk, at 125-230 ns a term, costs as
+# much as NumPy's import less the array walk's own time, about 50 ms cold
+# (on a shared 2-vCPU Xeon, where a cold design command broke even near
+# 280,000 terms).
+_PYTHON_WALK_TERMS = 250_000
 
 # Output columns of a design curve, a performance curve and a sensitivity
 # sweep, in file order. The rows are named tuples with their fields in this
@@ -94,14 +106,13 @@ CURVES_COLUMNS = ("lambda", "n", "q", "n_bar", "L2_star")
 SENSITIVITY_COLUMNS = ("axis", "value", "m_star", "typical_n_bar", "budget_slack")
 
 
-class DesignCurveRow(NamedTuple):
-    m: int
-    area: float
-    l1_star: float
-    e_l2_star: float
-    e_l2_se: float  # truncated tail mass: bounds |error| of e_l2_star
-    l_star: float
-    l_star_se: float  # (1 - w) * e_l2_se
+# A design point: its m and sampled area, L1*, E[L2*] and the truncated tail
+# mass e_l2_se that bounds E[L2*]'s error, L* and (1 - w) * e_l2_se. The rows
+# are ``collections.namedtuple``s, so a command that builds them loads no
+# ``typing``.
+DesignCurveRow = namedtuple(
+    "DesignCurveRow", ("m", "area", "l1_star", "e_l2_star", "e_l2_se", "l_star", "l_star_se")
+)
 
 
 class DesignCurve(Record):
@@ -144,20 +155,8 @@ class DesignResult(Record):
         return self.curve.rows[self.m_star]
 
 
-class PerformanceRow(NamedTuple):
-    true_abundance: float
-    n: int
-    q: float
-    n_bar: int
-    l2_star: float
-
-
-class SweepRow(NamedTuple):
-    axis: str
-    value: float
-    m_star: int
-    typical_n_bar: int
-    budget_slack: float
+PerformanceRow = namedtuple("PerformanceRow", ("true_abundance", "n", "q", "n_bar", "l2_star"))
+SweepRow = namedtuple("SweepRow", ("axis", "value", "m_star", "typical_n_bar", "budget_slack"))
 
 
 def _tail_bound(pmf_top: float, top: int, shape: float, one_minus_p: float) -> float:
@@ -234,17 +233,24 @@ class _ListWalk:
     Each step is :class:`_ArrayWalk`'s, one count at a time: the same basic
     operations in the same order, the running product by ``accumulate``, the
     sums by ``_special._pairwise_sum`` (NumPy's pairwise order) and the median
-    by ``bisect`` on the running sums, so every result has the same bits.
+    by ``bisect`` on the running sums, so every result has the same bits. The
+    one exception is n_bar, which comes by runs (:func:`cost._categorized_runs`):
+    the budget rule runs only at the ends of each run and where v(n) lies
+    within the guard band of a whole number, and the guard band is the proof
+    that each count of a run has the n_bar that the rule gives it, so every
+    weight, and every term, has the same bits as well.
     """
 
     @staticmethod
     def tables(config: DesignConfig, size: int):
-        """The per-count lists over n = 0 .. size - 1 that no design point
-        changes: the pmf's ratios ((n - 1) + a) / n (index n, from 1) and the
-        gain weights 1 - L2*(n)."""
+        """The per-count lists that no design point changes: the pmf's ratios
+        ((n - 1) + a) / n over n = 0 .. size - 1 (index n, from 1), and the
+        gain weights 1 - L2*(n) for n up to 1/(c*r2) + 1 of ``config``'s cost,
+        past any n_bar that its rule gives; :meth:`gain` computes any weight
+        past them."""
         a, g0 = config.abundance_prior.shape, config.composition_prior.total
         ratios = [0.0] + [((n - 1.0) + a) / n for n in range(1, size)]
-        gains = [1.0 - _l2(n, g0) for n in range(size)]
+        gains = [1.0 - _l2(n, g0) for n in range(int(min(_categorizable(config.cost), size)) + 2)]
         return ratios, gains
 
     @staticmethod
@@ -264,17 +270,22 @@ class _ListWalk:
 
     @staticmethod
     def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
-        """(sum of P(N = n) * (1 - L2*(n_bar(n))) over the chunk, q at its last count)."""
-        gains = tables[1]
-        counts = range(lo, lo + len(pmf))
-        q = _fractions(config.cost, area, counts)
-        n_bar = map(math.floor, map(mul, counts, q))
-        if counts.stop <= len(gains):  # n_bar <= n < len(gains): a gather
-            weights = map(gains.__getitem__, n_bar)
-        else:
-            g0 = config.composition_prior.total
-            weights = [1.0 - _l2(k, g0) for k in n_bar]
-        return _pairwise_sum(list(map(mul, pmf, weights))), q[-1]
+        """(sum of P(N = n) * (1 - L2*(n_bar(n))) over the chunk, q at its last
+        count), with the weights filled run by run of n_bar."""
+        gains, g0 = tables[1], config.composition_prior.total
+        hi = lo + len(pmf)
+        weights = []
+        start = lo
+        for stop, n_bar in _categorized_runs(config.cost, area, lo, hi):
+            if n_bar is None:  # n_bar = n
+                weights += gains[start:stop]
+                weights += [1.0 - _l2(n, g0) for n in range(max(start, len(gains)), stop)]
+            else:
+                weight = gains[n_bar] if n_bar < len(gains) else 1.0 - _l2(n_bar, g0)
+                weights += [weight] * (stop - start)
+            start = stop
+        q_last = _fractions(config.cost, area, (hi - 1,))[0]
+        return _pairwise_sum(list(map(mul, pmf, weights))), q_last
 
     @staticmethod
     def search(pmf, mass: float) -> tuple[int, float]:
@@ -526,7 +537,9 @@ def _walk_groups(configs, sizes, walk) -> list[DesignResult]:
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
     for (prior, quadrant_area, _), members in groups.items():
-        tables = walk.tables(configs[members[0]], max(max(sizes[i]) for i in members))
+        # the member whose budget categorizes the most counts sizes the gain weights
+        lead = configs[max(members, key=lambda i: _categorizable(configs[i].cost))]
+        tables = walk.tables(lead, max(max(sizes[i]) for i in members))
         rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] for i in members}
         widths = list(map(max, zip_longest(*(sizes[i] for i in members), fillvalue=0)))
         for m in range(1, len(widths)):

@@ -6,8 +6,8 @@ plus a manifest recording the inputs and a checksum per file. The bundles are
 plot *data*; rendering is left to external tools.
 
 Only the design figures (fig1-fig4) import the optimizer, whose walk
-imports NumPy only past ``design._PYTHON_WALK_TERMS`` terms, as ``--figure
-all`` does. fig5 and fig6 take the ``posterior`` command's list grid and
+imports NumPy only past ``design._PYTHON_WALK_TERMS`` terms; ``--figure all``
+stays below it. fig5 and fig6 take the ``posterior`` command's list grid and
 densities and the budget rule on single counts, so they load no NumPy.
 """
 

@@ -15,7 +15,7 @@ from mpdesign import (
     l1_expected,
     optimize_design,
 )
-from mpdesign.cost import _budget_split, _categorized, _fractions
+from mpdesign.cost import _budget_split, _categorized, _categorized_runs, _fractions
 from conftest import BASELINE_COST, baseline_config
 from oracles import budget_fraction
 
@@ -195,6 +195,18 @@ def scalar_rule(cost, area, counts):
     return np.array(q), np.array([math.floor(int(n) * qn) for n, qn in zip(counts, q)])
 
 
+def run_filled(cost, area, counts):
+    """n_bar at each count of the range ``counts``, filled from the runs of
+    ``_categorized_runs``, after checking that the runs tile the range."""
+    n_bar, start = [], counts.start
+    for stop, k in _categorized_runs(cost, area, counts.start, counts.stop):
+        assert start < stop <= counts.stop
+        n_bar += range(start, stop) if k is None else [k] * (stop - start)
+        start = stop
+    assert start == counts.stop
+    return n_bar
+
+
 class TestBudgetRule:
     def test_matches_scalar_reference(self):
         counts = np.array([0, 1, 5, 50, 102, 103, 167, 280, 1000, 6250, 100_000])
@@ -272,6 +284,56 @@ class TestBudgetRule:
         fractions = _fractions(cost, area, counts)
         assert [x.hex() for x in fractions] == [x.hex() for x in q.tolist()]
         assert [math.floor(k * x) for k, x in zip(counts, fractions)] == n_bar.tolist()
+
+    @given(
+        budget_coefficient=st.floats(1e-300, 1e300),
+        r1=st.one_of(st.just(0.0), st.floats(5e-324, 1e308)),
+        r2=st.floats(5e-324, 1e308),
+        area=st.floats(0.0, 1e300),
+        place=st.floats(0.0, 2.0),
+        length=st.integers(1, 3000),
+    )
+    @settings(max_examples=300)
+    # r1 = 0, B = 12, m = 5: v = 99.99999999999999, and floor(n*q) = 100 at
+    # some counts, which only the guard band keeps
+    @example(1.0 / 0.75, 0.0, 0.004375, 0.3125, 1.0, 3000)
+    # r1 = 5e-5: v crosses whole numbers, within rounding, at whole counts
+    @example(1.0 / 0.75, 5e-5, 3e-3, 0.4375, 1.0, 3000)
+    @example(1.0, 1e-300, 1.0, 0.0, 1.0, 100)  # n*r1 is subnormal
+    @example(1.0, 0.0, 5e-324, 0.0, 1.0, 100)  # n*r2 is subnormal
+    def test_runs_are_the_rule_at_every_count(
+        self, budget_coefficient, r1, r2, area, place, length
+    ):
+        # the list walk's n_bar by runs is floor(n*q) at every count of a
+        # chunk; the chunk starts at ``place`` times the count where q leaves 1
+        cost = CostModel(1.0, budget_coefficient, r1, r2)
+        residual = cost.budget_area - area
+        full = residual / (r1 + r2) if residual > 0.0 else 0.0
+        lo = min(int(min(full, 2.0**52) * place), 2**53 - length)  # counts below 2**53
+        counts = range(lo, lo + length)
+        expected = [math.floor(n * q) for n, q in zip(counts, _fractions(cost, area, counts))]
+        assert run_filled(cost, area, counts) == expected
+
+    @given(
+        quadrant_area=st.sampled_from((0.01, 0.0625, 0.1, 0.25)),
+        budget=st.one_of(st.integers(1, 200), st.floats(1.0, 200.0)),
+        m=st.integers(0, 200),
+        r1=st.one_of(st.sampled_from((0.0, 5e-5, 2e-4)), st.floats(1e-12, 1e-2)),
+        r2=st.one_of(st.integers(1, 10_000).map(lambda k: float(f"{k}e-5")),
+                     st.floats(1e-6, 10.0)),
+        place=st.floats(0.5, 3.0),
+        length=st.integers(1, 3000),
+    )
+    @settings(max_examples=300)
+    def test_runs_at_design_scale(self, quadrant_area, budget, m, r1, r2, place, length):
+        # where the middle band's runs are many and narrow, and v often
+        # crosses a whole number at a whole count
+        cost = CostModel.from_budget_quadrants(quadrant_area, budget, r1, r2)
+        area = min(m, cost.max_quadrants) * quadrant_area
+        lo = int((cost.budget_area - area) / (r1 + r2) * place)
+        counts = range(lo, lo + length)
+        expected = [math.floor(n * q) for n, q in zip(counts, _fractions(cost, area, counts))]
+        assert run_filled(cost, area, counts) == expected
 
     @pytest.mark.xfail(
         strict=False,

@@ -934,6 +934,41 @@ class TestWalkParity:
         assert _first_chunks(capped)[1:] == [_MAX_CHUNK] * 2
         self.assert_same_bits([capped])
 
+    def test_benchmark_design_sweep_configs(self):
+        # shape 3, mode 200 or 800, B in {8, 12, 14, 20}, r2 = 3e-3 x {1, 2,
+        # 1000}: every design of the benchmark's design-sweep, its sweeps too
+        configs = [
+            DesignConfig(
+                GammaParams.from_mode(3.0, mode), DirichletParams.symmetric(10, 1.0),
+                CostModel.from_budget_quadrants(0.0625, budget, 5e-5, 3e-3 * r2),
+            )
+            for mode in (200.0, 800.0) for budget in (8.0, 12.0, 14.0, 20.0)
+            for r2 in (1.0, 2.0, 1000.0)
+        ]
+        self.assert_same_bits(configs)
+
+    def test_budget_40(self):
+        config = baseline_config(budget=40.0)
+        assert sum(_first_chunks(config)) == 159_850
+        self.assert_same_bits([config])
+
+    @pytest.mark.parametrize("m, r2, v", [(7, 0.003125, 100.0), (5, 0.004375, 100.0 - 2**-46)])
+    def test_whole_residual_without_count_cost(self, m, r2, v):
+        # r1 = 0, B = 12: the residual at m buys exactly 100 categorizations,
+        # and v = residual/r2 is constant, 100 at m = 7 and just below it at
+        # m = 5 in floats, while floor(n*q) is 99 at some counts and 100 at
+        # others: the guard band sends those counts through the rule one by one
+        config = DesignConfig(
+            GammaParams.from_mode(3.0, 200.0), DirichletParams.symmetric(10, 1.0),
+            CostModel.from_budget_quadrants(0.0625, 12.0, 0.0, r2),
+        )
+        area = m * 0.0625
+        assert (config.cost.budget_area - area) / r2 == v
+        counts = range(101, _first_chunk(m, config))
+        n_bar = {math.floor(n * q) for n, q in zip(counts, _fractions(config.cost, area, counts))}
+        assert n_bar == {99, 100}
+        self.assert_same_bits([config])
+
     def test_walk_choice(self, monkeypatch):
         small, large = [[0, 10]], [[0, design._PYTHON_WALK_TERMS + 1]]
         assert design._choose_walk(small) is design._choose_walk(large) is _ArrayWalk

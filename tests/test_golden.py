@@ -33,6 +33,9 @@ import sys
 import pytest
 
 import mpdesign
+from mpdesign import design
+from mpdesign.config import parse_config
+from mpdesign.design import _first_chunks
 from golden.make_golden import (
     BASELINE, CAMPAIGNS, COMMANDS, GOLDEN_DIR, GRID_COLUMNS, golden_files, outputs,
 )
@@ -158,9 +161,10 @@ def dispatch_levels():
     reason="the BLAS cores and SIMD levels named are x86's",
 )
 def test_design_bytes_do_not_depend_on_blas_or_simd(tmp_path):
-    # B = 40 puts 159,850 terms in the first pmf chunks, so the walk is
+    # B = 60 puts 358,660 terms in the first pmf chunks, so the walk is
     # NumPy's; its bytes must not move with OpenBLAS's core or NumPy's SIMD level
-    doc = {**BASELINE, "cost": {**BASELINE["cost"], "budget_quadrant_equivalents": 40}}
+    doc = {**BASELINE, "cost": {**BASELINE["cost"], "budget_quadrant_equivalents": 60}}
+    assert sum(_first_chunks(parse_config(doc).design)) > design._PYTHON_WALK_TERMS
     (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(mpdesign.__file__))

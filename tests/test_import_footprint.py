@@ -41,9 +41,15 @@ the ``posterior`` command's list grid and densities, and fig6 the budget rule
 on single counts, so neither loads NumPy.
 
 The design walk runs in Python up to ``design._PYTHON_WALK_TERMS`` first-chunk
-terms, so the golden ``design``, ``curves`` and ``sensitivity`` commands and
-``replicate`` fig1-fig4 load no NumPy either; a walk past that many terms
-does.
+terms, so the golden ``design``, ``curves`` and ``sensitivity`` commands, a
+``design`` at B = 40, and ``replicate`` fig1-fig4 and ``--figure all`` load no
+NumPy either; a walk past that many terms (B = 60) does. The Python walk is
+fast enough for that because it takes the categorized count n_bar by runs of
+equal n_bar, applying the budget rule only at the ends of each run and near
+whole numbers of the run's v(n), and a guard band far wider than the rule's
+rounding proves each run's n_bar at every count. Run by ``python -S``, those
+golden design commands load neither ``typing`` nor ``dataclasses``,
+``inspect`` or ``tempfile``: their rows are ``collections.namedtuple``'s.
 Importing ``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy
 and no SciPy.
 
@@ -60,6 +66,9 @@ import sys
 import pytest
 
 import mpdesign
+from mpdesign import design
+from mpdesign.config import parse_config
+from mpdesign.design import _first_chunks
 
 from golden.make_golden import COMMANDS
 from test_cli import BASE_DOC, CAMPAIGN
@@ -190,7 +199,8 @@ def test_posterior_loads_no_numpy_and_no_scipy(prior_shape, grid, fmt, workdir):
 # the ``gettext`` and ``locale`` that ``argparse`` imports for its messages.
 PARSER_SKIPS = {"argparse", "gettext", "locale"}
 
-# Standard-library modules that a cold posterior does without: the parser's
+# Standard-library modules that a cold posterior, or a cold design command
+# under the walk's threshold, does without: the parser's
 # above, the code generator of ``dataclasses`` with the ``inspect`` (and its
 # ``ast``, ``dis`` and ``tokenize``) that it imports, ``typing``, and
 # ``tempfile``, which only a command that writes files needs. ``python -S``
@@ -213,6 +223,14 @@ def test_posterior_loads_no_dataclasses_typing_or_tempfile(prior_shape, grid, fm
     assert stdlib & POSTERIOR_SKIPS == set()
 
 
+@pytest.mark.parametrize("args", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_design_commands_load_no_dataclasses_typing_or_tempfile(args, workdir):
+    # the rows are collections.namedtuple's, and the walks run on lists
+    stdlib = modules_of_command("--config", "config.json", *args, cwd=workdir, flags=("-S",))[1]
+    assert "csv" in stdlib  # the set holds what the command loaded
+    assert stdlib & POSTERIOR_SKIPS == set()
+
+
 @pytest.mark.parametrize(
     "args", [("--help",), ("posterior", "--help")], ids=["help", "posterior-help"]
 )
@@ -230,23 +248,34 @@ def numpy_modules(*args, cwd):
     return {m for m in loaded_by_command(*args, cwd=cwd) if m.split(".")[0] == "numpy"}
 
 
+def write_budget(workdir, budget, name):
+    """Write the baseline config with ``budget`` quadrant equivalents to ``name``."""
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["cost"]["budget_quadrant_equivalents"] = budget
+    (workdir / name).write_text(json.dumps(doc))
+    return doc
+
+
 @pytest.mark.parametrize(
     "args",
     [("--config", "config.json", *args) for args in COMMANDS.values()]
+    + [("--config", "config_b40.json", "design")]
     + [("replicate", "--figure", figure, "--out-dir", "out")
-       for figure in ("fig1", "fig2", "fig3", "fig4", "fig6")],
-    ids=list(COMMANDS) + ["replicate-fig1", "replicate-fig2", "replicate-fig3", "replicate-fig4",
-                          "replicate-fig6"],
+       for figure in ("fig1", "fig2", "fig3", "fig4", "fig6", "all")],
+    ids=list(COMMANDS) + ["design-b40", "replicate-fig1", "replicate-fig2", "replicate-fig3",
+                          "replicate-fig4", "replicate-fig6", "replicate-all"],
 )
 def test_walks_under_the_threshold_load_no_numpy(args, workdir):
+    # B = 40 puts 159,850 terms in the first chunks, and replicate's eight
+    # design figures 179,226
+    write_budget(workdir, 40, "config_b40.json")
     assert numpy_modules(*args, cwd=workdir) == set()
 
 
 def test_walk_past_the_threshold_loads_numpy(workdir):
-    # B = 40 puts 159,850 terms in the first chunks
-    doc = json.loads(json.dumps(BASE_DOC))
-    doc["cost"]["budget_quadrant_equivalents"] = 40
-    (workdir / "config.json").write_text(json.dumps(doc))
+    # B = 60 puts 358,660 terms in the first chunks
+    doc = write_budget(workdir, 60, "config.json")
+    assert sum(_first_chunks(parse_config(doc).design)) > design._PYTHON_WALK_TERMS
     assert "numpy" in numpy_modules("--config", "config.json", "design", cwd=workdir)
 
 
