@@ -342,3 +342,21 @@ def _categorizable(cost: CostModel) -> float:
     """1/(c*r2): the categorizations that the whole budget buys, so, up to
     rounding, the largest n_bar that the rule gives at any count."""
     return cost.budget_area / cost.categorize_ratio
+
+
+def _categorized_bounds(cost: CostModel, total_areas, means) -> list[float]:
+    """x = min(mean, K) * (1 + 1e-12) + 1, K = max(1/c - mA, 0)/(r1 + r2), at
+    each sampled area of ``total_areas`` and the mean count ``means`` there
+    (finite floats >= 0): a bound on E[n_bar(N)] after sampling mA, for a
+    count N of that mean. A count n with n_bar >= 1 has n_bar <= n and
+    r2*n_bar <= 1/c - mA - n*r1, so n_bar*(r1 + r2) <= 1/c - mA and
+    n_bar <= K at every count; so E[n_bar(N)] <= E[min(N, K)] <= min(E[N], K).
+    The factor and the +1 cover the rounding of the float rule's n_bar,
+    which can pass K by a few ulps of it, and of the float mean. Never NaN:
+    K is at most inf, where r1 + r2 is subnormal, and 0 where sampling
+    spends the budget."""
+    budget, ratio = cost.budget_area, cost.count_ratio + cost.categorize_ratio
+    return [
+        min(mean, max(budget - area, 0.0) / ratio) * (1.0 + 1e-12) + 1.0
+        for area, mean in zip(total_areas, means)
+    ]

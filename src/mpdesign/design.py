@@ -53,8 +53,8 @@ from ._record import Record
 from ._special import _linspace, _pairwise_sum
 from .config import DesignConfig
 from .cost import (
-    CostModel, _budget_split, _categorizable, _categorized, _categorized_runs, _exhausted_at,
-    _fractions, budget_rule,
+    CostModel, _budget_split, _categorizable, _categorized, _categorized_bounds, _categorized_runs,
+    _exhausted_at, _fractions, budget_rule,
 )
 from .distributions import GammaParams
 from .io import _cut
@@ -97,6 +97,10 @@ _LOG_ANCHOR = -700.0
 # (on a shared 2-vCPU Xeon, where a cold design command broke even near
 # 280,000 terms).
 _PYTHON_WALK_TERMS = 250_000
+# Share of a design's least L* so far that a point's lower bound must pass
+# before the m*-only walk skips the point (:func:`_bounded_visits`): far above
+# the walk's rounding of L*, so a skipped point is neither m* nor tied with it.
+_BOUND_MARGIN = 1e-9
 
 # Output columns of a design curve, a performance curve and a sensitivity
 # sweep, in file order. The rows are named tuples with their fields in this
@@ -119,7 +123,8 @@ class DesignCurve(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[DesignCurveRow, ...]):
-        object.__setattr__(self, "rows", rows)  # rows[m] is the design point at m
+        # rows[m] is the design point at m, or None where an m*-only walk skipped it
+        object.__setattr__(self, "rows", rows)
 
 
 class DesignResult(Record):
@@ -246,12 +251,14 @@ class _ListWalk:
         """The per-count lists that no design point changes: the pmf's ratios
         ((n - 1) + a) / n over n = 0 .. size - 1 (index n, from 1), and the
         gain weights 1 - L2*(n) for n up to 1/(c*r2) + 1 of ``config``'s cost,
-        past any n_bar that its rule gives; :meth:`gain` computes any weight
-        past them."""
+        past any n_bar that its rule gives; and the composition prior's
+        total g0, from which :meth:`gain` computes any weight past them.
+        ``DirichletParams.total`` is a sum over the classes on every
+        access, so it is read here once."""
         a, g0 = config.abundance_prior.shape, config.composition_prior.total
         ratios = [0.0] + [((n - 1.0) + a) / n for n in range(1, size)]
         gains = [1.0 - _l2(n, g0) for n in range(int(min(_categorizable(config.cost), size)) + 2)]
-        return ratios, gains
+        return ratios, gains, g0
 
     @staticmethod
     def pmf(tables, a: float, omp: float, anchor, lo: int, hi: int, prev: float) -> list:
@@ -272,7 +279,7 @@ class _ListWalk:
     def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
         """(sum of P(N = n) * (1 - L2*(n_bar(n))) over the chunk, q at its last
         count), with the weights filled run by run of n_bar."""
-        gains, g0 = tables[1], config.composition_prior.total
+        _, gains, g0 = tables
         hi = lo + len(pmf)
         weights = []
         start = lo
@@ -500,7 +507,7 @@ def optimize_design(config: DesignConfig) -> DesignResult:
     return _optimize_designs([config], [_first_chunks(config)])[0]
 
 
-def _optimize_designs(configs, sizes, walk=None) -> list[DesignResult]:
+def _optimize_designs(configs, sizes, walk=None, m_star_only=False) -> list[DesignResult]:
     """:func:`optimize_design` for each config, evaluated together;
     ``sizes[i]`` is ``_first_chunks(configs[i])``. The walk is ``walk``,
     :class:`_ListWalk` or :class:`_ArrayWalk`, or by default the one that
@@ -509,11 +516,20 @@ def _optimize_designs(configs, sizes, walk=None) -> list[DesignResult]:
     Configs with the same abundance prior, quadrant area and composition
     prior form a group. A group shares one set of per-count tables, as long
     as its longest first chunk, and at each m one first pmf chunk, as long as
-    the longest first chunk of its configs there. Each config sums over its
-    own prefix of that chunk, which holds the bits the config would compute
-    alone: the pmf's product runs in order and every other step works count
-    by count. Groups are walked one after another, so one group's tables and
-    one shared chunk are held at a time.
+    the longest first chunk of its configs walked there. Each config sums
+    over its own prefix of that chunk, which holds the bits the config would
+    compute alone: the pmf's product runs in order and every other step
+    works count by count. Groups are walked one after another, so one
+    group's tables and one shared chunk are held at a time.
+
+    With ``m_star_only`` the walk is branch and bound, for callers that read
+    only m* and what lies at it: it visits a group's m in order of the least
+    lower bound of its configs there (:func:`_loss_bounds`) and skips a
+    config's point whose bound passes that config's least L* so far by more
+    than ``_BOUND_MARGIN``, so a skipped point can be neither m* nor tie with
+    it. Each result's curve holds None at the m it skipped; every row it
+    holds has the bits of the full walk's, and its m*, typical counts and
+    budget split are the full walk's.
 
     The budget rule saturates where its products or quotients pass the
     largest float (:func:`_categorized`), so NumPy's overflow warning is off
@@ -522,50 +538,116 @@ def _optimize_designs(configs, sizes, walk=None) -> list[DesignResult]:
     if walk is None:
         walk = _choose_walk(sizes)
     if walk is _ListWalk:
-        return _walk_groups(configs, sizes, walk)
+        return _walk_groups(configs, sizes, walk, m_star_only)
     import numpy as np
 
     with np.errstate(over="ignore"):
-        return _walk_groups(configs, sizes, walk)
+        return _walk_groups(configs, sizes, walk, m_star_only)
 
 
-def _walk_groups(configs, sizes, walk) -> list[DesignResult]:
+def _walk_groups(configs, sizes, walk, m_star_only) -> list[DesignResult]:
     """The body of :func:`_optimize_designs`, on ``walk``."""
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         key = (config.abundance_prior, config.cost.quadrant_area, config.composition_prior)
         groups.setdefault(key, []).append(i)
     results = [None] * len(configs)
-    for (prior, quadrant_area, _), members in groups.items():
+    for (prior, quadrant_area, composition_prior), members in groups.items():
         # the member whose budget categorizes the most counts sizes the gain weights
         lead = configs[max(members, key=lambda i: _categorizable(configs[i].cost))]
         tables = walk.tables(lead, max(max(sizes[i]) for i in members))
-        rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] for i in members}
-        widths = list(map(max, zip_longest(*(sizes[i] for i in members), fillvalue=0)))
-        for m in range(1, len(widths)):
-            pmf = _pmf_chunk(walk, tables, prior, m * quadrant_area, 0, widths[m])
-            for i in members:
-                if m < len(sizes[i]):
-                    config = configs[i]
-                    e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables, walk)
-                    rows[i].append(_curve_row(m, config, e_l2, tail))
+        rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] + [None] * (len(sizes[i]) - 1)
+                for i in members}
+        if m_star_only:
+            visits = _bounded_visits(configs, members, rows, composition_prior.total)
+        else:
+            visits = _every_visit(sizes, members)
+        for m, live in visits:
+            width = max(sizes[i][m] for i in live)
+            pmf = _pmf_chunk(walk, tables, prior, m * quadrant_area, 0, width)
+            for i in live:
+                config = configs[i]
+                e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables, walk)
+                rows[i][m] = _curve_row(m, config, e_l2, tail)
         for i in members:
-            curve = DesignCurve(tuple(rows[i]))
-            results[i] = _design_result(configs[i], curve, sizes[i], tables, walk)
+            results[i] = _design_result(configs[i], rows[i], sizes[i], tables, walk)
     return results
 
 
-def _design_result(config: DesignConfig, curve: DesignCurve, sizes, tables, walk) -> DesignResult:
-    """m* of ``curve``, the first m of least L*, with the predictive median
-    and budget split there."""
-    rows = curve.rows
-    nan = next((row.m for row in rows if math.isnan(row.l_star)), None)
+def _every_visit(sizes, members):
+    """The full walk's visits: ``(m, live)`` for m = 1, 2, ... up to the
+    group's largest feasible m, ``live`` the members feasible at m."""
+    for m in range(1, max(len(sizes[i]) for i in members)):
+        yield m, [i for i in members if m < len(sizes[i])]
+
+
+def _bounded_visits(configs, members, rows, g0: float):
+    """The m*-only walk's visits: ``(m, live)``, m = 1, 2, ... in order of
+    the least bound LB(m) of the group's members feasible at m (the smaller
+    m first among equal bounds), ``live`` those members whose bound there
+    does not pass their least L* so far by more than ``_BOUND_MARGIN``; an m
+    with none is not visited. After each visit it reads back rows[i][m], which
+    the caller has filled, for each live member i. It stops once the least
+    bound passes every member's incumbent, since no later m can beat one.
+    A member's incumbent starts at its m = 0 row, which is always walked."""
+    bounds = {i: _loss_bounds(configs[i], g0) for i in members}
+    best = {i: rows[i][0].l_star for i in members}
+    least = list(map(min, zip_longest(*bounds.values(), fillvalue=math.inf)))
+    scale = 1.0 + _BOUND_MARGIN
+    for m in sorted(range(1, len(least)), key=least.__getitem__):
+        if least[m] > max(best.values()) * scale:
+            return
+        live = [i for i in members if m < len(bounds[i]) and not bounds[i][m] > best[i] * scale]
+        if live:
+            yield m, live
+            for i in live:
+                best[i] = min(best[i], rows[i][m].l_star)  # a NaN L* leaves best as it was
+
+
+def _loss_bounds(config: DesignConfig, g0: float) -> list[float]:
+    """A lower bound LB(m) on L*(m), for m = 0 .. ``max_quadrants`` in one
+    pass, at the composition prior's total ``g0``:
+
+        LB(m) = w L1*(m) + (1 - w) L2*(x_m),  x_m = min(a mA/b, K)(1 + 1e-12) + 1,
+
+    with K = max(1/c - mA, 0)/(r1 + r2) (:func:`cost._categorized_bounds`).
+    It holds for these reasons:
+
+    - n_bar <= n and r2 n_bar <= 1/c - mA - n r1 wherever n_bar >= 1, so
+      n_bar (r1 + r2) <= 1/c - mA, and n_bar <= K at every count.
+    - So E[n_bar(N)] <= E[min(N, K)] <= min(E[N], K), where E[N] = a mA/b.
+    - L2*(n_bar) simplifies to g0/(g0 + n_bar), which is convex and
+      decreasing, so by Jensen E[L2*(n_bar)] >= L2*(E[n_bar]) >= L2*(x_m).
+    - The walk's ``E_L2_star`` counts the truncated tail, and the counts
+      before the pmf's anchor, at L2* = 1, so up to its rounding it is at
+      least the exact value.
+    - The factor 1 + 1e-12 and the +1 cover the rounding of the float rule's
+      n_bar and of the float mean; ``_BOUND_MARGIN`` covers the rest.
+
+    L1* takes the steps of :func:`l1_expected`, unchecked. The bound is
+    finite at every m that :func:`_first_chunks` admits: the mean is at most
+    ``MAX_MEAN_COUNT`` and K is never NaN, so 1 <= x_m < inf."""
+    cost = config.cost
+    a, b = config.abundance_prior.shape, config.abundance_prior.rate
+    w = L1_WEIGHT
+    areas = [m * cost.quadrant_area for m in range(cost.max_quadrants + 1)]
+    xs = _categorized_bounds(cost, areas, [a * area / b for area in areas])
+    return [w * (1.0 / (1.0 + area / b)) + (1.0 - w) * _l2(x, g0) for area, x in zip(areas, xs)]
+
+
+def _design_result(config: DesignConfig, rows, sizes, tables, walk) -> DesignResult:
+    """m*, the first m of least L* among the walked ``rows`` (rows[m] is the
+    point at m, or None where an m*-only walk skipped it), with the
+    predictive median and budget split there. A NaN L* in any walked row
+    is an error."""
+    walked = [row for row in rows if row is not None]
+    nan = next((row.m for row in walked if math.isnan(row.l_star)), None)
     if nan is not None:
         raise ValueError(f"the expected loss L* is NaN at m={nan}; no design can be chosen")
-    m_star = min(range(len(rows)), key=lambda m: rows[m].l_star)
+    m_star = min(walked, key=lambda row: row.l_star).m
     n = _predictive_median(m_star, config, sizes[m_star], tables, walk)
     n_bar, split = _budget_split(config.cost, rows[m_star].area, n)
-    return DesignResult(m_star, curve, n, n_bar, split)
+    return DesignResult(m_star, DesignCurve(tuple(rows)), n, n_bar, split)
 
 
 def performance_curve(m: int, abundance_grid, config: DesignConfig) -> list[PerformanceRow]:
@@ -613,9 +695,12 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
     equivalents), ``prior-mode`` (abundance prior modes, shape fixed). The
     values' designs are optimized together (:func:`_optimize_designs`), and
     each holds the bits it has alone, so a row does not depend on the others
-    or on their order. Every value, and the bounds of its design walk, is
-    checked before any is optimized; a value that gives no valid
-    configuration raises a ``ValueError`` that names the axis and the value.
+    or on their order. A row holds only m* and what lies at it, so the walk
+    is m*-only: it skips every design point whose lower bound on L* shows
+    that it cannot be m*, and gives the m*, typical n_bar and slack of the
+    full walk. Every value, and the bounds of its design walk, is checked
+    before any is optimized; a value that gives no valid configuration raises
+    a ``ValueError`` that names the axis and the value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -631,7 +716,7 @@ def sensitivity_sweep(base: DesignConfig, axis: str, values) -> list[SweepRow]:
             raise ValueError(f"{axis} value {value}: {exc}") from exc
     return [
         SweepRow(axis, value, result.m_star, result.typical_n_bar, result.budget_split["slack"])
-        for value, result in zip(values, _optimize_designs(configs, sizes))
+        for value, result in zip(values, _optimize_designs(configs, sizes, m_star_only=True))
     ]
 
 

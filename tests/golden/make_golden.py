@@ -120,13 +120,15 @@ def grid_points() -> list[tuple[float, ...]]:
     return points
 
 
-def grid_text() -> str:
+def grid_text(m_star_only: bool = False) -> str:
     """CSV of the optimal design of every ``GRID`` point: m*, the typical count
     and its categorized count, and the budget split there. The designs are
-    optimized together, as a sweep's are."""
+    optimized together, as a sweep's are, by the full walk or, with
+    ``m_star_only``, by the m*-only walk of ``sensitivity``."""
     points = grid_points()
     configs = [grid_config(*point) for point in points]
-    results = _optimize_designs(configs, [_first_chunks(config) for config in configs])
+    sizes = [_first_chunks(config) for config in configs]
+    results = _optimize_designs(configs, sizes, m_star_only=m_star_only)
     rows = [
         point + (r.m_star, r.typical_n, r.typical_n_bar, *r.budget_split.values())
         for point, r in zip(points, results)

@@ -25,7 +25,7 @@ from mpdesign import (
     sensitivity_sweep,
 )
 from mpdesign import design
-from mpdesign.cost import _categorized, _fractions
+from mpdesign.cost import _categorized, _categorized_bounds, _fractions
 from mpdesign.design import (
     MAX_CURVE_TERMS,
     MAX_MEAN_COUNT,
@@ -802,6 +802,81 @@ class TestDesignsTogether:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+# The sweeps of TestDesignsTogether.test_sweep_points_equal_designs_alone
+BOUND_SWEEPS = [
+    (baseline_config(beta=0.0025), "r2", [1.0, 2.0, 1000.0]),
+    (baseline_config(r2=6e-3), "budget", [8.0, 12.0, 14.0, 20.0]),
+    (baseline_config(), "prior-mode", [200.0, 800.0, 200.0]),
+    (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0), "r2",
+     [1.0, 2.0, 1000.0]),
+    (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0), "budget",
+     [2.0, 4.0]),
+]
+
+
+class TestMStarOnlyWalk:
+    """``sensitivity`` walks only the design points whose lower bound on L*
+    (``design._loss_bounds``) does not pass the least L* found so far: the
+    bound must lie below every row's L*, and the sweep must give the full
+    walk's results."""
+
+    def test_bound_lies_below_every_row(self):
+        from golden.make_golden import grid_config, grid_points
+
+        configs = [grid_config(*point) for point in random.Random(20).sample(grid_points(), 48)]
+        assert {0.7, 8.0} <= {c.abundance_prior.shape for c in configs}
+        assert {0.0, 5e-5, 2e-4} == {c.cost.count_ratio for c in configs}
+        for base, axis, values in BOUND_SWEEPS:
+            configs += [design._apply_axis(base, axis, value) for value in values]
+        assert _MAX_CHUNK in _first_chunks(configs[-1])  # later chunks pass the tables
+        for config, result in zip(configs, optimized_together(configs)):
+            bounds = design._loss_bounds(config, config.composition_prior.total)
+            assert len(bounds) == len(result.curve.rows)
+            for row, bound in zip(result.curve.rows, bounds):
+                assert math.isfinite(bound) and bound <= row.l_star, (config, row.m)
+
+    def test_count_bound_covers_a_rule_that_rounds_up(self):
+        # r1 = 0, B = 12, m = 5: the residual buys K = 100 - 2**-46
+        # categorizations in floats, but floor(n*q) rounds up to 100 at some
+        # counts, and the mean count, 375, is past K
+        cost = CostModel.from_budget_quadrants(0.0625, 12.0, 0.0, 0.004375)
+        config = DesignConfig(
+            GammaParams.from_mode(3.0, 800.0), DirichletParams.symmetric(10, 1.0), cost
+        )
+        area = 5 * 0.0625
+        assert (cost.budget_area - area) / cost.categorize_ratio == 100.0 - 2**-46
+        counts = range(_first_chunk(5, config))
+        n_bar = [math.floor(n * q) for n, q in zip(counts, _fractions(cost, area, counts))]
+        mean = 3.0 * area / config.abundance_prior.rate
+        assert max(n_bar) == 100 < mean
+        assert _categorized_bounds(cost, [area], [mean]) >= [max(n_bar)]
+
+    def test_sweeps_skip_points_and_keep_the_full_walks_results(self):
+        for base, axis, values in BOUND_SWEEPS:
+            configs = [design._apply_axis(base, axis, value) for value in values]
+            sizes = [_first_chunks(config) for config in configs]
+            full = design._optimize_designs(configs, sizes)
+            bounded = design._optimize_designs(configs, sizes, m_star_only=True)
+            for a, b in zip(full, bounded):
+                assert (b.m_star, b.typical_n, b.typical_n_bar) == (
+                    a.m_star, a.typical_n, a.typical_n_bar
+                )
+                assert repr(b.budget_split) == repr(a.budget_split)
+                assert b.optimal_row == a.optimal_row
+                for row, walked in zip(a.curve.rows, b.curve.rows):
+                    assert walked is None or tuple(map(repr, walked)) == tuple(map(repr, row))
+            assert None in bounded[0].curve.rows, axis
+
+    def test_nan_loss_at_m_star_named(self, monkeypatch):
+        # m* = 7 of the baseline is always walked, so its NaN is found
+        l1 = design.l1_expected
+        monkeypatch.setattr(
+            design, "l1_expected", lambda m, *args: math.nan if m == 7 else l1(m, *args)
+        )
+        with pytest.raises(ValueError, match=r"^the expected loss L\* is NaN at m=7;"):
+            sensitivity_sweep(baseline_config(), "r2", [1.0])
 
 
 def grid_config(shape, mode, budget, r1, r2, area=0.0625):

@@ -14,7 +14,9 @@ so floats are compared as if they were at least the smallest normal double. A ch
 that moves these outputs on purpose regenerates the files by hand with
 ``tests/golden/make_golden.py``. Among the files is ``design_grid.csv``, m*,
 the typical counts and the budget split of 960 designs (``GRID``), which
-take about three seconds to recompute on a 2-vCPU Xeon.
+take about three seconds to recompute on a 2-vCPU Xeon; they are recomputed
+a second time by the m*-only walk of ``sensitivity``, which must give the
+same file.
 
 ``posterior`` needs no NumPy: it is also run in a fresh interpreter in which
 ``import numpy`` fails, on the golden campaigns, against the same files, and
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -37,7 +40,8 @@ from mpdesign import design
 from mpdesign.config import parse_config
 from mpdesign.design import _first_chunks
 from golden.make_golden import (
-    BASELINE, CAMPAIGNS, COMMANDS, GOLDEN_DIR, GRID_COLUMNS, golden_files, outputs,
+    BASELINE, CAMPAIGNS, COMMANDS, GOLDEN_DIR, GRID_COLUMNS, golden_files, grid_config,
+    grid_points, grid_text, outputs,
 )
 
 REL_TOL = 2e-14
@@ -91,6 +95,39 @@ def test_output_matches_golden(fresh, name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     found = list(differences(expected, fresh[name]))
     assert not found, f"{name}: " + "; ".join(found[:5])
+
+
+def test_m_star_only_walk_matches_the_grid():
+    # the walk of ``sensitivity``, which skips the design points that cannot
+    # be m*, gives every GRID design's m*, typical counts and budget split
+    found = list(differences(
+        (GOLDEN_DIR / "design_grid.csv").read_text(encoding="utf-8"), grid_text(m_star_only=True)
+    ))
+    assert not found, "design_grid.csv: " + "; ".join(found[:5])
+
+
+def test_m_star_only_walk_rows_have_the_full_walks_bits():
+    points = random.Random(35).sample(grid_points(), 60)
+    configs = [grid_config(*point) for point in points]
+    sizes = [_first_chunks(config) for config in configs]
+    full = design._optimize_designs(configs, sizes)
+    bounded = design._optimize_designs(configs, sizes, m_star_only=True)
+    skipped = 0
+    for point, a, b in zip(points, full, bounded):
+        assert (b.m_star, b.typical_n, b.typical_n_bar) == (a.m_star, a.typical_n, a.typical_n_bar)
+        assert [v.hex() for v in b.budget_split.values()] == [
+            v.hex() for v in a.budget_split.values()
+        ]
+        assert len(b.curve.rows) == len(a.curve.rows)
+        assert b.curve.rows[0] is not None and b.optimal_row == a.optimal_row
+        for row, walked in zip(a.curve.rows, b.curve.rows):
+            if walked is None:
+                skipped += 1
+            else:
+                assert list(map(float.hex, walked[1:])) == list(map(float.hex, row[1:])), (
+                    point, row.m,
+                )
+    assert skipped > 0
 
 
 # Runs the command line with NumPy made unimportable: None in sys.modules
