@@ -12,9 +12,10 @@ to rescaling raw costs and budget by a common factor:
 
 The normalized cost of a design is c * (m*A + r1*n + r2*n_bar) and must not
 exceed 1, where n_bar is the categorized count that :func:`budget_rule` returns.
-``CostModel`` and the rule on single counts need only ``math``; the functions
-over arrays of counts import NumPy when they are called, so reading a config
-or applying the rule to one count loads no NumPy.
+``CostModel`` and the rule need only ``math``; the rule's array core
+:func:`_categorized` works on the NumPy arrays it is given and imports
+NumPy only when it is called, so reading a config or applying the rule loads
+no NumPy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from operator import mul
 
 from ._record import Record
 
@@ -126,50 +128,30 @@ def _spent(cost: CostModel, total_area: float, n: int, n_bar: int) -> float:
     )
 
 
-def categorization_fraction(cost: CostModel, total_area: float, n: int) -> float:
-    """Budget-implied categorization fraction q in [0, 1], the q of :func:`budget_rule`.
-
-    Residual budget after sampling ``total_area`` and counting ``n`` particles
-    is spent on categorization. For n = 0 the fraction is 1 by convention
-    (nothing to categorize, constraint vacuously satisfied).
-    """
+def categorization_fraction(cost: CostModel, total_area: float, n) -> float:
+    """Budget-implied categorization fraction q in [0, 1] at one count: the
+    q of :func:`budget_rule`, 1 at n = 0 by convention."""
     return budget_rule(cost, total_area, n)[0]
 
 
-def budget_rule(cost: CostModel, total_area: float, counts):
-    """Budget-implied fraction q and categorized count n_bar.
+def budget_rule(cost: CostModel, total_area: float, n) -> tuple[float, int]:
+    """Budget-implied fraction q (1 at n = 0 by convention: nothing to
+    categorize) and categorized count n_bar at one count ``n``, an int, a
+    float or a NumPy scalar, as a Python ``(float, int)`` computed without NumPy.
 
-    The one source of n_bar, which its cores form: :func:`_categorized` on
-    arrays and :func:`_fractions` on Python numbers, in the same steps; the
-    design curve and its budget split call them directly. For an array of
-    counts, returns ``(q, n_bar)`` as float arrays; for a single count, a
-    Python ``(float, int)``, computed without NumPy. A NaN, infinite or
-    negative area or count is rejected by name.
+    The one source of n_bar, which its two cores form in the same steps:
+    :func:`_categorized` on arrays and :func:`_categorized_list` on Python
+    numbers, which the design walks, the budget split and the performance
+    curve call directly. An array or a list of counts is refused by its
+    type, and a NaN, infinite or negative area or count by name.
     """
-    if isinstance(counts, (int, float)):
-        n = float(counts)
-        bad = None if n >= 0.0 and math.isfinite(n) else n
-    else:
-        import numpy as np
-
-        n = np.asarray(counts, dtype=np.float64)
-        bad = n[~(np.isfinite(n) & (n >= 0))]
-        bad = bad[0] if bad.size else None
+    if not (isinstance(n, (int, float)) or getattr(n, "ndim", None) == 0):
+        raise TypeError(f"n must be one count, got {type(n).__name__}")
     if not (total_area >= 0 and math.isfinite(total_area)):
         raise ValueError(f"total_area must be finite and >= 0, got {total_area!r}")
-    if bad is not None:
-        raise ValueError(f"counts must be finite and >= 0, got {bad}")
-    if type(n) is float:
-        if n == 0.0:  # nothing to categorize: q = 1 by convention
-            return 1.0, 0
-        (q,) = _fractions(cost, total_area, (n,))
-        return q, math.floor(n * q)
-    q = np.empty_like(n)
-    with np.errstate(over="ignore"):  # the rule saturates; see _categorized
-        n_bar = _categorized(cost, total_area, n, q, np.empty_like(n))
-    q = np.where(n > 0.0, q, 1.0)
-    if np.ndim(counts) == 0:
-        return float(q), int(n_bar)
+    if not (n >= 0 and math.isfinite(n)):
+        raise ValueError(f"n must be finite and >= 0, got {n}")
+    (q,), (n_bar,) = _categorized_list(cost, total_area, (float(n),))
     return q, n_bar
 
 
@@ -205,7 +187,7 @@ def _fractions(cost: CostModel, total_area: float, counts) -> list[float]:
     (ints below 2**53 or floats, finite and >= 0), unchecked, in Python
     floats: the same basic operations in the same order, so the same bits,
     and the same saturation past the largest float, where Python's float
-    arithmetic gives inf as NumPy's does. n_bar is floor(n * q).
+    arithmetic gives inf as NumPy's does.
 
     The clamps are comparisons: the residual is never NaN, and where it is
     at most 0, q = 0 / (r2 * max(n, 1)) = 0."""
@@ -223,8 +205,19 @@ def _fractions(cost: CostModel, total_area: float, counts) -> list[float]:
     return fractions
 
 
+def _categorized_list(cost: CostModel, total_area: float, counts) -> tuple[list, list]:
+    """``(q, n_bar)`` at each count of the sequence ``counts``, unchecked, as
+    :func:`budget_rule` reports them, with the bits of :func:`_categorized`:
+    n_bar = floor(n * q), and q from :func:`_fractions` but 1 at n = 0, the
+    one home of that convention. The walks' bisections and stop test read
+    the raw q of :func:`_fractions`, which is nonincreasing from n = 0."""
+    q = _fractions(cost, total_area, counts)
+    n_bar = list(map(math.floor, map(mul, counts, q)))
+    return [x if n else 1.0 for n, x in zip(counts, q)], n_bar
+
+
 def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
-    """floor(n * q) from :func:`_fractions` over the int counts n = lo .. hi - 1,
+    """The n_bar of :func:`_categorized_list` over the int counts n = lo .. hi - 1,
     in runs: yields ``(stop, n_bar)``, each run ending before ``stop`` and
     starting where the one before ended, with n_bar None where n_bar = n.
 
@@ -241,7 +234,7 @@ def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
     g = ``_RUN_GUARD`` * (W/r2 + n) at the band's last count has n_bar = k
     throughout. The counts where v lies within g of a whole number, and the
     whole band when some step could leave the normal floats, are taken one at
-    a time in :func:`_fractions`' steps."""
+    a time by :func:`_categorized_list`."""
 
     def fraction(n):
         return _fractions(cost, total_area, (n,))[0]
@@ -267,8 +260,7 @@ def _middle_runs(cost: CostModel, total_area: float, start: int, stop: int, frac
     last = stop - 1
 
     def one_by_one(a, b):
-        for n, q in zip(range(a, b), _fractions(cost, total_area, range(a, b))):
-            yield n + 1, math.floor(n * q)
+        return zip(range(a + 1, b + 1), _categorized_list(cost, total_area, range(a, b))[1])
 
     def v(n):
         return (budget - (n * r1 + total_area)) / r2
@@ -311,9 +303,8 @@ def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict
     A share past the largest float is rejected by the ``cost`` section.
 
     ``total_area`` and ``n`` are a design point's, finite and >= 0, so the
-    rule's core runs unchecked (:func:`_fractions`)."""
-    (q,) = _fractions(cost, total_area, (float(n),))
-    n_bar = math.floor(float(n) * q)
+    rule's core runs unchecked (:func:`_categorized_list`)."""
+    (n_bar,) = _categorized_list(cost, total_area, (float(n),))[1]
     c = cost.budget_coefficient
     split = {
         "sampling": c * total_area,

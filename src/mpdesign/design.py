@@ -53,12 +53,12 @@ from ._record import Record
 from ._special import _linspace, _pairwise_sum
 from .config import DesignConfig
 from .cost import (
-    CostModel, _budget_split, _categorizable, _categorized, _categorized_bounds, _categorized_runs,
-    _exhausted_at, _fractions, budget_rule,
+    CostModel, _budget_split, _categorizable, _categorized, _categorized_bounds, _categorized_list,
+    _categorized_runs, _exhausted_at, _fractions, budget_rule,
 )
 from .distributions import GammaParams
 from .io import _cut
-from .loss import _l2, l1_expected, l2_expected
+from .loss import _l2, l1_expected
 
 __all__ = [
     "DesignCurveRow",
@@ -250,14 +250,13 @@ class _ListWalk:
     def tables(config: DesignConfig, size: int):
         """The per-count lists that no design point changes: the pmf's ratios
         ((n - 1) + a) / n over n = 0 .. size - 1 (index n, from 1), and the
-        gain weights 1 - L2*(n) for n up to 1/(c*r2) + 1 of ``config``'s cost,
-        past any n_bar that its rule gives; and the composition prior's
-        total g0, from which :meth:`gain` computes any weight past them.
-        ``DirichletParams.total`` is a sum over the classes on every
-        access, so it is read here once."""
+        gain weights 1 - L2*(n) over n < :func:`_gain_length`; and the
+        composition prior's total g0, from which :meth:`gain` computes any
+        weight past them. ``DirichletParams.total`` is a sum over the
+        classes on every access, so it is read here once."""
         a, g0 = config.abundance_prior.shape, config.composition_prior.total
         ratios = [0.0] + [((n - 1.0) + a) / n for n in range(1, size)]
-        gains = [1.0 - _l2(n, g0) for n in range(int(min(_categorizable(config.cost), size)) + 2)]
+        gains = [1.0 - _l2(n, g0) for n in range(_gain_length(config, size))]
         return ratios, gains, g0
 
     @staticmethod
@@ -307,19 +306,19 @@ class _ArrayWalk:
 
     @staticmethod
     def tables(config: DesignConfig, size: int):
-        """The per-count arrays over n = 0 .. size - 1 that no design point
-        changes, all read-only: the counts as floats, the pmf's ratios
-        ((n - 1) + a) / n (index n, from 1) and the gain weights 1 - L2*(n).
-        A design point slices them for every chunk that ends below ``size``."""
+        """The counts n = 0 .. size - 1 as floats, then :meth:`_ListWalk.tables`,
+        its lists as arrays of the same bits, all read-only; a design point
+        slices the counts and ratios for every chunk that ends below ``size``."""
         import numpy as np
 
+        g0 = config.composition_prior.total
         counts = np.arange(size, dtype=np.float64)
         ratios = np.zeros(size)
         np.divide(counts[:-1] + config.abundance_prior.shape, counts[1:], out=ratios[1:])
-        gains = 1.0 - l2_expected(counts, config.composition_prior)
+        gains = 1.0 - _l2(np.arange(_gain_length(config, size), dtype=np.float64), g0)
         for table in (counts, ratios, gains):
             table.flags.writeable = False
-        return counts, ratios, gains
+        return counts, ratios, gains, g0
 
     @staticmethod
     def pmf(tables, a: float, omp: float, anchor, lo: int, hi: int, prev: float):
@@ -343,16 +342,16 @@ class _ArrayWalk:
     def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
         import numpy as np
 
-        counts, _, gains = tables
+        counts, _, gains, g0 = tables
         hi = lo + len(pmf)
         inside = hi <= len(counts)
         n = counts[lo:hi] if inside else np.arange(lo, hi, dtype=np.float64)
         q = np.empty(hi - lo)
         n_bar = _categorized(config.cost, area, n, q, np.empty(hi - lo))
-        if inside:  # n_bar <= n < len(counts), so the weights are a gather
+        if inside:  # n_bar <= n < size and n_bar <= 1/(c*r2) + 1: a gather (_gain_length)
             weights = gains[n_bar.astype(np.intp)]
         else:
-            weights = 1.0 - l2_expected(n_bar, config.composition_prior)
+            weights = 1.0 - _l2(n_bar, g0)
         terms = np.multiply(pmf, weights, out=weights)
         return float(np.add.reduce(terms)), float(q[-1])
 
@@ -362,6 +361,12 @@ class _ArrayWalk:
 
         cdf = mass + np.cumsum(pmf)
         return int(np.searchsorted(cdf, 0.5)), float(cdf[-1])
+
+
+def _gain_length(config: DesignConfig, size: int) -> int:
+    """The gain tables' length: n up to 1/(c*r2) + 1 of ``config``'s cost, past
+    any n_bar that its rule gives, or up to ``size`` + 1, past every table count."""
+    return int(min(_categorizable(config.cost), size)) + 2
 
 
 def _choose_walk(sizes) -> type:
@@ -500,8 +505,8 @@ def optimize_design(config: DesignConfig) -> DesignResult:
 
     Ties break toward smaller m (the cheaper field campaign). The walk's
     bounds are checked first (:func:`_first_chunks`), before any table is
-    built. The per-count tables are built once, as long as the largest first
-    chunk, and every design point slices them. Only m* reads the predictive
+    built. The per-count tables are built once, for the largest first chunk,
+    and every design point reads them. Only m* reads the predictive
     median, for the typical-count summary.
     """
     return _optimize_designs([config], [_first_chunks(config)])[0]
@@ -514,8 +519,8 @@ def _optimize_designs(configs, sizes, walk=None, m_star_only=False) -> list[Desi
     :func:`_choose_walk` picks for all the configs at once.
 
     Configs with the same abundance prior, quadrant area and composition
-    prior form a group. A group shares one set of per-count tables, as long
-    as its longest first chunk, and at each m one first pmf chunk, as long as
+    prior form a group. A group shares one set of per-count tables, built
+    for its longest first chunk, and at each m one first pmf chunk, as long as
     the longest first chunk of its configs walked there. Each config sums
     over its own prefix of that chunk, which holds the bits the config would
     compute alone: the pmf's product runs in order and every other step
@@ -653,9 +658,10 @@ def _design_result(config: DesignConfig, rows, sizes, tables, walk) -> DesignRes
 def performance_curve(m: int, abundance_grid, config: DesignConfig) -> list[PerformanceRow]:
     """Deterministic second-stage behavior across hypothetical true abundances.
 
-    One row per grid abundance: expected count n = floor(m*A*abundance), the
-    budget-implied q, the categorized count n_bar, and the resulting expected
-    composition loss. The grid is any iterable of numbers; the rows are a list.
+    One row per grid abundance: expected count n = floor(m*A*abundance), its
+    q and categorized count n_bar as :func:`budget_rule` reports them, and the
+    resulting expected composition loss. The grid is any iterable of numbers;
+    the rows are a list.
     """
     cost = config.cost
     if not (0 <= m <= cost.max_quadrants and int(m) == m):  # named by its ends, not listed
@@ -664,17 +670,13 @@ def performance_curve(m: int, abundance_grid, config: DesignConfig) -> list[Perf
     for x in grid:
         if not (x >= 0.0 and math.isfinite(x)):
             raise ValueError(f"abundance grid point {x} is not a finite number >= 0")
-    area = m * cost.quadrant_area
+    area, g0 = m * cost.quadrant_area, config.composition_prior.total
     counts = [area * x for x in grid]
     if math.inf in counts:  # raises the rule's error for a count past the largest float
         budget_rule(cost, area, math.inf)
     counts = list(map(math.floor, counts))
-    q = _fractions(cost, area, counts)
-    n_bar = list(map(math.floor, map(mul, counts, q)))
-    q = [qn if n else 1.0 for n, qn in zip(counts, q)]  # the rule's q = 1 at n = 0
-    g0 = config.composition_prior.total
-    l2 = [_l2(k, g0) for k in n_bar]
-    return list(map(PerformanceRow._make, zip(grid, counts, q, n_bar, l2)))
+    rows = zip(grid, counts, *_categorized_list(cost, area, counts))
+    return [PerformanceRow(*row, _l2(row[-1], g0)) for row in rows]
 
 
 def default_abundance_grid(config: DesignConfig, points: int = 200) -> list[float]:

@@ -9,6 +9,7 @@ rate and scale is the classic bug here, so every function that touches a
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import Record
 from ._special import _pairwise_sum
@@ -39,7 +40,14 @@ class GammaParams(Record):
         return self.shape / self.rate
 
     def variance(self) -> float:
-        return self.shape / self.rate**2
+        """shape / rate**2, or shape / rate / rate where the square is no normal float."""
+        try:
+            square = self.rate**2
+        except OverflowError:  # a rate past about 1.3e154
+            square = 0.0
+        if square >= sys.float_info.min:
+            return self.shape / square
+        return self.shape / self.rate / self.rate
 
     def mode(self) -> float:
         """Density mode; defined only for shape >= 1."""

@@ -6,8 +6,8 @@ The ``*_expected`` forms are closed-form prior expectations over the not yet
 observed data.
 
 Expected losses always lie in (0, 1]; realized losses can exceed 1 for
-extreme data and are not clamped. The module imports NumPy only inside the
-functions that take arrays, so the design walk can run on ``math`` alone.
+extreme data and are not clamped. The module imports NumPy only inside
+:func:`l2_realized`, so the design walk can run on ``math`` alone.
 """
 
 from __future__ import annotations
@@ -74,26 +74,21 @@ def l2_realized(class_counts, prior: DirichletParams, n_bar: int | None = None) 
     return float((1.0 + g0) / (d * (1.0 + g0 + n_bar)) * (1.0 - np.sum(post**2)))
 
 
-def l2_expected(n_bar, prior: DirichletParams):
-    """Prior-expected composition variance reduction (depends on gamma only
-    through its total g0):
+def l2_expected(n_bar, prior: DirichletParams) -> float:
+    """Prior-expected composition variance reduction at one count ``n_bar``
+    (depends on gamma only through its total g0):
 
     (g0 + 1 - n_bar/(g0 + n_bar)) / (g0 + 1 + n_bar).
 
-    For g0 = 1 this reduces to 1/(1 + n_bar). A single count gives a
-    Python float, computed without NumPy; an array of counts an array.
+    For g0 = 1 this reduces to 1/(1 + n_bar). ``n_bar`` is an int, a float
+    or a NumPy scalar, and the result a Python float, computed without NumPy;
+    an array or a list is refused by its type (:func:`_l2` takes arrays).
     """
-    if isinstance(n_bar, (int, float)):
-        if n_bar < 0:
-            raise ValueError("n_bar must be nonnegative")
-        return float(_l2(n_bar, prior.total))
-    import numpy as np
-
-    nb = np.asarray(n_bar, dtype=float)
-    if np.any(nb < 0):
+    if not (isinstance(n_bar, (int, float)) or getattr(n_bar, "ndim", None) == 0):
+        raise TypeError(f"n_bar must be one count, got {type(n_bar).__name__}")
+    if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
-    out = _l2(nb, prior.total)
-    return float(out) if np.ndim(n_bar) == 0 else out
+    return float(_l2(n_bar, prior.total))
 
 
 def _l2(n_bar, g0: float):

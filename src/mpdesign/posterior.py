@@ -202,6 +202,8 @@ def hpd_interval(params: GammaParams, mass: float):
 
     t_lo, t_hi = 0.0, math.inf
     t = _erfinv(mass) ** 2 / a1
+    if t == 0.0:  # t underflows: the true offsets lie below 2**-500, so both ends are the mode
+        return mode, mode
     for _ in range(_MAX_NEWTON):
         contained, slope = mass_and_slope(t)
         excess = mass - contained

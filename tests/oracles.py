@@ -16,12 +16,16 @@ Gamma parameters use the shape/RATE convention, as in
 checked against. :func:`budget_fraction` transcribes the budget rule's q one count at a time
 in plain Python floats, with the same floating-point steps as the package's
 array rule, so that tests can compare the two bit for bit.
+:func:`decimal_categorized_count` decides n_bar exactly instead, for the
+decimals that a config's ``cost`` section writes, so it does not share the
+float rule's rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "mc_oracle_l2",
     "budget_fraction",
     "categorized_count",
+    "decimal_categorized_count",
 ]
 
 
@@ -156,3 +161,23 @@ def budget_fraction(cost, total_area: float, n: int) -> float:
 def categorized_count(cost, total_area: float, n: int) -> int:
     """n_bar = floor(n * q) at one count n, with q from :func:`budget_fraction`."""
     return math.floor(n * budget_fraction(cost, total_area, n))
+
+
+def decimal_categorized_count(cost_section: dict, m: int, n: int) -> int:
+    """n_bar at m quadrants and count n for the decimals that the config's
+    ``cost`` section writes, in exact arithmetic.
+
+    Each number x of the section is taken as ``Fraction(repr(x))``, the
+    shortest decimal that reads back as x, which is the decimal a config
+    writes. The budget, in square meters, is B*A; n_bar is the most
+    categorizations that the residual B*A - (m*A + n*r1) buys, at most n, and
+    0 where nothing is left: n_bar = min(n, floor(residual / r2)), the
+    rule's floor(n*q) with q = min(residual / (r2*n), 1).
+    """
+    area, budget, r1, r2 = (
+        Fraction(repr(cost_section[key]))
+        for key in ("quadrant_area", "budget_quadrant_equivalents", "count_ratio",
+                    "categorize_ratio")
+    )
+    residual = budget * area - (m * area + n * r1)
+    return min(n, math.floor(residual / r2)) if residual > 0 else 0

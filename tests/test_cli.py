@@ -514,6 +514,36 @@ class TestPosteriorCommand:
             outputs.append(result.output)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize(
+        "mass,prior,rows",
+        [
+            # the HPD search divided by an expm1 of a level offset that had
+            # underflowed to 0: both ends now round to the mode, as at 1e-17
+            ("1e-17", None, {"hpd_lower": "83.72093023255813", "hpd_upper": "83.72093023255813"}),
+            ("1e-300", None, {"hpd_lower": "83.72093023255813", "hpd_upper": "83.72093023255813"}),
+            # a rate of 2e300, whose square overflowed in GammaParams.variance
+            ("0.95", {"shape": 3, "mode": 1e-300},
+             {"rate": "1.9999999999999998e+300", "variance": "0.0",
+              "hpd_lower": "9.015021869372997e-300", "hpd_upper": "1.9271315958540373e-299"}),
+        ],
+        ids=["mass-1e-17", "mass-1e-300", "mode-1e-300"],
+    )
+    def test_answers_where_a_traceback_was(self, runner, tmp_path, mass, prior, rows):
+        doc = json.loads(json.dumps(BASE_DOC))
+        if prior is not None:
+            doc["abundance_prior"] = prior
+        config, data = tmp_path / "config.json", tmp_path / "campaign.csv"
+        config.write_text(json.dumps(doc))
+        data.write_text(CAMPAIGN)
+        result = runner.invoke(
+            main, ["--config", str(config), "posterior", "--data", str(data), "--hpd-mass", mass]
+        )
+        assert result.exit_code == 0 and result.exception is None, result.output
+        table = {key: value for section, key, value in csv.reader(io.StringIO(result.output))
+                 if section == "abundance"}
+        assert table["hpd_mass"] == repr(float(mass))
+        assert {key: table[key] for key in rows} == rows
+
     def test_bad_header_printed(self, runner, config_path, tmp_path):
         data = tmp_path / "campaign.csv"
         data.write_text("quadrant_id, suspected_count\n1,5\n")

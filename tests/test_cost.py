@@ -15,9 +15,11 @@ from mpdesign import (
     l1_expected,
     optimize_design,
 )
-from mpdesign.cost import _budget_split, _categorized, _categorized_runs, _fractions
+from mpdesign.cost import (
+    _budget_split, _categorized, _categorized_list, _categorized_runs, _fractions,
+)
 from conftest import BASELINE_COST, baseline_config
-from oracles import budget_fraction
+from oracles import budget_fraction, decimal_categorized_count
 
 
 class TestCostModel:
@@ -195,6 +197,23 @@ def scalar_rule(cost, area, counts):
     return np.array(q), np.array([math.floor(int(n) * qn) for n, qn in zip(counts, q)])
 
 
+def array_rule(cost, area, counts):
+    """q and n_bar over the counts ``counts`` from the rule's array core
+    ``_categorized``, with q = 1 at n = 0 as ``budget_rule`` reports it, after
+    checking them bit for bit against the list cores: the raw q against
+    ``_fractions``, and q and n_bar against ``_categorized_list``."""
+    n = np.array(counts, dtype=np.float64)
+    q = np.empty_like(n)
+    with np.errstate(over="ignore"):
+        n_bar = _categorized(cost, area, n, q, np.empty_like(n))
+    assert [x.hex() for x in _fractions(cost, area, counts)] == [x.hex() for x in q.tolist()]
+    q = np.where(n > 0.0, q, 1.0)
+    listed = _categorized_list(cost, area, counts)
+    assert [x.hex() for x in listed[0]] == [x.hex() for x in q.tolist()]
+    assert listed[1] == n_bar.tolist()
+    return q, n_bar
+
+
 def run_filled(cost, area, counts):
     """n_bar at each count of the range ``counts``, filled from the runs of
     ``_categorized_runs``, after checking that the runs tile the range."""
@@ -209,8 +228,8 @@ def run_filled(cost, area, counts):
 
 class TestBudgetRule:
     def test_matches_scalar_reference(self):
-        counts = np.array([0, 1, 5, 50, 102, 103, 167, 280, 1000, 6250, 100_000])
-        q, n_bar = budget_rule(BASELINE_COST, 0.4375, counts)
+        counts = [0, 1, 5, 50, 102, 103, 167, 280, 1000, 6250, 100_000]
+        q, n_bar = array_rule(BASELINE_COST, 0.4375, counts)
         ref_q, ref_n_bar = scalar_rule(BASELINE_COST, 0.4375, counts)
         assert np.array_equal(q, ref_q)  # exact, not approximate
         assert np.array_equal(n_bar, ref_n_bar)
@@ -226,7 +245,7 @@ class TestBudgetRule:
     @settings(max_examples=200)
     def test_matches_scalar_reference_random_models(self, area, budget, r1, r2, m, counts):
         cost = CostModel.from_budget_quadrants(area, budget, r1, r2)
-        q, n_bar = budget_rule(cost, m * area, counts)
+        q, n_bar = array_rule(cost, m * area, counts)
         ref_q, ref_n_bar = scalar_rule(cost, m * area, counts)
         assert np.array_equal(q, ref_q)
         assert np.array_equal(n_bar, ref_n_bar)
@@ -234,18 +253,37 @@ class TestBudgetRule:
         assert [categorization_fraction(cost, m * area, n) for n in counts] == list(ref_q)
 
     def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            budget_rule(BASELINE_COST, 0.4375, [3, -1])
+        with pytest.raises(ValueError, match=r"^n must be finite and >= 0, got -1$"):
+            budget_rule(BASELINE_COST, 0.4375, -1)
 
-    @pytest.mark.parametrize("counts", [[3.0, math.nan], [math.inf, 2.0], math.nan, -math.inf])
-    def test_rejects_non_finite_counts(self, counts):
-        with pytest.raises(ValueError, match=r"counts .*(nan|inf)"):
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_counts(self, n):
+        with pytest.raises(ValueError, match=r"^n must be finite and >= 0, got -?(nan|inf)$"):
+            budget_rule(BASELINE_COST, 0.4375, n)
+
+    @pytest.mark.parametrize(
+        "counts,name",
+        [([3.0, math.nan], "list"), ([math.inf, 2.0], "list"), ([3, -1], "list"),
+         ((3, 4), "tuple"), (np.array([3.0, 4.0]), "ndarray"), (np.array([3.0]), "ndarray")],
+    )
+    def test_refuses_an_array_or_a_list(self, counts, name):
+        # the rule takes one count; its array core is cost._categorized
+        with pytest.raises(TypeError, match=rf"^n must be one count, got {name}$"):
             budget_rule(BASELINE_COST, 0.4375, counts)
+        with pytest.raises(TypeError, match=rf"^n must be one count, got {name}$"):
+            categorization_fraction(BASELINE_COST, 0.4375, counts)
+
+    def test_takes_one_numpy_scalar(self):
+        expected = budget_rule(BASELINE_COST, 0.4375, 167)
+        assert expected == (0.6070858283433134, 101)
+        for n in (np.int64(167), np.float64(167.0), np.array(167.0)):
+            got = budget_rule(BASELINE_COST, 0.4375, n)
+            assert got == expected and type(got[0]) is float and type(got[1]) is int
 
     @pytest.mark.parametrize("area", [math.nan, math.inf])
     def test_rejects_non_finite_area(self, area):
         with pytest.raises(ValueError, match=r"total_area .*(nan|inf)"):
-            budget_rule(BASELINE_COST, area, [3, 4])
+            budget_rule(BASELINE_COST, area, 3)
 
     @given(
         budget=st.floats(1.0, 40.0),
@@ -255,7 +293,7 @@ class TestBudgetRule:
     @settings(max_examples=100)
     def test_scalar_form_matches_array_form(self, budget, m, counts):
         cost = CostModel.from_budget_quadrants(0.0625, budget, 5e-5, 3e-3)
-        q, n_bar = budget_rule(cost, m * 0.0625, counts)
+        q, n_bar = array_rule(cost, m * 0.0625, counts)
         ref_q, ref_n_bar = scalar_rule(cost, m * 0.0625, counts)
         scalar = [budget_rule(cost, m * 0.0625, n) for n in counts]
         assert all(type(qn) is float and type(nb) is int for qn, nb in scalar)
@@ -284,6 +322,8 @@ class TestBudgetRule:
         fractions = _fractions(cost, area, counts)
         assert [x.hex() for x in fractions] == [x.hex() for x in q.tolist()]
         assert [math.floor(k * x) for k, x in zip(counts, fractions)] == n_bar.tolist()
+        reported = [x if k else 1.0 for k, x in zip(counts, fractions)]  # q = 1 at n = 0
+        assert _categorized_list(cost, area, counts) == (reported, n_bar.tolist())
 
     @given(
         budget_coefficient=st.floats(1e-300, 1e300),
@@ -337,6 +377,7 @@ class TestBudgetRule:
 
     @pytest.mark.xfail(
         strict=False,
+        raises=AssertionError,
         reason="floor(n*q) rounds n*q = residual/r2 just below a whole number",
     )
     @pytest.mark.parametrize(
@@ -350,8 +391,62 @@ class TestBudgetRule:
         affordable = residual // r2
         assert residual % r2 == 0 and 0 < affordable < n
         cost = CostModel.from_budget_quadrants(0.0625, float(budget), 5e-5, 3e-3)
-        _, n_bar = budget_rule(cost, m * 0.0625, [n])
-        assert n_bar[0] == affordable
+        _, n_bar = budget_rule(cost, m * 0.0625, n)
+        assert n_bar == affordable
+
+
+# the baseline cost section as a config writes it
+DECIMAL_COST = {
+    "quadrant_area": 0.0625, "budget_quadrant_equivalents": 12, "count_ratio": 5e-5,
+    "categorize_ratio": 3e-3,
+}
+
+
+class TestDecimalOracle:
+    """``oracles.decimal_categorized_count``: n_bar decided exactly for the
+    decimals that the config wrote."""
+
+    @pytest.mark.parametrize(
+        "m,n,budget,expected", [(7, 190, 12, 101), (5, 590, 12, 136), (0, 180, 6, 122),
+                                (0, 2000, 4, 50), (1, 1000, 3, 25)],
+        ids=["m7-n190-b12", "m5-n590-b12", "m0-n180-b6", "m0-n2000-b4", "seed-1-example"],
+    )
+    def test_whole_residual_is_spent(self, m, n, budget, expected):
+        # the residual buys a whole number of categorizations, which the
+        # decimal budget spends exactly, to no slack; the rows of
+        # test_whole_residual_fully_spent, and the example that fails
+        # test_bounds_and_budget_identity on hypothesis seed 1
+        cost = {**DECIMAL_COST, "budget_quadrant_equivalents": budget}
+        assert decimal_categorized_count(cost, m, n) == expected
+        area, r1, r2 = Fraction("0.0625"), Fraction("5e-5"), Fraction("3e-3")
+        assert budget * area == m * area + n * r1 + expected * r2
+
+    def test_ends_of_the_rule(self):
+        assert decimal_categorized_count(DECIMAL_COST, 7, 0) == 0
+        assert decimal_categorized_count(DECIMAL_COST, 7, 50) == 50  # q = 1: n_bar = n
+        assert decimal_categorized_count(DECIMAL_COST, 12, 10) == 0  # sampling spends it all
+        assert decimal_categorized_count(DECIMAL_COST, 7, 10**6) == 0  # counting overspends
+
+    @given(
+        budget=st.integers(1, 60),
+        m=st.integers(0, 60),
+        r1=st.integers(0, 200).map(lambda k: float(f"{k}e-6")),
+        r2=st.integers(1, 10_000).map(lambda k: float(f"{k}e-6")),
+        n=st.integers(0, 50_000),
+    )
+    @settings(max_examples=300)
+    def test_is_the_float_rule_away_from_whole_residuals(self, budget, m, r1, r2, n):
+        # the float rule's residual/r2 lies far within 1e-9 * (W/r2 + n + 1) of
+        # the exact v, W = B*A + n*r1 (see cost._categorized_runs), so the two
+        # agree wherever v lies that far from every whole number
+        section = {**DECIMAL_COST, "budget_quadrant_equivalents": budget, "count_ratio": r1,
+                   "categorize_ratio": r2}
+        m = min(m, budget)
+        area, a1, a2 = Fraction("0.0625"), Fraction(repr(r1)), Fraction(repr(r2))
+        v = (budget * area - (m * area + n * a1)) / a2  # the categorizations the residual buys
+        assume(abs(v - round(v)) > 1e-9 * ((budget * area + n * a1) / a2 + n + 1))
+        cost = CostModel.from_budget_quadrants(0.0625, float(budget), r1, r2)
+        assert budget_rule(cost, m * 0.0625, n)[1] == decimal_categorized_count(section, m, n)
 
 
 class TestFeasibleDesigns:
@@ -444,5 +539,7 @@ class TestCostModelInvariants:
         assert scaled == base
         assert scaled.max_quadrants == base.max_quadrants
         m = min(m, base.max_quadrants)
-        for a, b in zip(budget_rule(base, m * area, counts), budget_rule(scaled, m * area, counts)):
+        for a, b in zip(array_rule(base, m * area, counts), array_rule(scaled, m * area, counts)):
             assert np.array_equal(a, b)
+        for n in counts:
+            assert budget_rule(base, m * area, n) == budget_rule(scaled, m * area, n)

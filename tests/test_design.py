@@ -19,13 +19,14 @@ from mpdesign import (
     DirichletParams,
     GammaParams,
     l1_expected,
-    l2_expected,
     optimize_design,
     performance_curve,
     sensitivity_sweep,
 )
 from mpdesign import design
-from mpdesign.cost import _categorized, _categorized_bounds, _fractions
+from mpdesign.cost import (
+    _categorizable, _categorized, _categorized_bounds, _categorized_list, _fractions,
+)
 from mpdesign.design import (
     MAX_CURVE_TERMS,
     MAX_MEAN_COUNT,
@@ -42,6 +43,7 @@ from mpdesign.design import (
     _predictive_median,
     default_abundance_grid,
 )
+from mpdesign.loss import _l2
 from oracles import RandomStream, budget_fraction, categorized_count, predictive_total_count
 from conftest import BASELINE_COST, baseline_config
 
@@ -345,7 +347,7 @@ def mc_curve(config, draws, seed):
         )
         values, index = np.unique(counts, return_inverse=True)
         n_bar = [categorized_count(config.cost, area, int(n)) for n in values]
-        vals = l2_expected(np.array(n_bar), config.composition_prior)[index]
+        vals = _l2(np.array(n_bar, dtype=np.float64), config.composition_prior.total)[index]
         out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))))
     return out
 
@@ -369,8 +371,8 @@ class TestExactQuadrature:
             area = m * config.cost.quadrant_area
             dist = stats.nbinom(a, b / (b + area))
             n = np.arange(int(dist.isf(1e-15)) + 1)
-            n_bar = np.array([categorized_count(config.cost, area, int(k)) for k in n])
-            ref = float(np.dot(dist.pmf(n), l2_expected(n_bar, config.composition_prior)))
+            n_bar = np.array([categorized_count(config.cost, area, int(k)) for k in n], dtype=float)
+            ref = float(np.dot(dist.pmf(n), _l2(n_bar, config.composition_prior.total)))
             assert abs(rows[m].e_l2_star - ref) < 1e-12
             assert median_alone(m, config) == int(dist.median())
 
@@ -667,10 +669,47 @@ class TestSharedCountArrays:
 
     def test_count_tables_are_read_only(self):
         config = _config(GammaParams.from_mode(3.0, 800.0))
-        for table in _ArrayWalk.tables(config, 100):
+        *arrays, g0 = _ArrayWalk.tables(config, 100)
+        assert g0 == config.composition_prior.total  # a float, not a table
+        for table in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[:1] = 0.0
         assert 1 <= optimize_design(config).m_star <= config.cost.max_quadrants
+
+    @pytest.mark.parametrize(
+        "config,size",
+        [
+            (baseline_config(), 10),  # sized by the chunk: size + 2 weights
+            (baseline_config(), 1000),  # sized by the budget: 1/(c*r2) = 250
+            (baseline_config(r2=3.0), 50),  # 1/(c*r2) = 0.25
+            (_config(GammaParams.from_mode(3.0, 1e5), count_ratio=0.0, budget=4.0), _MAX_CHUNK),
+        ],
+        ids=["chunk-sized", "budget-sized", "r2x1000", "capped-chunk"],
+    )
+    def test_both_walks_build_the_same_gain_table(self, config, size):
+        lists, arrays = _ListWalk.tables(config, size), _ArrayWalk.tables(config, size)
+        assert len(lists[1]) == len(arrays[2]) == int(min(_categorizable(config.cost), size)) + 2
+        assert list(map(float.hex, lists[1])) == list(map(float.hex, arrays[2].tolist()))
+        assert lists[2] == arrays[3] == config.composition_prior.total
+
+    def test_gain_tables_reach_the_largest_n_bar(self):
+        # r1 = 0 and 1/(c*r2) = 59 - 2**-47, just below the size, 60; yet 59*r2
+        # rounds to 1/c, so with nothing sampled the rule gives q = 1 and
+        # n_bar = 59 = int(1/(c*r2)) + 1 at n = 59, the last weight of the
+        # gain tables, which both walks read
+        cost = CostModel.from_budget_quadrants(0.0625, 12.0, 0.0, 0.75 / 59)
+        config = DesignConfig(GammaParams.from_mode(3.0, 200.0), DirichletParams.symmetric(10), cost)
+        size = 60
+        assert 58 < _categorizable(cost) < 59
+        n_bar = _categorized_list(cost, 0.0, range(size))[1]
+        assert max(n_bar) == 59 == len(_ListWalk.tables(config, size)[1]) - 1
+        gains = []
+        for walk in (_ListWalk, _ArrayWalk):
+            tables = walk.tables(config, size)
+            pmf = _pmf_chunk(walk, tables, config.abundance_prior, 0.75, 0, size)
+            gain, q_last = walk.gain(config, 0.0, pmf, 0, tables)
+            gains.append((gain.hex(), q_last.hex()))
+        assert gains[0] == gains[1]
 
     @pytest.mark.parametrize(
         "config,walks_past_first_chunk",

@@ -24,6 +24,22 @@ class TestGammaParams:
         assert p.variance() == 30_000.0
         assert p.mode() == 200.0
 
+    @pytest.mark.parametrize(
+        "shape,rate,variance",
+        [(3.0, 2e300, 0.0), (1e300, 1e200, 1e300 / 1e200 / 1e200), (3.0, 1e-200, np.inf),
+         (18.0, 1e-160, np.inf), (1e-300, 1e-160, 1e-300 / 1e-160 / 1e-160)],
+        ids=["square-overflows", "square-overflows-variance-finite", "square-underflows",
+             "square-subnormal", "square-subnormal-variance-finite"],
+    )
+    def test_variance_where_the_square_is_no_normal_float(self, shape, rate, variance):
+        # shape / rate**2 raised OverflowError past a rate of about 1.3e154
+        # and ZeroDivisionError where the square underflowed to 0
+        assert GammaParams(shape, rate).variance() == variance
+
+    @pytest.mark.parametrize("rate", [0.1975, 1.26, 0.19, 0.3225, 1e-150, 1e150])
+    def test_variance_is_shape_over_the_square(self, rate):
+        assert GammaParams(18.0, rate).variance() == 18.0 / rate**2
+
     def test_mode_undefined_below_shape_one(self):
         with pytest.raises(ValueError):
             GammaParams(0.5, 1.0).mode()

@@ -51,7 +51,8 @@ rounding proves each run's n_bar at every count. Run by ``python -S``, those
 golden design commands load neither ``typing`` nor ``dataclasses``,
 ``inspect`` or ``tempfile``: their rows are ``collections.namedtuple``'s.
 Importing ``mpdesign._special`` loads no other ``mpdesign`` module, no NumPy
-and no SciPy.
+and no SciPy. ``budget_rule``, ``categorization_fraction`` and ``l2_expected``
+take one count each, and they and ``performance_curve`` run without NumPy.
 
 Each check that a command loads something or not also checks, by a line of
 its output, that the command ran.
@@ -400,6 +401,38 @@ def test_replicate_fig6_runs_without_scipy(workdir):
         "fig6_lambda382_abundance.csv", "fig6_lambda382_composition.csv",
         "fig6_n200_280_abundance.csv", "fig6_n200_280_composition.csv", "manifest.json",
     ]
+
+
+# The public functions on one count, and the performance curve, called in a
+# fresh interpreter: their answers, then whether NumPy was loaded.
+ONE_COUNT_CHILD = """
+import json, sys
+from mpdesign import (
+    CostModel, DesignConfig, DirichletParams, GammaParams, budget_rule,
+    categorization_fraction, l2_expected, performance_curve,
+)
+cost = CostModel.from_budget_quadrants(0.0625, 12.0, 5e-5, 3e-3)
+prior = DirichletParams.symmetric(10, 1.0)
+config = DesignConfig(GammaParams.from_mode(3.0, 200.0), prior, cost)
+rows = performance_curve(7, [0.0, 382.0, 1e5], config)
+print(json.dumps([budget_rule(cost, 0.4375, 167), categorization_fraction(cost, 0.4375, 0),
+                  l2_expected(101, prior), [list(row) for row in rows],
+                  "numpy" in sys.modules]))
+"""
+
+
+def test_one_count_functions_load_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_COUNT_CHILD],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rule, q0, l2, rows, numpy_loaded = json.loads(proc.stdout)
+    assert rule == [0.6070858283433134, 101] and q0 == 1.0
+    assert l2 == rows[1][4] == 0.09009009009009009  # g0 / (g0 + n_bar) = 10/111
+    assert [row[:4] for row in rows] == [[0.0, 0, 1.0, 0], [382.0, 167, 0.6070858283433134, 101],
+                                         [1e5, 43750, 0.0, 0]]
+    assert not numpy_loaded
 
 
 def test_special_functions_are_a_leaf():

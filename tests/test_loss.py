@@ -13,6 +13,7 @@ from mpdesign import (
     l2_expected,
     l2_realized,
 )
+from mpdesign.loss import _l2
 from oracles import RandomStream, mc_oracle_l1, mc_oracle_l2
 from conftest import dirichlet_cov_matrix
 
@@ -78,8 +79,7 @@ def test_bad_quadrant_area_named(area):
         # the second class's share of the prior rounds to 0
         (lambda: l2_realized((0, 0), DirichletParams((1.0, 1e-20))),
          "degenerate prior: zero prior covariance trace"),
-        (lambda: l2_expected([3.0, -1.0], DirichletParams.symmetric(2)),
-         "n_bar must be nonnegative"),
+        (lambda: l2_expected(-1.0, DirichletParams.symmetric(2)), "n_bar must be nonnegative"),
     ],
     ids=["l1-realized-m", "l1-realized-count", "l1-expected-m", "l2-realized-length",
          "l2-realized-negative", "l2-realized-degenerate", "l2-expected-negative"],
@@ -141,10 +141,26 @@ class TestL2Expected:
             assert l2_expected(n, prior) == pytest.approx(1.0 / (1.0 + n), abs=1e-12)
 
     def test_strictly_decreasing(self):
+        # over the formula's array core, which has the bits of every one count
         prior = DirichletParams.symmetric(10, 1.0)
-        vals = l2_expected(np.arange(500), prior)
+        vals = _l2(np.arange(500, dtype=np.float64), prior.total)
+        assert vals.tolist() == [l2_expected(n, prior) for n in range(500)]
         assert np.all(np.diff(vals) < 0)
         assert np.all((vals > 0) & (vals <= 1))
+
+    @pytest.mark.parametrize(
+        "n_bar,name",
+        [([3.0, -1.0], "list"), ((3, 4), "tuple"), (np.arange(3.0), "ndarray")],
+    )
+    def test_refuses_an_array_or_a_list(self, n_bar, name):
+        with pytest.raises(TypeError, match=rf"^n_bar must be one count, got {name}$"):
+            l2_expected(n_bar, DirichletParams.symmetric(2))
+
+    def test_takes_one_numpy_scalar(self):
+        prior = DirichletParams.symmetric(10, 1.0)
+        for n_bar in (np.int64(99), np.float64(99.0), np.array(99.0)):
+            got = l2_expected(n_bar, prior)
+            assert type(got) is float and got == l2_expected(99, prior)
 
 
 class TestMcOracleL1:

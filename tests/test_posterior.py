@@ -250,6 +250,22 @@ class TestHpdInterval:
     def test_left_anchored_quantile_underflow_is_zero(self):
         assert hpd_interval(GammaParams(0.05, 1.0), 1e-300) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("shape", [1.0 + 2**-52, 1.0001, 1.5, 28.0, 1e5, 1e10])
+    def test_underflowing_level_offset_is_the_mode(self, shape):
+        # erfinv(mass)**2 / (shape - 1) underflows to 0 below a mass of about
+        # 1e-162, where the search divided by expm1(0); both ends round to the mode
+        params = GammaParams(shape, 0.37)
+        for mass in (1e-170, 1e-200, 1e-300, 5e-324):
+            assert hpd_interval(params, mass) == (params.mode(), params.mode())
+
+    def test_small_masses_keep_their_intervals(self):
+        # the masses whose level offset does not underflow take the search
+        assert hpd_interval(GammaParams(1.0001, 1.0), 1e-17) == (
+            9.999999999998686e-05, 9.999999999999111e-05
+        )
+        params = GammaParams(1e5, 0.37)
+        assert hpd_interval(params, 1e-150) == (params.mode(), params.mode())
+
     def test_shape_bound(self, monkeypatch):
         # at the bound the interval is computed to its stated mass error;
         # the next double is refused before the series of _gamma_tail, whose
