@@ -84,8 +84,18 @@ def _pairwise_sum(values, start: int = 0, count: int | None = None) -> float:
         return reduce(add, values[start:stop], 0.0)
     if count <= 128:
         end = stop - count % 8
-        r = [reduce(add, values[start + j:end:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rows = iter(values[start:end])
+        r0, r1, r2, r3, r4, r5, r6, r7 = next(zip(*[rows] * 8))
+        for x0, x1, x2, x3, x4, x5, x6, x7 in zip(*[rows] * 8):
+            r0 += x0
+            r1 += x1
+            r2 += x2
+            r3 += x3
+            r4 += x4
+            r5 += x5
+            r6 += x6
+            r7 += x7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
         return reduce(add, values[end:stop], total)
     half = count // 2
     half -= half % 8

@@ -212,8 +212,13 @@ def _categorized_list(cost: CostModel, total_area: float, counts) -> tuple[list,
     one home of that convention. The walks' bisections and stop test read
     the raw q of :func:`_fractions`, which is nonincreasing from n = 0."""
     q = _fractions(cost, total_area, counts)
+    if len(counts) == 1:
+        (n,), (x,) = counts, q
+        return [x if n else 1.0], [math.floor(n * x)]
     n_bar = list(map(math.floor, map(mul, counts, q)))
-    return [x if n else 1.0 for n, x in zip(counts, q)], n_bar
+    if 0 in counts:
+        q = [x if n else 1.0 for n, x in zip(counts, q)]
+    return q, n_bar
 
 
 def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
@@ -222,8 +227,11 @@ def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
     starting where the one before ended, with n_bar None where n_bar = n.
 
     q is nonincreasing in n, since each of its steps is a monotone IEEE
-    operation, so the counts fall in three bands, found by bisection: q = 1,
-    where n_bar = n; 0 < q < 1; and q = 0, where n_bar = 0. In the middle
+    operation, so the counts fall in three bands: q = 1, where n_bar = n;
+    0 < q < 1; and q = 0, where n_bar = 0. Each band's first count is
+    guessed from the rule's exact form, n > (1/c - mA)/(r1 + r2) and
+    n >= (1/c - mA)/r1, and kept where the rule confirms it on both sides,
+    else found by bisection (:func:`_first_where`). In the middle
     band n_bar = floor(v(n)) up to rounding, where v(n) = (1/c - (n*r1 + mA))/r2
     falls linearly in n, one whole number each r2/r1 counts (never, when r1 = 0).
     The rule's float n*q and v computed in the rule's own steps are both
@@ -239,9 +247,10 @@ def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
     def fraction(n):
         return _fractions(cost, total_area, (n,))[0]
 
-    counts = range(lo, hi)
-    full = lo + bisect_left(counts, True, key=lambda n: fraction(n) < 1.0)
-    zero = full + bisect_left(counts[full - lo:], True, key=lambda n: not fraction(n) > 0.0)
+    residual = cost.budget_area - total_area
+    ratios = cost.count_ratio + cost.categorize_ratio
+    full = _first_where(lambda n: fraction(n) < 1.0, lo, hi, residual / ratios)
+    zero = _first_where(lambda n: not fraction(n) > 0.0, full, hi, _exhausted_at(cost, total_area))
     if full > lo:
         yield full, None
     if full == 0 < zero:  # n_bar = 0 * q
@@ -251,6 +260,16 @@ def _categorized_runs(cost: CostModel, total_area: float, lo: int, hi: int):
         yield from _middle_runs(cost, total_area, full, zero, fraction)
     if zero < hi:
         yield hi, 0
+
+
+def _first_where(key, a: int, b: int, guess: float) -> int:
+    """The first count n in a .. b - 1 at which ``key(n)``, false and then
+    true over the counts, holds, or b if none: ceil(``guess``), clamped to
+    a .. b, where key fails just before it and holds at it, else by bisection."""
+    n = a if not guess > a else b if not guess < b else math.ceil(guess)
+    if (n == a or not key(n - 1)) and (n == b or key(n)):
+        return n
+    return a + bisect_left(range(a, b), True, key=key)
 
 
 def _middle_runs(cost: CostModel, total_area: float, start: int, stop: int, fraction):
@@ -275,26 +294,30 @@ def _middle_runs(cost: CostModel, total_area: float, start: int, stop: int, frac
         yield from one_by_one(start, stop)
         return
     slope = r2 / r1 if r1 > 0.0 else math.inf  # counts per unit fall of v
+    wide = 2.0 * guard * slope > 1.0  # v takes more than a count to cross a guard band
+    floor, ceil = math.floor, math.ceil
     n = start
     while n < stop:
-        x = v(n)
-        k = math.floor(x)
-        if k + guard < x < k + 1 - guard:
+        x = (budget - (n * r1 + total_area)) / r2  # v(n)
+        k = floor(x)
+        low = k + guard
+        if low < x < k + 1 - guard:
             # the last count whose v passes k + guard, by v's slope, checked
-            estimate = min(n + (x - (k + guard)) * slope, stop)
-            end = max(n, min(last, math.ceil(estimate) - 1))
-            if not v(end) > k + guard:
-                below = bisect_left(range(n, end + 1), True, key=lambda i: not v(i) > k + guard)
+            estimate = n + (x - low) * slope
+            end = max(n, ceil(estimate) - 1) if estimate < stop else last
+            if not (budget - (end * r1 + total_area)) / r2 > low:
+                below = bisect_left(range(n, end + 1), True, key=lambda i: not v(i) > low)
                 end = n + below - 1
             yield end + 1, k
             n = end + 1
-        else:  # v is within the guard band of a whole number j: count by count while v >= j - guard
+        elif wide:  # v within the guard band of a whole j: count by count while v >= j - guard
             j = round(x)
-            after = n + 1
-            if 2.0 * guard * slope > 1.0:  # v takes more than a count to cross the band
-                after = n + bisect_left(range(n, stop), True, key=lambda i: v(i) < j - guard)
+            after = n + bisect_left(range(n, stop), True, key=lambda i: v(i) < j - guard)
             yield from one_by_one(n, after)
             n = after
+        else:  # the band holds this count alone: v(n + 1) <= v(n) - 2 * guard
+            yield n + 1, _categorized_list(cost, total_area, (n,))[1][0]
+            n += 1
 
 
 def _budget_split(cost: CostModel, total_area: float, n: int) -> tuple[int, dict[str, float]]:

@@ -46,7 +46,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
 
 from ._record import Record
@@ -92,10 +92,12 @@ _LOG_PMF_TOLERANCE = 1e-8
 # every count before that start is below exp(-700), about 1e-304, and taken as 0.
 _LOG_ANCHOR = -700.0
 # First-chunk terms up to which a walk runs in Python when NumPy is not
-# loaded: a little below where the Python walk, at 125-230 ns a term, costs as
-# much as NumPy's import less the array walk's own time, about 50 ms cold
-# (on a shared 2-vCPU Xeon, where a cold design command broke even near
-# 280,000 terms).
+# loaded. The Python walk costs about 150-240 ns a term; in alternating cold
+# `design` runs on the baseline prior (shared 2-vCPU Xeon, where NumPy's
+# import took about 110-150 ms) it broke even with the array walk between
+# B = 80 (636,707 terms) and B = 90 (805,418). The threshold stays well below
+# that: it counts first chunks only, and a point whose later chunks far
+# outnumber its first (r1 near 0) can walk ten times as long on lists.
 _PYTHON_WALK_TERMS = 250_000
 # Share of a design's least L* so far that a point's lower bound must pass
 # before the m*-only walk skips the point (:func:`_bounded_visits`): far above
@@ -236,28 +238,34 @@ class _ListWalk:
     """The steps of the design walk on lists of Python floats.
 
     Each step is :class:`_ArrayWalk`'s, one count at a time: the same basic
-    operations in the same order, the running product by ``accumulate``, the
-    sums by ``_special._pairwise_sum`` (NumPy's pairwise order) and the median
-    by ``bisect`` on the running sums, so every result has the same bits. The
+    operations in the same order, the running product in one comprehension
+    that carries it, p = p * (r * omp), the sums by
+    ``_special._pairwise_sum`` (NumPy's pairwise order) and the median by
+    ``bisect`` on the running sums, so every result has the same bits. The
     one exception is n_bar, which comes by runs (:func:`cost._categorized_runs`):
     the budget rule runs only at the ends of each run and where v(n) lies
     within the guard band of a whole number, and the guard band is the proof
     that each count of a run has the n_bar that the rule gives it, so every
-    weight, and every term, has the same bits as well.
+    weight, filled run by run, and every term has the same bits as well.
     """
 
     @staticmethod
-    def tables(config: DesignConfig, size: int):
+    def tables(config: DesignConfig, size: int, tables=None):
         """The per-count lists that no design point changes: the pmf's ratios
         ((n - 1) + a) / n over n = 0 .. size - 1 (index n, from 1), and the
         gain weights 1 - L2*(n) over n < :func:`_gain_length`; and the
         composition prior's total g0, from which :meth:`gain` computes any
         weight past them. ``DirichletParams.total`` is a sum over the
-        classes on every access, so it is read here once."""
-        a, g0 = config.abundance_prior.shape, config.composition_prior.total
-        ratios = [0.0] + [((n - 1.0) + a) / n for n in range(1, size)]
-        gains = [1.0 - _l2(n, g0) for n in range(_gain_length(config, size))]
-        return ratios, gains, g0
+        classes on every access, so it is read here once. Given ``tables``
+        built for ``config`` at a smaller size, it extends their lists in
+        place; each entry is computed alone, so it has the same bits."""
+        a = config.abundance_prior.shape
+        if tables is None:
+            tables = [0.0], [], config.composition_prior.total
+        ratios, gains, g0 = tables
+        ratios += [((n - 1.0) + a) / n for n in map(float, range(len(ratios), size))]
+        gains += [1.0 - _l2(n, g0) for n in range(len(gains), _gain_length(config, size))]
+        return tables
 
     @staticmethod
     def pmf(tables, a: float, omp: float, anchor, lo: int, hi: int, prev: float) -> list:
@@ -267,12 +275,17 @@ class _ListWalk:
         start = max(lo, n0)
         if start >= hi:
             return [0.0] * (hi - lo)
+        pmf = [0.0] * (start - lo)
+        p = prev
+        if start == n0:
+            pmf.append(value)
+            p = value
+            start += 1
         if hi <= len(ratios):
-            factors = [r * omp for r in ratios[start:hi]]
+            pmf += [p := p * (r * omp) for r in ratios[start:hi]]
         else:
-            factors = [((n - 1.0) + a) / n * omp for n in range(start, hi)]
-        factors[0] = value if start == n0 else prev * factors[0]
-        return [0.0] * (start - lo) + list(accumulate(factors, mul))
+            pmf += [p := p * (((n - 1.0) + a) / n * omp) for n in range(start, hi)]
+        return pmf
 
     @staticmethod
     def gain(config: DesignConfig, area: float, pmf, lo: int, tables) -> tuple[float, float]:
@@ -288,7 +301,7 @@ class _ListWalk:
                 weights += [1.0 - _l2(n, g0) for n in range(max(start, len(gains)), stop)]
             else:
                 weight = gains[n_bar] if n_bar < len(gains) else 1.0 - _l2(n_bar, g0)
-                weights += [weight] * (stop - start)
+                weights += repeat(weight, stop - start)
             start = stop
         q_last = _fractions(config.cost, area, (hi - 1,))[0]
         return _pairwise_sum(list(map(mul, pmf, weights))), q_last
@@ -428,16 +441,18 @@ def _expected_l2(m: int, config: DesignConfig, first, tables, walk):
             return 1.0 - gain, tail, terms
 
 
-def _predictive_median(m: int, config: DesignConfig, size: int, tables, walk) -> int:
+def _predictive_median(m: int, config: DesignConfig, size: int, tables, walk, first=None) -> int:
     """Predictive median of N at m, the first n with P(N <= n) >= 1/2, read
     from the running sums of the pmf over the chunks of :func:`_expected_l2`,
-    the first of them ``size`` long. It walks on past the budget-exhaustion
+    the first of them ``size`` long: ``first``, the chunk that the design
+    walk summed there, or built anew. It walks on past the budget-exhaustion
     count when the median lies there."""
     if m == 0:
         return 0
     prior = config.abundance_prior
     area = m * config.cost.quadrant_area
-    first = _pmf_chunk(walk, tables, prior, area, 0, size)
+    if first is None:
+        first = _pmf_chunk(walk, tables, prior, area, 0, size)
     mass = 0.0  # P(N < lo)
     for lo, pmf in _pmf_chunks(walk, tables, prior, area, first):
         index, mass = walk.search(pmf, mass)
@@ -520,8 +535,11 @@ def _optimize_designs(configs, sizes, walk=None, m_star_only=False) -> list[Desi
 
     Configs with the same abundance prior, quadrant area and composition
     prior form a group. A group shares one set of per-count tables, built
-    for its longest first chunk, and at each m one first pmf chunk, as long as
-    the longest first chunk of its configs walked there. Each config sums
+    for its longest first chunk (on lists, the m*-only walk grows them to the
+    longest chunk it visits), and at each m one first pmf chunk, as long as
+    the longest first chunk of its configs walked there. A group of one
+    config keeps the first chunk at its least L* so far, from which the
+    median at m* is read. Each config sums
     over its own prefix of that chunk, which holds the bits the config would
     compute alone: the pmf's product runs in order and every other step
     works count by count. Groups are walked one after another, so one
@@ -560,22 +578,34 @@ def _walk_groups(configs, sizes, walk, m_star_only) -> list[DesignResult]:
     for (prior, quadrant_area, composition_prior), members in groups.items():
         # the member whose budget categorizes the most counts sizes the gain weights
         lead = configs[max(members, key=lambda i: _categorizable(configs[i].cost))]
-        tables = walk.tables(lead, max(max(sizes[i]) for i in members))
+        # the m*-only walk skips most long chunks, so on lists, which cost the
+        # most to build, the tables grow to the longest chunk it visits
+        grow = m_star_only and walk is _ListWalk
+        tables = walk.tables(lead, 0 if grow else max(max(sizes[i]) for i in members))
         rows = {i: [_curve_row(0, configs[i], 1.0, 0.0)] + [None] * (len(sizes[i]) - 1)
                 for i in members}
         if m_star_only:
             visits = _bounded_visits(configs, members, rows, composition_prior.total)
         else:
             visits = _every_visit(sizes, members)
+        # a lone member's (L*, m, first pmf chunk) at its least L* so far, the
+        # smaller m among ties, for its median; kept for one member, since a
+        # chunk for each would make memory grow with the group
+        least = None
         for m, live in visits:
             width = max(sizes[i][m] for i in live)
+            if grow:
+                walk.tables(lead, width, tables)
             pmf = _pmf_chunk(walk, tables, prior, m * quadrant_area, 0, width)
             for i in live:
-                config = configs[i]
-                e_l2, tail, _ = _expected_l2(m, config, pmf[:sizes[i][m]], tables, walk)
-                rows[i][m] = _curve_row(m, config, e_l2, tail)
+                config, size = configs[i], sizes[i][m]
+                first = pmf if size == width else pmf[:size]  # a list's slice is a copy
+                e_l2, tail, _ = _expected_l2(m, config, first, tables, walk)
+                row = rows[i][m] = _curve_row(m, config, e_l2, tail)
+                if len(members) == 1 and (least is None or (row.l_star, m) < least[:2]):
+                    least = (row.l_star, m, first)
         for i in members:
-            results[i] = _design_result(configs[i], rows[i], sizes[i], tables, walk)
+            results[i] = _design_result(configs[i], rows[i], sizes[i], tables, walk, least)
     return results
 
 
@@ -640,17 +670,20 @@ def _loss_bounds(config: DesignConfig, g0: float) -> list[float]:
     return [w * (1.0 / (1.0 + area / b)) + (1.0 - w) * _l2(x, g0) for area, x in zip(areas, xs)]
 
 
-def _design_result(config: DesignConfig, rows, sizes, tables, walk) -> DesignResult:
+def _design_result(config: DesignConfig, rows, sizes, tables, walk, least=None) -> DesignResult:
     """m*, the first m of least L* among the walked ``rows`` (rows[m] is the
     point at m, or None where an m*-only walk skipped it), with the
-    predictive median and budget split there. A NaN L* in any walked row
-    is an error."""
+    predictive median and budget split there. ``least`` is the walk's
+    ``(L*, m, first pmf chunk)`` at the least L* among m >= 1, whose chunk
+    the median reads where that m is m*. A NaN L* in any walked row is an
+    error."""
     walked = [row for row in rows if row is not None]
     nan = next((row.m for row in walked if math.isnan(row.l_star)), None)
     if nan is not None:
         raise ValueError(f"the expected loss L* is NaN at m={nan}; no design can be chosen")
     m_star = min(walked, key=lambda row: row.l_star).m
-    n = _predictive_median(m_star, config, sizes[m_star], tables, walk)
+    first = least[2] if least is not None and least[1] == m_star else None
+    n = _predictive_median(m_star, config, sizes[m_star], tables, walk, first)
     n_bar, split = _budget_split(config.cost, rows[m_star].area, n)
     return DesignResult(m_star, DesignCurve(tuple(rows)), n, n_bar, split)
 

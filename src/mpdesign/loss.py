@@ -82,12 +82,13 @@ def l2_expected(n_bar, prior: DirichletParams) -> float:
 
     For g0 = 1 this reduces to 1/(1 + n_bar). ``n_bar`` is an int, a float
     or a NumPy scalar, and the result a Python float, computed without NumPy;
-    an array or a list is refused by its type (:func:`_l2` takes arrays).
+    an array or a list is refused by its type (:func:`_l2` takes arrays), and
+    a NaN, infinite or negative count by name, as :func:`cost.budget_rule` refuses it.
     """
     if not (isinstance(n_bar, (int, float)) or getattr(n_bar, "ndim", None) == 0):
         raise TypeError(f"n_bar must be one count, got {type(n_bar).__name__}")
-    if n_bar < 0:
-        raise ValueError("n_bar must be nonnegative")
+    if not (n_bar >= 0 and math.isfinite(n_bar)):
+        raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
     return float(_l2(n_bar, prior.total))
 
 

@@ -16,7 +16,7 @@ from mpdesign import (
     optimize_design,
 )
 from mpdesign.cost import (
-    _budget_split, _categorized, _categorized_list, _categorized_runs, _fractions,
+    _budget_split, _categorized, _categorized_list, _categorized_runs, _first_where, _fractions,
 )
 from conftest import BASELINE_COST, baseline_config
 from oracles import budget_fraction, decimal_categorized_count
@@ -374,6 +374,30 @@ class TestBudgetRule:
         counts = range(lo, lo + length)
         expected = [math.floor(n * q) for n, q in zip(counts, _fractions(cost, area, counts))]
         assert run_filled(cost, area, counts) == expected
+
+    @given(
+        a=st.integers(0, 10**6),
+        width=st.integers(0, 100),
+        turn=st.floats(0.0, 1.0),
+        offset=st.one_of(st.floats(-5.0, 110.0), st.sampled_from((math.nan, math.inf, -math.inf))),
+    )
+    @settings(max_examples=100)
+    def test_band_ends_are_the_bisections(self, a, width, turn, offset):
+        # the first count of a band, from a guess that is right, off by any
+        # amount or no number at all, is the bisection's; a right guess
+        # costs two calls of the rule
+        b = a + width
+        first = a + round(turn * width)
+        asked = []
+
+        def key(n):
+            asked.append(n)
+            return n >= first
+
+        assert _first_where(key, a, b, a + offset) == first
+        assert all(a <= n < b for n in asked)
+        asked.clear()
+        assert _first_where(key, a, b, float(first)) == first and len(asked) <= 2
 
     @pytest.mark.xfail(
         strict=False,

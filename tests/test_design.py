@@ -25,7 +25,8 @@ from mpdesign import (
 )
 from mpdesign import design
 from mpdesign.cost import (
-    _categorizable, _categorized, _categorized_bounds, _categorized_list, _fractions,
+    _categorizable, _categorized, _categorized_bounds, _categorized_list, _categorized_runs,
+    _fractions,
 )
 from mpdesign.design import (
     MAX_CURVE_TERMS,
@@ -1016,8 +1017,8 @@ class TestWalkParity:
         self.assert_same_bits(golden_configs())
 
     def test_grid_sample_under_the_threshold(self):
-        configs = grid_sample(24, seed=33)
-        assert len(configs) == 24
+        configs = grid_sample(64, seed=33)
+        assert len(configs) == 64
         assert {c.cost.count_ratio for c in configs} == {0.0, 5e-5, 2e-4}
         for config in configs:
             self.assert_same_bits([config])
@@ -1090,3 +1091,154 @@ class TestWalkParity:
         assert design._choose_walk(small) is _ListWalk
         assert design._choose_walk([[0, design._PYTHON_WALK_TERMS]]) is _ListWalk
         assert design._choose_walk(large) is _ArrayWalk
+
+
+def chunk_bits(walk, config, m, lo, hi, size, prev=0.0):
+    """The pmf over n = lo .. hi - 1 at m, from ``walk``'s tables built for
+    ``size`` counts, and the chunk's gain and q at its last count, each float
+    by ``float.hex``."""
+    tables = walk.tables(config, size)
+    area = m * config.cost.quadrant_area
+    pmf = _pmf_chunk(walk, tables, config.abundance_prior, area, lo, hi, prev)
+    gain, q_last = walk.gain(config, area, pmf, lo, tables)
+    return [float(x).hex() for x in pmf], gain.hex(), q_last.hex()
+
+
+def run_widths(config, m, lo, hi):
+    """The widths of the list walk's n_bar runs over n = lo .. hi - 1 at m."""
+    area = m * config.cost.quadrant_area
+    runs = [lo] + [stop for stop, _ in _categorized_runs(config.cost, area, lo, hi)]
+    return [b - a for a, b in zip(runs, runs[1:])]
+
+
+def walked_bits(result):
+    """``hex_bits`` of a result whose curve may hold None at skipped points."""
+    rows = [None if row is None else (row.m, *map(float.hex, row[1:])) for row in result.curve.rows]
+    split = [(key, value.hex()) for key, value in result.budget_split.items()]
+    return rows, result.m_star, result.typical_n, result.typical_n_bar, split
+
+
+def same_walks(configs, m_star_only=False):
+    """The list walk's and the array walk's results for ``configs``, optimized
+    together, as ``walked_bits``; they must be equal."""
+    sizes = [_first_chunks(config) for config in configs]
+    lists, arrays = (
+        [walked_bits(r) for r in design._optimize_designs(configs, sizes, walk, m_star_only)]
+        for walk in (_ListWalk, _ArrayWalk)
+    )
+    assert lists == arrays
+    return lists
+
+
+class TestListWalkBranches:
+    """Each branch of the list walk's pmf, weights and n_bar runs gives the
+    array walk's bits (``float.hex``), and each case reaches its branch."""
+
+    def same_chunk(self, *args):
+        lists, arrays = (chunk_bits(walk, *args) for walk in (_ListWalk, _ArrayWalk))
+        assert lists == arrays
+        return lists
+
+    def test_anchor_inside_a_later_chunk(self):
+        # shape 1e4 at m = 70: P(0) underflows and the product starts at the
+        # log-gamma anchor n0, inside a chunk that starts 10 counts before it
+        config = _config(GammaParams.from_mode(1e4, 200.0), budget=80.0)
+        n0 = _anchor(config.abundance_prior, 70 * 0.0625)[0]
+        assert n0 > 10
+        pmf, _, _ = self.same_chunk(config, 70, n0 - 10, n0 + 500, n0 + 500)
+        assert pmf[:10] == [(0.0).hex()] * 10 and float.fromhex(pmf[10]) > 0.0
+
+    @staticmethod
+    def pmf_before(config, m, lo):
+        """P(N = lo - 1) at m, which a chunk from lo carries the product on from."""
+        tables = _ArrayWalk.tables(config, lo)
+        return float(_pmf_chunk(_ArrayWalk, tables, config.abundance_prior, m * 0.0625, 0, lo)[-1])
+
+    @pytest.mark.parametrize("lo", [50, 100])
+    def test_chunk_past_the_ratio_table(self, lo):
+        # tables for 100 counts: a chunk to 400 computes its own ratios
+        config = baseline_config()
+        assert len(_ListWalk.tables(config, 100)[0]) == 100
+        self.same_chunk(config, 5, lo, 400, 100, self.pmf_before(config, 5, lo))
+
+    def test_n_bar_equal_to_n_past_the_gain_table(self):
+        # tables for 50 counts hold 52 gains, and at m = 1 n_bar = n up to
+        # count 225: the weights past the table come from L2* itself
+        config = baseline_config()
+        gains = _ListWalk.tables(config, 50)[1]
+        assert len(gains) == 52 < run_widths(config, 1, 0, 400)[0] == 226
+        self.same_chunk(config, 1, 50, 400, 50, self.pmf_before(config, 1, 50))
+
+    def test_one_count_guard_bands(self):
+        # r2 = 60 r1: v crosses a whole number at every 60th count, and each
+        # crossing is a guard band of one count
+        config = _config(GammaParams.from_mode(3.0, 800.0))
+        widths = run_widths(config, 5, 0, 4754)
+        assert widths[1:6] == [26, 1, 59, 1, 59]
+        self.same_chunk(config, 5, 0, 4754, 4754)
+
+    @pytest.mark.parametrize("r1", [0.0, 1e-12])
+    def test_guard_band_wider_than_one_count(self, r1):
+        # B = 12, m = 5: the residual buys 100 - 2**-46 categorizations, and v
+        # stays within the guard band of 100 for many counts (all of them when
+        # r1 = 0), which the rule takes one by one
+        cost = CostModel.from_budget_quadrants(0.0625, 12.0, r1, 0.004375)
+        prior = GammaParams.from_mode(3.0, 800.0)
+        config = DesignConfig(prior, DirichletParams.symmetric(10), cost)
+        widths = run_widths(config, 5, 0, 3000)
+        assert widths[0] == 100 and widths[1:40] == [1] * 39
+        self.same_chunk(config, 5, 0, 3000, 3000)
+        same_walks([config])
+
+    def test_counts_one_by_one_where_a_step_leaves_the_normal_floats(self):
+        # a subnormal r1: n * r1 is subnormal, so the middle band goes to the
+        # rule count by count
+        config = baseline_config()
+        cost = CostModel(0.0625, config.cost.budget_coefficient, 1e-310, 3e-3)
+        config = DesignConfig(config.abundance_prior, config.composition_prior, cost)
+        widths = run_widths(config, 5, 0, 3000)
+        assert widths[0] == 146 and widths[1:] == [1] * (3000 - 146)
+        self.same_chunk(config, 5, 0, 3000, 3000)
+        same_walks([config])
+
+    @pytest.mark.parametrize("r1", [0.0, 1e-12, 5e-5])
+    def test_designs_with_little_or_no_count_cost(self, r1):
+        configs = [
+            DesignConfig(
+                prior, DirichletParams.symmetric(10),
+                CostModel.from_budget_quadrants(0.0625, budget, r1, 3e-3),
+            )
+            for prior, budget in ((GammaParams.from_mode(3.0, 200.0), 12.0),
+                                  (GammaParams.from_mode(1.5, 200.0), 20.0),
+                                  (GammaParams(0.7, 0.7 / 200.0), 8.0))
+        ]
+        same_walks(configs)
+
+    def test_m_star_only_walk_grows_the_list_tables(self):
+        # the m*-only walk on lists builds its tables for the chunks it visits,
+        # growing them in place; every row and result keeps the array walk's bits
+        for base, axis, values in BOUND_SWEEPS:
+            configs = [design._apply_axis(base, axis, value) for value in values]
+            results = same_walks(configs, m_star_only=True)
+            assert None in results[0][0], axis
+
+    def test_grown_tables_equal_tables_built_at_once(self):
+        config = baseline_config(r2=6e-3)
+        grown = _ListWalk.tables(config, 10)
+        for size in (10, 40, 40, 300, 2000):
+            assert _ListWalk.tables(config, size, grown) is grown
+            built = _ListWalk.tables(config, size)
+            assert [list(map(float.hex, table)) for table in grown[:2]] == [
+                list(map(float.hex, table)) for table in built[:2]
+            ]
+
+    def test_median_read_from_the_walked_chunk(self):
+        # a design walked alone reads its median from the first chunk it
+        # summed at m*; it must be the median read over fresh arrays
+        for base, axis, values in BOUND_SWEEPS[:3]:
+            config = design._apply_axis(base, axis, values[-1])
+            sizes = [_first_chunks(config)]
+            for walk in (_ListWalk, _ArrayWalk):
+                for m_star_only in (False, True):
+                    (result,) = design._optimize_designs([config], sizes, walk, m_star_only)
+                    assert result.typical_n == median_alone(result.m_star, config), axis

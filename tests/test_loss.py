@@ -79,10 +79,17 @@ def test_bad_quadrant_area_named(area):
         # the second class's share of the prior rounds to 0
         (lambda: l2_realized((0, 0), DirichletParams((1.0, 1e-20))),
          "degenerate prior: zero prior covariance trace"),
-        (lambda: l2_expected(-1.0, DirichletParams.symmetric(2)), "n_bar must be nonnegative"),
+        (lambda: l2_expected(-1.0, DirichletParams.symmetric(2)),
+         "n_bar must be finite and >= 0, got -1.0"),
+        # NaN fails every comparison, so it is refused by name, not passed on as L2* = NaN
+        (lambda: l2_expected(math.nan, DirichletParams.symmetric(10)),
+         "n_bar must be finite and >= 0, got nan"),
+        (lambda: l2_expected(math.inf, DirichletParams.symmetric(10)),
+         "n_bar must be finite and >= 0, got inf"),
     ],
     ids=["l1-realized-m", "l1-realized-count", "l1-expected-m", "l2-realized-length",
-         "l2-realized-negative", "l2-realized-degenerate", "l2-expected-negative"],
+         "l2-realized-negative", "l2-realized-degenerate", "l2-expected-negative",
+         "l2-expected-nan", "l2-expected-inf"],
 )
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError) as info:

@@ -117,18 +117,29 @@ def test_fraction_depth_is_enough():
 
 
 def sum_cases():
-    """(name, list) pairs: every length about the branch points of the
-    pairwise sum (8 and 128 terms) and of NumPy's 8192-element buffer, then
-    random lengths up to 20,000, with terms of mixed signs and magnitudes so
-    that the order of the additions shows in the last bits."""
+    """(name, sequence) pairs: every length up to 136, which takes in the
+    pairwise sum's branch points at 8 and 128 terms and each remainder mod 8
+    past them, the lengths about NumPy's 8192-element buffer, then random
+    lengths up to 20,000, with terms of mixed signs and magnitudes so that
+    the order of the additions shows in the last bits. Some are tuples, as
+    ``DirichletParams.total`` passes its concentration, and some hold
+    infinite or NaN terms at random places."""
     rng = random.Random(28)
 
     def terms(n):
         return [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.uniform(-8, 8)
                 for _ in range(n)]
 
-    for n in [*range(10), 127, 128, 129, 8191, 8192, 8193]:
+    for n in [*range(137), 8191, 8192, 8193]:
         yield f"n={n}", terms(n)
+    for n in (5, 8, 9, 64, 128, 136, 300):
+        yield f"tuple n={n}", tuple(terms(n))
+    for n in (3, 8, 13, 127, 129, 1000):
+        for bad in ([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf]):
+            values = terms(n)
+            for i, x in zip(rng.sample(range(n), len(bad)), bad):
+                values[i] = x
+            yield f"n={n} with {bad}", values
     for j in range(200):
         n = rng.randint(1, 20_000)
         yield f"random{j} n={n}", terms(n)
@@ -136,7 +147,8 @@ def sum_cases():
 
 def test_pairwise_sum_is_numpys():
     for name, values in sum_cases():
-        expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN in both sums
+            expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
         assert _pairwise_sum(values).hex() == expected.hex(), name
 
 
